@@ -44,6 +44,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return (GaussianRational, (self.re, self.im))
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:

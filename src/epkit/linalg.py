@@ -1,20 +1,37 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Everything here computes with GaussianRational entries and never rounds:
-row reduction, rank, the four fundamental subspaces, full-rank factorization,
-linear solves, inverses, and the left-multiplication Kronecker lift.
-Zero-dimensional matrices (0 x n, n x 0) are legal values throughout.
+Everything here computes exactly and never rounds: row reduction, rank, the
+four fundamental subspaces, full-rank factorization, linear solves, inverses,
+and the left-multiplication Kronecker lift.  Zero-dimensional matrices
+(0 x n, n x 0) are legal values throughout.
 
 Subspaces are stored in a canonical column-reduced echelon basis so that
 subspace equality is plain structural equality.
+
+Representation: a MatrixQ holds one positive common denominator and two
+flat row-major lists of Python ints, the real and the imaginary numerators,
+so entry k is (re[k] + im[k] i) / den.  The form is canonical: den shares no
+factor with all the numerators at once, and the zero matrix has den 1, so
+equality and hashing compare integers.  Products, sums, transposes, stacking
+and slicing are integer list work with one gcd normalisation per result.
+`rref` is fraction-free Gauss-Jordan elimination over the Gaussian integers
+(Bareiss 1968, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination"): every division by the previous pivot is exact, and
+is checked.  GaussianRational stays the scalar type at the boundary: the
+constructor takes GaussianRational entries and `entry`, `row`, `col` and
+`to_rows` build them from the integers on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
+from itertools import repeat
+from operator import floordiv, mod, mul
 from typing import Optional, Sequence
 
-from .exactnum import ONE, ZERO, GaussianRational, as_scalar
+from .exactnum import ZERO, GaussianRational, as_scalar
 
 
 class ShapeError(ValueError):
@@ -30,9 +47,13 @@ class InternalConsistencyError(AssertionError):
 
 
 class MatrixQ:
-    """Immutable dense matrix of GaussianRational entries, row-major."""
+    """Immutable dense matrix of Gaussian rationals, row-major.
 
-    __slots__ = ("rows", "cols", "_entries")
+    Held as a common denominator and integer numerator lists (see the module
+    docstring); entries read out as GaussianRational.
+    """
+
+    __slots__ = ("rows", "cols", "_den", "_re", "_im")
 
     rows: int
     cols: int
@@ -40,17 +61,23 @@ class MatrixQ:
     def __init__(self, rows: int, cols: int, entries: Sequence[GaussianRational]):
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimension")
-        entries = tuple(entries)
+        entries = list(entries)
         if len(entries) != rows * cols:
             raise ShapeError(
                 f"expected {rows * cols} entries for {rows}x{cols}, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_entries", entries)
+        # Fractions are reduced, so the lcm of their denominators is already
+        # coprime to the scaled numerators taken together.
+        den = lcm(*{q.denominator for z in entries for q in (z.re, z.im)})
+        re = [z.re.numerator * (den // z.re.denominator) for z in entries]
+        im = [z.im.numerator * (den // z.im.denominator) for z in entries]
+        _fill(self, rows, cols, den, re, im)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixQ is immutable")
+
+    def __reduce__(self):
+        return (_canonical, (self.rows, self.cols, self._den, self._re, self._im))
 
     # -- construction ------------------------------------------------------
 
@@ -68,11 +95,11 @@ class MatrixQ:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+        return _new(n, n, 1, [int(i == j) for i in range(n) for j in range(n)], [0] * (n * n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols, [ZERO] * (rows * cols))
+        return _new(rows, cols, 1, [0] * (rows * cols), [0] * (rows * cols))
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "MatrixQ":
@@ -83,20 +110,32 @@ class MatrixQ:
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self._entries[i * self.cols + j]
+        k = i * self.cols + j
+        return _scalar(self._re[k], self._im[k], self._den)
 
     def row(self, i: int) -> tuple:
-        return self._entries[i * self.cols : (i + 1) * self.cols]
+        c = self.cols
+        return self._scalars(range(i * c, (i + 1) * c))
 
     def col(self, j: int) -> tuple:
-        return self._entries[j :: self.cols] if self.cols else ()
+        return self._scalars(range(j, self.rows * self.cols, self.cols)) if self.cols else ()
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def to_complex_rows(self) -> list:
-        """Float image as nested lists of complex (for the float-side modules)."""
-        return [[x.to_complex() for x in self.row(i)] for i in range(self.rows)]
+        """Float image as nested lists of complex (for the float-side modules).
+
+        Each part is the correctly rounded quotient numerator / den, the same
+        float as that of the reduced Fraction; OverflowError past float range.
+        """
+        re, im, d, c = self._re, self._im, self._den, self.cols
+        return [[complex(re[k] / d, im[k] / d) for k in range(i * c, (i + 1) * c)]
+                for i in range(self.rows)]
+
+    def _scalars(self, ks) -> tuple:
+        re, im, d = self._re, self._im, self._den
+        return tuple(_scalar(re[k], im[k], d) for k in ks)
 
     # -- predicates ----------------------------------------------------------
 
@@ -105,52 +144,64 @@ class MatrixQ:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self._entries)
+        return not any(self._re) and not any(self._im)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "MatrixQ") -> "MatrixQ":
-        self._same_shape(other)
-        return MatrixQ(
-            self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MatrixQ") -> "MatrixQ":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "MatrixQ", sign: int) -> "MatrixQ":
+        """self + sign * other over the least common denominator."""
         self._same_shape(other)
-        return MatrixQ(
-            self.rows, self.cols, [a - b for a, b in zip(self._entries, other._entries)]
+        g = gcd(self._den, other._den)
+        sa, sb = other._den // g, self._den // g
+        sb *= sign
+        return _canonical(
+            self.rows, self.cols, self._den * sa,
+            [x * sa + y * sb for x, y in zip(self._re, other._re)],
+            [x * sa + y * sb for x, y in zip(self._im, other._im)],
         )
 
     def __neg__(self) -> "MatrixQ":
-        return MatrixQ(self.rows, self.cols, [-a for a in self._entries])
+        return _new(self.rows, self.cols, self._den,
+                    [-x for x in self._re], [-x for x in self._im])
 
     def scale(self, s) -> "MatrixQ":
         s = as_scalar(s)
-        return MatrixQ(self.rows, self.cols, [s * a for a in self._entries])
+        sd = lcm(s.re.denominator, s.im.denominator)
+        sr = s.re.numerator * (sd // s.re.denominator)
+        si = s.im.numerator * (sd // s.im.denominator)
+        re, im = self._re, self._im
+        return _canonical(
+            self.rows, self.cols, self._den * sd,
+            [sr * x - si * y for x, y in zip(re, im)],
+            [sr * y + si * x for x, y in zip(re, im)],
+        )
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.rows:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        a = self._entries
-        b = other._entries
-        out = []
-        for i in range(n):
-            acc = [ZERO] * m
-            base = i * k
-            for t in range(k):
-                x = a[base + t]
-                if x.is_zero():
-                    continue
-                boff = t * m
-                for j in range(m):
-                    y = b[boff + j]
-                    if not y.is_zero():
-                        acc[j] = acc[j] + x * y
-            out.extend(acc)
-        return MatrixQ(n, m, out)
+        shape = (self.rows, self.cols, other.cols)
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        a_complex, b_complex = any(ai), any(bi)
+        re = _int_matmul(ar, br, *shape)
+        if a_complex and b_complex:
+            re = [x - y for x, y in zip(re, _int_matmul(ai, bi, *shape))]
+            im = [x + y for x, y in zip(_int_matmul(ar, bi, *shape),
+                                        _int_matmul(ai, br, *shape))]
+        elif a_complex:
+            im = _int_matmul(ai, br, *shape)
+        elif b_complex:
+            im = _int_matmul(ar, bi, *shape)
+        else:
+            im = [0] * len(re)
+        return _canonical(self.rows, other.cols, self._den * other._den, re, im)
 
     def _same_shape(self, other: "MatrixQ") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -162,28 +213,32 @@ class MatrixQ:
 
     def select_columns(self, indices: Sequence[int]) -> "MatrixQ":
         idx = list(indices)
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.extend(r[j] for j in idx)
-        return MatrixQ(self.rows, len(idx), out)
+        ks = [i * self.cols + j for i in range(self.rows) for j in idx]
+        return _canonical(self.rows, len(idx), self._den,
+                          [self._re[k] for k in ks], [self._im[k] for k in ks])
 
     def take_rows(self, count: int) -> "MatrixQ":
-        return MatrixQ(count, self.cols, self._entries[: count * self.cols])
+        n = count * self.cols
+        return _canonical(count, self.cols, self._den, self._re[:n], self._im[:n])
 
     def hstack(self, other: "MatrixQ") -> "MatrixQ":
         if self.rows != other.rows:
             raise ShapeError("hstack needs equal row counts")
-        out = []
+        den, (ar, ai), (br, bi) = _common_den(self, other)
+        ca, cb = self.cols, other.cols
+        re, im = [], []
         for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return MatrixQ(self.rows, self.cols + other.cols, out)
+            re += ar[i * ca:(i + 1) * ca]
+            re += br[i * cb:(i + 1) * cb]
+            im += ai[i * ca:(i + 1) * ca]
+            im += bi[i * cb:(i + 1) * cb]
+        return _new(self.rows, ca + cb, den, re, im)
 
     def vstack(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.cols:
             raise ShapeError("vstack needs equal column counts")
-        return MatrixQ(self.rows + other.rows, self.cols, self._entries + other._entries)
+        den, (ar, ai), (br, bi) = _common_den(self, other)
+        return _new(self.rows + other.rows, self.cols, den, ar + br, ai + bi)
 
     # -- equality / repr -------------------------------------------------------
 
@@ -193,11 +248,13 @@ class MatrixQ:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self._entries == other._entries
+            and self._den == other._den
+            and self._re == other._re
+            and self._im == other._im
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._entries))
+        return hash((self.rows, self.cols, self._den, tuple(self._re), tuple(self._im)))
 
     def __repr__(self):
         body = "; ".join(
@@ -206,66 +263,154 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
+def _fill(m: MatrixQ, rows: int, cols: int, den: int, re: list, im: list) -> None:
+    setter = object.__setattr__
+    setter(m, "rows", rows)
+    setter(m, "cols", cols)
+    setter(m, "_den", den)
+    setter(m, "_re", re)
+    setter(m, "_im", im)
+
+
+def _new(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:
+    """Wrap integer data that is already canonical; the lists are not copied."""
+    m = object.__new__(MatrixQ)
+    _fill(m, rows, cols, den, re, im)
+    return m
+
+
+def _canonical(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:
+    """Wrap integer data with den > 0 after dividing out its common factor."""
+    if den != 1:
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den //= g
+            re = [x // g for x in re]
+            im = [x // g for x in im]
+    return _new(rows, cols, den, re, im)
+
+
+def _scalar(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _common_den(a: MatrixQ, b: MatrixQ) -> tuple:
+    """lcm of the denominators and both numerator pairs rescaled to it.
+
+    The result stays canonical: each prime of the lcm divides one operand's
+    denominator to full power, and that operand has a numerator it misses.
+    """
+    den = lcm(a._den, b._den)
+    return den, _rescaled(a, den // a._den), _rescaled(b, den // b._den)
+
+
+def _rescaled(m: MatrixQ, s: int) -> tuple:
+    if s == 1:
+        return m._re, m._im
+    return [x * s for x in m._re], [x * s for x in m._im]
+
+
+def _int_matmul(a: list, b: list, n: int, k: int, m: int) -> list:
+    """Flat n x m product of the flat integer matrices a (n x k) and b (k x m)."""
+    if not m:
+        return []
+    rows = [a[i * k:(i + 1) * k] for i in range(n)]
+    cols = [b[j::m] for j in range(m)]
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
+def _transposed(flat: list, rows: int, cols: int) -> list:
+    return [x for j in range(cols) for x in flat[j::cols]]
+
+
 def transpose(a: MatrixQ) -> MatrixQ:
     """Plain transpose, no conjugation."""
-    return MatrixQ(
-        a.cols, a.rows, [a.entry(i, j) for j in range(a.cols) for i in range(a.rows)]
-    )
+    return _new(a.cols, a.rows, a._den,
+                _transposed(a._re, a.rows, a.cols), _transposed(a._im, a.rows, a.cols))
 
 
 def conj_transpose(a: MatrixQ) -> MatrixQ:
     """Conjugate transpose; the involution of the matrix *-algebra."""
-    return MatrixQ(
-        a.cols,
-        a.rows,
-        [a.entry(i, j).conj() for j in range(a.cols) for i in range(a.rows)],
-    )
+    return _new(a.cols, a.rows, a._den, _transposed(a._re, a.rows, a.cols),
+                [-x for x in _transposed(a._im, a.rows, a.cols)])
+
+
+def _divide(t: list, d: int) -> list:
+    """Exact quotients t[k] / d.
+
+    Sylvester's identity makes every fraction-free elimination step divide
+    exactly; a remainder is a bug and raises instead of being truncated.
+    """
+    if any(map(mod, t, repeat(d))):
+        raise InternalConsistencyError("inexact division in fraction-free elimination")
+    return list(map(floordiv, t, repeat(d)))
+
+
+def _times_conj(re: list, im: list, dr: int, di: int) -> tuple:
+    """Entrywise (re + im i) * (dr - di i), as real and imaginary lists."""
+    return ([x * dr + u * di for x, u in zip(re, im)],
+            [u * dr - x * di for x, u in zip(re, im)])
 
 
 def rref(a: MatrixQ) -> tuple:
     """Reduced row echelon form.
 
     Returns (R, pivots) where R is the RREF of `a` and pivots is the ordered
-    list of pivot column indices.  Exact Gauss-Jordan with leading 1 pivots;
-    the result is the unique RREF of `a`.
+    list of pivot column indices; R is unique, so any exact method gives it.
+
+    Fraction-free Gauss-Jordan on the Gaussian-integer numerators: with pivot
+    pv and previous pivot d, every other row becomes (pv row - f pivot_row) / d,
+    an exact division.  At the end every pivot equals the last one, p, and
+    R = numerators / p.  A real input keeps every imaginary part zero, so its
+    rows skip the imaginary arithmetic.
     """
     nrows, ncols = a.rows, a.cols
-    m = [list(a.row(i)) for i in range(nrows)]
+    real = not any(a._im)
+    mre = [a._re[i * ncols:(i + 1) * ncols] for i in range(nrows)]
+    mim = [a._im[i * ncols:(i + 1) * ncols] for i in range(nrows)]
     pivots = []
+    dr, di = 1, 0  # previous pivot
     r = 0
     for col in range(ncols):
         if r == nrows:
             break
-        prow = None
-        for i in range(r, nrows):
-            if not m[i][col].is_zero():
-                prow = i
-                break
+        prow = next((i for i in range(r, nrows) if mre[i][col] or mim[i][col]), None)
         if prow is None:
             continue
-        m[r], m[prow] = m[prow], m[r]
-        pv = m[r][col]
-        if not pv.is_one():
-            row_r = m[r]
-            for j in range(col, ncols):
-                if not row_r[j].is_zero():
-                    row_r[j] = row_r[j] / pv
-        row_r = m[r]
+        mre[r], mre[prow] = mre[prow], mre[r]
+        mim[r], mim[prow] = mim[prow], mim[r]
+        yr, yi = mre[r], mim[r]
+        pr, pi = yr[col], yi[col]
         for i in range(nrows):
-            if i == r:
+            xr, xi = mre[i], mim[i]
+            fr, fi = xr[col], xi[col]
+            if i == r or (not fr and not fi and pr == dr and pi == di):
                 continue
-            f = m[i][col]
-            if f.is_zero():
+            if real:
+                tr = [pr * x - fr * y for x, y in zip(xr, yr)]
+                mre[i] = tr if dr == 1 else _divide(tr, dr)
                 continue
-            row_i = m[i]
-            for j in range(col, ncols):
-                x = row_r[j]
-                if not x.is_zero():
-                    row_i[j] = row_i[j] - f * x
+            tr = [pr * x - pi * u - fr * y + fi * v for x, u, y, v in zip(xr, xi, yr, yi)]
+            ti = [pr * u + pi * x - fr * v - fi * y for x, u, y, v in zip(xr, xi, yr, yi)]
+            if di:  # t / d = t conj(d) / |d|^2
+                n = dr * dr + di * di
+                tr, ti = _times_conj(tr, ti, dr, di)
+                mre[i], mim[i] = _divide(tr, n), _divide(ti, n)
+            elif dr != 1:  # a unit other than 1 still divides: -1 flips signs
+                mre[i], mim[i] = _divide(tr, dr), _divide(ti, dr)
+            else:
+                mre[i], mim[i] = tr, ti
+        dr, di = pr, pi
         pivots.append(col)
         r += 1
-    flat = [x for row in m for x in row]
-    return MatrixQ(nrows, ncols, flat), pivots
+    re = [x for row_ in mre for x in row_]
+    im = [x for row_ in mim for x in row_]
+    if di:
+        re, im = _times_conj(re, im, dr, di)
+        dr = dr * dr + di * di
+    elif dr < 0:
+        re, im, dr = [-x for x in re], [-x for x in im], -dr
+    return _canonical(nrows, ncols, dr, re, im), pivots
 
 
 def rank(a: MatrixQ) -> int:
@@ -315,21 +460,17 @@ def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
 def kernel(a: MatrixQ) -> Subspace:
     """Null space {x : a x = 0} as a canonical Subspace of C^cols."""
     r, pivots = rref(a)
-    free = [j for j in range(a.cols) if j not in pivots]
-    cols = []
-    for f in free:
-        v = [ZERO] * a.cols
-        v[f] = ONE
+    n = a.cols
+    free = [j for j in range(n) if j not in pivots]
+    nf = len(free)
+    # column t of the basis is e_f - sum_i R[i, f] e_{pivots[i]}, over R's den
+    re, im = [0] * (n * nf), [0] * (n * nf)
+    for t, f in enumerate(free):
+        re[f * nf + t] = r._den
         for i, p in enumerate(pivots):
-            coeff = r.entry(i, f)
-            if not coeff.is_zero():
-                v[p] = -coeff
-        cols.append(v)
-    if cols:
-        basis = transpose(MatrixQ(len(cols), a.cols, [x for v in cols for x in v]))
-    else:
-        basis = MatrixQ.zeros(a.cols, 0)
-    return Subspace.from_spanning_columns(basis)
+            re[p * nf + t] = -r._re[i * n + f]
+            im[p * nf + t] = -r._im[i * n + f]
+    return Subspace.from_spanning_columns(_canonical(n, nf, r._den, re, im))
 
 
 def range_space(a: MatrixQ) -> Subspace:
@@ -365,6 +506,21 @@ def full_rank_factorize(a: MatrixQ) -> FullRankFactorization:
     return FullRankFactorization(b=b, c=c, rank=k)
 
 
+def _pivot_solution(aug: MatrixQ, pivots: list, n: int) -> MatrixQ:
+    """Read x with a x = y off the RREF of [a | y], a having n columns.
+
+    Row p of x is the right block of the pivot row of column p; rows of free
+    columns are 0.
+    """
+    w = aug.cols
+    m = w - n
+    re, im = [0] * (n * m), [0] * (n * m)
+    for i, p in enumerate(pivots):
+        re[p * m:(p + 1) * m] = aug._re[i * w + n:(i + 1) * w]
+        im[p * m:(p + 1) * m] = aug._im[i * w + n:(i + 1) * w]
+    return _canonical(n, m, aug._den, re, im)
+
+
 def solve_exists(a: MatrixQ, y: MatrixQ, side: str = "right") -> Optional[MatrixQ]:
     """Exact linear solve, deciding existence.
 
@@ -383,11 +539,7 @@ def solve_exists(a: MatrixQ, y: MatrixQ, side: str = "right") -> Optional[Matrix
     aug, pivots = rref(a.hstack(y))
     if any(p >= a.cols for p in pivots):
         return None
-    out = [[ZERO] * y.cols for _ in range(a.cols)]
-    for i, p in enumerate(pivots):
-        for j in range(y.cols):
-            out[p][j] = aug.entry(i, a.cols + j)
-    x = MatrixQ(a.cols, y.cols, [v for row_ in out for v in row_])
+    x = _pivot_solution(aug, pivots, a.cols)
     if (a @ x) != y:
         raise InternalConsistencyError("solve_exists produced a non-solution")
     return x
@@ -405,24 +557,23 @@ def inverse(a: MatrixQ) -> MatrixQ:
     if n == 0:
         return a
     aug, pivots = rref(a.hstack(MatrixQ.identity(n)))
-    if len(pivots) != n or pivots != list(range(n)):
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    inv = MatrixQ(n, n, [aug.entry(i, n + j) for i in range(n) for j in range(n)])
-    return inv
+    return _pivot_solution(aug, pivots, n)
 
 
 def kron(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     """Kronecker product a (x) b."""
-    out = []
+    re, im = [], []
     for i in range(a.rows):
         for k in range(b.rows):
+            br = b._re[k * b.cols:(k + 1) * b.cols]
+            bi = b._im[k * b.cols:(k + 1) * b.cols]
             for j in range(a.cols):
-                aij = a.entry(i, j)
-                if aij.is_zero():
-                    out.extend([ZERO] * b.cols)
-                else:
-                    out.extend(aij * b.entry(k, l) for l in range(b.cols))
-    return MatrixQ(a.rows * b.rows, a.cols * b.cols, out)
+                x, y = a._re[i * a.cols + j], a._im[i * a.cols + j]
+                re += [x * u - y * v for u, v in zip(br, bi)]
+                im += [x * v + y * u for u, v in zip(br, bi)]
+    return _canonical(a.rows * b.rows, a.cols * b.cols, a._den * b._den, re, im)
 
 
 def kron_left_mult(a: MatrixQ) -> MatrixQ:

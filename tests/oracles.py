@@ -6,14 +6,111 @@ system are linear over the reals in (Re x, Im x), so they are solved
 directly by Gaussian elimination over Fraction; composing any such solution
 x0 as x0 a x0 then yields the unique four-condition inverse.  The solver
 below is deliberately separate from the package's RREF.
+
+`oracle_matmul` and `oracle_rref` are the per-entry GaussianRational product
+and Gauss-Jordan elimination that epkit.linalg used before its matrices
+moved to a common denominator over integer numerators; the `oracle_*`
+functions built on them check that core entry for entry.  They work on
+lists of rows of GaussianRational and never touch epkit.linalg.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from epkit.exactnum import GaussianRational
+from epkit.exactnum import ONE, ZERO, GaussianRational
 from epkit.linalg import MatrixQ, conj_transpose
+
+
+def assert_canonical(m: MatrixQ) -> None:
+    """m's denominator is positive, shares no factor with all its numerators
+    at once, and is 1 when m is zero."""
+    assert m._den > 0
+    assert gcd(m._den, *m._re, *m._im) == 1
+    if m.is_zero():
+        assert m._den == 1
+
+
+def oracle_matmul(a: list, b: list, m: int) -> list:
+    """Product of row lists a (n x k) and b (k x m), entry by entry."""
+    out = []
+    for row_a in a:
+        acc = [ZERO] * m
+        for t, x in enumerate(row_a):
+            if x.is_zero():
+                continue
+            for j in range(m):
+                y = b[t][j]
+                if not y.is_zero():
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
+
+
+def oracle_rref(rows: list, ncols: int) -> tuple:
+    """(RREF rows, pivot columns) by Gauss-Jordan with leading-1 pivots."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        prow = next((i for i in range(r, nrows) if not m[i][col].is_zero()), None)
+        if prow is None:
+            continue
+        m[r], m[prow] = m[prow], m[r]
+        pv = m[r][col]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            f = m[i][col]
+            if i != r and not f.is_zero():
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    return m, pivots
+
+
+def _transpose(rows: list, ncols: int) -> list:
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def oracle_kernel_basis(rows: list, ncols: int) -> list:
+    """Canonical basis of {x : a x = 0}, as rows of a ncols x dim matrix."""
+    r, pivots = oracle_rref(rows, ncols)
+    free = [j for j in range(ncols) if j not in pivots]
+    vectors = []
+    for f in free:
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        vectors.append(v)
+    # canonical basis of their span: the transposed nonzero RREF rows
+    r, pivots = oracle_rref(vectors, ncols)
+    return _transpose(r[:len(pivots)], ncols)
+
+
+def oracle_solve(a: list, y: list, ncols: int, m: int):
+    """Solution x (ncols x m) of a x = y with free variables zero, or None."""
+    r, pivots = oracle_rref([ra + ry for ra, ry in zip(a, y)], ncols + m)
+    if any(p >= ncols for p in pivots):
+        return None
+    x = [[ZERO] * m for _ in range(ncols)]
+    for i, p in enumerate(pivots):
+        x[p] = r[i][ncols:]
+    return x
+
+
+def oracle_inverse(a: list):
+    """Inverse of the square row list a, or None when singular."""
+    n = len(a)
+    eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    r, pivots = oracle_rref([ra + re for ra, re in zip(a, eye)], 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in r]
 
 
 def _gauss_solve(aug, nvars):

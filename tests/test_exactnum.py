@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -150,3 +152,10 @@ def test_immutability_and_hash():
         z.re = Fraction(5)  # type: ignore[misc]
     assert hash(GaussianRational(1, 2)) == hash(GaussianRational(1, 2))
     assert len({GaussianRational(1, 2), GaussianRational(1, 2), ONE}) == 2
+
+
+def test_pickle_and_copy_round_trip():
+    for z in (ZERO, ONE, I_UNIT, GaussianRational(Fraction(-3, 7), Fraction(2 ** 200, 3))):
+        for back in (pickle.loads(pickle.dumps(z)), copy.deepcopy(z), copy.copy(z)):
+            assert back == z and hash(back) == hash(z)
+            assert isinstance(back.re, Fraction) and isinstance(back.im, Fraction)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 
 from epkit.exactnum import GaussianRational
 from epkit.linalg import (
+    InternalConsistencyError,
     MatrixQ,
     ShapeError,
     SingularMatrixError,
@@ -25,6 +28,9 @@ from epkit.linalg import (
     subspace_equal,
     transpose,
 )
+from epkit.linalg import _divide
+
+from .oracles import assert_canonical
 
 
 def rand_mq(rng, rows, cols, bound=4, complex_entries=True):
@@ -88,6 +94,54 @@ def test_immutability():
     m = MatrixQ.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 3  # type: ignore[misc]
+
+
+def test_pickle_and_copy_round_trip():
+    rng = random.Random(10)
+    cases = [MatrixQ.zeros(0, 3), MatrixQ.zeros(3, 0), MatrixQ.zeros(0, 0),
+             MatrixQ.zeros(2, 2), MatrixQ.identity(3), rand_mq(rng, 3, 4),
+             MatrixQ.from_rows([[f"{2 ** 250}/7", "1/3-2i"]])]
+    for m in cases:
+        for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert back == m and hash(back) == hash(m)
+            assert (back.rows, back.cols) == (m.rows, m.cols)
+            assert back.to_rows() == m.to_rows()
+
+
+# -- canonical form -------------------------------------------------------------
+
+
+def test_canonical_form_from_equal_fractions():
+    half = MatrixQ.from_rows([[Fraction(2, 4), Fraction(3)], [0, "-6/4i"]])
+    same = MatrixQ(2, 2, [GaussianRational(Fraction(1, 2)), GaussianRational(3),
+                          GaussianRational(0), GaussianRational(0, Fraction(-3, 2))])
+    assert half == same and hash(half) == hash(same)
+    assert half._den == 2 and half._re == [1, 6, 0, 0] and half._im == [0, 0, 0, -3]
+
+
+def test_canonical_form_of_results():
+    rng = random.Random(11)
+    for _ in range(30):
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = rand_mq(rng, n, k), rand_mq(rng, k, m)
+        c = rand_mq(rng, n, k, complex_entries=False)
+        r, pivots = rref(a)
+        results = [a, a @ b, a + c, a - c, a - a, -a, a.scale("2/3-1i"), a.scale(0),
+                   transpose(a), conj_transpose(a), a.hstack(c), a.vstack(c),
+                   a.select_columns(pivots), r, r.take_rows(len(pivots)),
+                   kron(a, b), kernel(a).basis, range_space(a).basis]
+        for res in results:
+            assert_canonical(res)
+    zero = MatrixQ.from_rows([["1/3", "2/5i"]]) - MatrixQ.from_rows([["1/3", "2/5i"]])
+    assert zero._den == 1 and zero == MatrixQ.zeros(1, 2)
+
+
+def test_inexact_elimination_division_raises():
+    # rref relies on Sylvester's identity for every division; the check stays
+    assert _divide([6, -9, 0], 3) == [2, -3, 0]
+    assert _divide([4, -8], -4) == [-1, 2]
+    with pytest.raises(InternalConsistencyError):
+        _divide([6, 7], 3)
 
 
 # -- rref / rank ------------------------------------------------------------

@@ -176,3 +176,23 @@ def test_factor_level_witness_checks():
     pair = MPPair.from_matrix(MatrixQ.from_rows([[0, 1], [0, 0]]))
     with pytest.raises(ValueError):
         lemma38_factor_witnesses(other, pair)
+
+
+def test_sympy_cross_check():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(m):
+        return sympy.Matrix(m.rows, m.cols, [
+            sympy.Rational(z.re.numerator, z.re.denominator)
+            + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+            for row in m.to_rows() for z in row])
+
+    rng = random.Random(21)
+    for _ in range(12):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        r = rng.randint(0, min(n, m))
+        a = rand_mq(rng, n, r) @ rand_mq(rng, r, m)
+        s = to_sympy(a)
+        assert rank(a) == s.rank()
+        assert kernel(a).dim == len(s.nullspace())
+        assert (to_sympy(pinv(a)) - s.pinv()).expand() == sympy.zeros(m, n)
