@@ -13,10 +13,8 @@ seeds give byte-identical files (the elapsed field excepted).
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -63,7 +61,7 @@ def splitmix64(state: int) -> int:
 
 
 def child_seed(master: int, index: int) -> int:
-    """Deterministic per-index seed so parallel and serial runs agree."""
+    """Deterministic per-index seed: each instance's draw is independent of the others."""
     return splitmix64((master + index * _GOLDEN) & _MASK64)
 
 
@@ -172,11 +170,6 @@ def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
     return _rand_matrix(rng, n, n, bound, use_complex)
 
 
-def make_instance(a: MatrixQ) -> EPInstance:
-    """Factorize and validate; see EPInstance.from_matrix."""
-    return EPInstance.from_matrix(a)
-
-
 def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
     """(t1, j) pair for the conjugated-block battery.
 
@@ -272,16 +265,6 @@ class BatteryReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("EPKIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
                 norm: Optional[PNorm] = None, size_cap: int = 8) -> BatteryReport:
     """Generate one instance per config, evaluate the battery, aggregate.
@@ -298,28 +281,16 @@ def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
     started = time.perf_counter()
 
     if theorem_id == "5.2":
-        inputs = [gen_block_pair(cfg, size_cap=size_cap) for cfg in cfgs]
-
-        def evaluate(pair):
-            t1, j = pair
-            return prop52_battery(t1, j, norm)
-    elif theorem_id in _INSTANCE_BATTERIES:
-        battery = _INSTANCE_BATTERIES[theorem_id]
-        inputs = [gen_matrix(cfg, size_cap=size_cap) for cfg in cfgs]
-
-        def evaluate(m):
-            return battery(make_instance(m))
+        pairs = [gen_block_pair(cfg, size_cap=size_cap) for cfg in cfgs]
+        all_results = [prop52_battery(t1, j, norm) for t1, j in pairs]
     else:
-        battery = _MATRIX_BATTERIES[theorem_id]
-        inputs = [gen_matrix(cfg, size_cap=size_cap) for cfg in cfgs]
-        evaluate = battery
-
-    threads = min(_thread_count(), max(1, len(inputs)))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_results = list(pool.map(evaluate, inputs))
-    else:
-        all_results = [evaluate(x) for x in inputs]
+        mats = [gen_matrix(cfg, size_cap=size_cap) for cfg in cfgs]
+        if theorem_id in _INSTANCE_BATTERIES:
+            battery = _INSTANCE_BATTERIES[theorem_id]
+            all_results = [battery(EPInstance.from_matrix(m)) for m in mats]
+        else:
+            battery = _MATRIX_BATTERIES[theorem_id]
+            all_results = [battery(m) for m in mats]
 
     counts: dict = {}
     violations = []
@@ -346,7 +317,7 @@ def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
     report_seed = seed if seed is not None else (cfgs[0].seed if cfgs else 0)
     return BatteryReport(
         theorem_id=theorem_id,
-        trials=len(inputs),
+        trials=len(all_results),
         per_statement_truth_counts=counts,
         equivalence_violations=tuple(violations),
         inconclusive_count=inconclusive,

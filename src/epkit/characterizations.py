@@ -5,12 +5,30 @@ concrete instance and returns one StatementResult per statement.  The point
 is that equivalences become testable: on any valid instance all truth values
 within a battery must agree, and a mixed battery is a counterexample.
 
-Routes.  An identity or subspace-equality statement is decided directly
-(evaluation_route "criterion").  An existential statement is marked true
-only when a witness built from the constructive recipe re-verifies exactly
-(route "constructive", witness attached), and false only via an exact
-equivalent criterion such as a kernel or range comparison, never because a
-search came up empty.  A witness that fails to re-verify raises
+Statement tables.  Every exact battery is a table of rows that `_evaluate`
+reads in order.  A row names its statement id, its note and one of three
+kinds:
+
+- criterion: the truth is the conjunction of named exact conditions (an
+  identity, a vanishing product, a kernel or range equality); evaluation
+  route "criterion".
+- existential: when its criterion holds, each witness key is mapped to a
+  named derived matrix, reported only after every identity on the row's
+  check list has been re-verified (route "constructive", witness attached).
+  When the criterion fails the statement is false through that exact
+  equivalent criterion, never because a search came up empty.
+- solvable: each witness key names a linear system solve_exists decides
+  exactly.  All consistent gives the solutions as the witness (solve_exists
+  re-checks every solution it returns); any inconsistent one is an exact
+  refutation.
+
+Verify once.  Rows hold names, never matrices or functions.  The named
+quantities live on one lazily memoised object per input: EPInstance for the
+factorized 3.x batteries, and a square-matrix counterpart built from a alone
+for 4.x and 5.x.  Each product, subspace, inverse, solve and identity check
+runs at most once per object however many rows name it, yet every row still
+`_require`s its witness identities, under its own battery's message, before
+it reports the witness.  A witness that fails to re-verify raises
 InternalConsistencyError: that is a bug, not a result.
 
 Rectangular reading: instances carry a square a = b·c with b of full column
@@ -23,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .linalg import (
     InternalConsistencyError,
@@ -43,7 +61,7 @@ from .linalg import (
     subspace_equal,
 )
 from .pnorms import PNorm, is_hermitian_idempotent
-from .pseudoinverse import MPPair, lemma38_witnesses, penrose_certificate, pinv
+from .pseudoinverse import MPPair, is_ep, lemma38_witnesses, penrose_certificate, pinv
 
 CONSTRUCTIVE = "constructive"
 CRITERION = "criterion"
@@ -54,12 +72,198 @@ def _require(cond: bool, what: str) -> None:
         raise InternalConsistencyError(f"witness re-verification failed: {what}")
 
 
+class _Quantities:
+    """Derived quantities by name, each computed on first use and then kept.
+
+    A subclass lists its quantities in `_DEFS`, name -> function of the
+    instance.  Reading an attribute the instance does not hold yet computes
+    it from that table and stores it in the instance `__dict__` (which a
+    frozen dataclass allows, since that bypasses `__setattr__`), so every
+    later read is a plain attribute read.
+    """
+
+    _DEFS: dict = {}    # a class-level default, so `__getattr__` never recurses on it
+
+    def __getattr__(self, name: str):
+        try:
+            define = self._DEFS[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        value = self.__dict__[name] = define(self)
+        return value
+
+    def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
+        """solve_exists on two named quantities, decided once per system."""
+        cache = self.__dict__.setdefault("_solves", {})
+        key = (a, y, side)
+        if key not in cache:
+            cache[key] = solve_exists(getattr(self, a), getattr(self, y), side=side)
+        return cache[key]
+
+
+_COMMON = {
+    "a_star": lambda m: conj_transpose(m.a),
+    "aa": lambda m: m.a_star @ m.a,                              # a* a
+    "bb": lambda m: m.a @ m.a_star,                              # a a*
+    "p_eq_q": lambda m: m.p == m.q,
+    "p_perp": lambda m: m.e_n - m.p,
+    "q_perp": lambda m: m.e_n - m.q,
+}
+
+_FACTORED = {
+    **_COMMON,
+    # the products validation needs, kept for the batteries
+    "bc": lambda m: m.b @ m.c,
+    "a_ad": lambda m: m.a @ m.a_dagger,
+    "ad_a": lambda m: m.a_dagger @ m.a,
+    "p": lambda m: m.b @ m.b_dagger,
+    "q": lambda m: m.c_dagger @ m.c,
+    "is_ep": lambda m: m.a_ad == m.ad_a,
+    "b_star": lambda m: conj_transpose(m.b),
+    "c_star": lambda m: conj_transpose(m.c),
+    # kernels and ranges of the factors, against the daggers and the adjoints
+    "ker_c": lambda m: kernel(m.c),
+    "rng_b": lambda m: range_space(m.b),
+    "rker_b": lambda m: right_kernel(m.b),
+    "row_c": lambda m: row_space(m.c),
+    "ker_ok": lambda m: subspace_equal(kernel(m.b_dagger), m.ker_c),
+    "rng_ok": lambda m: subspace_equal(m.rng_b, range_space(m.c_dagger)),
+    "rker_ok": lambda m: subspace_equal(m.rker_b, right_kernel(m.c_dagger)),
+    "row_ok": lambda m: subspace_equal(m.row_c, row_space(m.b_dagger)),
+    "adj_ker_ok": lambda m: subspace_equal(kernel(m.b_star), m.ker_c),
+    "adj_rng_ok": lambda m: subspace_equal(m.rng_b, range_space(m.c_star)),
+    "adj_rker_ok": lambda m: subspace_equal(m.rker_b, right_kernel(m.c_star)),
+    "adj_row_ok": lambda m: subspace_equal(m.row_c, row_space(m.b_star)),
+    # 3.4: the vanishing products
+    "g2": lambda m: m.c @ m.p_perp,                              # c (e - bb+)
+    "g3": lambda m: m.b_dagger @ m.q_perp,                       # b+ (e - c+c)
+    "g1_zero": lambda m: (m.q_perp @ m.b).is_zero(),             # (e - c+c) b
+    "g2_zero": lambda m: m.g2.is_zero(),
+    "g3_zero": lambda m: m.g3.is_zero(),
+    "g4_zero": lambda m: (m.p_perp @ m.c_dagger).is_zero(),      # (e - bb+) c+
+    "g3b_zero": lambda m: (m.g3 @ m.b).is_zero(),
+    "g2cd_zero": lambda m: (m.g2 @ m.c_dagger).is_zero(),
+    # 3.5, 3.7: the composites u = c b and z = b+ c+ and their identities
+    "u": lambda m: m.c @ m.b,
+    "z": lambda m: m.b_dagger @ m.c_dagger,
+    "u_inverts_z": lambda m: m.u @ m.z == m.e_r and m.z @ m.u == m.e_r,
+    "c_is_u_bd": lambda m: m.c == m.u @ m.b_dagger,
+    "b_is_cd_u": lambda m: m.b == m.c_dagger @ m.u,
+    "bd_is_z_c": lambda m: m.b_dagger == m.z @ m.c,
+    "cd_is_b_z": lambda m: m.c_dagger == m.b @ m.z,
+    "z_invertible": lambda m: is_invertible(m.z),
+    # 3.9: the adjoint composite, which carries b = c* z when EP
+    "z_adj": lambda m: (conj_transpose(m.c_dagger) @ m.c_dagger) @ m.u,
+    "x_adj": lambda m: inverse(conj_transpose(m.z_adj)),
+    "s1_adj": lambda m: conj_transpose(m.z_adj),
+    "s2_adj": lambda m: inverse(m.z_adj),
+    "b_is_cs_z": lambda m: m.b == m.c_star @ m.z_adj,
+    "z_adj_invertible": lambda m: is_invertible(m.z_adj),
+    "c_is_x_bs": lambda m: m.c == m.x_adj @ m.b_star,
+    "bs_is_s1_c": lambda m: m.b_star == m.s1_adj @ m.c,
+    "cs_is_b_s2": lambda m: m.c_star == m.b @ m.s2_adj,
+    # 3.10: literal factor chains, with (bc)* = c* b* and a+ = c+ b+ as built
+    "cs_bs": lambda m: m.c_star @ m.b_star,
+    "chain_ii1": lambda m: m.aa == m.cs_bs @ m.bc @ m.p,                   # c* b* bc bb+
+    "chain_ii2": lambda m: m.aa == m.cs_bs @ m.q @ m.bc,                   # c* b* c+c bc
+    "chain_iii1": lambda m: m.bb == m.bc @ m.cs_bs @ (
+        m.c_star @ conj_transpose(m.c_dagger)),                            # bc c*b* c*(c*)+
+    "chain_iii2": lambda m: m.bb == m.bc @ m.p @ m.cs_bs,                  # bc bb+ c*b*
+    "chain_v1": lambda m: m.bb == m.a_dagger @ m.bc @ m.bc @ m.cs_bs,      # c+b+ bc bc c*b*
+    "chain_vi1": lambda m: m.aa == m.bc @ m.a_dagger @ m.cs_bs @ m.bc,     # bc c+b+ c*b* bc
+}
+
+_SQUARE = {
+    **_COMMON,
+    "a_dagger": lambda m: pinv(m.a),
+    "e_n": lambda m: MatrixQ.identity(m.a.rows),
+    "p": lambda m: m.a @ m.a_dagger,
+    "q": lambda m: m.a_dagger @ m.a,
+    # kernels and ranges of a against a+, a*, and of p against q, aa* against a*a
+    "ker_a": lambda m: kernel(m.a),
+    "rng_a": lambda m: range_space(m.a),
+    "ker_dagger": lambda m: subspace_equal(m.ker_a, kernel(m.a_dagger)),
+    "rng_dagger": lambda m: subspace_equal(m.rng_a, range_space(m.a_dagger)),
+    "rker_dagger": lambda m: subspace_equal(right_kernel(m.a), right_kernel(m.a_dagger)),
+    "row_dagger": lambda m: subspace_equal(row_space(m.a), row_space(m.a_dagger)),
+    "ker_adjoint": lambda m: subspace_equal(m.ker_a, kernel(m.a_star)),
+    "rng_adjoint": lambda m: subspace_equal(m.rng_a, range_space(m.a_star)),
+    "ker_pq": lambda m: subspace_equal(kernel(m.p), kernel(m.q)),
+    "rng_pq": lambda m: subspace_equal(range_space(m.p), range_space(m.q)),
+    "ker_grams": lambda m: subspace_equal(kernel(m.bb), kernel(m.aa)),
+    "rng_grams": lambda m: subspace_equal(range_space(m.bb), range_space(m.aa)),
+    # 4.1: invertible multiples of a giving a+
+    "ad2": lambda m: m.a_dagger @ m.a_dagger,
+    "s": lambda m: m.ad2 + m.p_perp,
+    "u": lambda m: m.ad2 + m.q_perp,
+    "s_a_is_ad": lambda m: m.s @ m.a == m.a_dagger,
+    "s_invertible": lambda m: is_invertible(m.s),
+    "a_u_is_ad": lambda m: m.a @ m.u == m.a_dagger,
+    "u_invertible": lambda m: is_invertible(m.u),
+    "q_is_e_p": lambda m: m.q == m.e_n @ m.p,
+    "q_is_p_e": lambda m: m.q == m.p @ m.e_n,
+    "pq_two_sided": lambda m: m.p @ m.q @ m.p == m.q and m.q @ m.p @ m.q == m.p,
+    "z1": lambda m: m.a_dagger @ m.q @ m.a,
+    "z2": lambda m: m.a @ m.p @ m.a_dagger,
+    "a_z1_ad_is_q": lambda m: m.a @ m.z1 @ m.a_dagger == m.q,
+    "ad_z2_a_is_p": lambda m: m.a_dagger @ m.z2 @ m.a == m.p,
+    # 4.2: the adjoint versions, through the Lemma 3.8 witnesses (v, w)
+    "lemma38": lambda m: lemma38_witnesses(MPPair(a=m.a, a_dagger=m.a_dagger, p=m.p, q=m.q)),
+    "w_inv": lambda m: inverse(m.lemma38[1]),
+    "s_adj": lambda m: m.w_inv @ m.s,
+    "u_adj": lambda m: m.u @ inverse(m.lemma38[0]),
+    "vhat": lambda m: m.w_inv @ m.lemma38[0],
+    "what": lambda m: m.lemma38[0] @ m.w_inv,
+    "z1_adj": lambda m: m.u_adj @ conj_transpose(m.u_adj),
+    "z2_adj": lambda m: conj_transpose(m.s_adj) @ m.s_adj,
+    "h": lambda m: (m.a_dagger @ m.a_star) + m.q_perp,
+    "s_adj_a_is_as": lambda m: m.s_adj @ m.a == m.a_star,
+    "s_adj_invertible": lambda m: is_invertible(m.s_adj),
+    "a_u_adj_is_as": lambda m: m.a @ m.u_adj == m.a_star,
+    "u_adj_invertible": lambda m: is_invertible(m.u_adj),
+    "vhat_bb_is_aa": lambda m: m.vhat @ m.bb == m.aa,
+    "vhat_invertible": lambda m: is_invertible(m.vhat),
+    "bb_what_is_aa": lambda m: m.bb @ m.what == m.aa,
+    "what_invertible": lambda m: is_invertible(m.what),
+    "grams_two_sided": lambda m: (m.p @ m.aa @ m.p == m.aa) and (m.q @ m.bb @ m.q == m.bb),
+    "a_z1_as_is_aa": lambda m: m.a @ m.z1_adj @ m.a_star == m.aa,
+    "as_z2_a_is_bb": lambda m: m.a_star @ m.z2_adj @ m.a == m.bb,
+    "h_invertible": lambda m: is_invertible(m.h),
+    "a_h_is_as": lambda m: m.a @ m.h == m.a_star,
+    "a_hh_as_is_aa": lambda m: m.a @ m.h @ conj_transpose(m.h) @ m.a_star == m.aa,
+    # 5.3, 5.5: t = j (t1 + 0) j^-1 over a range basis and a kernel basis
+    "j": lambda m: m.rng_a.basis.hstack(m.ker_a.basis),
+    "j_inv": lambda m: inverse(m.j),
+    "j_invertible": lambda m: is_invertible(m.j),
+    "j_inv_invertible": lambda m: is_invertible(m.j_inv),
+    "t1": lambda m: solve_exists(m.rng_a.basis, m.a @ m.rng_a.basis, side="right"),
+    "t1_inv": lambda m: inverse(m.t1),
+    "t1_invertible": lambda m: is_invertible(m.t1),
+    "t_is_block": lambda m: m.a == m.j @ _oplus_zero(m.t1, m.a.rows) @ m.j_inv,
+    "td_is_block": lambda m: m.a_dagger == m.j @ _oplus_zero(m.t1_inv, m.a.rows) @ m.j_inv,
+    "decomposition": lambda m: _decompose(m),
+    "decomposable": lambda m: m.decomposition is not None,
+    "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
+    "surjective_sides": lambda m: m.j_inv_invertible and m.t1_invertible,
+    # 5.6: identity-framed factorizations
+    "identity_framed": lambda m: (m.e_n @ m.a @ m.e_n == m.a
+                                  and m.e_n @ m.a_dagger @ m.e_n == m.a_dagger),
+    "e_injective": lambda m: kernel(m.e_n).dim == 0,
+    "e_right_injective": lambda m: right_kernel(m.e_n).dim == 0,
+    "e_full_rank": lambda m: rank(m.e_n) == m.a.rows,
+}
+
+
 @dataclass(frozen=True)
-class EPInstance:
+class EPInstance(_Quantities):
     """A square matrix with its full-rank factorization and pseudoinverses.
 
     Invariants (validated on construction): a = b·c, b†·b = e_r, c·c† = e_r,
-    a† = c†·b†, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b.
+    a† = c†·b†, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b.  The derived
+    quantities of the 3.x batteries (`is_ep`, `p`, `q`, `ker_ok`, ...) are
+    attributes computed once on first read; the products validation needs
+    are among them.
     """
 
     a: MatrixQ
@@ -70,6 +274,8 @@ class EPInstance:
     c_dagger: MatrixQ
     e_n: MatrixQ
     e_r: MatrixQ
+
+    _DEFS = _FACTORED
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
@@ -90,12 +296,12 @@ class EPInstance:
         return inst
 
     def _validate(self) -> None:
-        _require(self.b @ self.c == self.a, "instance factorization b c = a")
+        _require(self.bc == self.a, "instance factorization b c = a")
         _require(self.b_dagger @ self.b == self.e_r, "b+ b = e")
         _require(self.c @ self.c_dagger == self.e_r, "c c+ = e")
         _require(self.c_dagger @ self.b_dagger == self.a_dagger, "a+ = c+ b+")
-        _require(self.a @ self.a_dagger == self.b @ self.b_dagger, "a a+ = b b+")
-        _require(self.a_dagger @ self.a == self.c_dagger @ self.c, "a+ a = c+ c")
+        _require(self.a_ad == self.p, "a a+ = b b+")
+        _require(self.ad_a == self.q, "a+ a = c+ c")
         _require(self.c @ self.a_dagger == self.b_dagger, "b+ = c a+")
         _require(self.a_dagger @ self.b == self.c_dagger, "c+ = a+ b")
         _require(penrose_certificate(self.a, self.a_dagger).valid,
@@ -105,9 +311,17 @@ class EPInstance:
     def rank(self) -> int:
         return self.e_r.rows
 
-    @property
-    def is_ep(self) -> bool:
-        return (self.a @ self.a_dagger) == (self.a_dagger @ self.a)
+
+class _Square(_Quantities):
+    """A square matrix a with the derived quantities of the 4.x and 5.x
+    batteries, starting from a+ = pinv(a)."""
+
+    _DEFS = _SQUARE
+
+    def __init__(self, a: MatrixQ, caller: str):
+        if not a.is_square:
+            raise ShapeError(f"{caller} expects a square matrix")
+        self.a = a
 
 
 @dataclass(frozen=True)
@@ -126,270 +340,213 @@ class StatementResult:
     note: Optional[str] = None
 
 
-def _res(thm: str, stmt: str, truth, route: str, witness=None, note=None) -> StatementResult:
-    return StatementResult(theorem_id=thm, statement_id=f"{thm}.{stmt}",
-                           truth=truth, evaluation_route=route,
-                           witness=witness, note=note)
+# -- statement tables ---------------------------------------------------------
 
 
-def _existential(thm: str, stmt: str, crit: bool, builder, note=None) -> StatementResult:
-    """Existential statement: construct-and-verify when the criterion holds."""
-    if not crit:
-        return _res(thm, stmt, False, CRITERION, note=note)
-    return _res(thm, stmt, True, CONSTRUCTIVE, witness=builder(), note=note)
+class _Row(NamedTuple):
+    stmt: str
+    crit: tuple = ()                  # names of exact conditions, conjoined
+    witness: Optional[dict] = None    # existential: key -> derived matrix name
+    checks: tuple = ()                # existential: (identity name, message), in order
+    solve: Optional[dict] = None      # solvable: key -> (name, name, side)
+    note: Optional[str] = None
 
 
-def _solvable(thm: str, stmt: str, parts, note=None) -> StatementResult:
-    """Plain solvability statement: each part is (name, solution-or-None).
+def _names(crit) -> tuple:
+    return (crit,) if isinstance(crit, str) else tuple(crit)
 
-    solve_exists decides existence exactly either way, so a found solution
-    set is a verified witness and an empty slot is an exact refutation.
-    """
-    if all(sol is not None for _, sol in parts):
-        return _res(thm, stmt, True, CONSTRUCTIVE,
-                    witness={name: sol for name, sol in parts}, note=note)
-    return _res(thm, stmt, False, CRITERION, note=note)
+
+def _criterion(stmt: str, crit, note=None) -> _Row:
+    return _Row(stmt, crit=_names(crit), note=note)
+
+
+def _exists(stmt: str, crit, checks: tuple, note=None, **witness) -> _Row:
+    return _Row(stmt, crit=_names(crit), witness=witness, checks=checks, note=note)
+
+
+def _solvable(stmt: str, note=None, **systems) -> _Row:
+    return _Row(stmt, solve=systems, note=note)
+
+
+def _decide(m: _Quantities, row: _Row) -> tuple:
+    """(truth, witness) of one row over the memoised quantities of m."""
+    if row.solve is not None:
+        witness = {}
+        for key, (x, y, side) in row.solve.items():
+            sol = m.solve(x, y, side)
+            if sol is None:
+                return False, None
+            witness[key] = sol
+        return True, witness
+    if not all(getattr(m, name) for name in row.crit):
+        return False, None
+    if row.witness is None:
+        return True, None
+    for name, what in row.checks:
+        _require(getattr(m, name), what)
+    return True, {key: getattr(m, name) for key, name in row.witness.items()}
+
+
+def _evaluate(thm: str, m: _Quantities, rows: tuple) -> list:
+    """One StatementResult per row, in table order."""
+    out = []
+    for row in rows:
+        truth, witness = _decide(m, row)
+        out.append(StatementResult(
+            theorem_id=thm, statement_id=f"{thm}.{row.stmt}", truth=truth,
+            evaluation_route=CRITERION if witness is None else CONSTRUCTIVE,
+            witness=witness, note=row.note))
+    return out
+
+
+_COSET = "coset equality evaluated through its single-witness reduction"
+
+# the solvable systems shared by 3.5 and 3.7
+_BD_C = ("b_dagger", "c", "left")      # x b+ = c
+_C_BD = ("c", "b_dagger", "left")      # x c = b+
+_CD_B = ("c_dagger", "b", "right")     # c+ x = b
+_B_CD = ("b", "c_dagger", "right")     # b x = c+
+
+# six conjunctions of vanishing products: 3.4 i-vi, 3.7 vii-xii
+_VANISHING = (("g1_zero", "g2_zero"), ("g3_zero", "g2_zero"), ("g1_zero", "g4_zero"),
+              ("g3_zero", "g4_zero"), ("g2_zero", "g3b_zero"), ("g3_zero", "g2cd_zero"))
 
 
 # -- Batteries 3.2 and 3.4: exact identities on the factors -----------------
 
+_T32 = (
+    _criterion("i", "is_ep"),
+    _criterion("ii", "p_eq_q"),
+    _criterion("iii", "ker_ok"),
+    _criterion("iv", "rng_ok"),
+)
+
 
 def thm32_battery(inst: EPInstance) -> list:
     """Four statements: EP; b b+ = c+ c; kernel(b+) = kernel(c); range(b) = range(c+)."""
-    b, c, bd, cd = inst.b, inst.c, inst.b_dagger, inst.c_dagger
-    return [
-        _res("3.2", "i", inst.is_ep, CRITERION),
-        _res("3.2", "ii", (b @ bd) == (cd @ c), CRITERION),
-        _res("3.2", "iii", subspace_equal(kernel(bd), kernel(c)), CRITERION),
-        _res("3.2", "iv", subspace_equal(range_space(b), range_space(cd)), CRITERION),
-    ]
+    return _evaluate("3.2", inst, _T32)
 
 
-def _vanishing_parts(inst: EPInstance):
-    """The four product differences every statement of 3.4 combines."""
-    b, c, bd, cd, e = inst.b, inst.c, inst.b_dagger, inst.c_dagger, inst.e_n
-    p = b @ bd
-    q = cd @ c
-    g1 = (e - q) @ b        # (e - c+c) b
-    g2 = c @ (e - p)        # c (e - bb+)
-    g3 = bd @ (e - q)       # b+ (e - c+c)
-    g4 = (e - p) @ cd       # (e - bb+) c+
-    return g1, g2, g3, g4, b, cd
-
-
-def _thm34_truths(inst: EPInstance) -> list:
-    g1, g2, g3, g4, b, cd = _vanishing_parts(inst)
-    return [
-        g1.is_zero() and g2.is_zero(),
-        g3.is_zero() and g2.is_zero(),
-        g1.is_zero() and g4.is_zero(),
-        g3.is_zero() and g4.is_zero(),
-        g2.is_zero() and (g3 @ b).is_zero(),
-        g3.is_zero() and (g2 @ cd).is_zero(),
-    ]
-
-
-_ROMAN = ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi",
-          "xii", "xiii", "xiv", "xv", "xvi", "xvii", "xviii", "xix", "xx",
-          "xxi", "xxii"]
+_T34 = tuple(_criterion(sid, crit) for sid, crit in
+             zip(("i", "ii", "iii", "iv", "v", "vi"), _VANISHING))
 
 
 def thm34_battery(inst: EPInstance) -> list:
     """Six conjunctions of exact product-vanishing conditions."""
-    return [_res("3.4", _ROMAN[k], t, CRITERION)
-            for k, t in enumerate(_thm34_truths(inst))]
+    return _evaluate("3.4", inst, _T34)
 
 
 # -- Battery 3.5: composite-letter existentials over r×r ------------------
 
+_U_35 = (("u_inverts_z", "3.5 composite u invertible with inverse z"),
+         ("c_is_u_bd", "3.5 c = u b+"))
+_U_RNG_35 = _U_35 + (("b_is_cd_u", "3.5 b = c+ u"),)
+_Z_KER_35 = _U_35 + (("bd_is_z_c", "3.5 b+ = z c"),)
+_Z_RNG_35 = _U_35 + (("cd_is_b_z", "3.5 c+ = b z"),)
+
+_T35 = (
+    _criterion("i", "is_ep"),
+    _exists("ii", "ker_ok", _U_35, U="u", Z="z"),
+    _exists("iii", "ker_ok", _U_35, U1="u"),
+    _solvable("iv", U2=_BD_C, U3=_C_BD),
+    _exists("v", "rng_ok", _U_RNG_35, W="u"),
+    _exists("vi", "rng_ok", _U_RNG_35, W1="u"),
+    _solvable("vii", W2=_CD_B, W3=_B_CD),
+    _solvable("viii", H1=_BD_C, H2=_CD_B),
+    _solvable("ix", K1=_C_BD, K2=_B_CD),
+    _exists("x", "ker_ok", _Z_KER_35, S1="z"),
+    _exists("xi", "rng_ok", _Z_RNG_35, S2="z"),
+)
+
 
 def thm35_battery(inst: EPInstance) -> list:
-    b, c, bd, cd, e_r = inst.b, inst.c, inst.b_dagger, inst.c_dagger, inst.e_r
-    ker_ok = subspace_equal(kernel(c), kernel(bd))
-    rng_ok = subspace_equal(range_space(b), range_space(cd))
-    u = c @ b
-    z = bd @ cd
-
-    def verified_u():
-        _require(u @ z == e_r and z @ u == e_r, "3.5 composite u invertible with inverse z")
-        _require(c == u @ bd, "3.5 c = u b+")
-        return u
-
-    def verified_u_range():
-        verified_u()
-        _require(b == cd @ u, "3.5 b = c+ u")
-        return u
-
-    def verified_z_ker():
-        verified_u()
-        _require(bd == z @ c, "3.5 b+ = z c")
-        return z
-
-    def verified_z_range():
-        verified_u()
-        _require(cd == b @ z, "3.5 c+ = b z")
-        return z
-
-    out = [_res("3.5", "i", inst.is_ep, CRITERION)]
-    out.append(_existential("3.5", "ii", ker_ok,
-                            lambda: {"U": verified_u(), "Z": z}))
-    out.append(_existential("3.5", "iii", ker_ok, lambda: {"U1": verified_u()}))
-    out.append(_solvable("3.5", "iv", [
-        ("U2", solve_exists(bd, c, side="left")),
-        ("U3", solve_exists(c, bd, side="left"))]))
-    out.append(_existential("3.5", "v", rng_ok, lambda: {"W": verified_u_range()}))
-    out.append(_existential("3.5", "vi", rng_ok, lambda: {"W1": verified_u_range()}))
-    out.append(_solvable("3.5", "vii", [
-        ("W2", solve_exists(cd, b, side="right")),
-        ("W3", solve_exists(b, cd, side="right"))]))
-    out.append(_solvable("3.5", "viii", [
-        ("H1", solve_exists(bd, c, side="left")),
-        ("H2", solve_exists(cd, b, side="right"))]))
-    out.append(_solvable("3.5", "ix", [
-        ("K1", solve_exists(c, bd, side="left")),
-        ("K2", solve_exists(b, cd, side="right"))]))
-    out.append(_existential("3.5", "x", ker_ok, lambda: {"S1": verified_z_ker()}))
-    out.append(_existential("3.5", "xi", rng_ok, lambda: {"S2": verified_z_range()}))
-    return out
+    return _evaluate("3.5", inst, _T35)
 
 
 # -- Battery 3.7: the 26-statement mixed family -------------------------
+
+_U_INV_37 = ("u_inverts_z", "3.7 composite u invertible")
+_Z_INV_37 = ("z_invertible", "3.7 z invertible")
+_U_KER_37 = (_U_INV_37, ("c_is_u_bd", "3.7 c = u b+"))
+_U_RNG_37 = (_U_INV_37, ("b_is_cd_u", "3.7 b = c+ u"))
+_Z_KER_37 = (("bd_is_z_c", "3.7 b+ = z c"), _Z_INV_37)
+_Z_RNG_37 = (("cd_is_b_z", "3.7 c+ = b z"), _Z_INV_37)
+
+_T37 = (
+    _criterion("i", "is_ep"),
+    _criterion("ii", "p_eq_q"),
+    _criterion("iii", "ker_ok"),
+    _criterion("iv", "rng_ok"),
+    _criterion("v", "rker_ok"),
+    _criterion("vi", "row_ok"),
+    *(_criterion(sid, crit) for sid, crit in
+      zip(("vii", "viii", "ix", "x", "xi", "xii"), _VANISHING)),
+    _exists("xiii", "ker_ok", _U_KER_37, x="u"),
+    _exists("xiv", "ker_ok", _U_KER_37, y="u"),
+    _solvable("xv", z1=_BD_C, z2=_C_BD),
+    _exists("xvi", "rng_ok", _U_RNG_37, u="u"),
+    _exists("xvii", "rng_ok", _U_RNG_37, v="u"),
+    _solvable("xviii", w1=_CD_B, w2=_B_CD),
+    _solvable("xix", h1=_BD_C, h2=_CD_B),
+    _solvable("xx", k1=_C_BD, k2=_B_CD),
+    _exists("xxi", "ker_ok", _Z_KER_37, s1="z"),
+    _exists("xxii", "rng_ok", _Z_RNG_37, s2="z"),
+    _exists("xxiii", "rng_ok", _U_RNG_37, note=_COSET, u="u"),
+    _exists("xxiv-a", "ker_ok", _U_KER_37, note=_COSET, x="u"),
+    _solvable("xxiv-b", right_multiplier=("c_dagger", "a", "right"),
+              left_multiplier=("b_dagger", "a", "left")),
+    _solvable("xxvi", right_multiplier=("b", "a_dagger", "right"),
+              left_multiplier=("c", "a_dagger", "left")),
+)
 
 
 def thm37_battery(inst: EPInstance) -> list:
     """Twenty-six statements; the catalog numbering carries two (xxiv) slots,
     reported as xxiv-a and xxiv-b (and no xxv)."""
-    a, b, c = inst.a, inst.b, inst.c
-    ad, bd, cd = inst.a_dagger, inst.b_dagger, inst.c_dagger
-    e_r = inst.e_r
-    ker_ok = subspace_equal(kernel(bd), kernel(c))
-    rng_ok = subspace_equal(range_space(b), range_space(cd))
-    u = c @ b
-    z = bd @ cd
-
-    def verified_u_ker():
-        _require(u @ z == e_r and z @ u == e_r, "3.7 composite u invertible")
-        _require(c == u @ bd, "3.7 c = u b+")
-        return u
-
-    def verified_u_rng():
-        _require(u @ z == e_r and z @ u == e_r, "3.7 composite u invertible")
-        _require(b == cd @ u, "3.7 b = c+ u")
-        return u
-
-    def verified_z_ker():
-        _require(bd == z @ c, "3.7 b+ = z c")
-        _require(is_invertible(z), "3.7 z invertible")
-        return z
-
-    def verified_z_rng():
-        _require(cd == b @ z, "3.7 c+ = b z")
-        _require(is_invertible(z), "3.7 z invertible")
-        return z
-
-    out = [
-        _res("3.7", "i", inst.is_ep, CRITERION),
-        _res("3.7", "ii", (b @ bd) == (cd @ c), CRITERION),
-        _res("3.7", "iii", ker_ok, CRITERION),
-        _res("3.7", "iv", rng_ok, CRITERION),
-        _res("3.7", "v", subspace_equal(right_kernel(b), right_kernel(cd)), CRITERION),
-        _res("3.7", "vi", subspace_equal(row_space(c), row_space(bd)), CRITERION),
-    ]
-    product_ids = ["vii", "viii", "ix", "x", "xi", "xii"]
-    for sid, truth in zip(product_ids, _thm34_truths(inst)):
-        out.append(_res("3.7", sid, truth, CRITERION))
-    out.append(_existential("3.7", "xiii", ker_ok, lambda: {"x": verified_u_ker()}))
-    out.append(_existential("3.7", "xiv", ker_ok, lambda: {"y": verified_u_ker()}))
-    out.append(_solvable("3.7", "xv", [
-        ("z1", solve_exists(bd, c, side="left")),
-        ("z2", solve_exists(c, bd, side="left"))]))
-    out.append(_existential("3.7", "xvi", rng_ok, lambda: {"u": verified_u_rng()}))
-    out.append(_existential("3.7", "xvii", rng_ok, lambda: {"v": verified_u_rng()}))
-    out.append(_solvable("3.7", "xviii", [
-        ("w1", solve_exists(cd, b, side="right")),
-        ("w2", solve_exists(b, cd, side="right"))]))
-    out.append(_solvable("3.7", "xix", [
-        ("h1", solve_exists(bd, c, side="left")),
-        ("h2", solve_exists(cd, b, side="right"))]))
-    out.append(_solvable("3.7", "xx", [
-        ("k1", solve_exists(c, bd, side="left")),
-        ("k2", solve_exists(b, cd, side="right"))]))
-    out.append(_existential("3.7", "xxi", ker_ok, lambda: {"s1": verified_z_ker()}))
-    out.append(_existential("3.7", "xxii", rng_ok, lambda: {"s2": verified_z_rng()}))
-    coset = "coset equality evaluated through its single-witness reduction"
-    out.append(_existential("3.7", "xxiii", rng_ok,
-                            lambda: {"u": verified_u_rng()}, note=coset))
-    out.append(_existential("3.7", "xxiv-a", ker_ok,
-                            lambda: {"x": verified_u_ker()}, note=coset))
-    out.append(_solvable("3.7", "xxiv-b", [
-        ("right_multiplier", solve_exists(cd, a, side="right")),
-        ("left_multiplier", solve_exists(bd, a, side="left"))]))
-    out.append(_solvable("3.7", "xxvi", [
-        ("right_multiplier", solve_exists(b, ad, side="right")),
-        ("left_multiplier", solve_exists(c, ad, side="left"))]))
-    return out
+    return _evaluate("3.7", inst, _T37)
 
 
 # -- Battery 3.9: adjoint in place of the dagger ---------------------------
 
+_Z_39 = (("b_is_cs_z", "3.9 b = c* z"), ("z_adj_invertible", "3.9 z invertible"))
+_X_39 = _Z_39 + (("c_is_x_bs", "3.9 c = x b*"),)
+
+_T39 = (
+    _criterion("i", "is_ep"),
+    _solvable("ii", right_multiplier=("c_star", "a", "right"),
+              left_multiplier=("b_star", "a", "left")),
+    _criterion("iii", "adj_ker_ok"),
+    _criterion("iv", "adj_rng_ok"),
+    _criterion("v", "adj_rker_ok"),
+    _criterion("vi", "adj_row_ok"),
+    _exists("vii", "adj_rng_ok", _Z_39, note=_COSET, z="z_adj"),
+    _exists("viii", "adj_ker_ok", _X_39, note=_COSET, x="x_adj"),
+    _exists("ix", "adj_ker_ok", _X_39, x="x_adj"),
+    _exists("x", "adj_ker_ok", _X_39, y="x_adj"),
+    _solvable("xi", z1=("b_star", "c", "left"), z2=("c", "b_star", "left")),
+    _exists("xii", "adj_rng_ok", _Z_39, v="z_adj"),
+    _exists("xiii", "adj_ker_ok", _Z_39 + (("bs_is_s1_c", "3.9 b* = s1 c"),), s1="s1_adj"),
+    _exists("xiv", "adj_rng_ok", _Z_39 + (("cs_is_b_s2", "3.9 c* = b s2"),), s2="s2_adj"),
+)
+
 
 def thm39_battery(inst: EPInstance) -> list:
-    a, b, c, cd = inst.a, inst.b, inst.c, inst.c_dagger
-    bs = conj_transpose(b)
-    cs = conj_transpose(c)
-    ker_ok = subspace_equal(kernel(bs), kernel(c))
-    rng_ok = subspace_equal(range_space(b), range_space(cs))
-    u = c @ b
-    z = (conj_transpose(cd) @ cd) @ u     # carries b = c* z when EP
-
-    def verified_z():
-        _require(b == cs @ z, "3.9 b = c* z")
-        _require(is_invertible(z), "3.9 z invertible")
-        return z
-
-    def verified_x():
-        verified_z()
-        x = inverse(conj_transpose(z))
-        _require(c == x @ bs, "3.9 c = x b*")
-        return x
-
-    def verified_s1():
-        verified_z()
-        s1 = conj_transpose(z)
-        _require(bs == s1 @ c, "3.9 b* = s1 c")
-        return s1
-
-    def verified_s2():
-        verified_z()
-        s2 = inverse(z)
-        _require(cs == b @ s2, "3.9 c* = b s2")
-        return s2
-
-    coset = "coset equality evaluated through its single-witness reduction"
-    out = [
-        _res("3.9", "i", inst.is_ep, CRITERION),
-        _solvable("3.9", "ii", [
-            ("right_multiplier", solve_exists(cs, a, side="right")),
-            ("left_multiplier", solve_exists(bs, a, side="left"))]),
-        _res("3.9", "iii", ker_ok, CRITERION),
-        _res("3.9", "iv", rng_ok, CRITERION),
-        _res("3.9", "v", subspace_equal(right_kernel(b), right_kernel(cs)), CRITERION),
-        _res("3.9", "vi", subspace_equal(row_space(c), row_space(bs)), CRITERION),
-        _existential("3.9", "vii", rng_ok, lambda: {"z": verified_z()}, note=coset),
-        _existential("3.9", "viii", ker_ok, lambda: {"x": verified_x()}, note=coset),
-        _existential("3.9", "ix", ker_ok, lambda: {"x": verified_x()}),
-        _existential("3.9", "x", ker_ok, lambda: {"y": verified_x()}),
-        _solvable("3.9", "xi", [
-            ("z1", solve_exists(bs, c, side="left")),
-            ("z2", solve_exists(c, bs, side="left"))]),
-        _existential("3.9", "xii", rng_ok, lambda: {"v": verified_z()}),
-        _existential("3.9", "xiii", ker_ok, lambda: {"s1": verified_s1()}),
-        _existential("3.9", "xiv", rng_ok, lambda: {"s2": verified_s2()}),
-    ]
-    return out
+    return _evaluate("3.9", inst, _T39)
 
 
 # -- Battery 3.10: multi-factor product identities -------------------------
+
+_STAR_NOTE = "adjoint factor composed as (bc)* = c* b*"
+
+_T310 = (
+    _criterion("i", "is_ep"),
+    _criterion("ii", ("chain_ii1", "chain_ii2")),
+    _criterion("iii", ("chain_iii1", "chain_iii2")),
+    _criterion("iv", ("chain_ii1", "chain_iii1")),
+    _criterion("v", ("chain_v1", "chain_ii1")),
+    _criterion("vi", ("chain_vi1", "chain_iii1"), note=_STAR_NOTE),
+    _criterion("vii", ("chain_v1", "chain_vi1"), note=_STAR_NOTE),
+)
 
 
 def thm310_battery(inst: EPInstance) -> list:
@@ -399,192 +556,74 @@ def thm310_battery(inst: EPInstance) -> list:
     composed as (b c)* = c* b* so every chain is shape-consistent under the
     rectangular reading.
     """
-    a, b, c, bd, cd = inst.a, inst.b, inst.c, inst.b_dagger, inst.c_dagger
-    a_star = conj_transpose(a)
-    f1 = conj_transpose(c) @ conj_transpose(b)   # c* b*
-    f2 = b @ c
-    p = b @ bd
-    q = cd @ c
-    adg = cd @ bd
-    aa = a_star @ a
-    bb = a @ a_star
-    cstar_cdagstar = conj_transpose(c) @ conj_transpose(cd)   # c* (c*)+
-    ii_1 = aa == f1 @ f2 @ p                  # c* b* bc bb+
-    ii_2 = aa == f1 @ q @ f2                  # c* b* c+c bc
-    iii_1 = bb == f2 @ f1 @ cstar_cdagstar    # bc c*b* c*(c*)+
-    iii_2 = bb == f2 @ p @ f1                 # bc bb+ c*b*
-    v_1 = bb == adg @ f2 @ f2 @ f1            # c+b+ bc bc c*b*
-    vi_1 = aa == f2 @ adg @ f1 @ f2           # bc c+b+ c*b* bc
-    star_note = "adjoint factor composed as (bc)* = c* b*"
-    return [
-        _res("3.10", "i", inst.is_ep, CRITERION),
-        _res("3.10", "ii", ii_1 and ii_2, CRITERION),
-        _res("3.10", "iii", iii_1 and iii_2, CRITERION),
-        _res("3.10", "iv", ii_1 and iii_1, CRITERION),
-        _res("3.10", "v", v_1 and ii_1, CRITERION),
-        _res("3.10", "vi", vi_1 and iii_1, CRITERION, note=star_note),
-        _res("3.10", "vii", v_1 and vi_1, CRITERION, note=star_note),
-    ]
+    return _evaluate("3.10", inst, _T310)
 
 
 # -- Battery 4.1: factorizations of the pseudoinverse through the element --
 
+_S_41 = (("s_a_is_ad", "4.1 a+ = s a"), ("s_invertible", "4.1 s invertible"))
+_U_41 = (("a_u_is_ad", "4.1 a+ = a u"), ("u_invertible", "4.1 u invertible"))
+_E_LEFT_41 = (("q_is_e_p", "4.1 a+a = v aa+ with v = e"),)
+_E_RIGHT_41 = (("q_is_p_e", "4.1 a+a = aa+ w with w = e"),)
+
+_T41 = (
+    _criterion("i", "p_eq_q"),
+    _exists("ii", "ker_dagger", _S_41, s="s"),
+    _solvable("iii", s1=("a", "a_dagger", "left"), s2=("a_dagger", "a", "left")),
+    _exists("iv", "rng_dagger", _U_41, u="u"),
+    _solvable("v", u1=("a", "a_dagger", "right"), u2=("a_dagger", "a", "right")),
+    _exists("vi", "rng_dagger", _U_41, t="u"),
+    _exists("vii", "ker_dagger", _S_41, x="s"),
+    _exists("viii", "ker_pq", _E_LEFT_41, v="e_n"),
+    _exists("ix", "ker_pq", _E_LEFT_41, v1="e_n"),
+    _solvable("x", v2=("p", "q", "left"), v3=("q", "p", "left")),
+    _exists("xi", "rng_pq", _E_RIGHT_41, w="e_n"),
+    _exists("xii", "rng_pq", _E_RIGHT_41, w1="e_n"),
+    _solvable("xiii", w2=("p", "q", "right"), w3=("q", "p", "right")),
+    _exists("xiv", "pq_two_sided", (("a_z1_ad_is_q", "4.1 a+a = a z1 a+"),
+                                    ("ad_z2_a_is_p", "4.1 aa+ = a+ z2 a")),
+            z1="z1", z2="z2"),
+)
+
 
 def thm41_battery(a: MatrixQ) -> list:
-    if not a.is_square:
-        raise ShapeError("thm41_battery expects a square matrix")
-    ad = pinv(a)
-    e = MatrixQ.identity(a.rows)
-    p = a @ ad
-    q = ad @ a
-    ker_ok = subspace_equal(kernel(a), kernel(ad))
-    rng_ok = subspace_equal(range_space(a), range_space(ad))
-    ker_pq = subspace_equal(kernel(p), kernel(q))
-    rng_pq = subspace_equal(range_space(p), range_space(q))
-    s = (ad @ ad) + (e - p)
-    u = (ad @ ad) + (e - q)
-
-    def verified_s():
-        _require(s @ a == ad, "4.1 a+ = s a")
-        _require(is_invertible(s), "4.1 s invertible")
-        return s
-
-    def verified_u():
-        _require(a @ u == ad, "4.1 a+ = a u")
-        _require(is_invertible(u), "4.1 u invertible")
-        return u
-
-    def verified_e_left():
-        _require(q == e @ p, "4.1 a+a = v aa+ with v = e")
-        return e
-
-    def verified_e_right():
-        _require(q == p @ e, "4.1 a+a = aa+ w with w = e")
-        return e
-
-    def verified_two_sided():
-        z1 = ad @ q @ a
-        z2 = a @ p @ ad
-        _require(a @ z1 @ ad == q, "4.1 a+a = a z1 a+")
-        _require(ad @ z2 @ a == p, "4.1 aa+ = a+ z2 a")
-        return {"z1": z1, "z2": z2}
-
-    two_sided_crit = (p @ q @ p == q) and (q @ p @ q == p)
-    return [
-        _res("4.1", "i", p == q, CRITERION),
-        _existential("4.1", "ii", ker_ok, lambda: {"s": verified_s()}),
-        _solvable("4.1", "iii", [
-            ("s1", solve_exists(a, ad, side="left")),
-            ("s2", solve_exists(ad, a, side="left"))]),
-        _existential("4.1", "iv", rng_ok, lambda: {"u": verified_u()}),
-        _solvable("4.1", "v", [
-            ("u1", solve_exists(a, ad, side="right")),
-            ("u2", solve_exists(ad, a, side="right"))]),
-        _existential("4.1", "vi", rng_ok, lambda: {"t": verified_u()}),
-        _existential("4.1", "vii", ker_ok, lambda: {"x": verified_s()}),
-        _existential("4.1", "viii", ker_pq, lambda: {"v": verified_e_left()}),
-        _existential("4.1", "ix", ker_pq, lambda: {"v1": verified_e_left()}),
-        _solvable("4.1", "x", [
-            ("v2", solve_exists(p, q, side="left")),
-            ("v3", solve_exists(q, p, side="left"))]),
-        _existential("4.1", "xi", rng_pq, lambda: {"w": verified_e_right()}),
-        _existential("4.1", "xii", rng_pq, lambda: {"w1": verified_e_right()}),
-        _solvable("4.1", "xiii", [
-            ("w2", solve_exists(p, q, side="right")),
-            ("w3", solve_exists(q, p, side="right"))]),
-        _existential("4.1", "xiv", two_sided_crit, verified_two_sided),
-    ]
+    return _evaluate("4.1", _Square(a, "thm41_battery"), _T41)
 
 
 # -- Battery 4.2: the adjoint versions, via the invertible norm witnesses --
 
+_S_42 = (("s_adj_a_is_as", "4.2 a* = s a"), ("s_adj_invertible", "4.2 s invertible"))
+_U_42 = (("a_u_adj_is_as", "4.2 a* = a u"), ("u_adj_invertible", "4.2 u invertible"))
+_V_42 = (("vhat_bb_is_aa", "4.2 a*a = v aa*"), ("vhat_invertible", "4.2 v invertible"))
+_W_42 = (("bb_what_is_aa", "4.2 a*a = aa* w"), ("what_invertible", "4.2 w invertible"))
+_H_42 = (("h_invertible", "4.2 h invertible"), ("a_h_is_as", "4.2 a* = a h"),
+         ("a_hh_as_is_aa", "4.2 a*a = a h h* a*"))
+
+_T42 = (
+    _criterion("i", "p_eq_q"),
+    _exists("ii", "ker_adjoint", _S_42, s="s_adj"),
+    _solvable("iii", s1=("a", "a_star", "left"), s2=("a_star", "a", "left")),
+    _exists("iv", "rng_adjoint", _U_42, u="u_adj"),
+    _solvable("v", u1=("a", "a_star", "right"), u2=("a_star", "a", "right")),
+    _exists("vi", "rng_adjoint", _U_42, t="u_adj"),
+    _exists("vii", "ker_adjoint", _S_42, x="s_adj"),
+    _exists("viii", "ker_grams", _V_42, v="vhat"),
+    _exists("ix", "ker_grams", _V_42, v1="vhat"),
+    _solvable("x", v2=("bb", "aa", "left"), v3=("aa", "bb", "left")),
+    _exists("xi", "rng_grams", _W_42, w="what"),
+    _exists("xii", "rng_grams", _W_42, w1="what"),
+    _solvable("xiii", w2=("bb", "aa", "right"), w3=("aa", "bb", "right")),
+    _exists("xiv", "grams_two_sided", (("a_z1_as_is_aa", "4.2 a*a = a z1 a*"),
+                                       ("as_z2_a_is_bb", "4.2 aa* = a* z2 a")),
+            z1="z1_adj", z2="z2_adj"),
+    _exists("xv", ("ker_adjoint", "rng_adjoint"), _H_42, h1="h"),
+    _exists("xvi", "ker_adjoint", _H_42, h2="h"),
+    _exists("xvii", "rng_adjoint", _H_42, h3="h"),
+)
+
 
 def thm42_battery(a: MatrixQ) -> list:
-    if not a.is_square:
-        raise ShapeError("thm42_battery expects a square matrix")
-    ad = pinv(a)
-    a_star = conj_transpose(a)
-    e = MatrixQ.identity(a.rows)
-    p = a @ ad
-    q = ad @ a
-    pair = MPPair(a=a, a_dagger=ad, p=p, q=q)
-    lv, lw = lemma38_witnesses(pair)
-    aa = a_star @ a
-    bb = a @ a_star
-    ker_ok = subspace_equal(kernel(a), kernel(a_star))
-    rng_ok = subspace_equal(range_space(a), range_space(a_star))
-    ker_prod = subspace_equal(kernel(bb), kernel(aa))
-    rng_prod = subspace_equal(range_space(bb), range_space(aa))
-
-    s_tilde = (ad @ ad) + (e - p)
-    u_tilde = (ad @ ad) + (e - q)
-    s42 = inverse(lw) @ s_tilde
-    u42 = u_tilde @ inverse(lv)
-
-    def verified_s():
-        _require(s42 @ a == a_star, "4.2 a* = s a")
-        _require(is_invertible(s42), "4.2 s invertible")
-        return s42
-
-    def verified_u():
-        _require(a @ u42 == a_star, "4.2 a* = a u")
-        _require(is_invertible(u42), "4.2 u invertible")
-        return u42
-
-    def verified_vhat():
-        vhat = inverse(lw) @ lv
-        _require(vhat @ bb == aa, "4.2 a*a = v aa*")
-        _require(is_invertible(vhat), "4.2 v invertible")
-        return vhat
-
-    def verified_what():
-        what = lv @ inverse(lw)
-        _require(bb @ what == aa, "4.2 a*a = aa* w")
-        _require(is_invertible(what), "4.2 w invertible")
-        return what
-
-    def verified_two_sided():
-        z1 = u42 @ conj_transpose(u42)
-        z2 = conj_transpose(s42) @ s42
-        _require(a @ z1 @ a_star == aa, "4.2 a*a = a z1 a*")
-        _require(a_star @ z2 @ a == bb, "4.2 aa* = a* z2 a")
-        return {"z1": z1, "z2": z2}
-
-    def verified_h1():
-        h1 = (ad @ a_star) + (e - q)
-        _require(is_invertible(h1), "4.2 h invertible")
-        _require(a @ h1 == a_star, "4.2 a* = a h")
-        _require(a @ h1 @ conj_transpose(h1) @ a_star == aa, "4.2 a*a = a h h* a*")
-        return h1
-
-    two_sided_crit = (p @ aa @ p == aa) and (q @ bb @ q == bb)
-    return [
-        _res("4.2", "i", p == q, CRITERION),
-        _existential("4.2", "ii", ker_ok, lambda: {"s": verified_s()}),
-        _solvable("4.2", "iii", [
-            ("s1", solve_exists(a, a_star, side="left")),
-            ("s2", solve_exists(a_star, a, side="left"))]),
-        _existential("4.2", "iv", rng_ok, lambda: {"u": verified_u()}),
-        _solvable("4.2", "v", [
-            ("u1", solve_exists(a, a_star, side="right")),
-            ("u2", solve_exists(a_star, a, side="right"))]),
-        _existential("4.2", "vi", rng_ok, lambda: {"t": verified_u()}),
-        _existential("4.2", "vii", ker_ok, lambda: {"x": verified_s()}),
-        _existential("4.2", "viii", ker_prod, lambda: {"v": verified_vhat()}),
-        _existential("4.2", "ix", ker_prod, lambda: {"v1": verified_vhat()}),
-        _solvable("4.2", "x", [
-            ("v2", solve_exists(bb, aa, side="left")),
-            ("v3", solve_exists(aa, bb, side="left"))]),
-        _existential("4.2", "xi", rng_prod, lambda: {"w": verified_what()}),
-        _existential("4.2", "xii", rng_prod, lambda: {"w1": verified_what()}),
-        _solvable("4.2", "xiii", [
-            ("w2", solve_exists(bb, aa, side="right")),
-            ("w3", solve_exists(aa, bb, side="right"))]),
-        _existential("4.2", "xiv", two_sided_crit, verified_two_sided),
-        _existential("4.2", "xv", ker_ok and rng_ok, lambda: {"h1": verified_h1()}),
-        _existential("4.2", "xvi", ker_ok, lambda: {"h2": verified_h1()}),
-        _existential("4.2", "xvii", rng_ok, lambda: {"h3": verified_h1()}),
-    ]
+    return _evaluate("4.2", _Square(a, "thm42_battery"), _T42)
 
 
 # -- Block decomposition (5.x family) ---------------------------------------
@@ -611,120 +650,87 @@ def thm53_decompose(t: MatrixQ):
     j the column concatenation of a range basis and a kernel basis, and
     q1 = j (e ⊕ 0) j⁻¹ a self-adjoint idempotent equal to t·t†.
     """
-    if not t.is_square:
-        raise ShapeError("thm53_decompose expects a square matrix")
-    n = t.rows
-    td = pinv(t)
-    if (t @ td) != (td @ t):
+    return _Square(t, "thm53_decompose").decomposition
+
+
+def _decompose(m: _Square) -> Optional[tuple]:
+    if not m.p_eq_q:
         return None
-    rng = range_space(t)
-    ker = kernel(t)
-    j = rng.basis.hstack(ker.basis)
-    _require(j.rows == n and j.cols == n and is_invertible(j),
+    _require(m.j.rows == m.a.rows and m.j.cols == m.a.rows and m.j_invertible,
              "5.3 range and kernel bases concatenate to an invertible map")
-    j_inv = inverse(j)
-    k = rng.dim
-    t1 = solve_exists(rng.basis, t @ rng.basis, side="right")
-    _require(t1 is not None, "5.3 compression of t to its range exists")
-    _require(t == j @ _oplus_zero(t1, n) @ j_inv, "5.3 t = j (t1 + 0) j^-1")
-    _require(is_invertible(t1), "5.3 compression invertible")
-    q1 = j @ _oplus_zero(MatrixQ.identity(k), n) @ j_inv
+    _require(m.t1 is not None, "5.3 compression of t to its range exists")
+    _require(m.t_is_block, "5.3 t = j (t1 + 0) j^-1")
+    _require(m.t1_invertible, "5.3 compression invertible")
+    n = m.a.rows
+    q1 = m.j @ _oplus_zero(MatrixQ.identity(m.rng_a.dim), n) @ m.j_inv
     _require(q1 @ q1 == q1 and conj_transpose(q1) == q1,
              "5.3 block projection is a self-adjoint idempotent")
-    _require(q1 == t @ td, "5.3 block projection equals t t+")
-    _require(td == j @ _oplus_zero(inverse(t1), n) @ j_inv,
-             "5.3 t+ = j (t1^-1 + 0) j^-1")
-    return t1, j, j_inv, q1
+    _require(q1 == m.p, "5.3 block projection equals t t+")
+    _require(m.td_is_block, "5.3 t+ = j (t1^-1 + 0) j^-1")
+    return m.t1, m.j, m.j_inv, q1
+
+
+_DECOMPOSED_55 = (("decomposable", "5.5 kernel/range criterion implies decomposability"),
+                  ("t_is_block", "5.5 t = V (A + 0) S"))
+
+_T55 = (
+    _exists("ii", "ker_dagger",
+            _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = W (B + 0) S"),
+                              ("injective_sides", "5.5 injectivity side conditions")),
+            note="both clauses verified with one decomposition",
+            V1="j", A1="t1", S1="j_inv", W1="j", B1="t1_inv",
+            V2="j", A2="t1", S2="j_inv", W2="j", B2="t1_inv"),
+    _exists("iii", "rng_dagger",
+            _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = V (B + 0) S'"),
+                              ("surjective_sides", "5.5 surjectivity side conditions")),
+            note="first-clause block operator reported under its clause-local key A3",
+            V3="j", A3="t1", S3="j_inv", S4="j_inv", B3="t1_inv",
+            V4="j", A4="t1", S5="j_inv", S6="j_inv", B4="t1_inv"),
+)
 
 
 def thm55_battery(t: MatrixQ) -> list:
     """Two statements: shared-right-factor and shared-left-factor forms
     for t and t† together; each combines its two clauses."""
-    if not t.is_square:
-        raise ShapeError("thm55_battery expects a square matrix")
-    td = pinv(t)
-    ker_ok = subspace_equal(kernel(t), kernel(td))
-    rng_ok = subspace_equal(range_space(t), range_space(td))
-    dec = None
-    if ker_ok or rng_ok:
-        dec = thm53_decompose(t)
-        _require(dec is not None, "5.5 kernel/range criterion implies decomposability")
+    return _evaluate("5.5", _Square(t, "thm55_battery"), _T55)
 
-    def witnesses_shared_right():
-        t1, j, j_inv, _ = dec
-        t1_inv = inverse(t1)
-        n = t.rows
-        _require(t == j @ _oplus_zero(t1, n) @ j_inv, "5.5 t = V (A + 0) S")
-        _require(td == j @ _oplus_zero(t1_inv, n) @ j_inv, "5.5 t+ = W (B + 0) S")
-        _require(is_invertible(j) and is_invertible(t1), "5.5 injectivity side conditions")
-        return {"V1": j, "A1": t1, "S1": j_inv, "W1": j, "B1": t1_inv,
-                "V2": j, "A2": t1, "S2": j_inv, "W2": j, "B2": t1_inv}
 
-    def witnesses_shared_left():
-        t1, j, j_inv, _ = dec
-        t1_inv = inverse(t1)
-        n = t.rows
-        _require(t == j @ _oplus_zero(t1, n) @ j_inv, "5.5 t = V (A + 0) S")
-        _require(td == j @ _oplus_zero(t1_inv, n) @ j_inv, "5.5 t+ = V (B + 0) S'")
-        _require(is_invertible(j_inv) and is_invertible(t1), "5.5 surjectivity side conditions")
-        return {"V3": j, "A3": t1, "S3": j_inv, "S4": j_inv, "B3": t1_inv,
-                "V4": j, "A4": t1, "S5": j_inv, "S6": j_inv, "B4": t1_inv}
+_FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
 
-    return [
-        _existential("5.5", "ii", ker_ok, witnesses_shared_right,
-                     note="both clauses verified with one decomposition"),
-        _existential("5.5", "iii", rng_ok, witnesses_shared_left,
-                     note="first-clause block operator reported under its clause-local key A3"),
-    ]
+_T56 = (
+    _exists("ii", "ker_dagger",
+            (_FRAMED_56, ("ker_dagger", "5.6 kernel condition on the middle factors"),
+             ("e_injective", "5.6 outer factors injective")),
+            b1="e_n", c1="a", g1="e_n", f1="e_n", d1="a_dagger"),
+    _exists("iii", "rng_dagger",
+            (_FRAMED_56, ("rng_dagger", "5.6 range condition on the middle factors"),
+             ("e_full_rank", "5.6 outer factors surjective")),
+            h1="e_n", k1="a", l1="e_n", m1="a_dagger", n1="e_n"),
+    _exists("iv", "rker_dagger",
+            (_FRAMED_56,
+             ("rker_dagger", "5.6 right-annihilator condition on the middle factors"),
+             ("e_right_injective", "5.6 outer factors right-injective")),
+            note="kernel condition read clause-locally (c2 against d2)",
+            b2="e_n", c2="a", g2="e_n", d2="a_dagger", g3="e_n"),
+    _exists("v", "row_dagger",
+            (_FRAMED_56, ("row_dagger", "5.6 row-space condition on the middle factors"),
+             ("e_full_rank", "5.6 outer factors left-surjective")),
+            h2="e_n", k2="a", l2="e_n", h3="e_n", m2="a_dagger"),
+)
 
 
 def thm56_battery(a: MatrixQ) -> list:
     """Four statements factoring a and a† with matched kernel/range conditions."""
-    if not a.is_square:
-        raise ShapeError("thm56_battery expects a square matrix")
-    ad = pinv(a)
-    e = MatrixQ.identity(a.rows)
-    n = a.rows
-    ker_ok = subspace_equal(kernel(a), kernel(ad))
-    rng_ok = subspace_equal(range_space(a), range_space(ad))
-    rker_ok = subspace_equal(right_kernel(a), right_kernel(ad))
-    row_ok = subspace_equal(row_space(a), row_space(ad))
-
-    def wit_ii():
-        _require(e @ a @ e == a and e @ ad @ e == ad, "5.6 identity-framed factorizations")
-        _require(subspace_equal(kernel(a), kernel(ad)), "5.6 kernel condition on the middle factors")
-        _require(kernel(e).dim == 0, "5.6 outer factors injective")
-        return {"b1": e, "c1": a, "g1": e, "f1": e, "d1": ad}
-
-    def wit_iii():
-        _require(e @ a @ e == a and e @ ad @ e == ad, "5.6 identity-framed factorizations")
-        _require(subspace_equal(range_space(a), range_space(ad)), "5.6 range condition on the middle factors")
-        _require(rank(e) == n, "5.6 outer factors surjective")
-        return {"h1": e, "k1": a, "l1": e, "m1": ad, "n1": e}
-
-    def wit_iv():
-        _require(e @ a @ e == a and e @ ad @ e == ad, "5.6 identity-framed factorizations")
-        _require(subspace_equal(right_kernel(a), right_kernel(ad)),
-                 "5.6 right-annihilator condition on the middle factors")
-        _require(right_kernel(e).dim == 0, "5.6 outer factors right-injective")
-        return {"b2": e, "c2": a, "g2": e, "d2": ad, "g3": e}
-
-    def wit_v():
-        _require(e @ a @ e == a and e @ ad @ e == ad, "5.6 identity-framed factorizations")
-        _require(subspace_equal(row_space(a), row_space(ad)), "5.6 row-space condition on the middle factors")
-        _require(rank(e) == n, "5.6 outer factors left-surjective")
-        return {"h2": e, "k2": a, "l2": e, "h3": e, "m2": ad}
-
-    return [
-        _existential("5.6", "ii", ker_ok, wit_ii),
-        _existential("5.6", "iii", rng_ok, wit_iii),
-        _existential("5.6", "iv", rker_ok, wit_iv,
-                     note="kernel condition read clause-locally (c2 against d2)"),
-        _existential("5.6", "v", row_ok, wit_v),
-    ]
+    return _evaluate("5.6", _Square(a, "thm56_battery"), _T56)
 
 
 # -- Battery 5.2: norm-relative statements on a conjugated block map ----
+
+
+def _res(thm: str, stmt: str, truth, route: str, witness=None, note=None) -> StatementResult:
+    return StatementResult(theorem_id=thm, statement_id=f"{thm}.{stmt}",
+                           truth=truth, evaluation_route=route,
+                           witness=witness, note=note)
 
 
 def _is_isometry(j: MatrixQ, norm: PNorm) -> bool:
@@ -799,8 +805,7 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm, *,
     else:
         results.append(_res("5.2", "i", truth1, CRITERION, note=note1))
     if norm.p == 2:
-        ep = (t @ pinv(t)) == (pinv(t) @ t)
-        results.append(_res("5.2", "ii", ep, CRITERION,
+        results.append(_res("5.2", "ii", is_ep(t), CRITERION,
                             note="decided exactly through the adjoint structure"))
     else:
         results.append(_res("5.2", "ii", truth1, CRITERION,

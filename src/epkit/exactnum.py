@@ -132,11 +132,6 @@ def as_scalar(x) -> GaussianRational:
     raise TypeError(f"cannot convert {type(x).__name__} to GaussianRational")
 
 
-def to_float(z: GaussianRational) -> complex:
-    """Nearest complex float.  OverflowError when a component exceeds float range."""
-    return z.to_complex()
-
-
 # -- text grammar ---------------------------------------------------------
 #
 #   R ::= ['-'] digits ['/' digits]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -34,31 +34,13 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PNorm:
-    """A p-norm tag, optionally carrying the direct-sum block structure.
-
-    block_dims records an l_p direct sum decomposition of the ambient space.
-    Since every block carries the same p as the outer sum, the induced
-    operator norm coincides with the flat p-norm on the full matrix; the
-    dims are validated against the ambient dimension and kept as metadata.
-    """
+    """A p-norm tag, p in {1, 2, inf}."""
 
     p: float
-    block_dims: Optional[tuple] = None
 
     def __post_init__(self):
         if self.p not in _P_VALUES:
             raise ValueError(f"p must be one of 1, 2, inf; got {self.p!r}")
-        if self.block_dims is not None:
-            dims = tuple(int(d) for d in self.block_dims)
-            if any(d < 0 for d in dims):
-                raise ValueError("block dims must be nonnegative")
-            object.__setattr__(self, "block_dims", dims)
-
-    def check_ambient(self, n: int) -> None:
-        if self.block_dims is not None and sum(self.block_dims) != n:
-            raise ValueError(
-                f"block dims {self.block_dims} do not sum to ambient dimension {n}"
-            )
 
 
 def parse_p(text: str) -> float:
@@ -88,7 +70,6 @@ def op_norm(a, norm: PNorm) -> float:
     n, m = arr.shape
     if n != m:
         raise ShapeError("op_norm expects a square matrix")
-    norm.check_ambient(n)
     if n == 0:
         return 0.0
     if norm.p == 1:
@@ -216,7 +197,6 @@ def hermitian_check(
     n, m = arr.shape
     if n != m:
         raise ShapeError("hermitian_check expects a square matrix")
-    norm.check_ambient(n)
     ts = np.linspace(-t_max, t_max, grid)
     exps = _expm_batch(1j * ts[:, None, None] * arr)
     if norm.p == 1:

@@ -19,10 +19,9 @@ from epkit.battery import (
     child_seed,
     gen_block_pair,
     gen_matrix,
-    make_instance,
     run_battery,
 )
-from epkit.characterizations import prop52_battery
+from epkit.characterizations import EPInstance, prop52_battery
 from epkit.cli import main
 from epkit.linalg import (
     MatrixQ,
@@ -93,7 +92,7 @@ def test_criterion_2_uniqueness_oracle():
 def test_criterion_3_factor_identities():
     for i in range(200):
         n = 1 + i % 4
-        inst = make_instance(gen_matrix(GeneratorConfig(seed=child_seed(9003, i), n=n)))
+        inst = EPInstance.from_matrix(gen_matrix(GeneratorConfig(seed=child_seed(9003, i), n=n)))
         b, c, bd, cd = inst.b, inst.c, inst.b_dagger, inst.c_dagger
         assert inst.a_dagger == cd @ bd
         assert bd == c @ inst.a_dagger

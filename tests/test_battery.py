@@ -11,10 +11,10 @@ from epkit.battery import (
     child_seed,
     gen_block_pair,
     gen_matrix,
-    make_instance,
     run_battery,
     splitmix64,
 )
+from epkit.characterizations import EPInstance
 from epkit.linalg import MatrixQ, is_invertible, rank
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
@@ -104,20 +104,12 @@ def test_infeasible_draws():
     gen_matrix(GeneratorConfig(seed=1, n=9), size_cap=9)  # override is allowed
 
 
-def test_make_instance_known_factorization():
-    inst = make_instance(MatrixQ.from_rows([[1, 1], [0, 0]]))
-    assert inst.b == MatrixQ.from_rows([[1], [0]])
-    assert inst.c == MatrixQ.from_rows([[1, 1]])
-    assert inst.b_dagger == MatrixQ.from_rows([[1, 0]])
-    assert inst.c_dagger == MatrixQ.from_rows([["1/2"], ["1/2"]])
-
-
 def test_validation_never_fires_bulk():
     # ten thousand seeded draws; construction validates every identity
     for i in range(10_000):
         n = 1 + i % 3
         a = gen_matrix(GeneratorConfig(seed=child_seed(77, i), n=n))
-        inst = make_instance(a)
+        inst = EPInstance.from_matrix(a)
         assert inst.a is a
 
 
@@ -189,21 +181,6 @@ def test_report_determinism_modulo_elapsed():
     d2 = run_battery("3.5", cfgs).to_dict()
     d1.pop("elapsed"), d2.pop("elapsed")
     assert d1 == d2
-
-
-def test_parallel_matches_serial(monkeypatch):
-    cfgs = [GeneratorConfig(seed=child_seed(61, i), n=3,
-                            kind="non_ep" if i % 3 == 0 else "ep")
-            for i in range(9)]
-    serial = run_battery("4.2", cfgs).to_dict()
-    monkeypatch.setenv("EPKIT_THREADS", "4")
-    parallel = run_battery("4.2", cfgs).to_dict()
-    serial.pop("elapsed"), parallel.pop("elapsed")
-    assert serial == parallel
-    monkeypatch.setenv("EPKIT_THREADS", "not a number")
-    fallback = run_battery("4.2", cfgs).to_dict()
-    fallback.pop("elapsed")
-    assert fallback == serial
 
 
 def test_report_json_key_order():

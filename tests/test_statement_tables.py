@@ -1,0 +1,143 @@
+"""Pinned battery output, memo isolation and the verify-once rule.
+
+The pinning test hashes, per battery id, the statement id, truth value,
+evaluation route, sorted witness keys and note of every result over a fixed
+set of inputs: `battery_configs(tid, 8, n, 2024)` at n = 3 and 4 plus three
+named 2×2 matrices, and for 5.2 the `gen_block_pair` equivalents at
+p = 1, 2 and inf.  The digests were recorded before the batteries became
+statement tables and must not move.
+"""
+
+import hashlib
+import json
+import math
+import pickle
+import re
+
+import pytest
+
+from epkit import characterizations as chz
+from epkit.battery import gen_block_pair, gen_matrix
+from epkit.characterizations import (
+    EPInstance,
+    prop52_battery,
+    thm310_battery,
+    thm32_battery,
+    thm34_battery,
+    thm35_battery,
+    thm37_battery,
+    thm39_battery,
+    thm41_battery,
+    thm42_battery,
+    thm55_battery,
+    thm56_battery,
+)
+from epkit.cli import battery_configs
+from epkit.linalg import InternalConsistencyError, MatrixQ
+from epkit.pnorms import PNorm
+
+NILPOTENT = MatrixQ.from_rows([[0, 1], [0, 0]])
+DIAG20 = MatrixQ.diagonal([2, 0])
+SHEAR = MatrixQ.from_rows([[1, 1], [0, 1]])
+
+INSTANCE_BATTERIES = {
+    "3.2": thm32_battery, "3.4": thm34_battery, "3.5": thm35_battery,
+    "3.7": thm37_battery, "3.9": thm39_battery, "3.10": thm310_battery,
+}
+MATRIX_BATTERIES = {
+    "4.1": thm41_battery, "4.2": thm42_battery,
+    "5.5": thm55_battery, "5.6": thm56_battery,
+}
+
+PINNED = {
+    "3.2": "95dd830a6ee24a7414bf90cbb505bb3b1db9a6b3e5699800adebf57575ff2d13",
+    "3.4": "1fa68cb31aa8bb15f4bf51619d9a6f0c57900498cdd4ea7241f642d38a1fb29a",
+    "3.5": "7ae5ed26e0211761f91d8ed981f9f3312aa3a98b535afa46071f1a4658b6e63d",
+    "3.7": "fb81a3cb6d9346cfec83aa7dbc342728315c5db84b0d3c129408ade548d0c7e0",
+    "3.9": "f18c57b05781a008699a084a6ff814fcddcee37d702b2adad08e9bf1d60daa67",
+    "3.10": "47b82300692dd5e6be01057c835877cfd4c3f45e7e448393fc8c7922584812d6",
+    "4.1": "5460cb0ead775c73776e41553603ac1363d19747c14ce8512506261bfd1d58d5",
+    "4.2": "eb9f70538c67dadcefefbe19f80763700c43a2cf177b525f59b42311435d4d33",
+    "5.2": "b530e2760fbec9ff2e66b9cbafc4e650c98c0dbbc68326002aea30a25bfad079",
+    "5.5": "c58a534a1fd053f3447d5faa3674edc3ae25bc9ad20cc72182154e5ebb08f427",
+    "5.6": "125ba1e425935891a65676e2201727e55da5982c039f553f9754a6dab664e016",
+}
+
+
+def _shape(results) -> list:
+    return [[r.statement_id, r.truth, r.evaluation_route,
+             sorted(r.witness) if r.witness is not None else None, r.note]
+            for r in results]
+
+
+def _digest(runs) -> str:
+    return hashlib.sha256(json.dumps(runs).encode()).hexdigest()
+
+
+def _matrices(tid):
+    out = [gen_matrix(cfg) for n in (3, 4) for cfg in battery_configs(tid, 8, n, 2024)]
+    return out + [NILPOTENT, DIAG20, SHEAR]
+
+
+def test_pinned_statement_digests():
+    got = {}
+    for tid, battery in INSTANCE_BATTERIES.items():
+        got[tid] = _digest([_shape(battery(EPInstance.from_matrix(a)))
+                            for a in _matrices(tid)])
+    for tid, battery in MATRIX_BATTERIES.items():
+        got[tid] = _digest([_shape(battery(a)) for a in _matrices(tid)])
+    pairs = [gen_block_pair(cfg) for n in (3, 4)
+             for cfg in battery_configs("5.2", 8, n, 2024)]
+    got["5.2"] = _digest([_shape(prop52_battery(t1, j, PNorm(p)))
+                          for t1, j in pairs for p in (1, 2, math.inf)])
+    assert got == PINNED
+
+
+def _isolation_inputs():
+    return [gen_matrix(cfg) for cfg in battery_configs("3.7", 8, 3, 31)] + [NILPOTENT, DIAG20, SHEAR]
+
+
+def test_memo_isolation_instance_batteries():
+    for a in _isolation_inputs():
+        fresh = {tid: fn(EPInstance.from_matrix(a)) for tid, fn in INSTANCE_BATTERIES.items()}
+        first = EPInstance.from_matrix(a)
+        forward = {tid: fn(first) for tid, fn in INSTANCE_BATTERIES.items()}
+        second = EPInstance.from_matrix(a)
+        backward = {tid: INSTANCE_BATTERIES[tid](second) for tid in reversed(INSTANCE_BATTERIES)}
+        assert forward == fresh and backward == fresh
+        # a cold and a warm instance survive pickling with the same answers
+        for inst in (EPInstance.from_matrix(a), first):
+            loaded = pickle.loads(pickle.dumps(inst))
+            assert loaded == inst
+            assert {tid: fn(loaded) for tid, fn in INSTANCE_BATTERIES.items()} == fresh
+
+
+def test_memo_isolation_matrix_batteries():
+    for a in _isolation_inputs():
+        fresh = {tid: fn(pickle.loads(pickle.dumps(a))) for tid, fn in MATRIX_BATTERIES.items()}
+        forward = {tid: fn(a) for tid, fn in MATRIX_BATTERIES.items()}
+        backward = {tid: MATRIX_BATTERIES[tid](a) for tid in reversed(MATRIX_BATTERIES)}
+        assert forward == fresh and backward == fresh
+
+
+def test_every_listed_check_is_required():
+    # an existential row reports its witness only after each identity on its
+    # check list holds; a memoised identity forced false must raise under the
+    # row's own message, even though the criterion is true
+    tables = {"3.5": chz._T35, "3.7": chz._T37, "3.9": chz._T39,
+              "4.1": chz._T41, "4.2": chz._T42, "5.5": chz._T55, "5.6": chz._T56}
+    for tid, rows in tables.items():
+        for row in rows:
+            for name, what in row.checks:
+                if name in row.crit:
+                    continue
+                if tid.startswith("3."):
+                    m = EPInstance.from_matrix(DIAG20)
+                else:
+                    m = chz._Square(DIAG20, "test")
+                m.__dict__[name] = False
+                # 5.5 first runs the 5.3 decomposition, which requires the
+                # same block identities under its own messages
+                pattern = re.escape(what) + ("|5\\.3 " if tid == "5.5" else "")
+                with pytest.raises(InternalConsistencyError, match=pattern):
+                    chz._evaluate(tid, m, (row,))
