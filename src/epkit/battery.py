@@ -100,26 +100,38 @@ def _rand_matrix(rng, rows: int, cols: int, bound: int, use_complex: bool) -> Ma
                     for _ in range(rows * cols)])
 
 
+def _rejection(draw, accept, failure: str):
+    """The first of up to _MAX_ATTEMPTS draws that `accept` takes.
+
+    Raises GeneratorError with the message `failure` when none is taken.
+    """
+    for _ in range(_MAX_ATTEMPTS):
+        cand = draw()
+        if accept(cand):
+            return cand
+    raise GeneratorError(failure)
+
+
+def _rank_is(r: int):
+    return lambda m: rank(m) == r
+
+
 def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> MatrixQ:
     """Random n x n matrix of exact rank r, as a full-rank product."""
-    for _ in range(_MAX_ATTEMPTS):
+    def draw():
         left = _rand_matrix(rng, n, r, bound, use_complex)
-        right = _rand_matrix(rng, r, n, bound, use_complex)
-        m = left @ right
-        if rank(m) == r:
-            return m
-    raise GeneratorError(f"could not draw a rank-{r} matrix of size {n}")
+        return left @ _rand_matrix(rng, r, n, bound, use_complex)
+    return _rejection(draw, _rank_is(r), f"could not draw a rank-{r} matrix of size {n}")
 
 
 def _orthogonal_projection(rng, n: int, r: int, bound: int, use_complex: bool) -> MatrixQ:
     """Exact orthogonal projection of rank r: M0 (M0* M0)^-1 M0*."""
-    for _ in range(_MAX_ATTEMPTS):
+    def draw():
         m0 = _rand_matrix(rng, n, r, bound, use_complex)
-        gram = conj_transpose(m0) @ m0
-        if rank(gram) != r:
-            continue
-        return m0 @ inverse(gram) @ conj_transpose(m0)
-    raise GeneratorError(f"could not draw a rank-{r} projection of size {n}")
+        return m0, conj_transpose(m0) @ m0
+    m0, gram = _rejection(draw, lambda pair: rank(pair[1]) == r,
+                          f"could not draw a rank-{r} projection of size {n}")
+    return m0 @ inverse(gram) @ conj_transpose(m0)
 
 
 def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
@@ -136,20 +148,14 @@ def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
     if cfg.kind == "invertible":
         if cfg.rank is not None and cfg.rank != n:
             raise GeneratorError("invertible draw requires rank = size")
-        for _ in range(_MAX_ATTEMPTS):
-            m = _rand_matrix(rng, n, n, bound, use_complex)
-            if rank(m) == n:
-                return m
-        raise GeneratorError(f"could not draw an invertible matrix of size {n}")
+        return _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), _rank_is(n),
+                          f"could not draw an invertible matrix of size {n}")
 
     if cfg.kind == "ep":
         r = cfg.rank if cfg.rank is not None else rng.randint(0, n)
         proj = _orthogonal_projection(rng, n, r, bound, use_complex)
-        for _ in range(_MAX_ATTEMPTS):
-            cand = proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj
-            if rank(cand) == r:
-                return cand
-        raise GeneratorError(f"could not hit rank {r} for an ep draw of size {n}")
+        return _rejection(lambda: proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
+                          _rank_is(r), f"could not hit rank {r} for an ep draw of size {n}")
 
     if cfg.kind == "non_ep":
         # a 1x1 (or rank-0 / full-rank) matrix is always EP
@@ -157,12 +163,11 @@ def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
             raise GeneratorError("every matrix of size < 2 is ep; non_ep draw infeasible")
         if cfg.rank is not None and not (1 <= cfg.rank <= n - 1):
             raise GeneratorError("non_ep draw needs a strictly intermediate rank")
-        for _ in range(_MAX_ATTEMPTS):
+        def draw():
             r = cfg.rank if cfg.rank is not None else rng.randint(1, n - 1)
-            cand = _rand_rank_r(rng, n, r, bound, use_complex)
-            if not is_ep(cand):
-                return cand
-        raise GeneratorError(f"could not draw a non-ep matrix of size {n}")
+            return _rand_rank_r(rng, n, r, bound, use_complex)
+        return _rejection(draw, lambda m: not is_ep(m),
+                          f"could not draw a non-ep matrix of size {n}")
 
     # arbitrary
     if cfg.rank is not None:
@@ -198,23 +203,10 @@ def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
                 for i in range(n)]
         j_mat = MatrixQ.from_rows(rows) if n else MatrixQ.zeros(0, 0)
     else:
-        j_mat = None
-        for _ in range(_MAX_ATTEMPTS):
-            cand = _rand_matrix(rng, n, n, bound, use_complex)
-            if rank(cand) == n:
-                j_mat = cand
-                break
-        if j_mat is None:
-            raise GeneratorError(f"could not draw an invertible basis map of size {n}")
-
-    t1 = None
-    for _ in range(_MAX_ATTEMPTS):
-        cand = _rand_matrix(rng, k, k, bound, use_complex)
-        if rank(cand) == k:
-            t1 = cand
-            break
-    if t1 is None:
-        raise GeneratorError(f"could not draw an invertible block of size {k}")
+        j_mat = _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), _rank_is(n),
+                           f"could not draw an invertible basis map of size {n}")
+    t1 = _rejection(lambda: _rand_matrix(rng, k, k, bound, use_complex), _rank_is(k),
+                    f"could not draw an invertible block of size {k}")
     return t1, j_mat
 
 
@@ -266,7 +258,7 @@ class BatteryReport:
 
 
 def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
-                norm: Optional[PNorm] = None, size_cap: int = 8) -> BatteryReport:
+                norm: Optional[PNorm] = None) -> BatteryReport:
     """Generate one instance per config, evaluate the battery, aggregate.
 
     Within-instance truth uniformity is the tested equivalence; a mismatch
@@ -281,10 +273,10 @@ def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
     started = time.perf_counter()
 
     if theorem_id == "5.2":
-        pairs = [gen_block_pair(cfg, size_cap=size_cap) for cfg in cfgs]
+        pairs = [gen_block_pair(cfg) for cfg in cfgs]
         all_results = [prop52_battery(t1, j, norm) for t1, j in pairs]
     else:
-        mats = [gen_matrix(cfg, size_cap=size_cap) for cfg in cfgs]
+        mats = [gen_matrix(cfg) for cfg in cfgs]
         if theorem_id in _INSTANCE_BATTERIES:
             battery = _INSTANCE_BATTERIES[theorem_id]
             all_results = [battery(EPInstance.from_matrix(m)) for m in mats]

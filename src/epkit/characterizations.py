@@ -23,9 +23,11 @@ kinds:
   refutation.
 
 Verify once.  Rows hold names, never matrices or functions.  The named
-quantities live on one lazily memoised object per input: EPInstance for the
-factorized 3.x batteries, and a square-matrix counterpart built from a alone
-for 4.x and 5.x.  Each product, subspace, inverse, solve and identity check
+quantities live on one lazily memoised EPInstance per input, an MPPair
+subclass whose table extends the pair's a+, p, q and Grams with what every
+exact battery reads; the 3.x batteries take it validated from
+`EPInstance.from_matrix`, the 4.x and 5.x batteries build it from a after a
+square check.  Each product, subspace, inverse, solve and identity check
 runs at most once per object however many rows name it, yet every row still
 `_require`s its witness identities, under its own battery's message, before
 it reports the witness.  A witness that fails to re-verify raises
@@ -39,7 +41,6 @@ n×n matrices as their shapes dictate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -49,7 +50,6 @@ from .linalg import (
     ShapeError,
     SingularMatrixError,
     conj_transpose,
-    full_rank_factorize,
     inverse,
     is_invertible,
     kernel,
@@ -61,7 +61,7 @@ from .linalg import (
     subspace_equal,
 )
 from .pnorms import PNorm, is_hermitian_idempotent
-from .pseudoinverse import MPPair, is_ep, lemma38_witnesses, penrose_certificate, pinv
+from .pseudoinverse import MPPair, _penrose_from_products, is_ep, lemma38_witnesses
 
 CONSTRUCTIVE = "constructive"
 CRITERION = "criterion"
@@ -72,53 +72,13 @@ def _require(cond: bool, what: str) -> None:
         raise InternalConsistencyError(f"witness re-verification failed: {what}")
 
 
-class _Quantities:
-    """Derived quantities by name, each computed on first use and then kept.
-
-    A subclass lists its quantities in `_DEFS`, name -> function of the
-    instance.  Reading an attribute the instance does not hold yet computes
-    it from that table and stores it in the instance `__dict__` (which a
-    frozen dataclass allows, since that bypasses `__setattr__`), so every
-    later read is a plain attribute read.
-    """
-
-    _DEFS: dict = {}    # a class-level default, so `__getattr__` never recurses on it
-
-    def __getattr__(self, name: str):
-        try:
-            define = self._DEFS[name]
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}") from None
-        value = self.__dict__[name] = define(self)
-        return value
-
-    def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
-        """solve_exists on two named quantities, decided once per system."""
-        cache = self.__dict__.setdefault("_solves", {})
-        key = (a, y, side)
-        if key not in cache:
-            cache[key] = solve_exists(getattr(self, a), getattr(self, y), side=side)
-        return cache[key]
-
-
-_COMMON = {
-    "a_star": lambda m: conj_transpose(m.a),
-    "aa": lambda m: m.a_star @ m.a,                              # a* a
-    "bb": lambda m: m.a @ m.a_star,                              # a a*
-    "p_eq_q": lambda m: m.p == m.q,
-    "p_perp": lambda m: m.e_n - m.p,
-    "q_perp": lambda m: m.e_n - m.q,
-}
-
-_FACTORED = {
-    **_COMMON,
+_QUANTITIES = {
+    **MPPair._DEFS,
+    "e_r": lambda m: MatrixQ.identity(m.f.rank),
     # the products validation needs, kept for the batteries
     "bc": lambda m: m.b @ m.c,
     "a_ad": lambda m: m.a @ m.a_dagger,
     "ad_a": lambda m: m.a_dagger @ m.a,
-    "p": lambda m: m.b @ m.b_dagger,
-    "q": lambda m: m.c_dagger @ m.c,
     "is_ep": lambda m: m.a_ad == m.ad_a,
     "b_star": lambda m: conj_transpose(m.b),
     "c_star": lambda m: conj_transpose(m.c),
@@ -172,14 +132,6 @@ _FACTORED = {
     "chain_iii2": lambda m: m.bb == m.bc @ m.p @ m.cs_bs,                  # bc bb+ c*b*
     "chain_v1": lambda m: m.bb == m.a_dagger @ m.bc @ m.bc @ m.cs_bs,      # c+b+ bc bc c*b*
     "chain_vi1": lambda m: m.aa == m.bc @ m.a_dagger @ m.cs_bs @ m.bc,     # bc c+b+ c*b* bc
-}
-
-_SQUARE = {
-    **_COMMON,
-    "a_dagger": lambda m: pinv(m.a),
-    "e_n": lambda m: MatrixQ.identity(m.a.rows),
-    "p": lambda m: m.a @ m.a_dagger,
-    "q": lambda m: m.a_dagger @ m.a,
     # kernels and ranges of a against a+, a*, and of p against q, aa* against a*a
     "ker_a": lambda m: kernel(m.a),
     "rng_a": lambda m: range_space(m.a),
@@ -195,12 +147,12 @@ _SQUARE = {
     "rng_grams": lambda m: subspace_equal(range_space(m.bb), range_space(m.aa)),
     # 4.1: invertible multiples of a giving a+
     "ad2": lambda m: m.a_dagger @ m.a_dagger,
-    "s": lambda m: m.ad2 + m.p_perp,
-    "u": lambda m: m.ad2 + m.q_perp,
-    "s_a_is_ad": lambda m: m.s @ m.a == m.a_dagger,
-    "s_invertible": lambda m: is_invertible(m.s),
-    "a_u_is_ad": lambda m: m.a @ m.u == m.a_dagger,
-    "u_invertible": lambda m: is_invertible(m.u),
+    "s_dag": lambda m: m.ad2 + m.p_perp,
+    "u_dag": lambda m: m.ad2 + m.q_perp,
+    "s_a_is_ad": lambda m: m.s_dag @ m.a == m.a_dagger,
+    "s_invertible": lambda m: is_invertible(m.s_dag),
+    "a_u_is_ad": lambda m: m.a @ m.u_dag == m.a_dagger,
+    "u_invertible": lambda m: is_invertible(m.u_dag),
     "q_is_e_p": lambda m: m.q == m.e_n @ m.p,
     "q_is_p_e": lambda m: m.q == m.p @ m.e_n,
     "pq_two_sided": lambda m: m.p @ m.q @ m.p == m.q and m.q @ m.p @ m.q == m.p,
@@ -209,10 +161,10 @@ _SQUARE = {
     "a_z1_ad_is_q": lambda m: m.a @ m.z1 @ m.a_dagger == m.q,
     "ad_z2_a_is_p": lambda m: m.a_dagger @ m.z2 @ m.a == m.p,
     # 4.2: the adjoint versions, through the Lemma 3.8 witnesses (v, w)
-    "lemma38": lambda m: lemma38_witnesses(MPPair(a=m.a, a_dagger=m.a_dagger, p=m.p, q=m.q)),
+    "lemma38": lambda m: lemma38_witnesses(m),
     "w_inv": lambda m: inverse(m.lemma38[1]),
-    "s_adj": lambda m: m.w_inv @ m.s,
-    "u_adj": lambda m: m.u @ inverse(m.lemma38[0]),
+    "s_adj": lambda m: m.w_inv @ m.s_dag,
+    "u_adj": lambda m: m.u_dag @ inverse(m.lemma38[0]),
     "vhat": lambda m: m.w_inv @ m.lemma38[0],
     "what": lambda m: m.lemma38[0] @ m.w_inv,
     "z1_adj": lambda m: m.u_adj @ conj_transpose(m.u_adj),
@@ -256,42 +208,26 @@ _SQUARE = {
 
 
 @dataclass(frozen=True)
-class EPInstance(_Quantities):
-    """A square matrix with its full-rank factorization and pseudoinverses.
+class EPInstance(MPPair):
+    """A square matrix with the derived quantities of every exact battery.
 
-    Invariants (validated on construction): a = b·c, b†·b = e_r, c·c† = e_r,
-    a† = c†·b†, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b.  The derived
-    quantities of the 3.x batteries (`is_ep`, `p`, `q`, `ker_ok`, ...) are
-    attributes computed once on first read; the products validation needs
-    are among them.
+    Only a is stored.  The full-rank factorization a = b·c, b†, c†,
+    a† = c†·b†, p = b·b†, q = c†·c and the Grams come from `MPPair`; the
+    table above adds what the 3.x, 4.x and 5.x batteries read, each computed
+    once on first read.  `from_matrix` validates a = b·c, b†·b = e_r,
+    c·c† = e_r, a† = c†·b†, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b
+    and the four Penrose conditions; the products it forms (`bc`, `a_ad`,
+    `ad_a`, `p`, `q`) stay for the batteries.  The 4.x and 5.x batteries
+    build the instance from a after a square check alone.
     """
 
-    a: MatrixQ
-    b: MatrixQ
-    c: MatrixQ
-    a_dagger: MatrixQ
-    b_dagger: MatrixQ
-    c_dagger: MatrixQ
-    e_n: MatrixQ
-    e_r: MatrixQ
-
-    _DEFS = _FACTORED
+    _DEFS = _QUANTITIES
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
         if not a.is_square:
             raise ShapeError("EPInstance expects a square matrix")
-        f = full_rank_factorize(a)
-        b, c = f.b, f.c
-        bs = conj_transpose(b)
-        cs = conj_transpose(c)
-        b_dagger = inverse(bs @ b) @ bs
-        c_dagger = cs @ inverse(c @ cs)
-        a_dagger = c_dagger @ b_dagger
-        e_n = MatrixQ.identity(a.rows)
-        e_r = MatrixQ.identity(f.rank)
-        inst = cls(a=a, b=b, c=c, a_dagger=a_dagger, b_dagger=b_dagger,
-                   c_dagger=c_dagger, e_n=e_n, e_r=e_r)
+        inst = cls(a=a)
         inst._validate()
         return inst
 
@@ -304,24 +240,20 @@ class EPInstance(_Quantities):
         _require(self.ad_a == self.q, "a+ a = c+ c")
         _require(self.c @ self.a_dagger == self.b_dagger, "b+ = c a+")
         _require(self.a_dagger @ self.b == self.c_dagger, "c+ = a+ b")
-        _require(penrose_certificate(self.a, self.a_dagger).valid,
+        _require(_penrose_from_products(self.a, self.a_dagger, self.a_ad, self.ad_a).valid,
                  "four-condition certificate for a+")
 
     @property
     def rank(self) -> int:
-        return self.e_r.rows
+        return self.f.rank
 
 
-class _Square(_Quantities):
-    """A square matrix a with the derived quantities of the 4.x and 5.x
-    batteries, starting from a+ = pinv(a)."""
-
-    _DEFS = _SQUARE
-
-    def __init__(self, a: MatrixQ, caller: str):
-        if not a.is_square:
-            raise ShapeError(f"{caller} expects a square matrix")
-        self.a = a
+def _square(a: MatrixQ, caller: str) -> EPInstance:
+    """EPInstance of a square a for the 4.x and 5.x batteries, without
+    `_validate`: they never read the products it forms beyond a+, p and q."""
+    if not a.is_square:
+        raise ShapeError(f"{caller} expects a square matrix")
+    return EPInstance(a=a)
 
 
 @dataclass(frozen=True)
@@ -568,12 +500,12 @@ _E_RIGHT_41 = (("q_is_p_e", "4.1 a+a = aa+ w with w = e"),)
 
 _T41 = (
     _criterion("i", "p_eq_q"),
-    _exists("ii", "ker_dagger", _S_41, s="s"),
+    _exists("ii", "ker_dagger", _S_41, s="s_dag"),
     _solvable("iii", s1=("a", "a_dagger", "left"), s2=("a_dagger", "a", "left")),
-    _exists("iv", "rng_dagger", _U_41, u="u"),
+    _exists("iv", "rng_dagger", _U_41, u="u_dag"),
     _solvable("v", u1=("a", "a_dagger", "right"), u2=("a_dagger", "a", "right")),
-    _exists("vi", "rng_dagger", _U_41, t="u"),
-    _exists("vii", "ker_dagger", _S_41, x="s"),
+    _exists("vi", "rng_dagger", _U_41, t="u_dag"),
+    _exists("vii", "ker_dagger", _S_41, x="s_dag"),
     _exists("viii", "ker_pq", _E_LEFT_41, v="e_n"),
     _exists("ix", "ker_pq", _E_LEFT_41, v1="e_n"),
     _solvable("x", v2=("p", "q", "left"), v3=("q", "p", "left")),
@@ -587,7 +519,7 @@ _T41 = (
 
 
 def thm41_battery(a: MatrixQ) -> list:
-    return _evaluate("4.1", _Square(a, "thm41_battery"), _T41)
+    return _evaluate("4.1", _square(a, "thm41_battery"), _T41)
 
 
 # -- Battery 4.2: the adjoint versions, via the invertible norm witnesses --
@@ -623,7 +555,7 @@ _T42 = (
 
 
 def thm42_battery(a: MatrixQ) -> list:
-    return _evaluate("4.2", _Square(a, "thm42_battery"), _T42)
+    return _evaluate("4.2", _square(a, "thm42_battery"), _T42)
 
 
 # -- Block decomposition (5.x family) ---------------------------------------
@@ -634,13 +566,7 @@ def _oplus_zero(top_left: MatrixQ, n: int) -> MatrixQ:
     k = top_left.rows
     if top_left.cols != k or k > n:
         raise ShapeError("block must be square and fit the ambient size")
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(top_left.entry(i, j) if i < k and j < k else 0)
-        rows.append(row)
-    return MatrixQ.from_rows(rows) if n > 0 else MatrixQ.zeros(0, 0)
+    return top_left.hstack(MatrixQ.zeros(k, n - k)).vstack(MatrixQ.zeros(n - k, n))
 
 
 def thm53_decompose(t: MatrixQ):
@@ -650,10 +576,10 @@ def thm53_decompose(t: MatrixQ):
     j the column concatenation of a range basis and a kernel basis, and
     q1 = j (e ⊕ 0) j⁻¹ a self-adjoint idempotent equal to t·t†.
     """
-    return _Square(t, "thm53_decompose").decomposition
+    return _square(t, "thm53_decompose").decomposition
 
 
-def _decompose(m: _Square) -> Optional[tuple]:
+def _decompose(m: EPInstance) -> Optional[tuple]:
     if not m.p_eq_q:
         return None
     _require(m.j.rows == m.a.rows and m.j.cols == m.a.rows and m.j_invertible,
@@ -692,7 +618,7 @@ _T55 = (
 def thm55_battery(t: MatrixQ) -> list:
     """Two statements: shared-right-factor and shared-left-factor forms
     for t and t† together; each combines its two clauses."""
-    return _evaluate("5.5", _Square(t, "thm55_battery"), _T55)
+    return _evaluate("5.5", _square(t, "thm55_battery"), _T55)
 
 
 _FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
@@ -721,7 +647,7 @@ _T56 = (
 
 def thm56_battery(a: MatrixQ) -> list:
     """Four statements factoring a and a† with matched kernel/range conditions."""
-    return _evaluate("5.6", _Square(a, "thm56_battery"), _T56)
+    return _evaluate("5.6", _square(a, "thm56_battery"), _T56)
 
 
 # -- Battery 5.2: norm-relative statements on a conjugated block map ----
@@ -750,9 +676,7 @@ def _is_isometry(j: MatrixQ, norm: PNorm) -> bool:
     return True
 
 
-def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm, *,
-                   grid: int = 1024, t_max: float = 2.0 * math.pi,
-                   tol_pass: float = 1e-9, tol_fail: float = 1e-6) -> list:
+def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
     """Four statements about t = j (t1 ⊕ 0) j⁻¹ under the given norm.
 
     The hermitian-idempotent verdicts come from the norm checker; an
@@ -782,9 +706,8 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm, *,
     _require(q1 + q2 == e_n, "5.2 complementary block projections")
 
     iso = _is_isometry(j, norm)
-    kwargs = dict(grid=grid, t_max=t_max, tol_pass=tol_pass, tol_fail=tol_fail)
-    truth1, rep1 = is_hermitian_idempotent(q1, norm, **kwargs)
-    truth2, rep2 = is_hermitian_idempotent(q2, norm, **kwargs)
+    truth1, rep1 = is_hermitian_idempotent(q1, norm)
+    truth2, rep2 = is_hermitian_idempotent(q2, norm)
 
     def settle(truth, rep):
         note = f"hermitian check: {rep.verdict}, max deviation {rep.max_deviation:.3e}"

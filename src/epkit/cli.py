@@ -21,7 +21,7 @@ from .battery import GeneratorConfig, GeneratorError, child_seed, run_battery
 from .exactnum import ScalarParseError, as_scalar, format_scalar, parse_scalar
 from .linalg import MatrixQ, ShapeError
 from .pnorms import PNorm, PowerIterationError, hermitian_check, parse_p
-from .pseudoinverse import penrose_certificate, pinv
+from .pseudoinverse import MPPair, penrose_certificate, pinv
 
 EXIT_PASS = 0
 EXIT_PROPERTY_FALSE = 1
@@ -112,16 +112,13 @@ def cmd_ep(args) -> int:
     a = read_matrix(args.input)
     if not a.is_square:
         raise InputError(f"ep check needs a square matrix, got {a.rows}x{a.cols}")
-    ad = pinv(a)
-    p = a @ ad
-    q = ad @ a
-    ep = p == q
-    sys.stdout.write(f"EP: {'yes' if ep else 'no'}\n")
+    pair = MPPair(a=a)
+    sys.stdout.write(f"EP: {'yes' if pair.p_eq_q else 'no'}\n")
     sys.stdout.write("p = a a+:\n")
-    sys.stdout.write(format_matrix(p))
+    sys.stdout.write(format_matrix(pair.p))
     sys.stdout.write("q = a+ a:\n")
-    sys.stdout.write(format_matrix(q))
-    return EXIT_PASS if ep else EXIT_PROPERTY_FALSE
+    sys.stdout.write(format_matrix(pair.q))
+    return EXIT_PASS if pair.p_eq_q else EXIT_PROPERTY_FALSE
 
 
 def battery_configs(theorem_id: str, trials: int, size: int, seed: int) -> list:

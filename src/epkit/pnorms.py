@@ -225,26 +225,19 @@ def hermitian_check(
     )
 
 
-def is_hermitian_idempotent(
-    a: MatrixQ,
-    norm: PNorm,
-    grid: int = 1024,
-    t_max: float = 2.0 * math.pi,
-    tol_pass: float = 1e-9,
-    tol_fail: float = 1e-6,
-) -> tuple:
+def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
     """(truth, report) for "a is a hermitian idempotent" under the given norm.
 
     Idempotency is decided exactly on the rational matrix.  Hermitian-ness
-    goes through hermitian_check on the float image; for p=2 the verdict is
-    cross-checked against exact self-adjointness, which then decides truth
-    (so p=2 never returns None).  For p != 2 an inconclusive grid verdict
-    yields truth None.
+    goes through hermitian_check, with its default grid and tolerances, on
+    the float image; for p=2 the verdict is cross-checked against exact
+    self-adjointness, which then decides truth (so p=2 never returns None).
+    For p != 2 an inconclusive grid verdict yields truth None.
     """
     if not a.is_square:
         raise ShapeError("is_hermitian_idempotent expects a square matrix")
     idem = (a @ a) == a
-    report = hermitian_check(a, norm, grid=grid, t_max=t_max, tol_pass=tol_pass, tol_fail=tol_fail)
+    report = hermitian_check(a, norm)
     if norm.p == 2:
         truth = idem and (conj_transpose(a) == a)
         return truth, report

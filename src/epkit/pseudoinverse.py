@@ -1,12 +1,20 @@
 """Exact Moore-Penrose inverses and the EP property.
 
-The pseudoinverse is computed through the full-rank factorization a = B C:
+Everything goes through the full-rank factorization a = b c, with b of full
+column rank and c of full row rank:
 
-    a^+ = C* (C C*)^-1 (B* B)^-1 B*
+    b^+ = (b* b)^-1 b*,   c^+ = c* (c c*)^-1,   a^+ = c^+ b^+
 
 which is exact over the Gaussian rationals for any rank (rank 0 gives the
-zero matrix of transposed shape).  `penrose_certificate` re-checks the four
-defining conditions from scratch, and `is_ep` decides a a^+ == a^+ a exactly.
+zero matrix of transposed shape).  `factor_daggers` is the one place that
+forms b^+ and c^+.  `penrose_certificate` re-checks the four defining
+conditions from scratch.
+
+`MPPair` is the one lazily memoised object per square matrix: it holds only
+a, and a name table derives the factorization, b^+, c^+, a^+, the
+projections p = b b^+ = a a^+ and q = c^+ c = a^+ a, the Grams a* a and
+a a*, and the identity, each once, on first read.  `is_ep` decides
+p == q exactly on it.
 
 `lemma38_witnesses` / `lemma38_factor_witnesses` build the invertible
 elements v, w with a^+ = a* v = w a* (and the related factor identities) and
@@ -16,6 +24,7 @@ re-verify every claimed identity before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .linalg import (
     FullRankFactorization,
@@ -26,7 +35,15 @@ from .linalg import (
     full_rank_factorize,
     inverse,
     is_invertible,
+    solve_exists,
 )
+
+
+def factor_daggers(f: FullRankFactorization) -> tuple:
+    """(b^+, c^+) of a full-rank factorization: (b* b)^-1 b* and c* (c c*)^-1."""
+    bs = conj_transpose(f.b)
+    cs = conj_transpose(f.c)
+    return inverse(bs @ f.b) @ bs, cs @ inverse(f.c @ cs)
 
 
 def pinv(a: MatrixQ) -> MatrixQ:
@@ -36,10 +53,8 @@ def pinv(a: MatrixQ) -> MatrixQ:
 
 
 def pinv_from_factorization(f: FullRankFactorization) -> MatrixQ:
-    b, c = f.b, f.c
-    bs = conj_transpose(b)
-    cs = conj_transpose(c)
-    return cs @ inverse(c @ cs) @ inverse(bs @ b) @ bs
+    b_dagger, c_dagger = factor_daggers(f)
+    return c_dagger @ b_dagger
 
 
 @dataclass(frozen=True)
@@ -67,8 +82,12 @@ def penrose_certificate(a: MatrixQ, x: MatrixQ) -> PenroseCertificate:
         raise ShapeError(
             f"candidate inverse must be {a.cols}x{a.rows}, got {x.rows}x{x.cols}"
         )
-    ax = a @ x
-    xa = x @ a
+    return _penrose_from_products(a, x, a @ x, x @ a)
+
+
+def _penrose_from_products(a: MatrixQ, x: MatrixQ,
+                           ax: MatrixQ, xa: MatrixQ) -> PenroseCertificate:
+    """The certificate from products a x and x a the caller already holds."""
     return PenroseCertificate(
         cond1_residual=(ax @ a) - a,
         cond2_residual=(xa @ x) - x,
@@ -77,38 +96,83 @@ def penrose_certificate(a: MatrixQ, x: MatrixQ) -> PenroseCertificate:
     )
 
 
+class _Quantities:
+    """Derived quantities by name, each computed on first use and then kept.
+
+    A subclass lists its quantities in `_DEFS`, name -> function of the
+    instance.  Reading an attribute the instance does not hold yet computes
+    it from that table and stores it in the instance `__dict__` (which a
+    frozen dataclass allows, since that bypasses `__setattr__`), so every
+    later read is a plain attribute read.
+    """
+
+    _DEFS: dict = {}    # a class-level default, so `__getattr__` never recurses on it
+
+    def __getattr__(self, name: str):
+        try:
+            define = self._DEFS[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        value = self.__dict__[name] = define(self)
+        return value
+
+    def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
+        """solve_exists on two named quantities, decided once per system."""
+        cache = self.__dict__.setdefault("_solves", {})
+        key = (a, y, side)
+        if key not in cache:
+            cache[key] = solve_exists(getattr(self, a), getattr(self, y), side=side)
+        return cache[key]
+
+
 @dataclass(frozen=True)
-class MPPair:
+class MPPair(_Quantities):
     """A square matrix with its pseudoinverse and the two associated projections.
 
-    p = a a^+ projects onto range(a); q = a^+ a has kernel(a) as kernel.
-    Both are exact hermitian idempotents; the constructor re-verifies that.
+    Only a is stored.  a^+ = c^+ b^+ from the full-rank factorization a = b c;
+    p = b b^+ = a a^+ projects onto range(a); q = c^+ c = a^+ a has kernel(a)
+    as kernel.  `from_matrix` checks that a is square and re-verifies that p
+    and q are exact hermitian idempotents.
     """
 
     a: MatrixQ
-    a_dagger: MatrixQ
-    p: MatrixQ
-    q: MatrixQ
+
+    _DEFS = {
+        "f": lambda m: full_rank_factorize(m.a),
+        "b": lambda m: m.f.b,
+        "c": lambda m: m.f.c,
+        "daggers": lambda m: factor_daggers(m.f),
+        "b_dagger": lambda m: m.daggers[0],
+        "c_dagger": lambda m: m.daggers[1],
+        "a_dagger": lambda m: m.c_dagger @ m.b_dagger,
+        "p": lambda m: m.b @ m.b_dagger,
+        "q": lambda m: m.c_dagger @ m.c,
+        "e_n": lambda m: MatrixQ.identity(m.a.rows),
+        "a_star": lambda m: conj_transpose(m.a),
+        "aa": lambda m: m.a_star @ m.a,                              # a* a
+        "bb": lambda m: m.a @ m.a_star,                              # a a*
+        "p_eq_q": lambda m: m.p == m.q,
+        "p_perp": lambda m: m.e_n - m.p,
+        "q_perp": lambda m: m.e_n - m.q,
+    }
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "MPPair":
         if not a.is_square:
             raise ShapeError("MPPair expects a square matrix")
-        x = pinv(a)
-        p = a @ x
-        q = x @ a
-        for proj in (p, q):
+        pair = cls(a=a)
+        for proj in (pair.p, pair.q):
             if proj @ proj != proj or conj_transpose(proj) != proj:
                 raise InternalConsistencyError("a a^+ / a^+ a not a hermitian idempotent")
-        return cls(a=a, a_dagger=x, p=p, q=q)
+        return pair
 
 
 def is_ep(a: MatrixQ) -> bool:
     """True when a a^+ == a^+ a (exact).  Square input required."""
     if not a.is_square:
         raise ShapeError("is_ep expects a square matrix")
-    x = pinv(a)
-    return (a @ x) == (x @ a)
+    return MPPair(a=a).p_eq_q
 
 
 def lemma38_witnesses(pair: MPPair) -> tuple:
@@ -118,23 +182,19 @@ def lemma38_witnesses(pair: MPPair) -> tuple:
     w = e - q + a^+ (a^+)*  satisfies  a^+ = w a*,  w a* a = a* a w = q.
     All identities (and invertibility) are re-verified exactly.
     """
-    a, x, p, q = pair.a, pair.a_dagger, pair.p, pair.q
-    e = MatrixQ.identity(a.rows)
+    x, p, q, a_star = pair.a_dagger, pair.p, pair.q, pair.a_star
     xs = conj_transpose(x)
-    a_star = conj_transpose(a)
-    v = (e - p) + (xs @ x)
-    w = (e - q) + (x @ xs)
-    aas = a @ a_star
-    asa = a_star @ a
+    v = pair.p_perp + (xs @ x)
+    w = pair.q_perp + (x @ xs)
     checks = (
         is_invertible(v),
         is_invertible(w),
         a_star @ v == x,
         w @ a_star == x,
-        aas @ v == p,
-        v @ aas == p,
-        w @ asa == q,
-        asa @ w == q,
+        pair.bb @ v == p,
+        v @ pair.bb == p,
+        w @ pair.aa == q,
+        pair.aa @ w == q,
     )
     if not all(checks):
         raise InternalConsistencyError("lemma38 witness identities failed")
@@ -169,18 +229,17 @@ def lemma38_factor_witnesses(f: FullRankFactorization, pair: MPPair) -> Lemma38F
         raise ValueError("factorization does not reproduce the matrix of the pair")
     v, w = lemma38_witnesses(pair)
     b, c = f.b, f.c
-    bs = conj_transpose(b)
-    cs = conj_transpose(c)
-    bp = inverse(bs @ b) @ bs  # b^+ for full column rank b
-    cp = cs @ inverse(c @ cs)  # c^+ for full row rank c
+    bp, cp = factor_daggers(f)
     bps = conj_transpose(bp)
     cps = conj_transpose(cp)
     e_r = MatrixQ.identity(f.rank)
     g_b = bp @ bps
     g_c = cps @ cp
+    bsb = conj_transpose(b) @ b
+    ccs = c @ conj_transpose(c)
     return Lemma38FactorChecks(
-        bpinv_gram_inverse_ok=(g_b @ (bs @ b) == e_r and (bs @ b) @ g_b == e_r),
-        cpinv_gram_inverse_ok=(g_c @ (c @ cs) == e_r and (c @ cs) @ g_c == e_r),
+        bpinv_gram_inverse_ok=(g_b @ bsb == e_r and bsb @ g_b == e_r),
+        cpinv_gram_inverse_ok=(g_c @ ccs == e_r and ccs @ g_c == e_r),
         vb_identity_ok=(v @ b == bps @ cps @ cp),
         cw_identity_ok=(c @ w == bp @ bps @ cps),
     )

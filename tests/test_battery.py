@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from epkit import battery
 from epkit.battery import (
     KINDS,
     SUPPORTED_THEOREMS,
@@ -111,6 +112,32 @@ def test_validation_never_fires_bulk():
         a = gen_matrix(GeneratorConfig(seed=child_seed(77, i), n=n))
         inst = EPInstance.from_matrix(a)
         assert inst.a is a
+
+
+def test_rejection_budget_exhausted(monkeypatch, capsys):
+    from epkit.cli import main
+
+    monkeypatch.setattr(battery, "_MAX_ATTEMPTS", 0)
+    draws = {
+        "invertible": "could not draw an invertible matrix of size 3",
+        "ep": "could not draw a rank-2 projection of size 3",
+        "non_ep": "could not draw a non-ep matrix of size 3",
+        "arbitrary": "could not draw a rank-2 matrix of size 3",
+    }
+    for kind, message in draws.items():
+        rank = 3 if kind == "invertible" else 2
+        with pytest.raises(GeneratorError, match=message):
+            gen_matrix(GeneratorConfig(seed=5, n=3, kind=kind, rank=rank))
+    # seeds whose coin flip draws j as a permutation and as an invertible map
+    messages = set()
+    for seed in range(8):
+        with pytest.raises(GeneratorError) as err:
+            gen_block_pair(GeneratorConfig(seed=seed, n=3, rank=2))
+        messages.add(str(err.value))
+    assert messages == {"could not draw an invertible block of size 2",
+                        "could not draw an invertible basis map of size 3"}
+    assert main(["battery", "--theorem", "3.2", "--trials", "2", "--size", "3"]) == 2
+    assert "could not draw" in capsys.readouterr().err
 
 
 def test_gen_block_pair():

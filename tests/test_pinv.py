@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from epkit.characterizations import EPInstance
 from epkit.exactnum import GaussianRational
 from epkit.linalg import (
     InternalConsistencyError,
@@ -145,6 +146,39 @@ def test_mppair():
     assert pair.q == MatrixQ.diagonal([0, 1])
     with pytest.raises(ShapeError):
         MPPair.from_matrix(MatrixQ.zeros(1, 2))
+
+
+def test_memoised_quantities_match_pinv():
+    # MPPair and EPInstance derive a+, p and q through the factor daggers;
+    # they must equal the products of the rectangular pinv route, and is_ep
+    # must agree with a a+ == a+ a, over real and complex draws of every rank
+    rng = random.Random(50)
+    cases = [MatrixQ.zeros(0, 0)]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        cases.append(rand_with_rank(rng, n, n, rng.randint(0, n)))
+    cases += [MatrixQ.from_rows([[1, "1i"], [0, 0]]), MatrixQ.from_rows([["1i", 0], [0, 0]])]
+    ranks = set()
+    for a in cases:
+        x = pinv(a)
+        ranks.add((a.rows, rank(a)))
+        for m in (MPPair.from_matrix(a), EPInstance.from_matrix(a)):
+            assert m.a_dagger == x
+            assert m.p == a @ x
+            assert m.q == x @ a
+        assert is_ep(a) == ((a @ x) == (x @ a))
+    assert {(0, 0), (3, 0), (3, 3)} <= ranks and {(4, r) for r in range(5)} <= ranks
+
+
+def test_lemma38_witnesses_cold_and_warm():
+    rng = random.Random(51)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        a = rand_with_rank(rng, n, n, rng.randint(0, n))
+        cold = lemma38_witnesses(MPPair(a=a))
+        warm = MPPair(a=a)
+        assert warm.aa == conj_transpose(a) @ a and warm.bb == a @ conj_transpose(a)
+        assert lemma38_witnesses(warm) == cold
 
 
 def test_invertible_norm_witnesses():

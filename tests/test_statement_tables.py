@@ -134,10 +134,21 @@ def test_every_listed_check_is_required():
                 if tid.startswith("3."):
                     m = EPInstance.from_matrix(DIAG20)
                 else:
-                    m = chz._Square(DIAG20, "test")
+                    m = EPInstance(a=DIAG20)
                 m.__dict__[name] = False
                 # 5.5 first runs the 5.3 decomposition, which requires the
                 # same block identities under its own messages
                 pattern = re.escape(what) + ("|5\\.3 " if tid == "5.5" else "")
                 with pytest.raises(InternalConsistencyError, match=pattern):
                     chz._evaluate(tid, m, (row,))
+
+
+def test_penrose_certificate_reads_the_held_products(monkeypatch):
+    # _validate builds the four-condition certificate from the a a+ it holds;
+    # a wrong a_ad (matched by p, so the earlier a a+ = b b+ check passes)
+    # must still be caught under the certificate's message
+    zero = MatrixQ.zeros(2, 2)
+    monkeypatch.setitem(EPInstance._DEFS, "a_ad", lambda m: zero)
+    monkeypatch.setitem(EPInstance._DEFS, "p", lambda m: zero)
+    with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
+        EPInstance.from_matrix(DIAG20)
