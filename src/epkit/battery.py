@@ -33,7 +33,7 @@ from .characterizations import (
     thm55_battery,
     thm56_battery,
 )
-from .exactnum import GaussianRational
+from .exactnum import GaussianRational, I_UNIT, ONE
 from .linalg import MatrixQ, conj_transpose, inverse, rank
 from .pnorms import PNorm
 from .pseudoinverse import is_ep
@@ -195,13 +195,9 @@ def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
     if rng.random() < 0.5:
         perm = list(range(n))
         rng.shuffle(perm)
-        units = [GaussianRational(Fraction(1), Fraction(0)),
-                 GaussianRational(Fraction(-1), Fraction(0)),
-                 GaussianRational(Fraction(0), Fraction(1)),
-                 GaussianRational(Fraction(0), Fraction(-1))]
-        rows = [[units[rng.randrange(4)] if j == perm[i] else 0 for j in range(n)]
-                for i in range(n)]
-        j_mat = MatrixQ.from_rows(rows) if n else MatrixQ.zeros(0, 0)
+        units = (ONE, -ONE, I_UNIT, -I_UNIT)
+        j_mat = MatrixQ.from_rows([[units[rng.randrange(4)] if j == perm[i] else 0
+                                    for j in range(n)] for i in range(n)])
     else:
         j_mat = _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), _rank_is(n),
                            f"could not draw an invertible basis map of size {n}")

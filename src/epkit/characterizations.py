@@ -235,7 +235,6 @@ class EPInstance(MPPair):
         _require(self.bc == self.a, "instance factorization b c = a")
         _require(self.b_dagger @ self.b == self.e_r, "b+ b = e")
         _require(self.c @ self.c_dagger == self.e_r, "c c+ = e")
-        _require(self.c_dagger @ self.b_dagger == self.a_dagger, "a+ = c+ b+")
         _require(self.a_ad == self.p, "a a+ = b b+")
         _require(self.ad_a == self.q, "a+ a = c+ c")
         _require(self.c @ self.a_dagger == self.b_dagger, "b+ = c a+")
@@ -660,20 +659,29 @@ def _res(thm: str, stmt: str, truth, route: str, witness=None, note=None) -> Sta
 
 
 def _is_isometry(j: MatrixQ, norm: PNorm) -> bool:
-    """Exact isometry test for the vector p-norm the operator norm is induced by."""
-    n = j.rows
-    if norm.p == 2:
-        return conj_transpose(j) @ j == MatrixQ.identity(n)
-    # p = 1 or inf: exactly the generalized permutations with unit-modulus entries
-    for i in range(n):
-        row_nz = [j.entry(i, jj) for jj in range(n) if not j.entry(i, jj).is_zero()]
-        if len(row_nz) != 1 or row_nz[0].abs2() != 1:
-            return False
-    for jj in range(n):
-        col_nz = [j.entry(i, jj) for i in range(n) if not j.entry(i, jj).is_zero()]
-        if len(col_nz) != 1:
-            return False
-    return True
+    """Exact isometry test for the vector p-norm the operator norm is induced by.
+
+    p = 2: j is unitary.  p = 1 or inf: j is a generalized permutation with
+    unit-modulus entries, that is, unitary with one nonzero entry per row
+    (an invertible matrix with n nonzeros has one in each column, and the
+    columns of a unitary matrix have unit norm).
+    """
+    if conj_transpose(j) @ j != MatrixQ.identity(j.rows):
+        return False
+    return norm.p == 2 or all(
+        sum(not x.is_zero() for x in j.row(i)) == 1 for i in range(j.rows))
+
+
+def _settle(q: MatrixQ, norm: PNorm, iso: bool) -> tuple:
+    """(truth, note) for "q is a hermitian idempotent"; an exact isometry
+    of the basis map settles an inconclusive grid verdict."""
+    truth, rep = is_hermitian_idempotent(q, norm)
+    note = f"hermitian check: {rep.verdict}, max deviation {rep.max_deviation:.3e}"
+    if iso:
+        if truth is None:
+            truth, note = True, note + "; settled by exact isometry of the basis map"
+        note += "; basis map is an isometry for this norm"
+    return truth, note
 
 
 def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
@@ -699,27 +707,17 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
     t_prime = j @ _oplus_zero(t1_inv, n) @ j_inv
     q1 = j @ d1 @ j_inv
     q2 = j @ (e_n - d1) @ j_inv
+    tt_prime = t @ t_prime
+    t_prime_t = t_prime @ t
     # algebra that holds for every invertible t1, j
-    _require(t @ t_prime == q1 and t_prime @ t == q1, "5.2 t t' = t' t = q1")
-    _require(t @ t_prime @ t == t and t_prime @ t @ t_prime == t_prime,
+    _require(tt_prime == q1 and t_prime_t == q1, "5.2 t t' = t' t = q1")
+    _require(tt_prime @ t == t and t_prime_t @ t_prime == t_prime,
              "5.2 t' is a normalized generalized inverse")
     _require(q1 + q2 == e_n, "5.2 complementary block projections")
 
     iso = _is_isometry(j, norm)
-    truth1, rep1 = is_hermitian_idempotent(q1, norm)
-    truth2, rep2 = is_hermitian_idempotent(q2, norm)
-
-    def settle(truth, rep):
-        note = f"hermitian check: {rep.verdict}, max deviation {rep.max_deviation:.3e}"
-        if truth is None and iso:
-            return True, note + "; settled by exact isometry of the basis map"
-        return truth, note
-
-    truth1, note1 = settle(truth1, rep1)
-    truth2, note2 = settle(truth2, rep2)
-    if iso:
-        note1 += "; basis map is an isometry for this norm"
-        note2 += "; basis map is an isometry for this norm"
+    truth1, note1 = _settle(q1, norm, iso)
+    truth2, note2 = _settle(q2, norm, iso)
 
     results = []
     if truth1:

@@ -40,7 +40,7 @@ def parse_matrix_obj(obj) -> MatrixQ:
     if missing:
         raise InputError(f"matrix file missing keys: {', '.join(missing)}")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 0 or cols < 0:
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in (rows, cols)):
         raise InputError("rows and cols must be nonnegative integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise InputError(f"expected {rows} entry rows")
@@ -67,7 +67,10 @@ def read_matrix(path: str) -> MatrixQ:
             obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, nesting too deep, or an integer beyond the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return parse_matrix_obj(obj)
 
@@ -170,9 +173,12 @@ def cmd_hermitian(args) -> int:
         raise InputError(str(exc)) from exc
     if args.grid < 2:
         raise InputError("--grid must be at least 2")
-    if args.tmax <= 0:
-        raise InputError("--tmax must be positive")
-    rep = hermitian_check(a, norm, grid=args.grid, t_max=args.tmax)
+    if not (math.isfinite(args.tmax) and args.tmax > 0):
+        raise InputError("--tmax must be finite and positive")
+    try:
+        rep = hermitian_check(a, norm, grid=args.grid, t_max=args.tmax)
+    except OverflowError as exc:
+        raise InputError(f"entries too large for the floating-point check: {exc}") from exc
     sys.stdout.write(f"verdict: {rep.verdict}\n")
     sys.stdout.write(f"max deviation of |exp(i t a)| from 1: {rep.max_deviation:.12g} "
                      f"at t = {rep.argmax_t:.12g}\n")

@@ -166,6 +166,8 @@ def parse_scalar(text: str) -> GaussianRational:
             return GaussianRational(Fraction(m.group(1)), im)
     except ZeroDivisionError:
         raise ScalarParseError(f"zero denominator in scalar: {text!r}") from None
+    except ValueError as exc:  # more digits than int() may convert
+        raise ScalarParseError(f"scalar out of range: {exc}") from None
     raise ScalarParseError(f"invalid scalar: {text!r}")
 
 

@@ -23,6 +23,8 @@ from .linalg import MatrixQ, ShapeError, conj_transpose
 
 POWER_ITERATION_RTOL = 1e-12
 POWER_ITERATION_MAX_ITER = 20000
+HERMITIAN_TOL_PASS = 1e-9  # max deviation at or below this: hermitian
+HERMITIAN_TOL_FAIL = 1e-6  # max deviation at or above this: not_hermitian
 EXPM_SERIES_TERMS = 24
 
 _P_VALUES = (1, 2, math.inf)
@@ -70,13 +72,21 @@ def op_norm(a, norm: PNorm) -> float:
     n, m = arr.shape
     if n != m:
         raise ShapeError("op_norm expects a square matrix")
+    return float(_op_norms(arr[None, :, :], norm)[0])
+
+
+def _op_norms(mats: np.ndarray, norm: PNorm) -> np.ndarray:
+    """Induced p-norm of each slice of a (g, n, n) stack; 0 when n = 0.
+
+    p = 1 is the largest column sum of moduli, p = inf the largest row sum,
+    p = 2 the largest singular value by power iteration.
+    """
+    g, n, _ = mats.shape
     if n == 0:
-        return 0.0
-    if norm.p == 1:
-        return float(np.abs(arr).sum(axis=0).max())
-    if norm.p == math.inf:
-        return float(np.abs(arr).sum(axis=1).max())
-    return float(_spectral_norm_batch(arr[None, :, :])[0])
+        return np.zeros(g)
+    if norm.p == 2:
+        return _spectral_norm_batch(mats)
+    return np.abs(mats).sum(axis=1 if norm.p == 1 else 2).max(axis=1)
 
 
 def _spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
@@ -98,8 +108,6 @@ def _spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
     than return an under-converged value.
     """
     g, n, _ = mats.shape
-    if n == 0:
-        return np.zeros(g)
     b = np.conj(np.transpose(mats, (0, 2, 1))) @ mats
     scale = np.abs(b).sum(axis=(1, 2))
     zero = scale == 0.0
@@ -144,8 +152,7 @@ def _expm_batch(mats: np.ndarray) -> np.ndarray:
     g, n, _ = mats.shape
     if n == 0:
         return mats.copy()
-    nrm = np.abs(mats).sum(axis=1).max(axis=1)  # 1-norm per slice
-    top = float(nrm.max())
+    top = float(_op_norms(mats, PNorm(1)).max())
     s = max(0, int(math.ceil(math.log2(top / 0.5))) ) if top > 0.5 else 0
     t = mats / (2.0 ** s)
     eye = np.broadcast_to(np.eye(n, dtype=complex), (g, n, n))
@@ -177,40 +184,31 @@ def hermitian_check(
     norm: PNorm,
     grid: int = 1024,
     t_max: float = 2.0 * math.pi,
-    tol_pass: float = 1e-9,
-    tol_fail: float = 1e-6,
 ) -> HermitianCheckReport:
     """Sample ||exp(i t a)|| over a symmetric t-grid and classify.
 
-    Verdict: hermitian when the max deviation from 1 stays <= tol_pass,
-    not_hermitian when some grid point deviates >= tol_fail, inconclusive
-    in between.  A grid pass is evidence, not proof, of the for-all-t
-    property; the report keeps the grid parameters for that reason.
+    Verdict: hermitian when the max deviation from 1 stays at or below the
+    module constant HERMITIAN_TOL_PASS, not_hermitian when some grid point
+    deviates by HERMITIAN_TOL_FAIL or more, inconclusive in between.  A
+    grid pass is evidence, not proof, of the for-all-t property; the report
+    keeps the grid parameters and both tolerances for that reason.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
-    if not (0 < tol_pass <= tol_fail):
-        raise ValueError("need 0 < tol_pass <= tol_fail")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError("t_max must be finite and positive")
     arr = _as_array(a)
     n, m = arr.shape
     if n != m:
         raise ShapeError("hermitian_check expects a square matrix")
     ts = np.linspace(-t_max, t_max, grid)
     exps = _expm_batch(1j * ts[:, None, None] * arr)
-    if norm.p == 1:
-        norms = np.abs(exps).sum(axis=1).max(axis=1)
-    elif norm.p == math.inf:
-        norms = np.abs(exps).sum(axis=2).max(axis=1)
-    else:
-        norms = _spectral_norm_batch(exps)
-    dev = np.abs(norms - 1.0)
+    dev = np.abs(_op_norms(exps, norm) - 1.0)
     idx = int(dev.argmax())
     max_dev = float(dev[idx])
-    if max_dev <= tol_pass:
+    if max_dev <= HERMITIAN_TOL_PASS:
         verdict = "hermitian"
-    elif max_dev >= tol_fail:
+    elif max_dev >= HERMITIAN_TOL_FAIL:
         verdict = "not_hermitian"
     else:
         verdict = "inconclusive"
@@ -219,8 +217,8 @@ def hermitian_check(
         argmax_t=float(ts[idx]),
         grid_size=grid,
         t_max=t_max,
-        tol_pass=tol_pass,
-        tol_fail=tol_fail,
+        tol_pass=HERMITIAN_TOL_PASS,
+        tol_fail=HERMITIAN_TOL_FAIL,
         verdict=verdict,
     )
 
@@ -228,11 +226,12 @@ def hermitian_check(
 def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
     """(truth, report) for "a is a hermitian idempotent" under the given norm.
 
-    Idempotency is decided exactly on the rational matrix.  Hermitian-ness
-    goes through hermitian_check, with its default grid and tolerances, on
-    the float image; for p=2 the verdict is cross-checked against exact
-    self-adjointness, which then decides truth (so p=2 never returns None).
-    For p != 2 an inconclusive grid verdict yields truth None.
+    Idempotency is decided exactly on the rational matrix.  For p=2 truth
+    is exact self-adjointness plus idempotency (so p=2 never returns None);
+    the float report of hermitian_check is returned alongside but does not
+    enter the truth.  For p != 2 hermitian-ness is the grid verdict of
+    hermitian_check, with its default grid, on the float image, and an
+    inconclusive verdict yields truth None.
     """
     if not a.is_square:
         raise ShapeError("is_hermitian_idempotent expects a square matrix")

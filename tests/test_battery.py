@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,7 @@ from epkit.battery import (
     splitmix64,
 )
 from epkit.characterizations import EPInstance
+from epkit.cli import battery_configs
 from epkit.linalg import MatrixQ, is_invertible, rank
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
@@ -200,6 +202,13 @@ def test_run_battery_5_2_norms():
     assert not rep2.failed
     assert rep2.inconclusive_count == 0  # p = 2 decides exactly
     assert set(rep2.per_statement_truth_counts) == {"5.2.i", "5.2.ii", "5.2.iii", "5.2.iv"}
+
+
+def test_run_battery_5_2_empty_ambient_every_norm():
+    for p in (1, 2, math.inf):
+        for s in (0, 1, 2):
+            rep = run_battery("5.2", battery_configs("5.2", 4, 0, s), norm=PNorm(p))
+            assert rep.trials == 4 and not rep.failed
 
 
 def test_report_determinism_modulo_elapsed():

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from epkit import characterizations as chz
 from epkit.battery import GeneratorConfig, child_seed, gen_matrix
 from epkit.characterizations import (
     EPInstance,
@@ -20,6 +22,7 @@ from epkit.characterizations import (
     thm55_battery,
     thm56_battery,
 )
+from epkit.exactnum import GaussianRational
 from epkit.linalg import (
     MatrixQ,
     ShapeError,
@@ -326,3 +329,62 @@ def test_prop52_p2_route_is_exact_ep():
                prop52_battery(MatrixQ.from_rows([[2]]), MatrixQ.identity(2), PNorm(2))}
     assert results["5.2.ii"].truth is True
     assert "exact" in results["5.2.ii"].note
+
+
+def _isometry_by_entry_walk(j, norm):
+    """The per-entry generalized-permutation walk, kept as the reference."""
+    n = j.rows
+    if norm.p == 2:
+        return conj_transpose(j) @ j == MatrixQ.identity(n)
+    for i in range(n):
+        row_nz = [j.entry(i, jj) for jj in range(n) if not j.entry(i, jj).is_zero()]
+        if len(row_nz) != 1 or row_nz[0].abs2() != 1:
+            return False
+    for jj in range(n):
+        col_nz = [j.entry(i, jj) for i in range(n) if not j.entry(i, jj).is_zero()]
+        if len(col_nz) != 1:
+            return False
+    return True
+
+
+# units, unit-modulus non-units (3/5 + 4/5 i), and entries of other moduli
+_ISO_ENTRIES = [GaussianRational(*z) for z in (
+    (1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+    (Fraction(-4, 5), Fraction(3, 5)), (Fraction(5, 13), Fraction(-12, 13)),
+    (2, 0), (Fraction(1, 2), 0), (1, 1), (Fraction(3, 5), 0))]
+
+
+def _near_generalized_permutation(rng, n):
+    """A generalized permutation, then perhaps one entry added, moved or zeroed."""
+    unit_only = rng.random() < 0.5
+    pool = _ISO_ENTRIES[:7] if unit_only else _ISO_ENTRIES
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[rng.choice(pool) if jj == perm[i] else GaussianRational(0) for jj in range(n)]
+            for i in range(n)]
+    if n and rng.random() < 0.5:
+        i, jj = rng.randrange(n), rng.randrange(n)
+        change = rng.randrange(3)
+        if change == 0:
+            rows[i][jj] = rng.choice(_ISO_ENTRIES)
+        elif change == 1:
+            rows[i][jj] = GaussianRational(0)
+        else:  # two rows share a column
+            rows[i] = list(rows[(i + 1) % n])
+    return MatrixQ.from_rows(rows) if n else MatrixQ.zeros(0, 0)
+
+
+def test_is_isometry_matches_the_entry_walk():
+    rng = random.Random(52)
+    seen = {True: 0, False: 0}
+    for trial in range(600):
+        n = trial % 5
+        j = _near_generalized_permutation(rng, n)
+        for p in (1, 2, math.inf):
+            expected = _isometry_by_entry_walk(j, PNorm(p))
+            assert chz._is_isometry(j, PNorm(p)) == expected
+            seen[expected] += 1
+    assert seen[True] > 100 and seen[False] > 100
+    # unitary but not a generalized permutation: an isometry for p = 2 only
+    rot = MatrixQ.from_rows([["3/5", "-4/5"], ["4/5", "3/5"]])
+    assert [chz._is_isometry(rot, PNorm(p)) for p in (1, 2, math.inf)] == [False, True, False]

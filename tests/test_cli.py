@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epkit.cli import (
     EXIT_INCONCLUSIVE,
@@ -277,3 +283,115 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("EP: yes\n")
+
+
+# -- malformed and extreme inputs ------------------------------------------------------
+
+
+def assert_input_error(capsys, argv, needle="error:"):
+    code, _, err = run_main(capsys, argv)
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error:") and needle in err
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"rows": 1, "cols": 1, "entries": [["\xe9"]]}')
+    assert_input_error(capsys, ["pinv", str(path)], "UTF-8")
+
+
+def test_deeply_nested_json_is_input_error(tmp_path, capsys):
+    path = mfile(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    assert_input_error(capsys, ["ep", str(path)], "not valid JSON")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="interpreter has no integer digit limit")
+def test_digits_beyond_the_int_limit_are_input_errors(tmp_path, capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    literal = mfile(tmp_path, "lit.json",
+                    '{"rows": 1, "cols": 1, "entries": [[' + digits + ']]}')
+    assert_input_error(capsys, ["pinv", literal], "not valid JSON")
+    scalar = mfile(tmp_path, "str.json", matrix_obj([[digits + "/3"]]))
+    assert_input_error(capsys, ["pinv", scalar], "entry (0,0)")
+
+
+def test_bool_dimensions_are_rejected(tmp_path, capsys):
+    obj = {"rows": True, "cols": True, "entries": [["1"]]}
+    with pytest.raises(InputError):
+        parse_matrix_obj(obj)
+    assert_input_error(capsys, ["ep", mfile(tmp_path, "bool.json", obj)], "rows and cols")
+
+
+def test_hermitian_non_finite_tmax(tmp_path, capsys):
+    path = mfile(tmp_path, "d.json", matrix_obj([["1"]]))
+    for tmax in ("nan", "inf"):
+        assert_input_error(capsys, ["hermitian", path, "--tmax", tmax], "--tmax")
+
+
+def test_hermitian_entry_beyond_float_range(tmp_path, capsys):
+    path = mfile(tmp_path, "big.json", matrix_obj([["1" + "0" * 400]]))
+    assert_input_error(capsys, ["hermitian", path, "--p", "1"], "float")
+
+
+def test_hermitian_empty_matrix_same_verdict_every_p(tmp_path, capsys):
+    path = mfile(tmp_path, "e.json", {"rows": 0, "cols": 0, "entries": []})
+    outcomes = {p: run_main(capsys, ["hermitian", path, "--p", p]) for p in ("1", "2", "inf")}
+    assert outcomes["1"] == outcomes["2"] == outcomes["inf"]
+    assert outcomes["2"][2] == ""
+
+
+# Any file, however malformed, must map to an exit code of the contract.
+
+_ENTRY = st.one_of(
+    st.integers(-9, 9),
+    st.integers(),
+    st.builds("{}/{}{:+d}i".format, st.integers(-9, 9), st.integers(0, 9), st.integers(-9, 9)),
+    st.text(alphabet="0123456789-+/i", max_size=6),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+)
+_JUNK = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=8)
+
+
+@st.composite
+def _matrix_objects(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    obj = {"rows": rows, "cols": cols,
+           "entries": [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)]}
+    for key in draw(st.lists(st.sampled_from(["rows", "cols", "entries"]), max_size=2)):
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_JUNK)
+    return obj
+
+
+def _exit_codes_for(content: bytes) -> list:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        codes = []
+        for argv in (["pinv", path], ["ep", path], ["hermitian", path, "--grid", "8"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main(argv))
+        return codes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=64))
+def test_fuzz_random_bytes_keep_the_exit_contract(content):
+    assert all(code in (0, 1, 2, 3) for code in _exit_codes_for(content))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_matrix_objects(), _JUNK))
+def test_fuzz_random_json_keeps_the_exit_contract(obj):
+    assert all(code in (0, 1, 2, 3) for code in _exit_codes_for(json.dumps(obj).encode()))

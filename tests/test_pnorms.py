@@ -189,10 +189,20 @@ def test_hermitian_check_parameter_validation():
         hermitian_check(a, PNorm(2), grid=1)
     with pytest.raises(ValueError):
         hermitian_check(a, PNorm(2), t_max=0.0)
-    with pytest.raises(ValueError):
-        hermitian_check(a, PNorm(2), tol_pass=1e-3, tol_fail=1e-9)
     with pytest.raises(ShapeError):
         hermitian_check(np.zeros((2, 3)), PNorm(2))
+
+
+def test_hermitian_check_rejects_non_finite_t_max():
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_max"):
+            hermitian_check(np.eye(2), PNorm(2), t_max=t_max)
+
+
+def test_hermitian_check_empty_matrix_same_verdict_every_p():
+    for a in (np.zeros((0, 0)), MatrixQ.zeros(0, 0)):
+        reports = [hermitian_check(a, PNorm(p), grid=16) for p in (1, 2, math.inf)]
+        assert len({(r.verdict, r.max_deviation) for r in reports}) == 1
 
 
 def test_report_fields():
