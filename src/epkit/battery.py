@@ -259,7 +259,8 @@ def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
 
     Within-instance truth uniformity is the tested equivalence; a mismatch
     is recorded as a violation (first offending statement pair), never
-    thrown.  Inconclusive results are counted and excluded from uniformity.
+    thrown.  Every truth is exact, so the report's `inconclusive` counts
+    stay 0; they are kept for the stable report layout.
     """
     if theorem_id not in SUPPORTED_THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
@@ -282,25 +283,15 @@ def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
 
     counts: dict = {}
     violations = []
-    inconclusive = 0
     for idx, results in enumerate(all_results):
-        ref_truth = None
-        ref_sid = None
-        recorded = False
         for r in results:
             slot = counts.setdefault(r.statement_id,
                                      {"true": 0, "false": 0, "inconclusive": 0})
-            if r.truth is None:
-                slot["inconclusive"] += 1
-                inconclusive += 1
-                continue
             slot["true" if r.truth else "false"] += 1
-            if ref_truth is None:
-                ref_truth, ref_sid = r.truth, r.statement_id
-            elif r.truth != ref_truth and not recorded:
-                violations.append({"instance": idx,
-                                   "pair": [ref_sid, r.statement_id]})
-                recorded = True
+        odd = next((r for r in results if r.truth != results[0].truth), None)
+        if odd is not None:
+            violations.append({"instance": idx,
+                               "pair": [results[0].statement_id, odd.statement_id]})
 
     report_seed = seed if seed is not None else (cfgs[0].seed if cfgs else 0)
     return BatteryReport(
@@ -308,7 +299,7 @@ def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
         trials=len(all_results),
         per_statement_truth_counts=counts,
         equivalence_violations=tuple(violations),
-        inconclusive_count=inconclusive,
+        inconclusive_count=0,
         seed=report_seed,
         elapsed=time.perf_counter() - started,
     )

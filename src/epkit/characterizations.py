@@ -60,8 +60,8 @@ from .linalg import (
     solve_exists,
     subspace_equal,
 )
-from .pnorms import PNorm, is_hermitian_idempotent
-from .pseudoinverse import MPPair, _penrose_from_products, is_ep, lemma38_witnesses
+from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
+from .pseudoinverse import MPPair, _penrose_from_products, lemma38_witnesses
 
 CONSTRUCTIVE = "constructive"
 CRITERION = "criterion"
@@ -259,13 +259,13 @@ def _square(a: MatrixQ, caller: str) -> EPInstance:
 class StatementResult:
     """Outcome of one statement of one battery.
 
-    truth None marks an inconclusive numeric verdict (p-norm hermitian
-    checks only); such results are excluded from equivalence assertions.
+    truth is always decided exactly, the norm-relative battery 5.2 included;
+    a float check can only corroborate it (see `pnorms`).
     """
 
     theorem_id: str
     statement_id: str
-    truth: Optional[bool]
+    truth: bool
     evaluation_route: str
     witness: Optional[dict] = None
     note: Optional[str] = None
@@ -658,39 +658,20 @@ def _res(thm: str, stmt: str, truth, route: str, witness=None, note=None) -> Sta
                            witness=witness, note=note)
 
 
-def _is_isometry(j: MatrixQ, norm: PNorm) -> bool:
-    """Exact isometry test for the vector p-norm the operator norm is induced by.
-
-    p = 2: j is unitary.  p = 1 or inf: j is a generalized permutation with
-    unit-modulus entries, that is, unitary with one nonzero entry per row
-    (an invertible matrix with n nonzeros has one in each column, and the
-    columns of a unitary matrix have unit norm).
-    """
-    if conj_transpose(j) @ j != MatrixQ.identity(j.rows):
-        return False
-    return norm.p == 2 or all(
-        sum(not x.is_zero() for x in j.row(i)) == 1 for i in range(j.rows))
-
-
-def _settle(q: MatrixQ, norm: PNorm, iso: bool) -> tuple:
-    """(truth, note) for "q is a hermitian idempotent"; an exact isometry
-    of the basis map settles an inconclusive grid verdict."""
+def _checked(q: MatrixQ, norm: PNorm) -> tuple:
+    """(truth, note) for "q is a hermitian idempotent"; the note quotes the grid."""
     truth, rep = is_hermitian_idempotent(q, norm)
-    note = f"hermitian check: {rep.verdict}, max deviation {rep.max_deviation:.3e}"
-    if iso:
-        if truth is None:
-            truth, note = True, note + "; settled by exact isometry of the basis map"
-        note += "; basis map is an isometry for this norm"
-    return truth, note
+    return truth, f"hermitian check: {rep.verdict}, max deviation {rep.max_deviation:.3e}"
 
 
 def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
     """Four statements about t = j (t1 ⊕ 0) j⁻¹ under the given norm.
 
-    The hermitian-idempotent verdicts come from the norm checker; an
-    inconclusive grid verdict yields truth None unless j is an exact
-    isometry, which settles the statement.  For p = 2 the EP statement is
-    decided exactly on the rationals, giving an independent route.
+    Every statement is decided by the exact hermitian-idempotent rule of
+    `is_hermitian_idempotent_exact`: i, iii and iv on the block projections
+    q1 = j (e ⊕ 0) j⁻¹ and q2 = e - q1, whose notes quote the grid check that
+    must agree with it; ii on t t# = b (c b)⁻¹ c, read from the full-rank
+    factorization t = b c alone (Cline's group inverse t# = b (c b)⁻² c).
     """
     if not t1.is_square or not j.is_square:
         raise ShapeError("prop52_battery expects square t1 and j")
@@ -715,24 +696,17 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
              "5.2 t' is a normalized generalized inverse")
     _require(q1 + q2 == e_n, "5.2 complementary block projections")
 
-    iso = _is_isometry(j, norm)
-    truth1, note1 = _settle(q1, norm, iso)
-    truth2, note2 = _settle(q2, norm, iso)
+    truth1, note1 = _checked(q1, norm)
+    truth2, note2 = _checked(q2, norm)
+    m = EPInstance(a=t)
+    group_proj = m.b @ inverse(m.u) @ m.c  # t t#
 
-    results = []
-    if truth1:
-        results.append(_res("5.2", "i", True, CONSTRUCTIVE,
-                            witness={"T_prime": t_prime}, note=note1))
-    else:
-        results.append(_res("5.2", "i", truth1, CRITERION, note=note1))
-    if norm.p == 2:
-        results.append(_res("5.2", "ii", is_ep(t), CRITERION,
-                            note="decided exactly through the adjoint structure"))
-    else:
-        results.append(_res("5.2", "ii", truth1, CRITERION,
-                            note="norm-relative reading; decided through the block projection criterion"))
-    results.append(_res("5.2", "iii", truth1, CRITERION,
-                        witness={"Q1": q1}, note=note1))
-    results.append(_res("5.2", "iv", truth2, CRITERION,
-                        witness={"Q2": q2}, note=note2))
-    return results
+    return [
+        _res("5.2", "i", truth1, CONSTRUCTIVE if truth1 else CRITERION,
+             witness={"T_prime": t_prime} if truth1 else None, note=note1),
+        _res("5.2", "ii", is_hermitian_idempotent_exact(group_proj, norm), CRITERION,
+             note="decided exactly: t t# = b (c b)^-1 c from the full-rank factorization "
+                  "of t is a hermitian idempotent for this norm"),
+        _res("5.2", "iii", truth1, CRITERION, witness={"Q1": q1}, note=note1),
+        _res("5.2", "iv", truth2, CRITERION, witness={"Q2": q2}, note=note2),
+    ]

@@ -85,19 +85,18 @@ def matrix_to_obj(m: MatrixQ) -> dict:
 
 def format_matrix(m: MatrixQ) -> str:
     """Canonical matrix file text; read_matrix of this text round-trips byte-identically."""
-    return json.dumps(matrix_to_obj(m), indent=2) + "\n"
-
-
-def write_matrix(path: str, m: MatrixQ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix(m))
+    try:
+        return json.dumps(matrix_to_obj(m), indent=2) + "\n"
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise InputError(f"result too large to write: {exc}") from exc
 
 
 def cmd_pinv(args) -> int:
     a = read_matrix(args.input)
     x = pinv(a)
     cert = penrose_certificate(a, x)
-    sys.stdout.write(format_matrix(x))
+    text = format_matrix(x)  # before any output, so an input error leaves none
+    sys.stdout.write(text)
     checks = [
         ("axa = a", cert.cond1_residual.is_zero()),
         ("xax = x", cert.cond2_residual.is_zero()),
@@ -107,7 +106,8 @@ def cmd_pinv(args) -> int:
     for label, ok in checks:
         sys.stdout.write(f"{label}: {'PASS' if ok else 'FAIL'}\n")
     if args.out:
-        write_matrix(args.out, x)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return EXIT_PASS if cert.valid else EXIT_PROPERTY_FALSE
 
 
@@ -116,11 +116,12 @@ def cmd_ep(args) -> int:
     if not a.is_square:
         raise InputError(f"ep check needs a square matrix, got {a.rows}x{a.cols}")
     pair = MPPair(a=a)
+    p_text, q_text = format_matrix(pair.p), format_matrix(pair.q)
     sys.stdout.write(f"EP: {'yes' if pair.p_eq_q else 'no'}\n")
     sys.stdout.write("p = a a+:\n")
-    sys.stdout.write(format_matrix(pair.p))
+    sys.stdout.write(p_text)
     sys.stdout.write("q = a+ a:\n")
-    sys.stdout.write(format_matrix(pair.q))
+    sys.stdout.write(q_text)
     return EXIT_PASS if pair.p_eq_q else EXIT_PROPERTY_FALSE
 
 

@@ -6,6 +6,13 @@ decided numerically, so `hermitian_check` samples a symmetric t-grid and
 reports a three-way verdict (hermitian / not_hermitian / inconclusive) with
 the observed maximum deviation.
 
+For idempotents the question is decided exactly.  At p = 2 the hermitian
+operators are the self-adjoint ones; on l^p_n with p != 2 they are the real
+diagonal ones (Lumer 1961, with Lamperti's description of the isometries),
+so a hermitian idempotent there is a diagonal 0/1 matrix.
+`is_hermitian_idempotent` takes its truth from that rule and keeps the grid
+report as evidence that must not contradict it.
+
 p in {1, 2, inf}.  p=1 and p=inf norms are closed-form; p=2 is a power
 iteration on A*A to relative tolerance 1e-12 with an explicit error on
 non-convergence.  `expm` is scaling-and-squaring on a truncated series.
@@ -19,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .linalg import MatrixQ, ShapeError, conj_transpose
+from .linalg import InternalConsistencyError, MatrixQ, ShapeError, conj_transpose
 
 POWER_ITERATION_RTOL = 1e-12
 POWER_ITERATION_MAX_ITER = 20000
@@ -223,27 +230,38 @@ def hermitian_check(
     )
 
 
-def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
-    """(truth, report) for "a is a hermitian idempotent" under the given norm.
+def is_hermitian_idempotent_exact(a: MatrixQ, norm: PNorm) -> bool:
+    """Exact truth of "a is a hermitian idempotent" under the given norm.
 
-    Idempotency is decided exactly on the rational matrix.  For p=2 truth
-    is exact self-adjointness plus idempotency (so p=2 never returns None);
-    the float report of hermitian_check is returned alongside but does not
-    enter the truth.  For p != 2 hermitian-ness is the grid verdict of
-    hermitian_check, with its default grid, on the float image, and an
-    inconclusive verdict yields truth None.
+    a must be idempotent; then at p = 2 it must be self-adjoint, and at
+    p = 1 or inf real diagonal (which for an idempotent means 0/1 entries).
+    No floating point is involved.
     """
     if not a.is_square:
         raise ShapeError("is_hermitian_idempotent expects a square matrix")
-    idem = (a @ a) == a
-    report = hermitian_check(a, norm)
+    if a @ a != a:
+        return False
     if norm.p == 2:
-        truth = idem and (conj_transpose(a) == a)
-        return truth, report
-    if not idem:
-        return False, report
-    if report.verdict == "hermitian":
-        return True, report
-    if report.verdict == "not_hermitian":
-        return False, report
-    return None, report
+        return conj_transpose(a) == a
+    return all(x.is_real() if i == j else x.is_zero()
+               for i in range(a.rows) for j, x in enumerate(a.row(i)))
+
+
+def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
+    """(truth, report) for "a is a hermitian idempotent" under the given norm.
+
+    The truth is `is_hermitian_idempotent_exact`, so it is never None.  The
+    report is `hermitian_check` with its default grid on the float image of
+    a, kept as evidence: when a is an idempotent of size n >= 1 and the grid
+    verdict is conclusive but contradicts the truth, InternalConsistencyError
+    is raised.  (On the zero space the grid reads the empty map's norm as 0,
+    so it is not consulted there.)
+    """
+    truth = is_hermitian_idempotent_exact(a, norm)
+    report = hermitian_check(a, norm)
+    if (a.rows and report.verdict != "inconclusive"
+            and (report.verdict == "hermitian") != truth and a @ a == a):
+        raise InternalConsistencyError(
+            f"grid verdict {report.verdict} (max deviation {report.max_deviation:.3e}) "
+            f"contradicts the exact hermitian-idempotent rule at p = {norm.p}")
+    return truth, report

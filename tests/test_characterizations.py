@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from epkit import characterizations as chz
-from epkit.battery import GeneratorConfig, child_seed, gen_matrix
+from epkit import pnorms
+from epkit.battery import GeneratorConfig, child_seed, gen_block_pair, gen_matrix
 from epkit.characterizations import (
     EPInstance,
     StatementResult,
@@ -23,7 +25,9 @@ from epkit.characterizations import (
     thm56_battery,
 )
 from epkit.exactnum import GaussianRational
+from epkit.cli import battery_configs
 from epkit.linalg import (
+    InternalConsistencyError,
     MatrixQ,
     ShapeError,
     SingularMatrixError,
@@ -31,7 +35,7 @@ from epkit.linalg import (
     inverse,
     is_invertible,
 )
-from epkit.pnorms import PNorm
+from epkit.pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
 from epkit.pseudoinverse import is_ep, pinv
 
 NILPOTENT = MatrixQ.from_rows([[0, 1], [0, 0]])
@@ -331,22 +335,6 @@ def test_prop52_p2_route_is_exact_ep():
     assert "exact" in results["5.2.ii"].note
 
 
-def _isometry_by_entry_walk(j, norm):
-    """The per-entry generalized-permutation walk, kept as the reference."""
-    n = j.rows
-    if norm.p == 2:
-        return conj_transpose(j) @ j == MatrixQ.identity(n)
-    for i in range(n):
-        row_nz = [j.entry(i, jj) for jj in range(n) if not j.entry(i, jj).is_zero()]
-        if len(row_nz) != 1 or row_nz[0].abs2() != 1:
-            return False
-    for jj in range(n):
-        col_nz = [j.entry(i, jj) for i in range(n) if not j.entry(i, jj).is_zero()]
-        if len(col_nz) != 1:
-            return False
-    return True
-
-
 # units, unit-modulus non-units (3/5 + 4/5 i), and entries of other moduli
 _ISO_ENTRIES = [GaussianRational(*z) for z in (
     (1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
@@ -374,17 +362,82 @@ def _near_generalized_permutation(rng, n):
     return MatrixQ.from_rows(rows) if n else MatrixQ.zeros(0, 0)
 
 
-def test_is_isometry_matches_the_entry_walk():
+def _invertible(rng, n):
+    """A near generalized permutation when that is invertible, else a random matrix."""
+    j = _near_generalized_permutation(rng, n)
+    while not is_invertible(j):
+        j = MatrixQ.from_rows([[GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+                                                 rng.choice((0, 0, 1, -1)))
+                                for _ in range(n)] for _ in range(n)])
+    return j
+
+
+def _is_real_diagonal(q):
+    n = q.rows
+    return q == MatrixQ.diagonal([q.entry(i, i) for i in range(n)]) and all(
+        q.entry(i, i).im == 0 for i in range(n))
+
+
+def test_hermitian_idempotent_rule_on_conjugated_projections():
+    # q = j d j^-1 is an idempotent for every invertible j and 0/1 diagonal d;
+    # it is hermitian exactly when self-adjoint (p = 2) or real diagonal (p != 2)
     rng = random.Random(52)
-    seen = {True: 0, False: 0}
-    for trial in range(600):
-        n = trial % 5
-        j = _near_generalized_permutation(rng, n)
+    seen = {(p, t): 0 for p in (1, 2, math.inf) for t in (True, False)}
+    for trial in range(40):
+        n = 1 + trial % 4
+        j = _invertible(rng, n)
+        q = j @ MatrixQ.diagonal([rng.randint(0, 1) for _ in range(n)]) @ inverse(j)
+        assert q @ q == q
         for p in (1, 2, math.inf):
-            expected = _isometry_by_entry_walk(j, PNorm(p))
-            assert chz._is_isometry(j, PNorm(p)) == expected
-            seen[expected] += 1
-    assert seen[True] > 100 and seen[False] > 100
-    # unitary but not a generalized permutation: an isometry for p = 2 only
-    rot = MatrixQ.from_rows([["3/5", "-4/5"], ["4/5", "3/5"]])
-    assert [chz._is_isometry(rot, PNorm(p)) for p in (1, 2, math.inf)] == [False, True, False]
+            truth, rep = is_hermitian_idempotent(q, PNorm(p))
+            expected = conj_transpose(q) == q if p == 2 else _is_real_diagonal(q)
+            assert truth is expected and is_hermitian_idempotent_exact(q, PNorm(p)) is expected
+            if rep.verdict != "inconclusive":
+                assert (rep.verdict == "hermitian") == expected
+            seen[p, expected] += 1
+    assert all(seen.values()), seen
+
+
+def test_hermitian_idempotent_rule_separates_p2_from_p1():
+    half = MatrixQ.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+    for p, expected in ((1, False), (2, True), (math.inf, False)):
+        truth, rep = is_hermitian_idempotent(half, PNorm(p))
+        assert truth is expected
+        assert rep.verdict == ("hermitian" if expected else "not_hermitian")
+
+
+def test_grid_contradicting_the_rule_raises(monkeypatch):
+    real_check = pnorms.hermitian_check
+    flip = {"hermitian": "not_hermitian", "not_hermitian": "hermitian"}
+    oblique = MatrixQ.from_rows([[1, 1], [0, 0]])
+    for verdict_of, raises in ((flip.get, True), (lambda v: "inconclusive", False)):
+        def check(a, norm, verdict_of=verdict_of):
+            rep = real_check(a, norm, grid=16)
+            return dataclasses.replace(rep, verdict=verdict_of(rep.verdict))
+        monkeypatch.setattr(pnorms, "hermitian_check", check)
+        for q, truth in ((MatrixQ.diagonal([1, 0]), True), (oblique, False)):
+            for p in (1, 2, math.inf):
+                if raises:
+                    with pytest.raises(InternalConsistencyError, match="contradicts"):
+                        is_hermitian_idempotent(q, PNorm(p))
+                else:
+                    assert is_hermitian_idempotent(q, PNorm(p))[0] is truth
+
+
+def test_prop52_ii_reads_t_alone(monkeypatch):
+    # t t# = b (c b)^-1 c equals the block projection q1 on every draw, yet
+    # 5.2.ii reaches it from t alone, without a grid check of its own
+    calls = []
+    real_check = pnorms.hermitian_check
+    monkeypatch.setattr(pnorms, "hermitian_check",
+                        lambda a, norm: calls.append(norm) or real_check(a, norm))
+    for n in range(5):
+        for cfg in battery_configs("5.2", 4, n, 11):
+            t1, j = gen_block_pair(cfg)
+            t = j @ chz._oplus_zero(t1, n) @ inverse(j)
+            q1 = j @ chz._oplus_zero(MatrixQ.identity(t1.rows), n) @ inverse(j)
+            m = EPInstance(a=t)
+            assert m.b @ inverse(m.u) @ m.c == q1
+            calls.clear()
+            prop52_battery(t1, j, PNorm(math.inf))
+            assert len(calls) == 2

@@ -316,6 +316,21 @@ def test_digits_beyond_the_int_limit_are_input_errors(tmp_path, capsys):
     assert_input_error(capsys, ["pinv", scalar], "entry (0,0)")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="interpreter has no integer digit limit")
+def test_results_too_large_to_write_are_input_errors(tmp_path, capsys):
+    # entries under the digit limit whose a+ (and, for the singular matrix,
+    # a a+ and a+ a) have denominators over it: no traceback, no partial output
+    big = "1" + "0" * (sys.get_int_max_str_digits() * 2 // 3)
+    out_file = tmp_path / "x.json"
+    for argv, rows in ((["pinv", "--out", str(out_file)], [[big[:-1] + "1", "1"], ["1", big]]),
+                       (["ep"], [[big, big[:-1] + "7"], [big, big[:-1] + "7"]])):
+        path = mfile(tmp_path, "big.json", matrix_obj(rows))
+        code, out, err = run_main(capsys, argv + [path])
+        assert code == EXIT_INPUT_ERROR and out == "" and not out_file.exists()
+        assert err.startswith("error:") and "too large to write" in err
+
+
 def test_bool_dimensions_are_rejected(tmp_path, capsys):
     obj = {"rows": True, "cols": True, "entries": [["1"]]}
     with pytest.raises(InputError):
