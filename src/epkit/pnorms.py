@@ -4,14 +4,17 @@ Float-side companion to the exact core.  An element is hermitian for a given
 norm when ||exp(i t a)|| == 1 for every real t; that quantifier cannot be
 decided numerically, so `hermitian_check` samples a symmetric t-grid and
 reports a three-way verdict (hermitian / not_hermitian / inconclusive) with
-the observed maximum deviation.
+the observed maximum deviation.  For a `MatrixQ` q of size n >= 1 with
+q @ q == q exactly, the grid uses the closed form exp(i t q) =
+e + (e^{it} - 1) q; every other input (numpy arrays included) goes through
+the truncated series of `expm`.
 
 For idempotents the question is decided exactly.  At p = 2 the hermitian
 operators are the self-adjoint ones; on l^p_n with p != 2 they are the real
 diagonal ones (Lumer 1961, with Lamperti's description of the isometries),
 so a hermitian idempotent there is a diagonal 0/1 matrix.
 `is_hermitian_idempotent` takes its truth from that rule and keeps the grid
-report as evidence that must not contradict it.
+report as evidence that must not contradict it beyond its tolerances.
 
 p in {1, 2, inf}.  p=1 and p=inf norms are closed-form; p=2 is a power
 iteration on A*A to relative tolerance 1e-12 with an explicit error on
@@ -199,6 +202,11 @@ def hermitian_check(
     deviates by HERMITIAN_TOL_FAIL or more, inconclusive in between.  A
     grid pass is evidence, not proof, of the for-all-t property; the report
     keeps the grid parameters and both tolerances for that reason.
+
+    When a is a `MatrixQ` of size n >= 1 and a @ a == a holds exactly, the
+    stack of exp(i t a) is the closed form e + (e^{it} - 1) a; otherwise
+    (not idempotent, or a numpy array) it is the scaling-and-squaring
+    series.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -209,7 +217,11 @@ def hermitian_check(
     if n != m:
         raise ShapeError("hermitian_check expects a square matrix")
     ts = np.linspace(-t_max, t_max, grid)
-    exps = _expm_batch(1j * ts[:, None, None] * arr)
+    if isinstance(a, MatrixQ) and n and a @ a == a:
+        # exp(itq) = e + (e^{it} - 1) q exactly when q is idempotent
+        exps = np.eye(n) + (np.exp(1j * ts) - 1.0)[:, None, None] * arr
+    else:
+        exps = _expm_batch(1j * ts[:, None, None] * arr)
     dev = np.abs(_op_norms(exps, norm) - 1.0)
     idx = int(dev.argmax())
     max_dev = float(dev[idx])
@@ -230,6 +242,31 @@ def hermitian_check(
     )
 
 
+def _rule(a: MatrixQ, norm: PNorm) -> tuple:
+    """(idempotent, truth) of the exact rule, forming a @ a once."""
+    if not a.is_square:
+        raise ShapeError("is_hermitian_idempotent expects a square matrix")
+    if a @ a != a:
+        return False, False
+    if norm.p == 2:
+        return True, conj_transpose(a) == a
+    return True, all(x.is_real() if i == j else x.is_zero()
+                     for i in range(a.rows) for j, x in enumerate(a.row(i)))
+
+
+def _rule_violation(a: MatrixQ, norm: PNorm) -> float:
+    """How far a (n >= 1) misses the rule, on its float image.
+
+    max |a - a*| at p = 2; at p = 1 or inf the largest off-diagonal modulus
+    or |Im a_ii|.
+    """
+    arr = _as_array(a)
+    if norm.p == 2:
+        return float(np.abs(arr - arr.conj().T).max())
+    diag = np.diag(arr)
+    return float(max(np.abs(arr - np.diag(diag)).max(), np.abs(diag.imag).max()))
+
+
 def is_hermitian_idempotent_exact(a: MatrixQ, norm: PNorm) -> bool:
     """Exact truth of "a is a hermitian idempotent" under the given norm.
 
@@ -237,30 +274,29 @@ def is_hermitian_idempotent_exact(a: MatrixQ, norm: PNorm) -> bool:
     p = 1 or inf real diagonal (which for an idempotent means 0/1 entries).
     No floating point is involved.
     """
-    if not a.is_square:
-        raise ShapeError("is_hermitian_idempotent expects a square matrix")
-    if a @ a != a:
-        return False
-    if norm.p == 2:
-        return conj_transpose(a) == a
-    return all(x.is_real() if i == j else x.is_zero()
-               for i in range(a.rows) for j, x in enumerate(a.row(i)))
+    return _rule(a, norm)[1]
 
 
 def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
     """(truth, report) for "a is a hermitian idempotent" under the given norm.
 
     The truth is `is_hermitian_idempotent_exact`, so it is never None.  The
-    report is `hermitian_check` with its default grid on the float image of
-    a, kept as evidence: when a is an idempotent of size n >= 1 and the grid
-    verdict is conclusive but contradicts the truth, InternalConsistencyError
-    is raised.  (On the zero space the grid reads the empty map's norm as 0,
-    so it is not consulted there.)
+    report is `hermitian_check` with its default grid on a, which for an
+    idempotent uses the closed form of exp(i t a); it is kept as evidence.
+    When a is an idempotent of size n >= 1 and the grid verdict is
+    conclusive but contradicts the truth, InternalConsistencyError is
+    raised, except that a grid pass on a non-hermitian idempotent is let
+    stand while the rule's violation (`_rule_violation`) is below
+    HERMITIAN_TOL_FAIL: there the grid deviation is of the violation's
+    order (at least 0.4 times it on the tested idempotents), so such a pass
+    is a sampling limit, not a bug.  (On the zero space the grid reads the
+    empty map's norm as 0, so it is not consulted there.)
     """
-    truth = is_hermitian_idempotent_exact(a, norm)
+    idempotent, truth = _rule(a, norm)
     report = hermitian_check(a, norm)
-    if (a.rows and report.verdict != "inconclusive"
-            and (report.verdict == "hermitian") != truth and a @ a == a):
+    if (idempotent and a.rows and report.verdict != "inconclusive"
+            and (report.verdict == "hermitian") != truth
+            and (truth or _rule_violation(a, norm) >= HERMITIAN_TOL_FAIL)):
         raise InternalConsistencyError(
             f"grid verdict {report.verdict} (max deviation {report.max_deviation:.3e}) "
             f"contradicts the exact hermitian-idempotent rule at p = {norm.p}")

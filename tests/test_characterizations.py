@@ -424,6 +424,58 @@ def test_grid_contradicting_the_rule_raises(monkeypatch):
                     assert is_hermitian_idempotent(q, PNorm(p))[0] is truth
 
 
+def _rule_violation(q, p):
+    """max |q - q*| at p = 2; at p = 1 or inf the largest off-diagonal modulus or |Im q_ii|."""
+    rows = q.to_complex_rows()
+    n = len(rows)
+    if p == 2:
+        return max(abs(rows[i][jj] - rows[jj][i].conjugate()) for i in range(n) for jj in range(n))
+    return max(abs(rows[i][jj]) if i != jj else abs(rows[i][i].imag)
+               for i in range(n) for jj in range(n))
+
+
+def test_grid_pass_on_a_near_hermitian_idempotent_is_false_not_an_error():
+    # 1e-12 off hermitian: the grid passes it, the rule does not, and that
+    # is a sampling limit rather than an inconsistency
+    q = MatrixQ.from_rows([[1, "1/1000000000000"], [0, 0]])
+    for p in (1, 2, math.inf):
+        truth, rep = is_hermitian_idempotent(q, PNorm(p))
+        assert truth is False and rep.verdict == "hermitian"
+
+
+def test_near_hermitian_idempotents_never_raise():
+    # q = j d j^-1 with j = e + eps k: the grid deviation tracks the rule's
+    # violation, so a grid pass only happens below HERMITIAN_TOL_FAIL
+    rng = random.Random(71)
+    seen = set()
+    for k in range(5, 13):
+        eps = Fraction(1, 10 ** k)
+        for trial in range(10):
+            n = 2 + trial % 3
+            kk = MatrixQ.from_rows([[GaussianRational(rng.randint(-3, 3), rng.choice((0, 0, 1, -1)))
+                                     for _ in range(n)] for _ in range(n)])
+            j = MatrixQ.identity(n) + kk.scale(eps)
+            q = j @ MatrixQ.diagonal([rng.randint(0, 1) for _ in range(n)]) @ inverse(j)
+            for p in (1, 2, math.inf):
+                truth, rep = is_hermitian_idempotent(q, PNorm(p))
+                assert truth is is_hermitian_idempotent_exact(q, PNorm(p))
+                assert rep.max_deviation >= 0.4 * _rule_violation(q, p)
+                seen.add((truth, rep.verdict))
+    assert {(False, "hermitian"), (False, "inconclusive"), (False, "not_hermitian")} <= seen
+
+
+def test_prop52_never_reaches_the_series(monkeypatch):
+    # q1 and q2 are exact idempotents, so both grid reports use the closed form
+    def series(mats):
+        raise AssertionError("_expm_batch called on an exact idempotent")
+    monkeypatch.setattr(pnorms, "_expm_batch", series)
+    for n in range(1, 5):
+        for cfg in battery_configs("5.2", 4, n, 7):
+            t1, j = gen_block_pair(cfg)
+            for p in (1, 2, math.inf):
+                assert len(prop52_battery(t1, j, PNorm(p))) == 4
+
+
 def test_prop52_ii_reads_t_alone(monkeypatch):
     # t t# = b (c b)^-1 c equals the block projection q1 on every draw, yet
     # 5.2.ii reaches it from t alone, without a grid check of its own

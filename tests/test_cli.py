@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epkit import pnorms
 from epkit.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -228,10 +229,16 @@ def test_hermitian_fail_golden_deviation(tmp_path, capsys):
     assert "max deviation of |exp(i t a)| from 1: 0.61803398875 at t = -1\n" in out
 
 
-def test_hermitian_idempotent_but_oblique(tmp_path, capsys):
+def test_hermitian_idempotent_but_oblique(tmp_path, capsys, monkeypatch):
+    # exact idempotents take the closed form of exp(i t a), not the series
+    def series(mats):
+        raise AssertionError("_expm_batch called on an exact idempotent")
+    monkeypatch.setattr(pnorms, "_expm_batch", series)
     path = mfile(tmp_path, "q.json", matrix_obj([["1", "1"], ["0", "0"]]))
-    code, out, _ = run_main(capsys, ["hermitian", path, "--p", "2"])
-    assert code == EXIT_PROPERTY_FALSE
+    diag = mfile(tmp_path, "d.json", matrix_obj([["1", "0"], ["0", "0"]]))
+    for p in ("1", "2", "inf"):
+        assert run_main(capsys, ["hermitian", path, "--p", p])[0] == EXIT_PROPERTY_FALSE
+        assert run_main(capsys, ["hermitian", diag, "--p", p])[0] == EXIT_PASS
 
 
 def test_hermitian_between_tolerances_is_inconclusive_exit(tmp_path, capsys):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from epkit import pnorms
 from epkit.exactnum import GaussianRational
-from epkit.linalg import MatrixQ, ShapeError, conj_transpose
+from epkit.linalg import MatrixQ, ShapeError, conj_transpose, inverse, is_invertible
 from epkit.pnorms import (
     HermitianCheckReport,
     PNorm,
@@ -203,6 +204,47 @@ def test_hermitian_check_empty_matrix_same_verdict_every_p():
     for a in (np.zeros((0, 0)), MatrixQ.zeros(0, 0)):
         reports = [hermitian_check(a, PNorm(p), grid=16) for p in (1, 2, math.inf)]
         assert len({(r.verdict, r.max_deviation) for r in reports}) == 1
+
+
+def _conjugated_projection(rng, n):
+    """q = j d j^-1 for a random invertible Gaussian-rational j and 0/1 diagonal d."""
+    while True:
+        j = MatrixQ(n, n, [GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                                            rng.choice((0, 0, 1, -2)))
+                           for _ in range(n * n)])
+        if is_invertible(j):
+            return j @ MatrixQ.diagonal([rng.randint(0, 1) for _ in range(n)]) @ inverse(j)
+
+
+def test_idempotent_closed_form_matches_the_series():
+    # a MatrixQ idempotent takes exp(itq) = e + (e^{it} - 1) q; its float
+    # image as a numpy array still goes through the series
+    rng = random.Random(18)
+    verdicts = set()
+    for trial in range(30):
+        q = _conjugated_projection(rng, 1 + trial % 5)
+        assert q @ q == q
+        arr = np.array(q.to_complex_rows(), dtype=complex)
+        for p in (1, 2, math.inf):
+            closed = hermitian_check(q, PNorm(p))
+            series = hermitian_check(arr, PNorm(p))
+            assert closed.verdict == series.verdict
+            assert abs(closed.max_deviation - series.max_deviation) <= 1e-10 * max(
+                1.0, series.max_deviation)
+            verdicts.add(closed.verdict)
+    assert verdicts == {"hermitian", "not_hermitian"}
+
+
+def test_only_exact_idempotents_skip_the_series(monkeypatch):
+    calls = []
+    real = pnorms._expm_batch
+    monkeypatch.setattr(pnorms, "_expm_batch", lambda mats: calls.append(1) or real(mats))
+    q = MatrixQ.from_rows([[1, 1], [0, 0]])
+    rep = hermitian_check(q, PNorm(2))
+    assert rep.verdict == "not_hermitian" and calls == []
+    hermitian_check(np.array([[1, 1], [0, 0]], dtype=complex), PNorm(2))
+    hermitian_check(MatrixQ.from_rows([[0, 1], [0, 0]]), PNorm(2))
+    assert len(calls) == 2
 
 
 def test_report_fields():

@@ -6,8 +6,10 @@ set of inputs: `battery_configs(tid, 8, n, 2024)` at n = 3 and 4 plus three
 named 2×2 matrices, and for 5.2 the `gen_block_pair` equivalents at
 p = 1, 2 and inf.  The digests were recorded before the batteries became
 statement tables and must not move; only 5.2 was re-recorded, when its
-statements became exact at every p, after a per-input comparison showed
-every truth, route and witness key unchanged and only notes moving.
+statements became exact at every p and again when the grid of an exact
+idempotent became the closed form of exp(itq), each time after a per-input
+comparison showed every truth, route and witness key unchanged and only
+notes moving (the second time only their `.3e` deviation text).
 """
 
 import hashlib
@@ -60,7 +62,7 @@ PINNED = {
     "3.10": "47b82300692dd5e6be01057c835877cfd4c3f45e7e448393fc8c7922584812d6",
     "4.1": "5460cb0ead775c73776e41553603ac1363d19747c14ce8512506261bfd1d58d5",
     "4.2": "eb9f70538c67dadcefefbe19f80763700c43a2cf177b525f59b42311435d4d33",
-    "5.2": "bae1f72281f2c332f2424159a83d5e4cf1188f6ba6d1b3c0cd8884dc04d21ea2",
+    "5.2": "a9ce51a8ce4c6cd8ed9a3277ff06d27d9dea19cee2f7c799f281911bf783ffc7",
     "5.5": "c58a534a1fd053f3447d5faa3674edc3ae25bc9ad20cc72182154e5ebb08f427",
     "5.6": "125ba1e425935891a65676e2201727e55da5982c039f553f9754a6dab664e016",
 }
