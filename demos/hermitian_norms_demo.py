@@ -5,6 +5,10 @@ real t.  With the spectral norm that recovers plain self-adjointness; with
 the 1-norm or the max-norm it is a genuinely different, smaller class.  The
 checker samples a symmetric t-grid and reports a three-way verdict, since a
 finite grid can only ever give evidence for the for-all direction.
+
+For an exact idempotent q the grid uses exp(i t q) = e + (e^{it} - 1) q, and
+at p = 2 its norm sigma(|e^{it} - 1| s) with s = ||q - q*||_2 and
+sigma(x) = (x + sqrt(x^2 + 4)) / 2, so the deviation peaks at |t| = pi.
 """
 
 import math
@@ -36,6 +40,12 @@ def main():
     print("but its exponential bulges in the 1-norm:")
     for p in (2, 1):
         print("  " + verdict_line(flip, p))
+
+    oblique = MatrixQ.from_rows([[1, 1], [0, 0]])
+    print("\na non-self-adjoint idempotent (s = ||q - q*|| = 1), hermitian for no p:")
+    for p in (1, 2, math.inf):
+        print("  " + verdict_line(oblique, p))
+    print(f"  expected p=2 peak deviation: sigma(2) - 1 = sqrt(2) = {math.sqrt(2.0):.12f}")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,11 @@ reports a three-way verdict (hermitian / not_hermitian / inconclusive) with
 the observed maximum deviation.  For a `MatrixQ` q of size n >= 1 with
 q @ q == q exactly, the grid uses the closed form exp(i t q) =
 e + (e^{it} - 1) q; every other input (numpy arrays included) goes through
-the truncated series of `expm`.
+the truncated series of `expm`.  At p = 2 the norm of that closed form is
+itself closed-form: q is unitarily similar to I + 0 + (sum_i [[1, s_i],
+[0, 0]]) (Halmos, "Two subspaces", 1969), so ||e + w q||_2 depends only on
+|w| and s = max s_i = ||q - q*||_2, and one spectral norm per check
+replaces the one per grid point.
 
 For idempotents the question is decided exactly.  At p = 2 the hermitian
 operators are the self-adjoint ones; on l^p_n with p != 2 they are the real
@@ -17,8 +21,9 @@ so a hermitian idempotent there is a diagonal 0/1 matrix.
 report as evidence that must not contradict it beyond its tolerances.
 
 p in {1, 2, inf}.  p=1 and p=inf norms are closed-form; p=2 is a power
-iteration on A*A to relative tolerance 1e-12 with an explicit error on
-non-convergence.  `expm` is scaling-and-squaring on a truncated series.
+iteration on A*A (each matrix first scaled to largest modulus 1) to
+relative tolerance 1e-12 with an explicit error on non-convergence.
+`expm` is scaling-and-squaring on a truncated series.
 """
 
 from __future__ import annotations
@@ -115,9 +120,13 @@ def _spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
     spuriously) when the two top singular values almost coincide.  A
     near-degenerate top pair over a spread-out spectrum, where shifting
     cannot help, exhausts the budget and raises PowerIterationError rather
-    than return an under-converged value.
+    than return an under-converged value.  Each slice is divided by its
+    largest modulus before A*A is formed and its norm multiplied back, so
+    entries far from 1 neither underflow nor overflow in B.
     """
     g, n, _ = mats.shape
+    top = np.abs(mats).max(axis=(1, 2))
+    mats = mats / np.where(top > 0.0, top, 1.0)[:, None, None]
     b = np.conj(np.transpose(mats, (0, 2, 1))) @ mats
     scale = np.abs(b).sum(axis=(1, 2))
     zero = scale == 0.0
@@ -147,7 +156,7 @@ def _spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
             f"power iteration did not converge in {POWER_ITERATION_MAX_ITER} iterations"
         )
     lam = np.where(zero, 0.0, np.maximum(lam + shift, 0.0))
-    return np.sqrt(lam)
+    return np.sqrt(lam) * top
 
 
 def expm(a) -> np.ndarray:
@@ -204,9 +213,10 @@ def hermitian_check(
     keeps the grid parameters and both tolerances for that reason.
 
     When a is a `MatrixQ` of size n >= 1 and a @ a == a holds exactly, the
-    stack of exp(i t a) is the closed form e + (e^{it} - 1) a; otherwise
-    (not idempotent, or a numpy array) it is the scaling-and-squaring
-    series.
+    stack of exp(i t a) is the closed form e + (e^{it} - 1) a, and at p = 2
+    its norms come from `_idempotent_spectral_deviation` without forming
+    the stack; otherwise (not idempotent, or a numpy array) it is the
+    scaling-and-squaring series.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -219,10 +229,13 @@ def hermitian_check(
     ts = np.linspace(-t_max, t_max, grid)
     if isinstance(a, MatrixQ) and n and a @ a == a:
         # exp(itq) = e + (e^{it} - 1) q exactly when q is idempotent
-        exps = np.eye(n) + (np.exp(1j * ts) - 1.0)[:, None, None] * arr
+        w = np.exp(1j * ts) - 1.0
+        if norm.p == 2:
+            dev = _idempotent_spectral_deviation(arr, np.abs(w))
+        else:
+            dev = np.abs(_op_norms(np.eye(n) + w[:, None, None] * arr, norm) - 1.0)
     else:
-        exps = _expm_batch(1j * ts[:, None, None] * arr)
-    dev = np.abs(_op_norms(exps, norm) - 1.0)
+        dev = np.abs(_op_norms(_expm_batch(1j * ts[:, None, None] * arr), norm) - 1.0)
     idx = int(dev.argmax())
     max_dev = float(dev[idx])
     if max_dev <= HERMITIAN_TOL_PASS:
@@ -240,6 +253,24 @@ def hermitian_check(
         tol_fail=HERMITIAN_TOL_FAIL,
         verdict=verdict,
     )
+
+
+def _idempotent_spectral_deviation(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """||e + w q||_2 - 1 for an idempotent q and each modulus r = |w|, |1 + w| = 1.
+
+    q is unitarily similar to I + 0 + (sum_i [[1, s_i], [0, 0]]), with the
+    s_i the singular values of X in q = [[I, X], [0, 0]] over range(q) and
+    its orthogonal complement; q - q* = [[0, X], [-X*, 0]] there, so
+    s = max s_i = ||q - q*||_2.  On a block, e + w q = [[1 + w, w s_i],
+    [0, 1]] has the norm of [[1, |w| s_i], [0, 1]], which is
+    sigma(|w| s_i) with sigma(x) = (x + sqrt(x^2 + 4)) / 2 >= 1, increasing
+    in x; the I and 0 parts have norm 1.  So ||e + w q||_2 = sigma(|w| s),
+    and one power iteration, on q - q*, serves every grid point.
+    """
+    x = r * _spectral_norm_batch((q - q.conj().T)[None])[0]
+    # sigma(x) - 1 = (x + x^2 / (sqrt(x^2 + 4) + 2)) / 2: no cancellation
+    # for small x, no overflow for large x
+    return (x + x * (x / (np.hypot(x, 2.0) + 2.0))) / 2.0
 
 
 def _rule(a: MatrixQ, norm: PNorm) -> tuple:

@@ -90,6 +90,13 @@ def test_op_norm_submultiplicative():
             assert op_norm(a @ b, norm) <= op_norm(a, norm) * op_norm(b, norm) * (1 + 1e-10)
 
 
+def test_spectral_norm_of_large_entries():
+    # each slice is scaled to largest modulus 1 before A*A is formed, so
+    # 1e100 does not underflow against 1 and 1e200 does not overflow
+    for big in (1e100, 1e200):
+        assert op_norm(np.array([[1, big], [0, 0]]), PNorm(2)) == pytest.approx(big, rel=1e-12)
+
+
 def test_spectral_batch_matches_single():
     rng = random.Random(13)
     mats = np.stack([rand_complex(rng, 3) for _ in range(8)])
@@ -245,6 +252,64 @@ def test_only_exact_idempotents_skip_the_series(monkeypatch):
     hermitian_check(np.array([[1, 1], [0, 0]], dtype=complex), PNorm(2))
     hermitian_check(MatrixQ.from_rows([[0, 1], [0, 0]]), PNorm(2))
     assert len(calls) == 2
+
+
+def test_idempotent_p2_closed_form_matches_the_stack():
+    # at p = 2 the grid of an idempotent reads sigma(|e^{it} - 1| s),
+    # s = ||q - q*||_2, instead of power-iterating e + (e^{it} - 1) q
+    rng = random.Random(19)
+    ts = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 1024)
+    verdicts = set()
+    for trial in range(40):
+        n = 1 + trial % 5
+        q = _conjugated_projection(rng, n)
+        arr = np.array(q.to_complex_rows(), dtype=complex)
+        stack = np.eye(n) + (np.exp(1j * ts) - 1.0)[:, None, None] * arr
+        dev = np.abs(pnorms._op_norms(stack, PNorm(2)) - 1.0).max()
+        rep = hermitian_check(q, PNorm(2))
+        expected = ("hermitian" if dev <= rep.tol_pass
+                    else "not_hermitian" if dev >= rep.tol_fail else "inconclusive")
+        assert rep.verdict == expected
+        assert abs(rep.max_deviation - dev) <= 1e-12 * max(1.0, dev)
+        verdicts.add(rep.verdict)
+    assert verdicts == {"hermitian", "not_hermitian"}
+
+
+def test_idempotent_p2_closed_form_values():
+    half = MatrixQ.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
+    assert hermitian_check(half, PNorm(2)).max_deviation == 0.0
+    # s = 1: the peak sigma(2) - 1 = sqrt(2) sits at |t| = pi
+    rep = hermitian_check(MatrixQ.from_rows([[1, 1], [0, 0]]), PNorm(2))
+    assert rep.max_deviation == pytest.approx(math.sqrt(2.0), rel=1e-5)
+    assert abs(rep.argmax_t) == pytest.approx(math.pi, rel=1e-3)
+
+
+def test_huge_idempotent_every_p():
+    # ||e + w q|| - 1 = |w| 1e100 up to rounding at every p; the grid's
+    # largest |w| is 2 |sin(t/2)| at the point nearest |t| = pi
+    q = MatrixQ.from_rows([[1, 10 ** 100], [0, 0]])
+    ts = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 1024)
+    expected = 1e100 * np.abs(2.0 * np.sin(ts / 2.0)).max()
+    for p in (1, 2, math.inf):
+        rep = hermitian_check(q, PNorm(p))
+        assert rep.verdict == "not_hermitian"
+        assert rep.max_deviation == pytest.approx(expected, rel=1e-12)
+
+
+def test_p2_idempotent_check_runs_one_spectral_norm(monkeypatch):
+    slices, series = [], []
+    real_spectral, real_series = pnorms._spectral_norm_batch, pnorms._expm_batch
+    monkeypatch.setattr(pnorms, "_spectral_norm_batch",
+                        lambda mats: slices.append(mats.shape[0]) or real_spectral(mats))
+    monkeypatch.setattr(pnorms, "_expm_batch",
+                        lambda mats: series.append(1) or real_series(mats))
+    rng = random.Random(20)
+    for trial in range(6):
+        hermitian_check(_conjugated_projection(rng, 2 + trial % 3), PNorm(2))
+        assert slices == [1] and series == []
+        slices.clear()
+    hermitian_check(MatrixQ.from_rows([[0, 1], [0, 0]]), PNorm(2), grid=16)
+    assert series == [1] and slices == [16]
 
 
 def test_report_fields():

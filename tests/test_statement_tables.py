@@ -9,7 +9,11 @@ statement tables and must not move; only 5.2 was re-recorded, when its
 statements became exact at every p and again when the grid of an exact
 idempotent became the closed form of exp(itq), each time after a per-input
 comparison showed every truth, route and witness key unchanged and only
-notes moving (the second time only their `.3e` deviation text).
+notes moving (the second time only their `.3e` deviation text).  Since the
+5.2 notes quote grid deviations, 5.2 also has a note-free pin
+(`PINNED_52_NOTE_FREE`) over the same pairs and p values; `PINNED["5.2"]`
+was re-recorded once more, when the p = 2 grid norm of an idempotent became
+closed-form, with that note-free digest unchanged.
 """
 
 import hashlib
@@ -62,15 +66,19 @@ PINNED = {
     "3.10": "47b82300692dd5e6be01057c835877cfd4c3f45e7e448393fc8c7922584812d6",
     "4.1": "5460cb0ead775c73776e41553603ac1363d19747c14ce8512506261bfd1d58d5",
     "4.2": "eb9f70538c67dadcefefbe19f80763700c43a2cf177b525f59b42311435d4d33",
-    "5.2": "a9ce51a8ce4c6cd8ed9a3277ff06d27d9dea19cee2f7c799f281911bf783ffc7",
+    "5.2": "f92e6a0edf3af80f3788479aad3dbe43ceaca63f694c0cc4746865eea6ae6d5f",
     "5.5": "c58a534a1fd053f3447d5faa3674edc3ae25bc9ad20cc72182154e5ebb08f427",
     "5.6": "125ba1e425935891a65676e2201727e55da5982c039f553f9754a6dab664e016",
 }
 
+# truth, route and sorted witness keys of the 5.2 results, without the notes
+PINNED_52_NOTE_FREE = "47bbacd8bca9d4da444a90ac0d79ff5f584596957ccb7408cb44cc8b68fe963c"
 
-def _shape(results) -> list:
+
+def _shape(results, notes=True) -> list:
     return [[r.statement_id, r.truth, r.evaluation_route,
-             sorted(r.witness) if r.witness is not None else None, r.note]
+             sorted(r.witness) if r.witness is not None else None]
+            + ([r.note] if notes else [])
             for r in results]
 
 
@@ -92,8 +100,9 @@ def test_pinned_statement_digests():
         got[tid] = _digest([_shape(battery(a)) for a in _matrices(tid)])
     pairs = [gen_block_pair(cfg) for n in (3, 4)
              for cfg in battery_configs("5.2", 8, n, 2024)]
-    got["5.2"] = _digest([_shape(prop52_battery(t1, j, PNorm(p)))
-                          for t1, j in pairs for p in (1, 2, math.inf)])
+    results = [prop52_battery(t1, j, PNorm(p)) for t1, j in pairs for p in (1, 2, math.inf)]
+    got["5.2"] = _digest([_shape(res) for res in results])
+    assert _digest([_shape(res, notes=False) for res in results]) == PINNED_52_NOTE_FREE
     assert got == PINNED
 
 
