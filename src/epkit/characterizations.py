@@ -112,10 +112,9 @@ _QUANTITIES = {
     "b_is_cd_u": lambda m: m.b == m.c_dagger @ m.u,
     "bd_is_z_c": lambda m: m.b_dagger == m.z @ m.c,
     "cd_is_b_z": lambda m: m.c_dagger == m.b @ m.z,
-    "z_invertible": lambda m: is_invertible(m.z),
     # 3.9: the adjoint composite, which carries b = c* z when EP
     "z_adj": lambda m: (conj_transpose(m.c_dagger) @ m.c_dagger) @ m.u,
-    "x_adj": lambda m: inverse(conj_transpose(m.z_adj)),
+    "x_adj": lambda m: conj_transpose(m.s2_adj),                # (z*)^-1 = (z^-1)*
     "s1_adj": lambda m: conj_transpose(m.z_adj),
     "s2_adj": lambda m: inverse(m.z_adj),
     "b_is_cs_z": lambda m: m.b == m.c_star @ m.z_adj,
@@ -299,7 +298,7 @@ def _solvable(stmt: str, note=None, **systems) -> _Row:
     return _Row(stmt, solve=systems, note=note)
 
 
-def _decide(m: _Quantities, row: _Row) -> tuple:
+def _decide(m: EPInstance, row: _Row) -> tuple:
     """(truth, witness) of one row over the memoised quantities of m."""
     if row.solve is not None:
         witness = {}
@@ -318,7 +317,7 @@ def _decide(m: _Quantities, row: _Row) -> tuple:
     return True, {key: getattr(m, name) for key, name in row.witness.items()}
 
 
-def _evaluate(thm: str, m: _Quantities, rows: tuple) -> list:
+def _evaluate(thm: str, m: EPInstance, rows: tuple) -> list:
     """One StatementResult per row, in table order."""
     out = []
     for row in rows:
@@ -397,7 +396,7 @@ def thm35_battery(inst: EPInstance) -> list:
 # -- Battery 3.7: the 26-statement mixed family -------------------------
 
 _U_INV_37 = ("u_inverts_z", "3.7 composite u invertible")
-_Z_INV_37 = ("z_invertible", "3.7 z invertible")
+_Z_INV_37 = ("u_inverts_z", "3.7 z invertible")
 _U_KER_37 = (_U_INV_37, ("c_is_u_bd", "3.7 c = u b+"))
 _U_RNG_37 = (_U_INV_37, ("b_is_cd_u", "3.7 b = c+ u"))
 _Z_KER_37 = (("bd_is_z_c", "3.7 b+ = z c"), _Z_INV_37)
@@ -678,10 +677,11 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
     k, n = t1.rows, j.rows
     if k > n:
         raise ShapeError("block size exceeds ambient size")
-    if not is_invertible(t1):
-        raise SingularMatrixError("t1 must be invertible")
+    try:
+        t1_inv = inverse(t1)
+    except SingularMatrixError:
+        raise SingularMatrixError("t1 must be invertible") from None
     j_inv = inverse(j)
-    t1_inv = inverse(t1)
     e_n = MatrixQ.identity(n)
     d1 = _oplus_zero(MatrixQ.identity(k), n)
     t = j @ _oplus_zero(t1, n) @ j_inv

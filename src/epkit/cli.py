@@ -233,10 +233,7 @@ def main(argv: Optional[list] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (InputError, ScalarParseError, ShapeError, GeneratorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (InputError, ScalarParseError, ShapeError, GeneratorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except PowerIterationError as exc:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-Rational = Fraction
-
 _ZERO_FRAC = Fraction(0)
 _ONE_FRAC = Fraction(1)
 
@@ -171,15 +169,12 @@ def parse_scalar(text: str) -> GaussianRational:
     raise ScalarParseError(f"invalid scalar: {text!r}")
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q)  # Fraction str is exactly the R grammar
-
-
 def format_scalar(z: GaussianRational) -> str:
     """Canonical text form; parse(format(z)) == z and the form is unique."""
+    # Fraction str is exactly the R grammar
     if not z.im.numerator:
-        return _format_fraction(z.re)
+        return str(z.re)
     if not z.re.numerator:
-        return _format_fraction(z.im) + "i"
+        return str(z.im) + "i"
     sign = "+" if z.im > 0 else "-"
-    return _format_fraction(z.re) + sign + _format_fraction(abs(z.im)) + "i"
+    return str(z.re) + sign + str(abs(z.im)) + "i"

@@ -6,7 +6,8 @@ and the left-multiplication Kronecker lift.  Zero-dimensional matrices
 (0 x n, n x 0) are legal values throughout.
 
 Subspaces are stored in a canonical column-reduced echelon basis so that
-subspace equality is plain structural equality.
+subspace equality is plain structural equality.  `range_space` is the one
+canonicaliser of a span; `kernel` reads that form straight off one RREF.
 
 Representation: a MatrixQ holds one positive common denominator and two
 flat row-major lists of Python ints, the real and the imaginary numerators,
@@ -432,13 +433,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    @staticmethod
-    def from_spanning_columns(columns: MatrixQ) -> "Subspace":
-        """Canonicalize the span of the given columns."""
-        r, pivots = rref(transpose(columns))
-        reduced = transpose(r.take_rows(len(pivots)))
-        return Subspace(columns.rows, reduced)
-
     def contains_vector(self, v: MatrixQ) -> bool:
         if v.rows != self.ambient_dim or v.cols != 1:
             raise ShapeError("vector/ambient mismatch")
@@ -458,24 +452,32 @@ def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
 
 
 def kernel(a: MatrixQ) -> Subspace:
-    """Null space {x : a x = 0} as a canonical Subspace of C^cols."""
-    r, pivots = rref(a)
+    """Null space {x : a x = 0} as a canonical Subspace of C^cols.
+
+    One elimination, of `a` with its columns reversed (column k <- n-1-k):
+    free column f of that RREF R gives e_f - sum_i R[i, f] e_{pivots[i]},
+    where R[i, f] != 0 only for pivots[i] < f.  Mapped back by k -> n-1-k,
+    the vector has a leading 1 at n-1-f and every other one is 0 there, so
+    by decreasing f they are already the column-reduced echelon basis.
+    """
     n = a.cols
-    free = [j for j in range(n) if j not in pivots]
+    r, pivots = rref(a.select_columns(range(n - 1, -1, -1)))
+    free = [f for f in range(n - 1, -1, -1) if f not in pivots]
     nf = len(free)
-    # column t of the basis is e_f - sum_i R[i, f] e_{pivots[i]}, over R's den
+    # basis column t, row n-1-k: coordinate k of the vector of free column free[t]
     re, im = [0] * (n * nf), [0] * (n * nf)
     for t, f in enumerate(free):
-        re[f * nf + t] = r._den
+        re[(n - 1 - f) * nf + t] = r._den
         for i, p in enumerate(pivots):
-            re[p * nf + t] = -r._re[i * n + f]
-            im[p * nf + t] = -r._im[i * n + f]
-    return Subspace.from_spanning_columns(_canonical(n, nf, r._den, re, im))
+            re[(n - 1 - p) * nf + t] = -r._re[i * n + f]
+            im[(n - 1 - p) * nf + t] = -r._im[i * n + f]
+    return Subspace(n, _canonical(n, nf, r._den, re, im))
 
 
 def range_space(a: MatrixQ) -> Subspace:
-    """Column space of a, canonicalized."""
-    return Subspace.from_spanning_columns(a)
+    """Column space of a, canonicalised: the transposed nonzero rows of rref(a^T)."""
+    r, pivots = rref(transpose(a))
+    return Subspace(a.rows, transpose(r.take_rows(len(pivots))))
 
 
 def row_space(a: MatrixQ) -> Subspace:

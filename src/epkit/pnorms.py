@@ -281,8 +281,8 @@ def _rule(a: MatrixQ, norm: PNorm) -> tuple:
         return False, False
     if norm.p == 2:
         return True, conj_transpose(a) == a
-    return True, all(x.is_real() if i == j else x.is_zero()
-                     for i in range(a.rows) for j, x in enumerate(a.row(i)))
+    # a diagonal idempotent has 0/1 entries, so it is real diagonal
+    return True, a == MatrixQ.diagonal([a.entry(i, i) for i in range(a.rows)])
 
 
 def _rule_violation(a: MatrixQ, norm: PNorm) -> float:

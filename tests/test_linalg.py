@@ -31,6 +31,7 @@ from epkit.linalg import (
 from epkit.linalg import _divide
 
 from .oracles import assert_canonical
+from .test_linalg_oracle import UNIT_PIVOTS, to_mq
 
 
 def rand_mq(rng, rows, cols, bound=4, complex_entries=True):
@@ -200,19 +201,19 @@ def test_right_sided_spaces():
 
 def test_subspace_canonicalization():
     # redundant, rescaled spans canonicalize identically
-    s1 = Subspace.from_spanning_columns(MatrixQ.from_rows([[1, 2], [0, 0], [1, 2]]))
-    s2 = Subspace.from_spanning_columns(MatrixQ.from_rows([[5], [0], [5]]))
+    s1 = range_space(MatrixQ.from_rows([[1, 2], [0, 0], [1, 2]]))
+    s2 = range_space(MatrixQ.from_rows([[5], [0], [5]]))
     assert subspace_equal(s1, s2)
     assert s1.dim == 1
-    s3 = Subspace.from_spanning_columns(MatrixQ.from_rows([[1], [0], [0]]))
+    s3 = range_space(MatrixQ.from_rows([[1], [0], [0]]))
     assert not subspace_equal(s1, s3)
     assert s1.contains_subspace(s2)
     assert not s3.contains_subspace(s1)
 
 
 def test_subspace_ambient_mismatch():
-    s1 = Subspace.from_spanning_columns(MatrixQ.identity(2))
-    s2 = Subspace.from_spanning_columns(MatrixQ.identity(3))
+    s1 = range_space(MatrixQ.identity(2))
+    s2 = range_space(MatrixQ.identity(3))
     with pytest.raises(ShapeError):
         subspace_equal(s1, s2)
     with pytest.raises(ShapeError):
@@ -226,7 +227,24 @@ def test_zero_and_full_subspaces():
     assert z.dim == 0 and z.basis.cols == 0
     f = kernel(MatrixQ.zeros(2, 3))
     assert f.dim == 3
-    assert subspace_equal(f, Subspace.from_spanning_columns(MatrixQ.identity(3)))
+    assert subspace_equal(f, range_space(MatrixQ.identity(3)))
+
+
+def test_kernels_take_one_elimination(monkeypatch):
+    import epkit.linalg as linalg
+
+    calls = []
+    orig = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or orig(a))
+    a = MatrixQ.from_rows([[1, "1i", 2], ["1i", -1, "2i"], [0, 1, 1]])  # rank 2
+    cases = [MatrixQ.zeros(0, 3), MatrixQ.zeros(3, 0), MatrixQ.zeros(3, 3),
+             MatrixQ.identity(3), a] + [to_mq(rows, cols) for rows, cols in UNIT_PIVOTS]
+    assert rank(a) == 2
+    for m in cases:
+        for space in (kernel, right_kernel):
+            calls.clear()
+            space(m)
+            assert len(calls) == 1, (space.__name__, m)
 
 
 # -- factorization ------------------------------------------------------------
