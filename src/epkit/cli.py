@@ -6,7 +6,8 @@ canonicalized to strings on output).  Writing a parsed canonical file
 reproduces it byte for byte.
 
 Exit codes are a stable contract: 0 pass, 1 property false, 2 input error,
-3 inconclusive.
+3 inconclusive, which only `hermitian` returns, for a grid deviation between
+its two tolerances.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 from .battery import GeneratorConfig, GeneratorError, child_seed, run_battery
 from .exactnum import ScalarParseError, as_scalar, format_scalar, parse_scalar
 from .linalg import MatrixQ, ShapeError
-from .pnorms import PNorm, PowerIterationError, hermitian_check, parse_p
+from .pnorms import PNorm, hermitian_check, parse_p
 from .pseudoinverse import MPPair, penrose_certificate, pinv
 
 EXIT_PASS = 0
@@ -236,7 +237,3 @@ def main(argv: Optional[list] = None) -> int:
     except (InputError, ScalarParseError, ShapeError, GeneratorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except PowerIterationError as exc:
-        # the norm estimate itself refused to settle; that is not a verdict
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE

@@ -20,10 +20,12 @@ so a hermitian idempotent there is a diagonal 0/1 matrix.
 `is_hermitian_idempotent` takes its truth from that rule and keeps the grid
 report as evidence that must not contradict it beyond its tolerances.
 
-p in {1, 2, inf}.  p=1 and p=inf norms are closed-form; p=2 is a power
-iteration on A*A (each matrix first scaled to largest modulus 1) to
-relative tolerance 1e-12 with an explicit error on non-convergence.
-`expm` is scaling-and-squaring on a truncated series.
+p in {1, 2, inf}.  All three norms are `np.linalg.norm`: p=1 and p=inf are
+the closed-form column and row sums, p=2 the largest singular value from
+LAPACK's backward-stable SVD, which never forms A*A, so entries far from 1
+neither underflow nor overflow there.  `expm` is scaling-and-squaring on a
+truncated series; a grid point where exp(i t a) overflows reads deviation
+inf.  Numpy input must be finite.
 """
 
 from __future__ import annotations
@@ -36,17 +38,11 @@ import numpy as np
 
 from .linalg import InternalConsistencyError, MatrixQ, ShapeError, conj_transpose
 
-POWER_ITERATION_RTOL = 1e-12
-POWER_ITERATION_MAX_ITER = 20000
 HERMITIAN_TOL_PASS = 1e-9  # max deviation at or below this: hermitian
 HERMITIAN_TOL_FAIL = 1e-6  # max deviation at or above this: not_hermitian
 EXPM_SERIES_TERMS = 24
 
 _P_VALUES = (1, 2, math.inf)
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -78,11 +74,13 @@ def _as_array(a: Union[np.ndarray, MatrixQ, Sequence]) -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise ShapeError("expected a 2-d matrix")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr
 
 
 def op_norm(a, norm: PNorm) -> float:
-    """Induced operator p-norm of a square matrix."""
+    """Induced operator p-norm of a square matrix; ValueError on nan or inf entries."""
     arr = _as_array(a)
     n, m = arr.shape
     if n != m:
@@ -94,69 +92,12 @@ def _op_norms(mats: np.ndarray, norm: PNorm) -> np.ndarray:
     """Induced p-norm of each slice of a (g, n, n) stack; 0 when n = 0.
 
     p = 1 is the largest column sum of moduli, p = inf the largest row sum,
-    p = 2 the largest singular value by power iteration.
+    p = 2 the largest singular value.
     """
     g, n, _ = mats.shape
     if n == 0:
         return np.zeros(g)
-    if norm.p == 2:
-        return _spectral_norm_batch(mats)
-    return np.abs(mats).sum(axis=1 if norm.p == 1 else 2).max(axis=1)
-
-
-def _spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
-    """Largest singular value per slice via shifted power iteration on A*A.
-
-    Two details matter for correctness.  First, the iteration runs on
-    B - cI with c a Gershgorin lower bound on the spectrum of B = A*A
-    (clamped at 0, so the shift is rigorous and the shifted matrix stays
-    PSD); lambda_max(B) = c + lambda_max(B - cI) exactly.  Without the
-    shift, matrices whose whole singular spectrum collapses toward one
-    point (exp(itA) as t -> 0 is the everyday case) have relative gaps
-    that vanish with the collapse and cannot reach rtol in any budget.
-    Second, convergence is judged by the eigen-residual
-    ||Bv - lambda v|| <= POWER_ITERATION_RTOL * lambda, not by successive
-    Rayleigh estimates: a successive-difference test stagnates (and passes
-    spuriously) when the two top singular values almost coincide.  A
-    near-degenerate top pair over a spread-out spectrum, where shifting
-    cannot help, exhausts the budget and raises PowerIterationError rather
-    than return an under-converged value.  Each slice is divided by its
-    largest modulus before A*A is formed and its norm multiplied back, so
-    entries far from 1 neither underflow nor overflow in B.
-    """
-    g, n, _ = mats.shape
-    top = np.abs(mats).max(axis=(1, 2))
-    mats = mats / np.where(top > 0.0, top, 1.0)[:, None, None]
-    b = np.conj(np.transpose(mats, (0, 2, 1))) @ mats
-    scale = np.abs(b).sum(axis=(1, 2))
-    zero = scale == 0.0
-    diag = np.real(np.einsum("gii->gi", b))
-    radii = np.abs(b).sum(axis=2) - np.abs(np.einsum("gii->gi", b))
-    shift = np.maximum((diag - radii).min(axis=1), 0.0)
-    b = b - shift[:, None, None] * np.eye(n)
-    v = np.ones((g, n), dtype=complex)
-    v += 1e-3 * np.arange(n)  # deterministic asymmetric start
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    lam = np.zeros(g)
-    done = zero.copy()
-    for _ in range(POWER_ITERATION_MAX_ITER):
-        w = np.einsum("gij,gj->gi", b, v)
-        new_lam = np.real(np.einsum("gi,gi->g", np.conj(v), w))
-        resid = np.linalg.norm(w - new_lam[:, None] * v, axis=1)
-        close = resid <= POWER_ITERATION_RTOL * np.maximum(new_lam + shift, 1e-300)
-        wn = np.linalg.norm(w, axis=1)
-        safe = wn > 0
-        v = np.where(safe[:, None], w / np.where(safe, wn, 1.0)[:, None], v)
-        done = done | close | ~safe
-        lam = new_lam
-        if done.all():
-            break
-    else:
-        raise PowerIterationError(
-            f"power iteration did not converge in {POWER_ITERATION_MAX_ITER} iterations"
-        )
-    lam = np.where(zero, 0.0, np.maximum(lam + shift, 0.0))
-    return np.sqrt(lam) * top
+    return np.linalg.norm(mats, ord=norm.p, axis=(1, 2))
 
 
 def expm(a) -> np.ndarray:
@@ -216,7 +157,8 @@ def hermitian_check(
     stack of exp(i t a) is the closed form e + (e^{it} - 1) a, and at p = 2
     its norms come from `_idempotent_spectral_deviation` without forming
     the stack; otherwise (not idempotent, or a numpy array) it is the
-    scaling-and-squaring series.
+    scaling-and-squaring series.  A grid point where either overflows reads
+    deviation inf.  A numpy array with nan or inf entries raises ValueError.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -227,15 +169,23 @@ def hermitian_check(
     if n != m:
         raise ShapeError("hermitian_check expects a square matrix")
     ts = np.linspace(-t_max, t_max, grid)
-    if isinstance(a, MatrixQ) and n and a @ a == a:
-        # exp(itq) = e + (e^{it} - 1) q exactly when q is idempotent
-        w = np.exp(1j * ts) - 1.0
-        if norm.p == 2:
-            dev = _idempotent_spectral_deviation(arr, np.abs(w))
+    # the entries are finite, so only overflow makes inf or nan (inf * 0,
+    # inf - inf): exp(i t a) is past float range there, a deviation of inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(a, MatrixQ) and n and a @ a == a:
+            # exp(itq) = e + (e^{it} - 1) q exactly when q is idempotent
+            w = np.exp(1j * ts) - 1.0
+            if norm.p == 2:
+                dev = _idempotent_spectral_deviation(arr, np.abs(w))
+            else:
+                dev = np.abs(_op_norms(np.eye(n) + w[:, None, None] * arr, norm) - 1.0)
         else:
-            dev = np.abs(_op_norms(np.eye(n) + w[:, None, None] * arr, norm) - 1.0)
-    else:
-        dev = np.abs(_op_norms(_expm_batch(1j * ts[:, None, None] * arr), norm) - 1.0)
+            exps = _expm_batch(1j * ts[:, None, None] * arr)
+            overflowed = ~np.isfinite(exps).all(axis=(1, 2))
+            exps[overflowed] = 0.0  # the SVD rejects nan
+            dev = np.abs(_op_norms(exps, norm) - 1.0)
+            dev[overflowed] = np.inf
+    dev[np.isnan(dev)] = np.inf
     idx = int(dev.argmax())
     max_dev = float(dev[idx])
     if max_dev <= HERMITIAN_TOL_PASS:
@@ -265,9 +215,9 @@ def _idempotent_spectral_deviation(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     [0, 1]] has the norm of [[1, |w| s_i], [0, 1]], which is
     sigma(|w| s_i) with sigma(x) = (x + sqrt(x^2 + 4)) / 2 >= 1, increasing
     in x; the I and 0 parts have norm 1.  So ||e + w q||_2 = sigma(|w| s),
-    and one power iteration, on q - q*, serves every grid point.
+    and one spectral norm, of q - q*, serves every grid point.
     """
-    x = r * _spectral_norm_batch((q - q.conj().T)[None])[0]
+    x = r * _op_norms((q - q.conj().T)[None], PNorm(2))[0]
     # sigma(x) - 1 = (x + x^2 / (sqrt(x^2 + 4) + 2)) / 2: no cancellation
     # for small x, no overflow for large x
     return (x + x * (x / (np.hypot(x, 2.0) + 2.0))) / 2.0

@@ -250,15 +250,30 @@ def test_hermitian_between_tolerances_is_inconclusive_exit(tmp_path, capsys):
     assert err == ""
 
 
-def test_hermitian_unresolvable_norm_is_inconclusive_exit(tmp_path, capsys):
-    # top singular pair 1e-9 apart over a spread spectrum: the estimate
-    # cannot settle, and the command must not pretend it has a verdict
+def test_hermitian_near_degenerate_top_pair_is_not_hermitian(tmp_path, capsys):
+    # exp(itA) = diag(e^{-t}, e^{-1.000000001t}, e^{2t}) is unbounded; its
+    # top singular pair sits 1e-9 apart over a spread spectrum
     path = mfile(tmp_path, "stall.json", matrix_obj(
         [["1i", "0", "0"], ["0", "1000000001/1000000000i", "0"], ["0", "0", "-2i"]]))
     code, out, err = run_main(capsys, ["hermitian", path, "--p", "2", "--grid", "8"])
-    assert code == EXIT_INCONCLUSIVE
-    assert out == ""
-    assert err.startswith("error:") and "converge" in err
+    assert code == EXIT_PROPERTY_FALSE
+    assert out.startswith("verdict: not_hermitian\n")
+    assert err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_overflowing_exponential_is_not_hermitian(tmp_path, capsys):
+    # exp(itA) = diag(e^{1000t}, 1) overflows on most of the grid, and so
+    # does e + (e^{it} - 1) q for an idempotent q with an entry of 1e308
+    series = mfile(tmp_path, "big.json", matrix_obj([["-1000i", "0"], ["0", "0"]]))
+    closed = mfile(tmp_path, "bigq.json", matrix_obj([["1", str(10 ** 308)], ["0", "0"]]))
+    for path in (series, closed):
+        for p in ("1", "2", "inf"):
+            code, out, err = run_main(capsys, ["hermitian", path, "--p", p, "--grid", "513"])
+            assert code == EXIT_PROPERTY_FALSE
+            assert out.startswith("verdict: not_hermitian\n")
+            assert "max deviation of |exp(i t a)| from 1: inf at" in out
+            assert err == ""
 
 
 def test_hermitian_bad_flags(tmp_path, capsys):
@@ -401,9 +416,12 @@ def _exit_codes_for(content: bytes) -> list:
             fh.write(content)
         codes = []
         for argv in (["pinv", path], ["ep", path], ["hermitian", path, "--grid", "8"]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(main(argv))
+            # 3 is only ever a grid verdict between the two tolerances
+            assert codes[-1] != EXIT_INCONCLUSIVE or out.getvalue().startswith(
+                "verdict: inconclusive\n")
         return codes
 
 
