@@ -34,7 +34,7 @@ from .characterizations import (
     thm56_battery,
 )
 from .exactnum import GaussianRational, I_UNIT, ONE
-from .linalg import MatrixQ, conj_transpose, inverse, rank
+from .linalg import MatrixQ, conj_transpose, rank, solve_exists
 from .pnorms import PNorm
 from .pseudoinverse import is_ep
 
@@ -128,10 +128,10 @@ def _orthogonal_projection(rng, n: int, r: int, bound: int, use_complex: bool) -
     """Exact orthogonal projection of rank r: M0 (M0* M0)^-1 M0*."""
     def draw():
         m0 = _rand_matrix(rng, n, r, bound, use_complex)
-        return m0, conj_transpose(m0) @ m0
-    m0, gram = _rejection(draw, lambda pair: rank(pair[1]) == r,
-                          f"could not draw a rank-{r} projection of size {n}")
-    return m0 @ inverse(gram) @ conj_transpose(m0)
+        return m0, solve_exists(conj_transpose(m0) @ m0, MatrixQ.identity(r))
+    m0, gram_inv = _rejection(draw, lambda pair: pair[1] is not None,
+                              f"could not draw a rank-{r} projection of size {n}")
+    return m0 @ gram_inv @ conj_transpose(m0)
 
 
 def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:

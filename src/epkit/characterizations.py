@@ -28,10 +28,12 @@ subclass whose table extends the pair's a+, p, q and Grams with what every
 exact battery reads; the 3.x batteries take it validated from
 `EPInstance.from_matrix`, the 4.x and 5.x batteries build it from a after a
 square check.  Each product, subspace, inverse, solve and identity check
-runs at most once per object however many rows name it, yet every row still
-`_require`s its witness identities, under its own battery's message, before
-it reports the witness.  A witness that fails to re-verify raises
-InternalConsistencyError: that is a bug, not a result.
+runs at most once per object however many rows name it.  An inverse that
+may not exist is read through `solve` against the identity: one elimination
+both decides invertibility (None when singular) and gives the re-verified
+inverse.  Every row still `_require`s its witness identities, under its own
+battery's message, before it reports the witness.  A witness that fails to
+re-verify raises InternalConsistencyError: that is a bug, not a result.
 
 Rectangular reading: instances carry a square a = b·c with b of full column
 rank (n×r) and c of full row rank (r×n); each identity `e` is the identity
@@ -116,9 +118,9 @@ _QUANTITIES = {
     "z_adj": lambda m: (conj_transpose(m.c_dagger) @ m.c_dagger) @ m.u,
     "x_adj": lambda m: conj_transpose(m.s2_adj),                # (z*)^-1 = (z^-1)*
     "s1_adj": lambda m: conj_transpose(m.z_adj),
-    "s2_adj": lambda m: inverse(m.z_adj),
+    "s2_adj": lambda m: m.solve("z_adj", "e_r", "right"),
     "b_is_cs_z": lambda m: m.b == m.c_star @ m.z_adj,
-    "z_adj_invertible": lambda m: is_invertible(m.z_adj),
+    "z_adj_invertible": lambda m: m.s2_adj is not None,
     "c_is_x_bs": lambda m: m.c == m.x_adj @ m.b_star,
     "bs_is_s1_c": lambda m: m.b_star == m.s1_adj @ m.c,
     "cs_is_b_s2": lambda m: m.c_star == m.b @ m.s2_adj,
@@ -161,9 +163,8 @@ _QUANTITIES = {
     "ad_z2_a_is_p": lambda m: m.a_dagger @ m.z2 @ m.a == m.p,
     # 4.2: the adjoint versions, through the Lemma 3.8 witnesses (v, w)
     "lemma38": lambda m: lemma38_witnesses(m),
-    "w_inv": lambda m: inverse(m.lemma38[1]),
     "s_adj": lambda m: m.w_inv @ m.s_dag,
-    "u_adj": lambda m: m.u_dag @ inverse(m.lemma38[0]),
+    "u_adj": lambda m: m.u_dag @ m.v_inv,
     "vhat": lambda m: m.w_inv @ m.lemma38[0],
     "what": lambda m: m.lemma38[0] @ m.w_inv,
     "z1_adj": lambda m: m.u_adj @ conj_transpose(m.u_adj),
@@ -185,18 +186,16 @@ _QUANTITIES = {
     "a_hh_as_is_aa": lambda m: m.a @ m.h @ conj_transpose(m.h) @ m.a_star == m.aa,
     # 5.3, 5.5: t = j (t1 + 0) j^-1 over a range basis and a kernel basis
     "j": lambda m: m.rng_a.basis.hstack(m.ker_a.basis),
-    "j_inv": lambda m: inverse(m.j),
-    "j_invertible": lambda m: is_invertible(m.j),
-    "j_inv_invertible": lambda m: is_invertible(m.j_inv),
+    "j_inv": lambda m: m.solve("j", "e_n", "right"),
+    "j_invertible": lambda m: m.j_inv is not None,
     "t1": lambda m: solve_exists(m.rng_a.basis, m.a @ m.rng_a.basis, side="right"),
-    "t1_inv": lambda m: inverse(m.t1),
-    "t1_invertible": lambda m: is_invertible(m.t1),
+    "t1_inv": lambda m: m.solve("t1", "e_r", "right"),
+    "t1_invertible": lambda m: m.t1_inv is not None,
     "t_is_block": lambda m: m.a == m.j @ _oplus_zero(m.t1, m.a.rows) @ m.j_inv,
     "td_is_block": lambda m: m.a_dagger == m.j @ _oplus_zero(m.t1_inv, m.a.rows) @ m.j_inv,
     "decomposition": lambda m: _decompose(m),
     "decomposable": lambda m: m.decomposition is not None,
     "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
-    "surjective_sides": lambda m: m.j_inv_invertible and m.t1_invertible,
     # 5.6: identity-framed factorizations
     "identity_framed": lambda m: (m.e_n @ m.a @ m.e_n == m.a
                                   and m.e_n @ m.a_dagger @ m.e_n == m.a_dagger),
@@ -606,7 +605,7 @@ _T55 = (
             V2="j", A2="t1", S2="j_inv", W2="j", B2="t1_inv"),
     _exists("iii", "rng_dagger",
             _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = V (B + 0) S'"),
-                              ("surjective_sides", "5.5 surjectivity side conditions")),
+                              ("injective_sides", "5.5 surjectivity side conditions")),
             note="first-clause block operator reported under its clause-local key A3",
             V3="j", A3="t1", S3="j_inv", S4="j_inv", B3="t1_inv",
             V4="j", A4="t1", S5="j_inv", S6="j_inv", B4="t1_inv"),
@@ -681,7 +680,10 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
         t1_inv = inverse(t1)
     except SingularMatrixError:
         raise SingularMatrixError("t1 must be invertible") from None
-    j_inv = inverse(j)
+    try:
+        j_inv = inverse(j)
+    except SingularMatrixError:
+        raise SingularMatrixError("j must be invertible") from None
     e_n = MatrixQ.identity(n)
     d1 = _oplus_zero(MatrixQ.identity(k), n)
     t = j @ _oplus_zero(t1, n) @ j_inv

@@ -18,7 +18,10 @@ p == q exactly on it.
 
 `lemma38_witnesses` / `lemma38_factor_witnesses` build the invertible
 elements v, w with a^+ = a* v = w a* (and the related factor identities) and
-re-verify every claimed identity before returning.
+re-verify every claimed identity before returning.  Their inverses come in
+closed form, v^-1 = (e - p) + a a* and w^-1 = (e - q) + a* a (the pair's
+`v_inv` and `w_inv`), so one product each, v v^-1 = e and w w^-1 = e,
+checks invertibility without an elimination.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .linalg import (
     conj_transpose,
     full_rank_factorize,
     inverse,
-    is_invertible,
     solve_exists,
 )
 
@@ -155,6 +157,8 @@ class MPPair(_Quantities):
         "p_eq_q": lambda m: m.p == m.q,
         "p_perp": lambda m: m.e_n - m.p,
         "q_perp": lambda m: m.e_n - m.q,
+        "v_inv": lambda m: m.p_perp + m.bb,                          # Lemma 3.8's v^-1
+        "w_inv": lambda m: m.q_perp + m.aa,                          # Lemma 3.8's w^-1
     }
 
     @classmethod
@@ -180,15 +184,18 @@ def lemma38_witnesses(pair: MPPair) -> tuple:
 
     v = e - p + (a^+)* a^+  satisfies  a^+ = a* v,  a a* v = v a a* = p.
     w = e - q + a^+ (a^+)*  satisfies  a^+ = w a*,  w a* a = a* a w = q.
-    All identities (and invertibility) are re-verified exactly.
+    Their inverses are v^-1 = e - p + a a* and w^-1 = e - q + a* a, so
+    invertibility is the one product v v^-1 = e (likewise w w^-1 = e); for a
+    square matrix a one-sided inverse is two-sided.  All identities are
+    re-verified exactly.
     """
     x, p, q, a_star = pair.a_dagger, pair.p, pair.q, pair.a_star
     xs = conj_transpose(x)
     v = pair.p_perp + (xs @ x)
     w = pair.q_perp + (x @ xs)
     checks = (
-        is_invertible(v),
-        is_invertible(w),
+        v @ pair.v_inv == pair.e_n,
+        w @ pair.w_inv == pair.e_n,
         a_star @ v == x,
         w @ a_star == x,
         pair.bb @ v == p,

@@ -194,6 +194,40 @@ def test_run_battery_every_theorem():
         assert rep.seed == 31
 
 
+def test_no_matrix_is_both_rank_tested_and_inverted(monkeypatch):
+    """An elimination of x against the identity already decides whether x is
+    invertible, so no call also tests the rank of x."""
+    import epkit.linalg as linalg
+
+    reduced, rank_tested = [], []
+    orig_rref, orig_rank = linalg.rref, linalg.rank
+    monkeypatch.setattr(linalg, "rref", lambda a: reduced.append(a) or orig_rref(a))
+    for module in (linalg, battery):
+        monkeypatch.setattr(module, "rank", lambda a: rank_tested.append(a) or orig_rank(a))
+
+    def assert_single_elimination(label, fn, arg):
+        reduced.clear()
+        rank_tested.clear()
+        fn(arg)
+        for aug in reduced:
+            n = aug.rows
+            if n == 0 or aug.cols != 2 * n:
+                continue
+            if aug.select_columns(range(n, 2 * n)) == MatrixQ.identity(n):
+                x = aug.select_columns(range(n))
+                assert x not in rank_tested, (label, x)
+
+    batteries = {"3.9": lambda a: battery.thm39_battery(EPInstance.from_matrix(a)),
+                 "4.2": battery.thm42_battery, "5.5": battery.thm55_battery}
+    for tid, fn in batteries.items():
+        for s in (1, 2):
+            for cfg in battery_configs(tid, 8, 4, s):
+                assert_single_elimination(tid, fn, gen_matrix(cfg))
+    for i in range(12):
+        cfg = GeneratorConfig(seed=child_seed(17, i), n=4, kind="ep")
+        assert_single_elimination("ep draw", gen_matrix, cfg)
+
+
 def test_run_battery_5_2_norms():
     cfgs = [GeneratorConfig(seed=child_seed(41, i), n=3) for i in range(6)]
     rep2 = run_battery("5.2", cfgs, norm=PNorm(2))

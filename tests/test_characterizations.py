@@ -163,6 +163,7 @@ def test_existential_results_carry_verified_witnesses():
     assert conj_transpose(inst.c) @ zw == inst.b and is_invertible(zw)
     s1 = r39["3.9.xiii"].witness["s1"]
     assert s1 @ inst.c == conj_transpose(inst.b)
+    assert zw @ r39["3.9.xiv"].witness["s2"] == inst.e_r
 
     r41 = {r.statement_id: r for r in thm41_battery(DIAG20)}
     s = r41["4.1.ii"].witness["s"]
@@ -255,6 +256,12 @@ def test_thm55_witness_keys():
     w = results["5.5.ii"].witness
     assert w["A1"] == MatrixQ.from_rows([[2]])
     assert w["B1"] == MatrixQ.from_rows([["1/2"]])
+    draws = [gen_matrix(GeneratorConfig(seed=child_seed(55, i), n=4, kind="ep"))
+             for i in range(6)]
+    for a in [DIAG20] + draws:
+        w = {r.statement_id: r for r in thm55_battery(a)}["5.5.ii"].witness
+        assert w["V1"] @ w["S1"] == MatrixQ.identity(a.rows)
+        assert w["A1"] @ w["B1"] == MatrixQ.identity(w["A1"].rows)
 
 
 def test_thm56_witness_keys():
@@ -320,9 +327,9 @@ def test_prop52_zero_block():
 def test_prop52_input_validation():
     with pytest.raises(ShapeError):
         prop52_battery(MatrixQ.identity(3), MatrixQ.identity(2), PNorm(2))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="t1 must be invertible"):
         prop52_battery(MatrixQ.zeros(1, 1), MatrixQ.identity(2), PNorm(2))
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="j must be invertible"):
         prop52_battery(MatrixQ.identity(1), MatrixQ.from_rows([[1, 1], [1, 1]]), PNorm(2))
     with pytest.raises(ShapeError):
         prop52_battery(MatrixQ.zeros(1, 2), MatrixQ.identity(2), PNorm(2))

@@ -195,6 +195,12 @@ def test_invertible_norm_witnesses():
         assert v @ (a @ a_star) == pair.p
         assert w @ (a_star @ a) == pair.q
         assert (a_star @ a) @ w == pair.q
+        # Lemma 3.8's closed-form inverses, rank 0 and non-EP draws included
+        e = MatrixQ.identity(n)
+        v_inv = (e - pair.p) + a @ a_star
+        w_inv = (e - pair.q) + a_star @ a
+        assert v @ v_inv == e and w @ w_inv == e
+        assert pair.v_inv == v_inv and pair.w_inv == w_inv
 
 
 def test_factor_level_witness_checks():
