@@ -28,12 +28,19 @@ subclass whose table extends the pair's a+, p, q and Grams with what every
 exact battery reads; the 3.x batteries take it validated from
 `EPInstance.from_matrix`, the 4.x and 5.x batteries build it from a after a
 square check.  Each product, subspace, inverse, solve and identity check
-runs at most once per object however many rows name it.  An inverse that
-may not exist is read through `solve` against the identity: one elimination
-both decides invertibility (None when singular) and gives the re-verified
-inverse.  Every row still `_require`s its witness identities, under its own
-battery's message, before it reports the witness.  A witness that fails to
-re-verify raises InternalConsistencyError: that is a bug, not a result.
+runs at most once per object however many rows name it.  Solves are keyed
+by their two matrices and side, not by names, so equal systems under
+different names (4.1's p and q on an EP input) share one elimination.  An
+inverse that may not exist is read through `solve` against the identity:
+one elimination both decides invertibility (None when singular) and gives
+the re-verified inverse.  A fact is read from the step that already proved
+it: 4.2's v^ = w^-1 v and w^ = v w^-1 are invertible because
+`lemma38_witnesses` verified v v^-1 = e and w w^-1 = e; 5.6's outer factor
+e is square, so injective, right-injective and surjective are its one rank
+test; 5.2 reads idempotence off the hermitian check's closed form.  Every
+row still `_require`s its witness identities, under its own battery's
+message, before it reports the witness.  A witness that fails to re-verify
+raises InternalConsistencyError: that is a bug, not a result.
 
 Rectangular reading: instances carry a square a = b·c with b of full column
 rank (n×r) and c of full row rank (r×n); each identity `e` is the identity
@@ -167,6 +174,9 @@ _QUANTITIES = {
     "u_adj": lambda m: m.u_dag @ m.v_inv,
     "vhat": lambda m: m.w_inv @ m.lemma38[0],
     "what": lambda m: m.lemma38[0] @ m.w_inv,
+    # lemma38 has verified v v^-1 = e and w w^-1 = e, so vhat = w^-1 v and
+    # what = v w^-1 are invertible, with inverses v^-1 w and w v^-1
+    "v_w_invertible": lambda m: m.lemma38 is not None,
     "z1_adj": lambda m: m.u_adj @ conj_transpose(m.u_adj),
     "z2_adj": lambda m: conj_transpose(m.s_adj) @ m.s_adj,
     "h": lambda m: (m.a_dagger @ m.a_star) + m.q_perp,
@@ -175,9 +185,7 @@ _QUANTITIES = {
     "a_u_adj_is_as": lambda m: m.a @ m.u_adj == m.a_star,
     "u_adj_invertible": lambda m: is_invertible(m.u_adj),
     "vhat_bb_is_aa": lambda m: m.vhat @ m.bb == m.aa,
-    "vhat_invertible": lambda m: is_invertible(m.vhat),
     "bb_what_is_aa": lambda m: m.bb @ m.what == m.aa,
-    "what_invertible": lambda m: is_invertible(m.what),
     "grams_two_sided": lambda m: (m.p @ m.aa @ m.p == m.aa) and (m.q @ m.bb @ m.q == m.bb),
     "a_z1_as_is_aa": lambda m: m.a @ m.z1_adj @ m.a_star == m.aa,
     "as_z2_a_is_bb": lambda m: m.a_star @ m.z2_adj @ m.a == m.bb,
@@ -196,11 +204,10 @@ _QUANTITIES = {
     "decomposition": lambda m: _decompose(m),
     "decomposable": lambda m: m.decomposition is not None,
     "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
-    # 5.6: identity-framed factorizations
+    # 5.6: identity-framed factorizations; e is square, so its one rank test
+    # decides injective, right-injective and surjective alike
     "identity_framed": lambda m: (m.e_n @ m.a @ m.e_n == m.a
                                   and m.e_n @ m.a_dagger @ m.e_n == m.a_dagger),
-    "e_injective": lambda m: kernel(m.e_n).dim == 0,
-    "e_right_injective": lambda m: right_kernel(m.e_n).dim == 0,
     "e_full_rank": lambda m: rank(m.e_n) == m.a.rows,
 }
 
@@ -523,8 +530,8 @@ def thm41_battery(a: MatrixQ) -> list:
 
 _S_42 = (("s_adj_a_is_as", "4.2 a* = s a"), ("s_adj_invertible", "4.2 s invertible"))
 _U_42 = (("a_u_adj_is_as", "4.2 a* = a u"), ("u_adj_invertible", "4.2 u invertible"))
-_V_42 = (("vhat_bb_is_aa", "4.2 a*a = v aa*"), ("vhat_invertible", "4.2 v invertible"))
-_W_42 = (("bb_what_is_aa", "4.2 a*a = aa* w"), ("what_invertible", "4.2 w invertible"))
+_V_42 = (("vhat_bb_is_aa", "4.2 a*a = v aa*"), ("v_w_invertible", "4.2 v invertible"))
+_W_42 = (("bb_what_is_aa", "4.2 a*a = aa* w"), ("v_w_invertible", "4.2 w invertible"))
 _H_42 = (("h_invertible", "4.2 h invertible"), ("a_h_is_as", "4.2 a* = a h"),
          ("a_hh_as_is_aa", "4.2 a*a = a h h* a*"))
 
@@ -623,7 +630,7 @@ _FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
 _T56 = (
     _exists("ii", "ker_dagger",
             (_FRAMED_56, ("ker_dagger", "5.6 kernel condition on the middle factors"),
-             ("e_injective", "5.6 outer factors injective")),
+             ("e_full_rank", "5.6 outer factors injective")),
             b1="e_n", c1="a", g1="e_n", f1="e_n", d1="a_dagger"),
     _exists("iii", "rng_dagger",
             (_FRAMED_56, ("rng_dagger", "5.6 range condition on the middle factors"),
@@ -632,7 +639,7 @@ _T56 = (
     _exists("iv", "rker_dagger",
             (_FRAMED_56,
              ("rker_dagger", "5.6 right-annihilator condition on the middle factors"),
-             ("e_right_injective", "5.6 outer factors right-injective")),
+             ("e_full_rank", "5.6 outer factors right-injective")),
             note="kernel condition read clause-locally (c2 against d2)",
             b2="e_n", c2="a", g2="e_n", d2="a_dagger", g3="e_n"),
     _exists("v", "row_dagger",

@@ -181,6 +181,8 @@ def cmd_hermitian(args) -> int:
         rep = hermitian_check(a, norm, grid=args.grid, t_max=args.tmax)
     except OverflowError as exc:
         raise InputError(f"entries too large for the floating-point check: {exc}") from exc
+    except ValueError as exc:  # grid and entries are valid here: the t-grid overflows
+        raise InputError(f"--tmax {args.tmax:g} is too large: {exc}") from exc
     sys.stdout.write(f"verdict: {rep.verdict}\n")
     sys.stdout.write(f"max deviation of |exp(i t a)| from 1: {rep.max_deviation:.12g} "
                      f"at t = {rep.argmax_t:.12g}\n")

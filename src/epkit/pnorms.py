@@ -6,19 +6,21 @@ decided numerically, so `hermitian_check` samples a symmetric t-grid and
 reports a three-way verdict (hermitian / not_hermitian / inconclusive) with
 the observed maximum deviation.  For a `MatrixQ` q of size n >= 1 with
 q @ q == q exactly, the grid uses the closed form exp(i t q) =
-e + (e^{it} - 1) q; every other input (numpy arrays included) goes through
-the truncated series of `expm`.  At p = 2 the norm of that closed form is
-itself closed-form: q is unitarily similar to I + 0 + (sum_i [[1, s_i],
-[0, 0]]) (Halmos, "Two subspaces", 1969), so ||e + w q||_2 depends only on
-|w| and s = max s_i = ||q - q*||_2, and one spectral norm per check
-replaces the one per grid point.
+e + (e^{it} - 1) q, and its report says so (`closed_form`); every other
+input (numpy arrays included) goes through the truncated series of `expm`.
+At p = 2 the norm of that closed form is itself closed-form: q is unitarily
+similar to I + 0 + (sum_i [[1, s_i], [0, 0]]) (Halmos, "Two subspaces",
+1969), so ||e + w q||_2 depends only on |w| and s = max s_i = ||q - q*||_2,
+and one spectral norm per check replaces the one per grid point.
 
 For idempotents the question is decided exactly.  At p = 2 the hermitian
 operators are the self-adjoint ones; on l^p_n with p != 2 they are the real
 diagonal ones (Lumer 1961, with Lamperti's description of the isometries),
 so a hermitian idempotent there is a diagonal 0/1 matrix.
-`is_hermitian_idempotent` takes its truth from that rule and keeps the grid
-report as evidence that must not contradict it beyond its tolerances.
+`is_hermitian_idempotent` takes its truth from that rule, reading
+idempotence from the grid report's `closed_form` rather than forming q @ q
+again, and keeps the report as evidence that must not contradict the rule
+beyond its tolerances.
 
 p in {1, 2, inf}.  All three norms are `np.linalg.norm`: p=1 and p=inf are
 the closed-form column and row sums, p=2 the largest singular value from
@@ -137,6 +139,7 @@ class HermitianCheckReport:
     tol_pass: float
     tol_fail: float
     verdict: str  # "hermitian" | "not_hermitian" | "inconclusive"
+    closed_form: bool  # the grid used exp(i t a) = e + (e^{it} - 1) a: a @ a == a exactly
 
 
 def hermitian_check(
@@ -157,22 +160,27 @@ def hermitian_check(
     stack of exp(i t a) is the closed form e + (e^{it} - 1) a, and at p = 2
     its norms come from `_idempotent_spectral_deviation` without forming
     the stack; otherwise (not idempotent, or a numpy array) it is the
-    scaling-and-squaring series.  A grid point where either overflows reads
-    deviation inf.  A numpy array with nan or inf entries raises ValueError.
+    scaling-and-squaring series.  The report's `closed_form` records which:
+    it is True exactly when a is a `MatrixQ` of size n >= 1 with a @ a == a.
+    A grid point where either overflows reads deviation inf.  A numpy array
+    with nan or inf entries raises ValueError, and so does a t_max that is
+    not positive or whose grid leaves float range (nan, inf, 1e308).
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ValueError("t_max must be finite and positive")
+    with np.errstate(all="ignore"):
+        ts = np.linspace(-t_max, t_max, grid)
+    if not (t_max > 0 and np.isfinite(ts).all()):
+        raise ValueError("t_max must be positive, with a finite grid on [-t_max, t_max]")
     arr = _as_array(a)
     n, m = arr.shape
     if n != m:
         raise ShapeError("hermitian_check expects a square matrix")
-    ts = np.linspace(-t_max, t_max, grid)
+    closed_form = isinstance(a, MatrixQ) and n > 0 and a @ a == a
     # the entries are finite, so only overflow makes inf or nan (inf * 0,
     # inf - inf): exp(i t a) is past float range there, a deviation of inf
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(a, MatrixQ) and n and a @ a == a:
+        if closed_form:
             # exp(itq) = e + (e^{it} - 1) q exactly when q is idempotent
             w = np.exp(1j * ts) - 1.0
             if norm.p == 2:
@@ -202,6 +210,7 @@ def hermitian_check(
         tol_pass=HERMITIAN_TOL_PASS,
         tol_fail=HERMITIAN_TOL_FAIL,
         verdict=verdict,
+        closed_form=closed_form,
     )
 
 
@@ -223,16 +232,15 @@ def _idempotent_spectral_deviation(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (x + x * (x / (np.hypot(x, 2.0) + 2.0))) / 2.0
 
 
-def _rule(a: MatrixQ, norm: PNorm) -> tuple:
-    """(idempotent, truth) of the exact rule, forming a @ a once."""
-    if not a.is_square:
-        raise ShapeError("is_hermitian_idempotent expects a square matrix")
-    if a @ a != a:
-        return False, False
+def _rule(a: MatrixQ, norm: PNorm) -> bool:
+    """The hermitian half of the exact rule, for an idempotent a.
+
+    Self-adjoint at p = 2, diagonal at p = 1 and inf (a diagonal idempotent
+    has 0/1 entries, so it is real diagonal).
+    """
     if norm.p == 2:
-        return True, conj_transpose(a) == a
-    # a diagonal idempotent has 0/1 entries, so it is real diagonal
-    return True, a == MatrixQ.diagonal([a.entry(i, i) for i in range(a.rows)])
+        return conj_transpose(a) == a
+    return a == MatrixQ.diagonal([a.entry(i, i) for i in range(a.rows)])
 
 
 def _rule_violation(a: MatrixQ, norm: PNorm) -> float:
@@ -253,29 +261,31 @@ def is_hermitian_idempotent_exact(a: MatrixQ, norm: PNorm) -> bool:
 
     a must be idempotent; then at p = 2 it must be self-adjoint, and at
     p = 1 or inf real diagonal (which for an idempotent means 0/1 entries).
-    No floating point is involved.
+    No floating point is involved.  A non-square a raises ShapeError (from
+    the product a @ a).
     """
-    return _rule(a, norm)[1]
+    return a @ a == a and _rule(a, norm)
 
 
 def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
     """(truth, report) for "a is a hermitian idempotent" under the given norm.
 
-    The truth is `is_hermitian_idempotent_exact`, so it is never None.  The
-    report is `hermitian_check` with its default grid on a, which for an
-    idempotent uses the closed form of exp(i t a); it is kept as evidence.
-    When a is an idempotent of size n >= 1 and the grid verdict is
-    conclusive but contradicts the truth, InternalConsistencyError is
-    raised, except that a grid pass on a non-hermitian idempotent is let
+    The truth is that of `is_hermitian_idempotent_exact`, so it is never
+    None.  The report is `hermitian_check` with its default grid on a, which
+    for an idempotent uses the closed form of exp(i t a); it is kept as
+    evidence, and its `closed_form` (or n = 0) is the idempotence half of the
+    rule, so a @ a is formed once.  When the report is closed-form and its
+    verdict is conclusive but contradicts the truth, InternalConsistencyError
+    is raised, except that a grid pass on a non-hermitian idempotent is let
     stand while the rule's violation (`_rule_violation`) is below
     HERMITIAN_TOL_FAIL: there the grid deviation is of the violation's
     order (at least 0.4 times it on the tested idempotents), so such a pass
     is a sampling limit, not a bug.  (On the zero space the grid reads the
     empty map's norm as 0, so it is not consulted there.)
     """
-    idempotent, truth = _rule(a, norm)
     report = hermitian_check(a, norm)
-    if (idempotent and a.rows and report.verdict != "inconclusive"
+    truth = (report.closed_form or a.rows == 0) and _rule(a, norm)
+    if (report.closed_form and report.verdict != "inconclusive"
             and (report.verdict == "hermitian") != truth
             and (truth or _rule_violation(a, norm) >= HERMITIAN_TOL_FAIL)):
         raise InternalConsistencyError(

@@ -120,11 +120,15 @@ class _Quantities:
         return value
 
     def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
-        """solve_exists on two named quantities, decided once per system."""
+        """solve_exists on two named quantities, decided once per system.
+
+        The cache is keyed by the two matrices and the side, so equal
+        systems under different names share one elimination.
+        """
         cache = self.__dict__.setdefault("_solves", {})
-        key = (a, y, side)
+        key = (getattr(self, a), getattr(self, y), side)
         if key not in cache:
-            cache[key] = solve_exists(getattr(self, a), getattr(self, y), side=side)
+            cache[key] = solve_exists(*key)
         return cache[key]
 
 

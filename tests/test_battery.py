@@ -228,6 +228,85 @@ def test_no_matrix_is_both_rank_tested_and_inverted(monkeypatch):
         assert_single_elimination("ep draw", gen_matrix, cfg)
 
 
+def _recording(monkeypatch):
+    """Record rref operands and solve_exists systems, and keep the EPInstance
+    each 4.x/5.x battery builds so a test can read its quantities."""
+    import epkit.characterizations as chz
+    import epkit.linalg as linalg
+    import epkit.pseudoinverse as pseudoinverse
+
+    reduced, solved, built = [], [], []
+    orig_rref, orig_solve, orig_square = linalg.rref, pseudoinverse.solve_exists, chz._square
+    monkeypatch.setattr(linalg, "rref", lambda a: reduced.append(a) or orig_rref(a))
+    monkeypatch.setattr(pseudoinverse, "solve_exists", lambda a, y, side="right":
+                        solved.append((a, y, side)) or orig_solve(a, y, side))
+    monkeypatch.setattr(chz, "_square", lambda a, caller:
+                        built.append(orig_square(a, caller)) or built[-1])
+    return reduced, solved, built
+
+
+def _ep_draws(tid):
+    return [gen_matrix(cfg) for s in (1, 2)
+            for cfg in battery_configs(tid, 8, 4, s) if cfg.kind == "ep"]
+
+
+def test_thm42_reads_vhat_what_invertibility_from_lemma38(monkeypatch):
+    # lemma38_witnesses verified v v^-1 = e and w w^-1 = e, so w^-1 v and
+    # v w^-1 are invertible without an elimination of their own
+    draws = _ep_draws("4.2")
+    reduced, _, built = _recording(monkeypatch)
+    for a in draws:
+        reduced.clear()
+        battery.thm42_battery(a)
+        m = built[-1]
+        assert "vhat" in m.__dict__ and "what" in m.__dict__
+        assert not any(x is m.vhat or x is m.what for x in reduced)
+
+
+def test_thm56_reduces_the_identity_once(monkeypatch):
+    # the square identity is injective, right-injective and surjective by one
+    # rank test (a kernel reduces it with its columns reversed)
+    draws = _ep_draws("5.6")
+    reduced, _, _ = _recording(monkeypatch)
+    total = 0
+    for a in draws:
+        n = a.rows
+        e = MatrixQ.identity(n)
+        forms = (e, e.select_columns(range(n - 1, -1, -1)))
+        reduced.clear()
+        battery.thm56_battery(a)
+        count = sum(x in forms for x in reduced)
+        assert count <= 1
+        total += count
+    assert total  # the rows that test e ran
+
+
+def test_thm41_solves_equal_systems_once(monkeypatch):
+    # on an EP input p = q, so 4.1.x's (p, q) and (q, p) are one system
+    draws = _ep_draws("4.1")
+    _, solved, built = _recording(monkeypatch)
+    for a in draws:
+        solved.clear()
+        battery.thm41_battery(a)
+        m = built[-1]
+        assert m.p == m.q
+        assert sum(side == "left" and x == m.p and y == m.q for x, y, side in solved) == 1
+
+
+def test_prop52_forms_each_product_once(monkeypatch):
+    # the hermitian check's closed form already proved q q = q, so the
+    # hermitian-idempotent rule does not form q q again
+    pairs = [gen_block_pair(cfg) for cfg in battery_configs("5.2", 16, 4, 7)]
+    products = []
+    orig = MatrixQ.__matmul__
+    monkeypatch.setattr(MatrixQ, "__matmul__", lambda x, y: products.append(1) or orig(x, y))
+    for p in (1, 2, math.inf):
+        for t1, j in pairs:
+            products.clear()
+            battery.prop52_battery(t1, j, PNorm(p))
+            assert len(products) == 18, (p, t1, j)
+
+
 def test_run_battery_5_2_norms():
     cfgs = [GeneratorConfig(seed=child_seed(41, i), n=3) for i in range(6)]
     rep2 = run_battery("5.2", cfgs, norm=PNorm(2))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -361,9 +362,15 @@ def test_bool_dimensions_are_rejected(tmp_path, capsys):
 
 
 def test_hermitian_non_finite_tmax(tmp_path, capsys):
-    path = mfile(tmp_path, "d.json", matrix_obj([["1"]]))
-    for tmax in ("nan", "inf"):
-        assert_input_error(capsys, ["hermitian", path, "--tmax", tmax], "--tmax")
+    # 1e308 is finite, but the grid on [-1e308, 1e308] is not
+    path = mfile(tmp_path, "d.json", matrix_obj([["1", "0"], ["0", "0"]]))
+    for tmax in ("nan", "inf", "1e308"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_main(capsys, ["hermitian", path, "--tmax", tmax])
+        assert code == EXIT_INPUT_ERROR and err.startswith("error:") and "--tmax" in err
+        assert "RuntimeWarning" not in err
+    assert run_main(capsys, ["hermitian", path, "--tmax", "8.9e307"])[0] == EXIT_PASS
 
 
 def test_hermitian_entry_beyond_float_range(tmp_path, capsys):

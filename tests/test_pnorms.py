@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from epkit.pnorms import (
     expm,
     hermitian_check,
     is_hermitian_idempotent,
+    is_hermitian_idempotent_exact,
     op_norm,
     parse_p,
 )
@@ -205,9 +207,13 @@ def test_non_finite_entries_are_rejected():
 
 
 def test_hermitian_check_rejects_non_finite_t_max():
-    for t_max in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="t_max"):
-            hermitian_check(np.eye(2), PNorm(2), t_max=t_max)
+    # 1e308 is finite, but the grid on [-1e308, 1e308] is not
+    for t_max in (math.nan, math.inf, 1e308):
+        for a in (np.eye(2), MatrixQ.diagonal([1, 0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match="t_max"):
+                    hermitian_check(a, PNorm(2), t_max=t_max)
 
 
 def test_hermitian_check_empty_matrix_same_verdict_every_p():
@@ -251,10 +257,18 @@ def test_only_exact_idempotents_skip_the_series(monkeypatch):
     monkeypatch.setattr(pnorms, "_expm_batch", lambda mats: calls.append(1) or real(mats))
     q = MatrixQ.from_rows([[1, 1], [0, 0]])
     rep = hermitian_check(q, PNorm(2))
-    assert rep.verdict == "not_hermitian" and calls == []
-    hermitian_check(np.array([[1, 1], [0, 0]], dtype=complex), PNorm(2))
-    hermitian_check(MatrixQ.from_rows([[0, 1], [0, 0]]), PNorm(2))
-    assert len(calls) == 2
+    assert rep.verdict == "not_hermitian" and calls == [] and rep.closed_form is True
+    nilpotent, empty = MatrixQ.from_rows([[0, 1], [0, 0]]), MatrixQ.zeros(0, 0)
+    for a in (np.array([[1, 1], [0, 0]], dtype=complex), nilpotent, empty):
+        assert hermitian_check(a, PNorm(2)).closed_form is False
+    assert len(calls) == 3
+    # is_hermitian_idempotent reads idempotence from closed_form (or n = 0)
+    # and keeps the truth of the exact rule
+    for a, truth in ((q, False), (nilpotent, False), (empty, True),
+                     (MatrixQ.diagonal([1, 0]), True)):
+        for p in (1, 2, math.inf):
+            assert is_hermitian_idempotent(a, PNorm(p))[0] is truth
+            assert is_hermitian_idempotent_exact(a, PNorm(p)) is truth
 
 
 def test_idempotent_p2_closed_form_matches_the_stack():
