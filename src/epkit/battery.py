@@ -16,7 +16,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .characterizations import (
@@ -33,8 +33,8 @@ from .characterizations import (
     thm55_battery,
     thm56_battery,
 )
-from .exactnum import GaussianRational, I_UNIT, ONE
-from .linalg import MatrixQ, conj_transpose, rank, solve_exists
+from .exactnum import I_UNIT, ONE
+from .linalg import MatrixQ, _canonical, conj_transpose, rank, solve_exists
 from .pnorms import PNorm
 from .pseudoinverse import is_ep
 
@@ -84,20 +84,20 @@ class GeneratorConfig:
             raise GeneratorError(f"unknown kind {self.kind!r}")
 
 
-def _rand_fraction(rng, bound: int) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def _rand_scalar(rng, bound: int, use_complex: bool) -> GaussianRational:
-    re = _rand_fraction(rng, bound)
-    im = _rand_fraction(rng, bound) if use_complex else Fraction(0)
-    return GaussianRational(re, im)
-
-
 def _rand_matrix(rng, rows: int, cols: int, bound: int, use_complex: bool) -> MatrixQ:
-    return MatrixQ(rows, cols,
-                   [_rand_scalar(rng, bound, use_complex)
-                    for _ in range(rows * cols)])
+    """Entries num / den with num in [-bound, bound] and den in [1, bound].
+
+    Each entry draws the real part's numerator and denominator, then, when
+    complex, the imaginary part's, in row-major order; the draws are scaled
+    straight to their lcm as integer numerator lists.
+    """
+    parts = 2 if use_complex else 1
+    randint = rng.randint
+    draws = [(randint(-bound, bound), randint(1, bound)) for _ in range(rows * cols * parts)]
+    den = lcm(*[d for _, d in draws])
+    nums = [x * (den // d) for x, d in draws]
+    im = nums[1::2] if use_complex else [0] * (rows * cols)
+    return _canonical(rows, cols, den, nums[::parts], im)
 
 
 def _rejection(draw, accept, failure: str):

@@ -11,7 +11,11 @@ input (numpy arrays included) goes through the truncated series of `expm`.
 At p = 2 the norm of that closed form is itself closed-form: q is unitarily
 similar to I + 0 + (sum_i [[1, s_i], [0, 0]]) (Halmos, "Two subspaces",
 1969), so ||e + w q||_2 depends only on |w| and s = max s_i = ||q - q*||_2,
-and one spectral norm per check replaces the one per grid point.
+and one spectral norm per check replaces the one per grid point.  At p = 1
+(p = inf) the norm of e + w q is its largest column (row) sum of moduli,
+|1 + w q_jj| + |w| sum_{i != j} |q_ij|, so the grid is one (grid, n)
+expression and the (grid, n, n) stack is never formed.  The grid itself,
+t with w = e^{it} - 1 and |w|, is built once per (grid, t_max).
 
 For idempotents the question is decided exactly.  At p = 2 the hermitian
 operators are the self-adjoint ones; on l^p_n with p != 2 they are the real
@@ -22,16 +26,18 @@ idempotence from the grid report's `closed_form` rather than forming q @ q
 again, and keeps the report as evidence that must not contradict the rule
 beyond its tolerances.
 
-p in {1, 2, inf}.  All three norms are `np.linalg.norm`: p=1 and p=inf are
-the closed-form column and row sums, p=2 the largest singular value from
+p in {1, 2, inf}.  Every norm of a stack is `np.linalg.norm`: p=1 and p=inf
+are the closed-form column and row sums, p=2 the largest singular value from
 LAPACK's backward-stable SVD, which never forms A*A, so entries far from 1
 neither underflow nor overflow there.  `expm` is scaling-and-squaring on a
-truncated series; a grid point where exp(i t a) overflows reads deviation
-inf.  Numpy input must be finite.
+truncated series, whose scaling holds for any finite ||t a||_1; a grid
+point where exp(i t a) overflows reads deviation inf.  Numpy input must be
+finite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -114,9 +120,15 @@ def _expm_batch(mats: np.ndarray) -> np.ndarray:
     g, n, _ = mats.shape
     if n == 0:
         return mats.copy()
-    top = float(_op_norms(mats, PNorm(1)).max())
-    s = max(0, int(math.ceil(math.log2(top / 0.5))) ) if top > 0.5 else 0
-    t = mats / (2.0 ** s)
+    # s is the least s >= 0 with top / 2^s <= 0.5, read off top = m 2^e
+    # exactly, since top / 0.5 overflows past 2^1023; top < 2^1024 gives
+    # s <= 1025, where 2.0 ** -s is still a float (2.0 ** s is not).  Only
+    # finite norms count: a slice with an inf entry comes out non-finite at
+    # any s.
+    norms = _op_norms(mats, PNorm(1))
+    m, e = math.frexp(float(norms[np.isfinite(norms)].max(initial=0.0)))
+    s = max(0, e + (m > 0.5))
+    t = mats * 2.0 ** -s
     eye = np.broadcast_to(np.eye(n, dtype=complex), (g, n, n))
     out = eye.copy()
     term = eye.copy()
@@ -142,6 +154,27 @@ class HermitianCheckReport:
     closed_form: bool  # the grid used exp(i t a) = e + (e^{it} - 1) a: a @ a == a exactly
 
 
+@functools.lru_cache(maxsize=8)
+def _grid(grid: int, t_max: float) -> tuple:
+    """(ts, w, |w|) on the symmetric grid, w = e^{it} - 1, as read-only arrays.
+
+    Built once per (grid, t_max).  A grid below 2 points, a t_max that is
+    not positive or a grid that leaves float range raises ValueError, and
+    lru_cache keeps no exception, so every such call raises.
+    """
+    if grid < 2:
+        raise ValueError("grid must be at least 2")
+    with np.errstate(all="ignore"):
+        ts = np.linspace(-t_max, t_max, grid)
+    if not (t_max > 0 and np.isfinite(ts).all()):
+        raise ValueError("t_max must be positive, with a finite grid on [-t_max, t_max]")
+    w = np.exp(1j * ts) - 1.0
+    arrays = (ts, w, np.abs(w))
+    for x in arrays:
+        x.flags.writeable = False
+    return arrays
+
+
 def hermitian_check(
     a,
     norm: PNorm,
@@ -157,21 +190,19 @@ def hermitian_check(
     keeps the grid parameters and both tolerances for that reason.
 
     When a is a `MatrixQ` of size n >= 1 and a @ a == a holds exactly, the
-    stack of exp(i t a) is the closed form e + (e^{it} - 1) a, and at p = 2
-    its norms come from `_idempotent_spectral_deviation` without forming
-    the stack; otherwise (not idempotent, or a numpy array) it is the
+    stack of exp(i t a) is the closed form e + (e^{it} - 1) a, whose norms
+    never need the stack: at p = 2 they come from
+    `_idempotent_spectral_deviation`, at p = 1 and inf from the column and
+    row sums |1 + w a_jj| + |w| sum_{i != j} |a_ij| (`_idempotent_sum_norms`,
+    w = e^{it} - 1); otherwise (not idempotent, or a numpy array) it is the
     scaling-and-squaring series.  The report's `closed_form` records which:
     it is True exactly when a is a `MatrixQ` of size n >= 1 with a @ a == a.
     A grid point where either overflows reads deviation inf.  A numpy array
-    with nan or inf entries raises ValueError, and so does a t_max that is
-    not positive or whose grid leaves float range (nan, inf, 1e308).
+    with nan or inf entries raises ValueError, and so does a grid below 2
+    points or a t_max that is not positive or whose grid leaves float range
+    (nan, inf, 1e308), on every call.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    with np.errstate(all="ignore"):
-        ts = np.linspace(-t_max, t_max, grid)
-    if not (t_max > 0 and np.isfinite(ts).all()):
-        raise ValueError("t_max must be positive, with a finite grid on [-t_max, t_max]")
+    ts, w, r = _grid(grid, t_max)
     arr = _as_array(a)
     n, m = arr.shape
     if n != m:
@@ -180,13 +211,10 @@ def hermitian_check(
     # the entries are finite, so only overflow makes inf or nan (inf * 0,
     # inf - inf): exp(i t a) is past float range there, a deviation of inf
     with np.errstate(over="ignore", invalid="ignore"):
-        if closed_form:
-            # exp(itq) = e + (e^{it} - 1) q exactly when q is idempotent
-            w = np.exp(1j * ts) - 1.0
-            if norm.p == 2:
-                dev = _idempotent_spectral_deviation(arr, np.abs(w))
-            else:
-                dev = np.abs(_op_norms(np.eye(n) + w[:, None, None] * arr, norm) - 1.0)
+        if closed_form and norm.p == 2:
+            dev = _idempotent_spectral_deviation(arr, r)
+        elif closed_form:
+            dev = np.abs(_idempotent_sum_norms(arr, w, r, norm) - 1.0)
         else:
             exps = _expm_batch(1j * ts[:, None, None] * arr)
             overflowed = ~np.isfinite(exps).all(axis=(1, 2))
@@ -214,6 +242,21 @@ def hermitian_check(
     )
 
 
+def _idempotent_sum_norms(q: np.ndarray, w: np.ndarray, r: np.ndarray,
+                          norm: PNorm) -> np.ndarray:
+    """||e + w q|| at p = 1 or inf for each w, with r = |w|.
+
+    Column j of e + w q has 1 + w q_jj on the diagonal and w q_ij off it, so
+    its sum of moduli is |1 + w q_jj| + |w| sum_{i != j} |q_ij|, and the
+    p = 1 norm is the largest; p = inf takes the row sums the same way.  One
+    (grid, n) expression replaces the norms of the (grid, n, n) stack.
+    """
+    moduli = np.abs(q)
+    np.fill_diagonal(moduli, 0.0)
+    off = moduli.sum(axis=0 if norm.p == 1 else 1)
+    return (np.abs(1.0 + w[:, None] * np.diagonal(q)) + r[:, None] * off).max(axis=1)
+
+
 def _idempotent_spectral_deviation(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """||e + w q||_2 - 1 for an idempotent q and each modulus r = |w|, |1 + w| = 1.
 
@@ -236,11 +279,15 @@ def _rule(a: MatrixQ, norm: PNorm) -> bool:
     """The hermitian half of the exact rule, for an idempotent a.
 
     Self-adjoint at p = 2, diagonal at p = 1 and inf (a diagonal idempotent
-    has 0/1 entries, so it is real diagonal).
+    has 0/1 entries, so it is real diagonal).  The diagonal test reads the
+    integer numerators: the entries strictly between the diagonal positions
+    k (n + 1) of the flat row-major lists are the off-diagonal ones.
     """
     if norm.p == 2:
         return conj_transpose(a) == a
-    return a == MatrixQ.diagonal([a.entry(i, i) for i in range(a.rows)])
+    step = a.rows + 1
+    return not any(any(x[k + 1:k + step]) for x in (a._re, a._im)
+                   for k in range(0, len(x) - 1, step))
 
 
 def _rule_violation(a: MatrixQ, norm: PNorm) -> float:

@@ -42,10 +42,17 @@ from .linalg import (
 
 
 def factor_daggers(f: FullRankFactorization) -> tuple:
-    """(b^+, c^+) of a full-rank factorization: (b* b)^-1 b* and c* (c c*)^-1."""
+    """(b^+, c^+) of a full-rank factorization: (b* b)^-1 b* and c* (c c*)^-1.
+
+    An identity c is its own c^+, with no elimination; `full_rank_factorize`
+    gives one whenever a has full column rank, since c is then a square RREF.
+    """
     bs = conj_transpose(f.b)
+    b_dagger = inverse(bs @ f.b) @ bs
+    if f.rank == f.c.cols and f.c == MatrixQ.identity(f.rank):
+        return b_dagger, f.c
     cs = conj_transpose(f.c)
-    return inverse(bs @ f.b) @ bs, cs @ inverse(f.c @ cs)
+    return b_dagger, cs @ inverse(f.c @ cs)
 
 
 def pinv(a: MatrixQ) -> MatrixQ:

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +20,7 @@ from epkit.battery import (
 )
 from epkit.characterizations import EPInstance
 from epkit.cli import battery_configs
+from epkit.exactnum import GaussianRational
 from epkit.linalg import MatrixQ, is_invertible, rank
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
@@ -154,6 +157,27 @@ def test_gen_block_pair():
         gen_block_pair(GeneratorConfig(seed=5, n=9))
 
 
+def test_rand_matrix_matches_per_scalar_draws():
+    # the reference: one GaussianRational per entry, real part's numerator
+    # and denominator first, then the imaginary part's
+    def per_scalar(rng, rows, cols, bound, use_complex):
+        def frac():
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return MatrixQ(rows, cols, [GaussianRational(frac(), frac() if use_complex else 0)
+                                    for _ in range(rows * cols)])
+
+    for seed in range(40):
+        for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4)):
+            for use_complex in (False, True):
+                bound = 1 + seed % 7
+                new, old = random.Random(seed), random.Random(seed)
+                got = battery._rand_matrix(new, rows, cols, bound, use_complex)
+                assert got == per_scalar(old, rows, cols, bound, use_complex)
+                assert got.to_rows() == per_scalar(random.Random(seed), rows, cols, bound,
+                                                   use_complex).to_rows()
+                assert new.getstate() == old.getstate()
+
+
 def test_run_battery_unknown_id():
     with pytest.raises(ValueError, match="unknown theorem id"):
         run_battery("9.9", [])
@@ -279,6 +303,24 @@ def test_thm56_reduces_the_identity_once(monkeypatch):
         assert count <= 1
         total += count
     assert total  # the rows that test e ran
+
+
+def test_no_identity_is_inverted(monkeypatch):
+    # a full-rank factorization a = b c with c = e needs no inverse of c c* = e
+    import epkit.characterizations as chz
+    import epkit.linalg as linalg
+    import epkit.pseudoinverse as pseudoinverse
+
+    inverted = []
+    orig = linalg.inverse
+    for module in (linalg, pseudoinverse, chz):
+        monkeypatch.setattr(module, "inverse", lambda a: inverted.append(a) or orig(a))
+    for tid in SUPPORTED_THEOREMS:
+        for s in (1, 2):
+            run_battery(tid, battery_configs(tid, 8, 4, s))
+    # a 0 x 0 inverse returns at once, with no elimination
+    assert any(a.rows for a in inverted)
+    assert all(a != MatrixQ.identity(a.rows) for a in inverted if a.rows)
 
 
 def test_thm41_solves_equal_systems_once(monkeypatch):

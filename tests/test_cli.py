@@ -371,6 +371,10 @@ def test_hermitian_non_finite_tmax(tmp_path, capsys):
         assert code == EXIT_INPUT_ERROR and err.startswith("error:") and "--tmax" in err
         assert "RuntimeWarning" not in err
     assert run_main(capsys, ["hermitian", path, "--tmax", "8.9e307"])[0] == EXIT_PASS
+    # the series scales ||t a||_1 = 8.9e307 > 2^1022 without overflowing
+    nilpotent = mfile(tmp_path, "n.json", matrix_obj([["0", "1"], ["0", "0"]]))
+    code, out, err = run_main(capsys, ["hermitian", nilpotent, "--tmax", "8.9e307"])
+    assert code == EXIT_PROPERTY_FALSE and err == "" and "not_hermitian" in out
 
 
 def test_hermitian_entry_beyond_float_range(tmp_path, capsys):

@@ -6,11 +6,13 @@ import pytest
 from epkit.characterizations import EPInstance
 from epkit.exactnum import GaussianRational
 from epkit.linalg import (
+    FullRankFactorization,
     InternalConsistencyError,
     MatrixQ,
     ShapeError,
     conj_transpose,
     full_rank_factorize,
+    inverse,
     kernel,
     kron_left_mult,
     range_space,
@@ -83,6 +85,22 @@ def test_pinv_from_factorization_matches():
     for _ in range(20):
         a = rand_with_rank(rng, 3, 3, rng.randint(0, 3))
         assert pinv_from_factorization(full_rank_factorize(a)) == pinv(a)
+
+
+def test_full_rank_inputs():
+    # full column rank gives c = e, taken as its own c+ without an elimination;
+    # a hand-built factorization with another invertible c still inverts it
+    rng = random.Random(49)
+    for rows, cols in ((1, 1), (3, 3), (4, 2), (2, 4), (4, 1)):
+        for _ in range(5):
+            a = rand_with_rank(rng, rows, cols, min(rows, cols))
+            x = pinv(a)
+            assert penrose_certificate(a, x).valid
+            assert x == brute_force_pinv(a)
+            if rows >= cols:
+                g = rand_with_rank(rng, cols, cols, cols)
+                f = FullRankFactorization(b=a @ inverse(g), c=g, rank=cols)
+                assert pinv_from_factorization(f) == x
 
 
 def test_uniqueness_against_brute_force():

@@ -20,7 +20,7 @@ from epkit.pnorms import (
     op_norm,
     parse_p,
 )
-from epkit.pnorms import _expm_batch, _op_norms  # white-box agreement checks
+from epkit.pnorms import _expm_batch, _op_norms, _rule  # white-box agreement checks
 
 GOLDEN_DEVIATION = (1.0 + math.sqrt(5.0)) / 2.0 - 1.0
 
@@ -290,6 +290,105 @@ def test_idempotent_p2_closed_form_matches_the_stack():
         assert abs(rep.max_deviation - dev) <= 1e-12 * max(1.0, dev)
         verdicts.add(rep.verdict)
     assert verdicts == {"hermitian", "not_hermitian"}
+
+
+def test_idempotent_p1_pinf_sums_match_the_stack():
+    # at p = 1 (inf) the grid of an idempotent reads the largest column (row)
+    # sum |1 + w q_jj| + |w| sum_{i != j} |q_ij| instead of the norm of each
+    # e + w q; the sums hold for any q, so scaled draws check them too
+    rng = random.Random(21)
+    ts = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 1024)
+    w = np.exp(1j * ts) - 1.0
+    verdicts = set()
+
+    def verdict(dev):
+        return ("hermitian" if dev <= pnorms.HERMITIAN_TOL_PASS
+                else "not_hermitian" if dev >= pnorms.HERMITIAN_TOL_FAIL else "inconclusive")
+
+    for trial in range(40):
+        n = 1 + trial % 5
+        q = _conjugated_projection(rng, n)
+        arr = np.array(q.to_complex_rows(), dtype=complex)
+        for p in (1, math.inf):
+            for scale in (1.0, 1e50, 1e-50, 1e100):
+                x = scale * arr
+                stack = _op_norms(np.eye(n) + w[:, None, None] * x, PNorm(p))
+                sums = pnorms._idempotent_sum_norms(x, w, np.abs(w), PNorm(p))
+                assert np.allclose(sums, stack, rtol=1e-12, atol=0.0)
+                assert verdict(np.abs(sums - 1.0).max()) == verdict(np.abs(stack - 1.0).max())
+            rep = hermitian_check(q, PNorm(p))
+            dev = np.abs(_op_norms(np.eye(n) + w[:, None, None] * arr, PNorm(p)) - 1.0).max()
+            assert rep.closed_form and rep.verdict == verdict(dev)
+            assert abs(rep.max_deviation - dev) <= 1e-12 * max(1.0, dev)
+            verdicts.add(rep.verdict)
+    assert verdicts == {"hermitian", "not_hermitian"}
+
+
+def test_p1_pinf_idempotent_check_forms_no_stack(monkeypatch):
+    stacks, series = [], []
+    real_norms, real_series = pnorms._op_norms, pnorms._expm_batch
+    monkeypatch.setattr(pnorms, "_op_norms",
+                        lambda mats, norm: stacks.append(mats.shape) or real_norms(mats, norm))
+    monkeypatch.setattr(pnorms, "_expm_batch",
+                        lambda mats: series.append(1) or real_series(mats))
+    rng = random.Random(22)
+    for trial in range(6):
+        q = _conjugated_projection(rng, 1 + trial % 4)
+        for p in (1, math.inf):
+            assert hermitian_check(q, PNorm(p)).closed_form
+    assert stacks == [] and series == []
+    hermitian_check(MatrixQ.from_rows([[0, 1], [0, 0]]), PNorm(1), grid=16)
+    assert series == [1] and stacks[-1] == (16, 2, 2)
+
+
+def test_rule_reads_the_off_diagonal_numerators():
+    # at p = 1 and inf the rule is "a equals its own diagonal"
+    def by_diagonal(a):
+        return a == MatrixQ.diagonal([a.entry(i, i) for i in range(a.rows)])
+
+    cases = [MatrixQ.zeros(0, 0), MatrixQ.from_rows([["2/3+1i"]]), MatrixQ.from_rows([[0]]),
+             MatrixQ.diagonal(["1i", 0, "-1/2+3i"]), MatrixQ.diagonal([1, 0, 1]),
+             MatrixQ.from_rows([[1, "1/5i"], [0, 0]]), MatrixQ.from_rows([[1, 0], ["-1i", 1]]),
+             MatrixQ.from_rows([[0, 0, 0], [0, 0, 0], [0, "7", 0]])]
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        cases.append(MatrixQ(n, n, [GaussianRational(rng.choice((0, 0, 0, 1)),
+                                                     rng.choice((0, 0, 0, Fraction(1, 2))))
+                                    if i != j or rng.random() < 0.5 else GaussianRational(3, 1)
+                                    for i in range(n) for j in range(n)]))
+    truths = set()
+    for a in cases:
+        for p in (1, math.inf):
+            assert _rule(a, PNorm(p)) is by_diagonal(a)
+        truths.add(by_diagonal(a))
+    assert truths == {True, False}
+
+
+def test_grid_is_built_once_per_shape():
+    q, arr = MatrixQ.from_rows([[1, 1], [0, 0]]), np.array([[0, 1], [0, 0]], dtype=complex)
+    for a in (q, arr):
+        for p in (1, 2, math.inf):
+            assert len({hermitian_check(a, PNorm(p)) for _ in range(3)}) == 1
+    ts, w, r = pnorms._grid(1024, 2.0 * math.pi)
+    assert pnorms._grid(1024, 2.0 * math.pi)[0] is ts
+    for x in (ts, w, r):
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    # an exception is never cached: a bad grid or t_max raises on every call
+    for _ in range(3):
+        with pytest.raises(ValueError, match="t_max"):
+            hermitian_check(q, PNorm(1), t_max=1e308)
+        with pytest.raises(ValueError, match="grid"):
+            hermitian_check(q, PNorm(1), grid=1)
+
+
+def test_series_scaling_past_float_range():
+    # ||t a||_1 past 2^1023 (and past float range for the 3) reads
+    # not_hermitian instead of overflowing the scaling step
+    for a in ([[0, 1], [0, 0]], [[0, 3], [0, 0]]):
+        rep = hermitian_check(np.array(a), PNorm(2), t_max=8.9e307)
+        assert rep.verdict == "not_hermitian"
 
 
 def test_idempotent_p2_closed_form_values():
