@@ -9,6 +9,8 @@ finite grid can only ever give evidence for the for-all direction.
 For an exact idempotent q the grid uses exp(i t q) = e + (e^{it} - 1) q, and
 at p = 2 its norm sigma(|e^{it} - 1| s) with s = ||q - q*||_2 and
 sigma(x) = (x + sqrt(x^2 + 4)) / 2, so the deviation peaks at |t| = pi.
+Any other exact matrix that is hermitian for the norm (real diagonal, or
+self-adjoint at p = 2) takes exp(i t a) = V diag(e^{it lambda}) V* from eigh.
 """
 
 import math

@@ -42,6 +42,14 @@ row still `_require`s its witness identities, under its own battery's
 message, before it reports the witness.  A witness that fails to re-verify
 raises InternalConsistencyError: that is a bug, not a result.
 
+Block maps.  The 5.x statements read t = j (t1 ⊕ 0) j⁻¹, and no padded n×n
+matrix is formed for it: j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁, with j₁ the leading k
+columns of j and j⁻¹₁ the leading k rows of j⁻¹, and j (0 ⊕ e) j⁻¹ = j₂ j⁻¹₂
+from the trailing ones.  In 5.3 and 5.5, j₁ is the range basis and j⁻¹₁ the
+memoised `j_inv1`.  The exact hermitian rule is `pnorms.is_hermitian_exact`,
+which 5.2 and the 5.3 block projection read through
+`is_hermitian_idempotent_exact`.
+
 Rectangular reading: instances carry a square a = b·c with b of full column
 rank (n×r) and c of full row rank (r×n); each identity `e` is the identity
 of the inferred shape.  Composite-letter statements quantify over r×r or
@@ -59,6 +67,7 @@ from .linalg import (
     ShapeError,
     SingularMatrixError,
     conj_transpose,
+    full_rank_factorize,
     inverse,
     is_invertible,
     kernel,
@@ -192,15 +201,17 @@ _QUANTITIES = {
     "h_invertible": lambda m: is_invertible(m.h),
     "a_h_is_as": lambda m: m.a @ m.h == m.a_star,
     "a_hh_as_is_aa": lambda m: m.a @ m.h @ conj_transpose(m.h) @ m.a_star == m.aa,
-    # 5.3, 5.5: t = j (t1 + 0) j^-1 over a range basis and a kernel basis
+    # 5.3, 5.5: t = j (t1 + 0) j^-1 over a range basis j1 and a kernel basis,
+    # so j (x + 0) j^-1 = j1 x j_inv1 with j_inv1 the leading rank rows of j^-1
     "j": lambda m: m.rng_a.basis.hstack(m.ker_a.basis),
     "j_inv": lambda m: m.solve("j", "e_n", "right"),
+    "j_inv1": lambda m: m.j_inv.take_rows(m.rng_a.dim),
     "j_invertible": lambda m: m.j_inv is not None,
     "t1": lambda m: solve_exists(m.rng_a.basis, m.a @ m.rng_a.basis, side="right"),
     "t1_inv": lambda m: m.solve("t1", "e_r", "right"),
     "t1_invertible": lambda m: m.t1_inv is not None,
-    "t_is_block": lambda m: m.a == m.j @ _oplus_zero(m.t1, m.a.rows) @ m.j_inv,
-    "td_is_block": lambda m: m.a_dagger == m.j @ _oplus_zero(m.t1_inv, m.a.rows) @ m.j_inv,
+    "t_is_block": lambda m: m.a == m.rng_a.basis @ m.t1 @ m.j_inv1,
+    "td_is_block": lambda m: m.a_dagger == m.rng_a.basis @ m.t1_inv @ m.j_inv1,
     "decomposition": lambda m: _decompose(m),
     "decomposable": lambda m: m.decomposition is not None,
     "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
@@ -565,14 +576,6 @@ def thm42_battery(a: MatrixQ) -> list:
 # -- Block decomposition (5.x family) ---------------------------------------
 
 
-def _oplus_zero(top_left: MatrixQ, n: int) -> MatrixQ:
-    """Embed a k×k block as the leading corner of an n×n matrix."""
-    k = top_left.rows
-    if top_left.cols != k or k > n:
-        raise ShapeError("block must be square and fit the ambient size")
-    return top_left.hstack(MatrixQ.zeros(k, n - k)).vstack(MatrixQ.zeros(n - k, n))
-
-
 def thm53_decompose(t: MatrixQ):
     """Exact block decomposition of an EP matrix; None when not EP.
 
@@ -591,9 +594,8 @@ def _decompose(m: EPInstance) -> Optional[tuple]:
     _require(m.t1 is not None, "5.3 compression of t to its range exists")
     _require(m.t_is_block, "5.3 t = j (t1 + 0) j^-1")
     _require(m.t1_invertible, "5.3 compression invertible")
-    n = m.a.rows
-    q1 = m.j @ _oplus_zero(MatrixQ.identity(m.rng_a.dim), n) @ m.j_inv
-    _require(q1 @ q1 == q1 and conj_transpose(q1) == q1,
+    q1 = m.rng_a.basis @ m.j_inv1
+    _require(is_hermitian_idempotent_exact(q1, PNorm(2)),
              "5.3 block projection is a self-adjoint idempotent")
     _require(q1 == m.p, "5.3 block projection equals t t+")
     _require(m.td_is_block, "5.3 t+ = j (t1^-1 + 0) j^-1")
@@ -674,9 +676,12 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
 
     Every statement is decided by the exact hermitian-idempotent rule of
     `is_hermitian_idempotent_exact`: i, iii and iv on the block projections
-    q1 = j (e ⊕ 0) j⁻¹ and q2 = e - q1, whose notes quote the grid check that
-    must agree with it; ii on t t# = b (c b)⁻¹ c, read from the full-rank
-    factorization t = b c alone (Cline's group inverse t# = b (c b)⁻² c).
+    q1 = j (e ⊕ 0) j⁻¹ and q2 = j (0 ⊕ e) j⁻¹, whose notes quote the grid
+    check that must agree with it; ii on t t# = b (c b)⁻¹ c, read from the
+    full-rank factorization t = b c alone (Cline's group inverse
+    t# = b (c b)⁻² c).  With j = [j₁ j₂] split after its first k columns and
+    j⁻¹ = [j⁻¹₁; j⁻¹₂] after its first k rows, j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁ and
+    j (0 ⊕ e) j⁻¹ = j₂ j⁻¹₂, so no n×n block matrix is formed.
     """
     if not t1.is_square or not j.is_square:
         raise ShapeError("prop52_battery expects square t1 and j")
@@ -691,24 +696,24 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
         j_inv = inverse(j)
     except SingularMatrixError:
         raise SingularMatrixError("j must be invertible") from None
-    e_n = MatrixQ.identity(n)
-    d1 = _oplus_zero(MatrixQ.identity(k), n)
-    t = j @ _oplus_zero(t1, n) @ j_inv
-    t_prime = j @ _oplus_zero(t1_inv, n) @ j_inv
-    q1 = j @ d1 @ j_inv
-    q2 = j @ (e_n - d1) @ j_inv
+    j1, j2 = j.select_columns(range(k)), j.select_columns(range(k, n))
+    ji1, ji2 = j_inv.take_rows(k), j_inv.take_rows(k, n)
+    t = j1 @ t1 @ ji1
+    t_prime = j1 @ t1_inv @ ji1
+    q1 = j1 @ ji1
+    q2 = j2 @ ji2
     tt_prime = t @ t_prime
     t_prime_t = t_prime @ t
     # algebra that holds for every invertible t1, j
     _require(tt_prime == q1 and t_prime_t == q1, "5.2 t t' = t' t = q1")
     _require(tt_prime @ t == t and t_prime_t @ t_prime == t_prime,
              "5.2 t' is a normalized generalized inverse")
-    _require(q1 + q2 == e_n, "5.2 complementary block projections")
+    _require(q1 + q2 == MatrixQ.identity(n), "5.2 complementary block projections")
 
     truth1, note1 = _checked(q1, norm)
     truth2, note2 = _checked(q2, norm)
-    m = EPInstance(a=t)
-    group_proj = m.b @ inverse(m.u) @ m.c  # t t#
+    f = full_rank_factorize(t)
+    group_proj = f.b @ inverse(f.c @ f.b) @ f.c  # t t#
 
     return [
         _res("5.2", "i", truth1, CONSTRUCTIVE if truth1 else CRITERION,

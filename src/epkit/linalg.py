@@ -218,9 +218,11 @@ class MatrixQ:
         return _canonical(self.rows, len(idx), self._den,
                           [self._re[k] for k in ks], [self._im[k] for k in ks])
 
-    def take_rows(self, count: int) -> "MatrixQ":
-        n = count * self.cols
-        return _canonical(count, self.cols, self._den, self._re[:n], self._im[:n])
+    def take_rows(self, start: int, stop: Optional[int] = None) -> "MatrixQ":
+        """The rows range(start), or range(start, stop) when stop is given."""
+        rows = range(start) if stop is None else range(start, stop)
+        s = slice(rows.start * self.cols, rows.stop * self.cols)
+        return _canonical(len(rows), self.cols, self._den, self._re[s], self._im[s])
 
     def hstack(self, other: "MatrixQ") -> "MatrixQ":
         if self.rows != other.rows:

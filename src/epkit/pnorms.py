@@ -4,27 +4,36 @@ Float-side companion to the exact core.  An element is hermitian for a given
 norm when ||exp(i t a)|| == 1 for every real t; that quantifier cannot be
 decided numerically, so `hermitian_check` samples a symmetric t-grid and
 reports a three-way verdict (hermitian / not_hermitian / inconclusive) with
-the observed maximum deviation.  For a `MatrixQ` q of size n >= 1 with
-q @ q == q exactly, the grid uses the closed form exp(i t q) =
-e + (e^{it} - 1) q, and its report says so (`closed_form`); every other
-input (numpy arrays included) goes through the truncated series of `expm`.
-At p = 2 the norm of that closed form is itself closed-form: q is unitarily
-similar to I + 0 + (sum_i [[1, s_i], [0, 0]]) (Halmos, "Two subspaces",
-1969), so ||e + w q||_2 depends only on |w| and s = max s_i = ||q - q*||_2,
-and one spectral norm per check replaces the one per grid point.  At p = 1
-(p = inf) the norm of e + w q is its largest column (row) sum of moduli,
-|1 + w q_jj| + |w| sum_{i != j} |q_ij|, so the grid is one (grid, n)
-expression and the (grid, n, n) stack is never formed.  The grid itself,
-t with w = e^{it} - 1 and |w|, is built once per (grid, t_max).
+the observed maximum deviation.
 
-For idempotents the question is decided exactly.  At p = 2 the hermitian
-operators are the self-adjoint ones; on l^p_n with p != 2 they are the real
-diagonal ones (Lumer 1961, with Lamperti's description of the isometries),
-so a hermitian idempotent there is a diagonal 0/1 matrix.
-`is_hermitian_idempotent` takes its truth from that rule, reading
+The exact rule.  On complex l^p_n the hermitian matrices are the
+self-adjoint ones at p = 2 and the real diagonal ones at p = 1 and inf
+(Lumer 1961, with Lamperti's description of the isometries; Schneider and
+Turner, "Matrices hermitian for an absolute norm", 1973).
+`is_hermitian_exact` decides that rule for any square `MatrixQ`, with no
+floating point; a hermitian idempotent is an idempotent for which it holds
+(`is_hermitian_idempotent_exact`), which at p = 1 and inf is a diagonal 0/1
+matrix.  `is_hermitian_idempotent` takes its truth from the rule, reading
 idempotence from the grid report's `closed_form` rather than forming q @ q
 again, and keeps the report as evidence that must not contradict the rule
 beyond its tolerances.
+
+Closed forms.  For a `MatrixQ` q of size n >= 1 with q @ q == q exactly,
+the grid uses exp(i t q) = e + (e^{it} - 1) q, and its report says so
+(`closed_form`).  At p = 2 the norm of that closed form is itself
+closed-form: q is unitarily similar to I + 0 + (sum_i [[1, s_i], [0, 0]])
+(Halmos, "Two subspaces", 1969), so ||e + w q||_2 depends only on |w| and
+s = max s_i = ||q - q*||_2, and one spectral norm per check replaces the one
+per grid point.  At p = 1 (p = inf) the norm of e + w q is its largest
+column (row) sum of moduli, |1 + w q_jj| + |w| sum_{i != j} |q_ij|, so the
+grid is one (grid, n) expression and the (grid, n, n) stack is never formed.
+Any other `MatrixQ` of size n >= 1 for which the exact rule holds is
+self-adjoint, so exp(i t a) = V diag(e^{i t lambda}) V* from `eigh`, whose
+error does not grow with ||t a||; every remaining input (numpy arrays
+included) goes through the truncated series of `expm`, whose squarings
+amplify its rounding with ||t a||, so a numpy input with a large norm can
+read falsely.  The grid itself, t with w = e^{it} - 1 and |w|, is built
+once per (grid, t_max).
 
 p in {1, 2, inf}.  Every norm of a stack is `np.linalg.norm`: p=1 and p=inf
 are the closed-form column and row sums, p=2 the largest singular value from
@@ -194,10 +203,12 @@ def hermitian_check(
     never need the stack: at p = 2 they come from
     `_idempotent_spectral_deviation`, at p = 1 and inf from the column and
     row sums |1 + w a_jj| + |w| sum_{i != j} |a_ij| (`_idempotent_sum_norms`,
-    w = e^{it} - 1); otherwise (not idempotent, or a numpy array) it is the
-    scaling-and-squaring series.  The report's `closed_form` records which:
-    it is True exactly when a is a `MatrixQ` of size n >= 1 with a @ a == a.
-    A grid point where either overflows reads deviation inf.  A numpy array
+    w = e^{it} - 1).  The report's `closed_form` records this: it is True
+    exactly when a is a `MatrixQ` of size n >= 1 with a @ a == a.  Any other
+    `MatrixQ` of size n >= 1 for which `is_hermitian_exact(a, norm)` holds
+    takes its stack from `_hermitian_exps`; every other input (not
+    hermitian, or a numpy array) takes the scaling-and-squaring series.
+    A grid point where any of these overflows reads deviation inf.  A numpy array
     with nan or inf entries raises ValueError, and so does a grid below 2
     points or a t_max that is not positive or whose grid leaves float range
     (nan, inf, 1e308), on every call.
@@ -207,7 +218,8 @@ def hermitian_check(
     n, m = arr.shape
     if n != m:
         raise ShapeError("hermitian_check expects a square matrix")
-    closed_form = isinstance(a, MatrixQ) and n > 0 and a @ a == a
+    exact_input = isinstance(a, MatrixQ) and n > 0
+    closed_form = exact_input and a @ a == a
     # the entries are finite, so only overflow makes inf or nan (inf * 0,
     # inf - inf): exp(i t a) is past float range there, a deviation of inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,7 +228,10 @@ def hermitian_check(
         elif closed_form:
             dev = np.abs(_idempotent_sum_norms(arr, w, r, norm) - 1.0)
         else:
-            exps = _expm_batch(1j * ts[:, None, None] * arr)
+            if exact_input and is_hermitian_exact(a, norm):
+                exps = _hermitian_exps(arr, ts)
+            else:
+                exps = _expm_batch(1j * ts[:, None, None] * arr)
             overflowed = ~np.isfinite(exps).all(axis=(1, 2))
             exps[overflowed] = 0.0  # the SVD rejects nan
             dev = np.abs(_op_norms(exps, norm) - 1.0)
@@ -240,6 +255,17 @@ def hermitian_check(
         verdict=verdict,
         closed_form=closed_form,
     )
+
+
+def _hermitian_exps(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """exp(i t a) = V diag(e^{i t lambda}) V* for each t, a self-adjoint.
+
+    V and lambda come from one `eigh`, so t enters only through the phases
+    and the error stays at the rounding of V, whatever ||t a||; on a real
+    diagonal a, V has 0/1 columns and the stack is diagonal.
+    """
+    lam, v = np.linalg.eigh(a)
+    return (v * np.exp(1j * ts[:, None] * lam)[:, None, :]) @ v.conj().T
 
 
 def _idempotent_sum_norms(q: np.ndarray, w: np.ndarray, r: np.ndarray,
@@ -275,19 +301,21 @@ def _idempotent_spectral_deviation(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (x + x * (x / (np.hypot(x, 2.0) + 2.0))) / 2.0
 
 
-def _rule(a: MatrixQ, norm: PNorm) -> bool:
-    """The hermitian half of the exact rule, for an idempotent a.
+def is_hermitian_exact(a: MatrixQ, norm: PNorm) -> bool:
+    """Exact truth of "a is hermitian" for the p-norm of complex l^p_n.
 
-    Self-adjoint at p = 2, diagonal at p = 1 and inf (a diagonal idempotent
-    has 0/1 entries, so it is real diagonal).  The diagonal test reads the
-    integer numerators: the entries strictly between the diagonal positions
-    k (n + 1) of the flat row-major lists are the off-diagonal ones.
+    Self-adjoint at p = 2, real diagonal at p = 1 and inf (Lumer 1961;
+    Schneider and Turner 1973).  The real-diagonal test reads the integer
+    numerators: every imaginary one is 0, and so is every real one off the
+    diagonal, at the positions k of the flat row-major list with
+    k % (n + 1) != 0.  No floating point is involved.  A non-square a raises
+    ShapeError.
     """
+    if not a.is_square:
+        raise ShapeError("is_hermitian_exact expects a square matrix")
     if norm.p == 2:
         return conj_transpose(a) == a
-    step = a.rows + 1
-    return not any(any(x[k + 1:k + step]) for x in (a._re, a._im)
-                   for k in range(0, len(x) - 1, step))
+    return not any(a._im) and not any(x for k, x in enumerate(a._re) if k % (a.rows + 1))
 
 
 def _rule_violation(a: MatrixQ, norm: PNorm) -> float:
@@ -306,12 +334,11 @@ def _rule_violation(a: MatrixQ, norm: PNorm) -> float:
 def is_hermitian_idempotent_exact(a: MatrixQ, norm: PNorm) -> bool:
     """Exact truth of "a is a hermitian idempotent" under the given norm.
 
-    a must be idempotent; then at p = 2 it must be self-adjoint, and at
-    p = 1 or inf real diagonal (which for an idempotent means 0/1 entries).
-    No floating point is involved.  A non-square a raises ShapeError (from
-    the product a @ a).
+    a @ a == a and `is_hermitian_exact(a, norm)`: at p = 1 or inf a diagonal
+    idempotent has 0/1 entries.  No floating point is involved.  A
+    non-square a raises ShapeError (from the product a @ a).
     """
-    return a @ a == a and _rule(a, norm)
+    return a @ a == a and is_hermitian_exact(a, norm)
 
 
 def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
@@ -331,7 +358,7 @@ def is_hermitian_idempotent(a: MatrixQ, norm: PNorm) -> tuple:
     empty map's norm as 0, so it is not consulted there.)
     """
     report = hermitian_check(a, norm)
-    truth = (report.closed_form or a.rows == 0) and _rule(a, norm)
+    truth = (report.closed_form or a.rows == 0) and is_hermitian_exact(a, norm)
     if (report.closed_form and report.verdict != "inconclusive"
             and (report.verdict == "hermitian") != truth
             and (truth or _rule_violation(a, norm) >= HERMITIAN_TOL_FAIL)):

@@ -30,7 +30,7 @@ from epkit.linalg import (
     is_invertible,
     kron_left_mult,
 )
-from epkit.pnorms import PNorm, expm, hermitian_check
+from epkit.pnorms import PNorm, expm, hermitian_check, is_hermitian_exact
 from epkit.pseudoinverse import (
     MPPair,
     is_ep,
@@ -172,8 +172,29 @@ def test_criterion_6_hermitian_checker():
         exact = conj_transpose(a) == a
         assert (rep.verdict == "hermitian") == exact
         agreements += 1
+
+    # added check: the same draws and diagonals scaled by 10^6 and 10^10,
+    # where the series' rounding grows with ||t a||; every hermitian input
+    # still passes and every verdict still matches the exact rule
+    scaled = 0
+    for scale in (10 ** 6, 10 ** 10):
+        for i in range(40):
+            n = 2 + i % 3
+            a = gen_matrix(GeneratorConfig(seed=child_seed(rng_seed, i), n=n))
+            if i % 2 == 0:
+                a = a + conj_transpose(a)
+            diag = MatrixQ.diagonal([Fraction(((i * 7 + j * 3) % 9) - 4) for j in range(n)])
+            for m, norms in ((a.scale(scale), (2,)), (diag.scale(scale), (1, 2, math.inf))):
+                for p in norms:
+                    rep = hermitian_check(m, PNorm(p))
+                    assert rep.verdict != "inconclusive"
+                    assert (rep.verdict == "hermitian") == is_hermitian_exact(m, PNorm(p))
+                    if rep.verdict == "hermitian":
+                        assert rep.max_deviation <= 1e-12
+                    scaled += 1
     report(6, f"diagonals pass p in {{1,2,inf}}, golden deviation {GOLDEN_DEVIATION:.10f} "
-              f"reproduced at |t|=1, {agreements} p=2 verdicts agree with self-adjointness")
+              f"reproduced at |t|=1, {agreements} p=2 verdicts agree with self-adjointness, "
+              f"{scaled} verdicts at scales 1e6 and 1e10 agree with the exact rule")
 
 
 def embed_block(top_left, n):

@@ -18,7 +18,7 @@ from epkit.battery import (
     run_battery,
     splitmix64,
 )
-from epkit.characterizations import EPInstance
+from epkit.characterizations import EPInstance, thm53_decompose
 from epkit.cli import battery_configs
 from epkit.exactnum import GaussianRational
 from epkit.linalg import MatrixQ, is_invertible, rank
@@ -346,7 +346,25 @@ def test_prop52_forms_each_product_once(monkeypatch):
         for t1, j in pairs:
             products.clear()
             battery.prop52_battery(t1, j, PNorm(p))
-            assert len(products) == 18, (p, t1, j)
+            assert len(products) == 16, (p, t1, j)
+
+
+def test_thm53_forms_q1_with_one_product(monkeypatch):
+    # q1 = j (e + 0) j^-1 is the one product j1 j_inv1 of j's leading k
+    # columns (the range basis) and j^-1's leading k rows
+    products = []
+    orig = MatrixQ.__matmul__
+    monkeypatch.setattr(MatrixQ, "__matmul__",
+                        lambda x, y: products.append((x, y, orig(x, y))) or products[-1][2])
+    decomposed = 0
+    for a in _ep_draws("5.5"):
+        products.clear()
+        t1, j, j_inv, q1 = thm53_decompose(a)
+        k = t1.rows
+        assert [(x, y) for x, y, out in products if out is q1] == [
+            (j.select_columns(range(k)), j_inv.take_rows(k))]
+        decomposed += 1
+    assert decomposed
 
 
 def test_run_battery_5_2_norms():

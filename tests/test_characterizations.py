@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from epkit import characterizations as chz
 from epkit import pnorms
 from epkit.battery import GeneratorConfig, child_seed, gen_block_pair, gen_matrix
 from epkit.characterizations import (
@@ -493,10 +492,49 @@ def test_prop52_ii_reads_t_alone(monkeypatch):
     for n in range(5):
         for cfg in battery_configs("5.2", 4, n, 11):
             t1, j = gen_block_pair(cfg)
-            t = j @ chz._oplus_zero(t1, n) @ inverse(j)
-            q1 = j @ chz._oplus_zero(MatrixQ.identity(t1.rows), n) @ inverse(j)
+            t = j @ _embed(t1, n) @ inverse(j)
+            q1 = j @ _embed(MatrixQ.identity(t1.rows), n) @ inverse(j)
             m = EPInstance(a=t)
             assert m.b @ inverse(m.u) @ m.c == q1
             calls.clear()
             prop52_battery(t1, j, PNorm(math.inf))
             assert len(calls) == 2
+
+
+def _embed(x, n):
+    """x ⊕ 0: the k×k block x as the leading corner of an n×n zero matrix."""
+    k = x.rows
+    return MatrixQ.from_rows([[x.entry(i, jj) if i < k and jj < k else 0 for jj in range(n)]
+                              for i in range(n)])
+
+
+def test_block_maps_at_the_extreme_ranks_match_the_embedded_reference():
+    # k = 0 and k = n leave one of j's column blocks (and j^-1's row blocks)
+    # empty; the battery's j1 x j_inv1 and j2 j_inv2 must still equal the
+    # padded j (x + 0) j^-1 and j (0 + e) j^-1
+    rng = random.Random(54)
+    for n in range(5):
+        e = MatrixQ.identity(n)
+        for k in sorted({0, n}):
+            for _ in range(3):
+                j, t1 = _invertible(rng, n), _invertible(rng, k)
+                j_inv = inverse(j)
+                t = j @ _embed(t1, n) @ j_inv
+                q1 = j @ _embed(MatrixQ.identity(k), n) @ j_inv
+                q2 = j @ (e - _embed(MatrixQ.identity(k), n)) @ j_inv
+                t_prime = j @ _embed(inverse(t1), n) @ j_inv
+                assert q1 == (MatrixQ.zeros(n, n) if k == 0 else e)
+                for p in (1, 2, math.inf):
+                    norm = PNorm(p)
+                    by_id = {r.statement_id: r for r in prop52_battery(t1, j, norm)}
+                    truth1 = is_hermitian_idempotent_exact(q1, norm)
+                    assert by_id["5.2.iii"].witness["Q1"] == q1
+                    assert by_id["5.2.iv"].witness["Q2"] == q2
+                    assert [r.truth for r in by_id.values()] == [
+                        truth1, truth1, truth1, is_hermitian_idempotent_exact(q2, norm)]
+                    assert by_id["5.2.i"].witness == {"T_prime": t_prime}
+                t1_d, j_d, j_inv_d, q1_d = thm53_decompose(t)
+                assert t1_d.rows == k and j_d @ j_inv_d == e
+                assert j_d @ _embed(t1_d, n) @ j_inv_d == t
+                assert q1_d == j_d @ _embed(MatrixQ.identity(k), n) @ j_inv_d == q1
+                assert j_d @ _embed(inverse(t1_d), n) @ j_inv_d == pinv(t) == t_prime

@@ -242,6 +242,28 @@ def test_hermitian_idempotent_but_oblique(tmp_path, capsys, monkeypatch):
         assert run_main(capsys, ["hermitian", diag, "--p", p])[0] == EXIT_PASS
 
 
+def test_hermitian_large_norm_exact_inputs(tmp_path, capsys):
+    # exactly hermitian files whose norm makes the series' rounding visible:
+    # their grid comes from eigh, so it reads rounding error only; the
+    # symmetric non-diagonal file is hermitian at p = 2 alone
+    cases = (
+        ([["3", "1"], ["1", "5000000000"]], {"1": False, "2": True, "inf": False}),
+        ([["10000000000", "0"], ["0", "-10000000000"]], dict.fromkeys(("1", "2", "inf"), True)),
+        ([["1000000", "0"], ["0", "-1000000"]], dict.fromkeys(("1", "2", "inf"), True)),
+    )
+    for k, (rows, hermitian) in enumerate(cases):
+        path = mfile(tmp_path, f"big{k}.json", matrix_obj(rows))
+        for p, expected in hermitian.items():
+            code, out, err = run_main(capsys, ["hermitian", path, "--p", p])
+            assert err == ""
+            if expected:
+                assert code == EXIT_PASS and out.startswith("verdict: hermitian\n")
+                dev = float(out.split("from 1: ")[1].split()[0])
+                assert dev <= 1e-9
+            else:
+                assert code == EXIT_PROPERTY_FALSE and out.startswith("verdict: not_hermitian\n")
+
+
 def test_hermitian_between_tolerances_is_inconclusive_exit(tmp_path, capsys):
     # deviation lands between tol_pass and tol_fail: a verdict, not an error
     path = mfile(tmp_path, "nd.json", matrix_obj([["0", "1/10000000"], ["0", "0"]]))

@@ -15,12 +15,13 @@ from epkit.pnorms import (
     PNorm,
     expm,
     hermitian_check,
+    is_hermitian_exact,
     is_hermitian_idempotent,
     is_hermitian_idempotent_exact,
     op_norm,
     parse_p,
 )
-from epkit.pnorms import _expm_batch, _op_norms, _rule  # white-box agreement checks
+from epkit.pnorms import _expm_batch, _op_norms  # white-box agreement checks
 
 GOLDEN_DEVIATION = (1.0 + math.sqrt(5.0)) / 2.0 - 1.0
 
@@ -271,6 +272,41 @@ def test_only_exact_idempotents_skip_the_series(monkeypatch):
             assert is_hermitian_idempotent_exact(a, PNorm(p)) is truth
 
 
+def test_exact_hermitian_inputs_take_eigh_and_match_the_series(monkeypatch):
+    # a MatrixQ for which the exact rule holds (and that is no idempotent)
+    # takes V diag(e^{it lambda}) V* from eigh; its numpy image still goes
+    # through the series, which agrees with it at these moderate norms
+    calls = []
+    real = pnorms._expm_batch
+    monkeypatch.setattr(pnorms, "_expm_batch", lambda mats: calls.append(1) or real(mats))
+    rng = random.Random(24)
+    diagonals = [MatrixQ.diagonal([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                                   for _ in range(1 + trial % 4)]) for trial in range(8)]
+    symmetric = []
+    for trial in range(8):
+        n = 2 + trial % 3
+        x = MatrixQ(n, n, [GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                           for _ in range(n * n)])
+        symmetric.append(x + conj_transpose(x))
+    for a, norms in [(d, (1, 2, math.inf)) for d in diagonals] + [(x, (2,)) for x in symmetric]:
+        if a @ a == a:
+            continue
+        arr = np.array(a.to_complex_rows(), dtype=complex)
+        for p in norms:
+            calls.clear()
+            exact = hermitian_check(a, PNorm(p))
+            assert calls == [] and exact.closed_form is False
+            series = hermitian_check(arr, PNorm(p))
+            assert calls == [1]
+            assert exact.verdict == series.verdict == "hermitian"
+            assert abs(exact.max_deviation - series.max_deviation) <= 1e-12
+    # the rule fails for a symmetric non-diagonal matrix at p = 1 and inf
+    calls.clear()
+    for p in (1, math.inf):
+        assert hermitian_check(symmetric[0], PNorm(p)).verdict == "not_hermitian"
+    assert calls == [1, 1]
+
+
 def test_idempotent_p2_closed_form_matches_the_stack():
     # at p = 2 the grid of an idempotent reads sigma(|e^{it} - 1| s),
     # s = ||q - q*||_2, instead of the norm of each e + (e^{it} - 1) q
@@ -342,9 +378,13 @@ def test_p1_pinf_idempotent_check_forms_no_stack(monkeypatch):
 
 
 def test_rule_reads_the_off_diagonal_numerators():
-    # at p = 1 and inf the rule is "a equals its own diagonal"
+    # at p = 1 and inf the rule is "a equals its own diagonal, and that
+    # diagonal is real"; at p = 2 it is a* = a, which a complex diagonal fails
     def by_diagonal(a):
         return a == MatrixQ.diagonal([a.entry(i, i) for i in range(a.rows)])
+
+    def real_diagonal(a):
+        return by_diagonal(a) and all(a.entry(i, i).im == 0 for i in range(a.rows))
 
     cases = [MatrixQ.zeros(0, 0), MatrixQ.from_rows([["2/3+1i"]]), MatrixQ.from_rows([[0]]),
              MatrixQ.diagonal(["1i", 0, "-1/2+3i"]), MatrixQ.diagonal([1, 0, 1]),
@@ -360,9 +400,17 @@ def test_rule_reads_the_off_diagonal_numerators():
     truths = set()
     for a in cases:
         for p in (1, math.inf):
-            assert _rule(a, PNorm(p)) is by_diagonal(a)
-        truths.add(by_diagonal(a))
-    assert truths == {True, False}
+            assert is_hermitian_exact(a, PNorm(p)) is real_diagonal(a)
+        assert is_hermitian_exact(a, PNorm(2)) is (conj_transpose(a) == a)
+        if by_diagonal(a) and not real_diagonal(a):  # a complex diagonal
+            assert not any(is_hermitian_exact(a, PNorm(p)) for p in (1, 2, math.inf))
+            truths.add("complex diagonal")
+        truths.add(real_diagonal(a))
+    assert truths == {True, False, "complex diagonal"}
+    for a in (MatrixQ.zeros(2, 3), MatrixQ.zeros(0, 1)):
+        for p in (1, 2, math.inf):
+            with pytest.raises(ShapeError):
+                is_hermitian_exact(a, PNorm(p))
 
 
 def test_grid_is_built_once_per_shape():
