@@ -17,10 +17,14 @@ kinds:
   check list has been re-verified (route "constructive", witness attached).
   When the criterion fails the statement is false through that exact
   equivalent criterion, never because a search came up empty.
-- solvable: each witness key names a linear system solve_exists decides
-  exactly.  All consistent gives the solutions as the witness (solve_exists
-  re-checks every solution it returns); any inconsistent one is an exact
-  refutation.
+- solvable: each witness key names a linear system m x = y or x m = y,
+  decided exactly by `EPInstance.solve`.  When `_ONE_SIDED` gives the
+  coefficient m a verified one-sided inverse (L m = e, or m R = e on the
+  left), the solution is unique and is L y (y R), and the one product
+  m x == y decides existence; otherwise solve_exists eliminates.  Either
+  way every returned solution has been checked by that product.  All
+  consistent gives the solutions as the witness; any inconsistent one is an
+  exact refutation.
 
 Verify once.  Rows hold names, never matrices or functions.  The named
 quantities live on one lazily memoised EPInstance per input, an MPPair
@@ -30,11 +34,15 @@ exact battery reads; the 3.x batteries take it validated from
 square check.  Each product, subspace, inverse, solve and identity check
 runs at most once per object however many rows name it.  Solves are keyed
 by their two matrices and side, not by names, so equal systems under
-different names (4.1's p and q on an EP input) share one elimination.  An
+different names (4.1's p and q on an EP input) are decided once.  An
 inverse that may not exist is read through `solve` against the identity:
 one elimination both decides invertibility (None when singular) and gives
 the re-verified inverse.  A fact is read from the step that already proved
-it: 4.2's v^ = w^-1 v and w^ = v w^-1 are invertible because
+it: the solvable rows of 3.5, 3.7 and 3.9 take their one-sided inverses
+from b+ b = e_r and c c+ = e_r, the identities `_validate` checks; those of
+4.1 and 4.2 on a full-rank a from a+ a = e_n and from Lemma 3.8's
+v (a a*) = p and w (a* a) = q with p = q = e_n, each guard checked once per
+instance; 4.2's v^ = w^-1 v and w^ = v w^-1 are invertible because
 `lemma38_witnesses` verified v v^-1 = e and w w^-1 = e; 5.6's outer factor
 e is square, so injective, right-injective and surjective are its one rank
 test; 5.2 reads idempotence off the hermitian check's closed form.  Every
@@ -94,12 +102,32 @@ _QUANTITIES = {
     **MPPair._DEFS,
     "e_r": lambda m: MatrixQ.identity(m.f.rank),
     # the products validation needs, kept for the batteries
+    "bd_b_is_e": lambda m: m.b_dagger @ m.b == m.e_r,            # b+ b = e_r
+    "c_cd_is_e": lambda m: m.c @ m.c_dagger == m.e_r,            # c c+ = e_r
     "bc": lambda m: m.b @ m.c,
     "a_ad": lambda m: m.a @ m.a_dagger,
     "ad_a": lambda m: m.a_dagger @ m.a,
     "is_ep": lambda m: m.a_ad == m.ad_a,
     "b_star": lambda m: conj_transpose(m.b),
     "c_star": lambda m: conj_transpose(m.c),
+    "cd_star": lambda m: conj_transpose(m.c_dagger),
+    # verified one-sided inverses for `_ONE_SIDED`, each None unless its guard
+    # holds; b* (b+)* = (b+ b)* and (c+)* c* = (c c+)* are identities too
+    "b_linv": lambda m: m.b_dagger if m.bd_b_is_e else None,
+    "bd_rinv": lambda m: m.b if m.bd_b_is_e else None,
+    "bs_rinv": lambda m: conj_transpose(m.b_dagger) if m.bd_b_is_e else None,
+    "c_rinv": lambda m: m.c_dagger if m.c_cd_is_e else None,
+    "cd_linv": lambda m: m.c if m.c_cd_is_e else None,
+    "cs_linv": lambda m: m.cd_star if m.c_cd_is_e else None,
+    # a of full rank: a+ a = e_n, formed only when the rank allows it; a is
+    # square, so a+ is then a right inverse too, and (a+)* inverts a*
+    "ad_a_is_e": lambda m: m.f.rank == m.a.rows and m.ad_a == m.e_n,
+    "a_inv": lambda m: m.a_dagger if m.ad_a_is_e else None,
+    "ad_inv": lambda m: m.a if m.ad_a_is_e else None,
+    "as_inv": lambda m: conj_transpose(m.a_dagger) if m.ad_a_is_e else None,
+    # lemma38 verified v (a a*) = (a a*) v = p and w (a* a) = (a* a) w = q
+    "bb_inv": lambda m: m.lemma38[0] if m.p == m.e_n else None,
+    "aa_inv": lambda m: m.lemma38[1] if m.q == m.e_n else None,
     # kernels and ranges of the factors, against the daggers and the adjoints
     "ker_c": lambda m: kernel(m.c),
     "rng_b": lambda m: range_space(m.b),
@@ -131,7 +159,7 @@ _QUANTITIES = {
     "bd_is_z_c": lambda m: m.b_dagger == m.z @ m.c,
     "cd_is_b_z": lambda m: m.c_dagger == m.b @ m.z,
     # 3.9: the adjoint composite, which carries b = c* z when EP
-    "z_adj": lambda m: (conj_transpose(m.c_dagger) @ m.c_dagger) @ m.u,
+    "z_adj": lambda m: (m.cd_star @ m.c_dagger) @ m.u,
     "x_adj": lambda m: conj_transpose(m.s2_adj),                # (z*)^-1 = (z^-1)*
     "s1_adj": lambda m: conj_transpose(m.z_adj),
     "s2_adj": lambda m: m.solve("z_adj", "e_r", "right"),
@@ -144,8 +172,7 @@ _QUANTITIES = {
     "cs_bs": lambda m: m.c_star @ m.b_star,
     "chain_ii1": lambda m: m.aa == m.cs_bs @ m.bc @ m.p,                   # c* b* bc bb+
     "chain_ii2": lambda m: m.aa == m.cs_bs @ m.q @ m.bc,                   # c* b* c+c bc
-    "chain_iii1": lambda m: m.bb == m.bc @ m.cs_bs @ (
-        m.c_star @ conj_transpose(m.c_dagger)),                            # bc c*b* c*(c*)+
+    "chain_iii1": lambda m: m.bb == m.bc @ m.cs_bs @ (m.c_star @ m.cd_star),  # bc c*b* c*(c*)+
     "chain_iii2": lambda m: m.bb == m.bc @ m.p @ m.cs_bs,                  # bc bb+ c*b*
     "chain_v1": lambda m: m.bb == m.a_dagger @ m.bc @ m.bc @ m.cs_bs,      # c+b+ bc bc c*b*
     "chain_vi1": lambda m: m.aa == m.bc @ m.a_dagger @ m.cs_bs @ m.bc,     # bc c+b+ c*b* bc
@@ -222,6 +249,28 @@ _QUANTITIES = {
     "e_full_rank": lambda m: rank(m.e_n) == m.a.rows,
 }
 
+# (coefficient, side) -> the quantity above holding the coefficient's
+# verified one-sided inverse (L with L M = e for M x = y, side "right"; R with
+# M R = e for x M = y, side "left") or None; the guard of each is named here
+_ONE_SIDED = {
+    ("b", "right"): "b_linv",            # b+ b = e_r (3.5, 3.7)
+    ("c_dagger", "right"): "cd_linv",    # c c+ = e_r (3.5, 3.7)
+    ("c_star", "right"): "cs_linv",      # c c+ = e_r (3.9)
+    ("b_dagger", "left"): "bd_rinv",     # b+ b = e_r (3.5, 3.7)
+    ("c", "left"): "c_rinv",             # c c+ = e_r (3.5, 3.7, 3.9)
+    ("b_star", "left"): "bs_rinv",       # b+ b = e_r (3.9)
+    ("a", "right"): "a_inv",             # a+ a = e_n (4.1, 4.2)
+    ("a", "left"): "a_inv",              # a+ a = e_n (4.1, 4.2)
+    ("a_dagger", "right"): "ad_inv",     # a+ a = e_n (4.1)
+    ("a_dagger", "left"): "ad_inv",      # a+ a = e_n (4.1)
+    ("a_star", "right"): "as_inv",       # a+ a = e_n (4.2)
+    ("a_star", "left"): "as_inv",        # a+ a = e_n (4.2)
+    ("bb", "right"): "bb_inv",           # p = e_n (4.2)
+    ("bb", "left"): "bb_inv",            # p = e_n (4.2)
+    ("aa", "right"): "aa_inv",           # q = e_n (4.2)
+    ("aa", "left"): "aa_inv",            # q = e_n (4.2)
+}
+
 
 @dataclass(frozen=True)
 class EPInstance(MPPair):
@@ -238,6 +287,7 @@ class EPInstance(MPPair):
     """
 
     _DEFS = _QUANTITIES
+    _ONE_SIDED = _ONE_SIDED
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
@@ -249,8 +299,8 @@ class EPInstance(MPPair):
 
     def _validate(self) -> None:
         _require(self.bc == self.a, "instance factorization b c = a")
-        _require(self.b_dagger @ self.b == self.e_r, "b+ b = e")
-        _require(self.c @ self.c_dagger == self.e_r, "c c+ = e")
+        _require(self.bd_b_is_e, "b+ b = e")
+        _require(self.c_cd_is_e, "c c+ = e")
         _require(self.a_ad == self.p, "a a+ = b b+")
         _require(self.ad_a == self.q, "a+ a = c+ c")
         _require(self.c @ self.a_dagger == self.b_dagger, "b+ = c a+")

@@ -7,7 +7,8 @@ reproduces it byte for byte.
 
 Exit codes are a stable contract: 0 pass, 1 property false, 2 input error,
 3 inconclusive, which only `hermitian` returns, for a grid deviation between
-its two tolerances.
+its two tolerances.  `hermitian` also prints the exact verdict of
+`is_hermitian_exact` on its `exact:` line; the exit code follows the grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional
 from .battery import GeneratorConfig, GeneratorError, child_seed, run_battery
 from .exactnum import ScalarParseError, as_scalar, format_scalar, parse_scalar
 from .linalg import MatrixQ, ShapeError
-from .pnorms import PNorm, hermitian_check, parse_p
+from .pnorms import PNorm, hermitian_check, is_hermitian_exact, parse_p
 from .pseudoinverse import MPPair, penrose_certificate, pinv
 
 EXIT_PASS = 0
@@ -183,7 +184,9 @@ def cmd_hermitian(args) -> int:
         raise InputError(f"entries too large for the floating-point check: {exc}") from exc
     except ValueError as exc:  # grid and entries are valid here: the t-grid overflows
         raise InputError(f"--tmax {args.tmax:g} is too large: {exc}") from exc
+    exact = "hermitian" if is_hermitian_exact(a, norm) else "not_hermitian"
     sys.stdout.write(f"verdict: {rep.verdict}\n")
+    sys.stdout.write(f"exact: {exact}\n")
     sys.stdout.write(f"max deviation of |exp(i t a)| from 1: {rep.max_deviation:.12g} "
                      f"at t = {rep.argmax_t:.12g}\n")
     sys.stdout.write(f"grid: {rep.grid_size} points on [{-rep.t_max:.6g}, {rep.t_max:.6g}], "

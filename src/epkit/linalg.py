@@ -14,7 +14,9 @@ flat row-major lists of Python ints, the real and the imaginary numerators,
 so entry k is (re[k] + im[k] i) / den.  The form is canonical: den shares no
 factor with all the numerators at once, and the zero matrix has den 1, so
 equality and hashing compare integers.  Products, sums, transposes, stacking
-and slicing are integer list work with one gcd normalisation per result.
+and slicing are integer list work with one gcd normalisation per result; a
+product of two complex matrices takes three integer matrix products, not
+four (Gauss's form).
 `rref` is fraction-free Gauss-Jordan elimination over the Gaussian integers
 (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination"): every division by the previous pivot is exact, and
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from itertools import repeat
-from operator import floordiv, mod, mul
+from operator import add, floordiv, mod, mul, sub
 from typing import Optional, Sequence
 
 from .exactnum import ZERO, GaussianRational, as_scalar
@@ -193,9 +195,11 @@ class MatrixQ:
         a_complex, b_complex = any(ai), any(bi)
         re = _int_matmul(ar, br, *shape)
         if a_complex and b_complex:
-            re = [x - y for x, y in zip(re, _int_matmul(ai, bi, *shape))]
-            im = [x + y for x, y in zip(_int_matmul(ar, bi, *shape),
-                                        _int_matmul(ai, br, *shape))]
+            # Gauss: three integer products, im = (ar + ai)(br + bi) - ar br - ai bi
+            ii = _int_matmul(ai, bi, *shape)
+            s = _int_matmul(list(map(add, ar, ai)), list(map(add, br, bi)), *shape)
+            im = [z - x - y for z, x, y in zip(s, re, ii)]
+            re = list(map(sub, re, ii))
         elif a_complex:
             im = _int_matmul(ai, br, *shape)
         elif b_complex:

@@ -262,10 +262,17 @@ def _hermitian_exps(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
     V and lambda come from one `eigh`, so t enters only through the phases
     and the error stays at the rounding of V, whatever ||t a||; on a real
-    diagonal a, V has 0/1 columns and the stack is diagonal.
+    diagonal a, V has 0/1 columns and the stack is diagonal.  For an
+    eigenvalue where some t lambda overflows, the phase is taken as
+    (t mod 2 pi / lambda) lambda instead, which is below 2 pi in modulus, so
+    exp(i t a) stays unitary there too.
     """
     lam, v = np.linalg.eigh(a)
-    return (v * np.exp(1j * ts[:, None] * lam)[:, None, :]) @ v.conj().T
+    with np.errstate(over="ignore"):
+        phase = ts[:, None] * lam
+    big = ~np.isfinite(phase).all(axis=0)
+    phase[:, big] = np.fmod(ts[:, None], 2.0 * np.pi / lam[big]) * lam[big]
+    return (v * np.exp(1j * phase)[:, None, :]) @ v.conj().T
 
 
 def _idempotent_sum_norms(q: np.ndarray, w: np.ndarray, r: np.ndarray,

@@ -116,6 +116,9 @@ class _Quantities:
     """
 
     _DEFS: dict = {}    # a class-level default, so `__getattr__` never recurses on it
+    # (coefficient name, side) -> name of the quantity holding a verified
+    # one-sided inverse of that coefficient, or None; see `solve`
+    _ONE_SIDED: dict = {}
 
     def __getattr__(self, name: str):
         try:
@@ -127,16 +130,42 @@ class _Quantities:
         return value
 
     def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
-        """solve_exists on two named quantities, decided once per system.
+        """The system a x = y (side "right") or x a = y ("left") on two named
+        quantities, decided once per system.
 
-        The cache is keyed by the two matrices and the side, so equal
-        systems under different names share one elimination.
+        When `_ONE_SIDED` names a quantity for (a, side) and it holds a
+        matrix, that is a verified one-sided inverse of a, and
+        `_solve_one_sided` decides the system with products alone; otherwise
+        (no entry, or the entry's guard failed and it holds None)
+        `solve_exists` eliminates.  The cache is keyed by the two matrices
+        and the side, so equal systems under different names are decided
+        once.
         """
         cache = self.__dict__.setdefault("_solves", {})
         key = (getattr(self, a), getattr(self, y), side)
         if key not in cache:
-            cache[key] = solve_exists(*key)
+            name = self._ONE_SIDED.get((a, side))
+            inv = None if name is None else getattr(self, name)
+            cache[key] = solve_exists(*key) if inv is None else _solve_one_sided(*key, inv)
         return cache[key]
+
+
+def _solve_one_sided(a: MatrixQ, y: MatrixQ, side: str, inv: MatrixQ) -> Optional[MatrixQ]:
+    """The solution of a x = y (side "right") or x a = y ("left"), or None.
+
+    `inv` must be a one-sided inverse of a that the caller has verified
+    exactly: inv a = e for side "right" (a has full column rank), a inv = e
+    for side "left" (full row rank).  Any solution x0 of a x0 = y then
+    equals inv y = inv a x0, so the candidate inv y (y inv on the left) is
+    the only one, and the product a x == y decides existence: None is an
+    exact refutation.  Being unique, the solution is the one `solve_exists`
+    returns.
+    """
+    if side == "right":
+        x = inv @ y
+        return x if a @ x == y else None
+    x = y @ inv
+    return x if x @ a == y else None
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from epkit.battery import (
 from epkit.characterizations import EPInstance, thm53_decompose
 from epkit.cli import battery_configs
 from epkit.exactnum import GaussianRational
-from epkit.linalg import MatrixQ, is_invertible, rank
+from epkit.linalg import MatrixQ, is_invertible, rank, transpose
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
 
@@ -269,6 +269,31 @@ def _recording(monkeypatch):
     return reduced, solved, built
 
 
+def _one_sided_recording(monkeypatch):
+    """Record the systems decided through a verified one-sided inverse."""
+    import epkit.pseudoinverse as pseudoinverse
+
+    decided = []
+    orig = pseudoinverse._solve_one_sided
+    monkeypatch.setattr(pseudoinverse, "_solve_one_sided", lambda a, y, side, inv:
+                        decided.append((a, y, side)) or orig(a, y, side, inv))
+    return decided
+
+
+def _table_systems(m, rows) -> set:
+    """The (matrix, matrix, side) systems that the solvable rows name, on m."""
+    return {(getattr(m, x), getattr(m, y), side)
+            for row in rows if row.solve for x, y, side in row.solve.values()}
+
+
+def _eliminated(systems, reduced) -> list:
+    """The systems whose solve_exists operand, [m | y] or [m^T | y^T], was
+    reduced."""
+    return [(m, y, side) for m, y, side in systems
+            if (m.hstack(y) if side == "right" else transpose(m).hstack(transpose(y)))
+            in reduced]
+
+
 def _ep_draws(tid):
     return [gen_matrix(cfg) for s in (1, 2)
             for cfg in battery_configs(tid, 8, 4, s) if cfg.kind == "ep"]
@@ -324,15 +349,68 @@ def test_no_identity_is_inverted(monkeypatch):
 
 
 def test_thm41_solves_equal_systems_once(monkeypatch):
-    # on an EP input p = q, so 4.1.x's (p, q) and (q, p) are one system
-    draws = _ep_draws("4.1")
+    # on an EP input p = q, so 4.1.x's (p, q) and (q, p) are one system; on a
+    # hermitian involution a = a+, so (a, a+) and (a+, a) are one system too,
+    # there decided through the verified one-sided inverse a+ a = e
+    involutions = [MatrixQ.diagonal([1, -1, 1, -1]), MatrixQ.from_rows([[0, 1], [1, 0]])]
+    draws = _ep_draws("4.1") + involutions
     _, solved, built = _recording(monkeypatch)
+    decided = _one_sided_recording(monkeypatch)
     for a in draws:
         solved.clear()
+        decided.clear()
         battery.thm41_battery(a)
         m = built[-1]
         assert m.p == m.q
         assert sum(side == "left" and x == m.p and y == m.q for x, y, side in solved) == 1
+        both = solved + decided
+        assert len(set(both)) == len(both)  # no system is decided twice
+        if a in involutions:
+            assert m.a_dagger == a
+            assert sorted(side for x, y, side in decided if x == y == a) == ["left", "right"]
+
+
+def test_thm37_decides_factor_systems_without_elimination(monkeypatch):
+    # every 3.7 system has b, c, b+ or c+ as its coefficient, and b+ b = e_r
+    # and c c+ = e_r are verified, so none reaches solve_exists (the only way
+    # a system is eliminated); rank 0 gives b of n x 0 and b+ of 0 x n
+    import epkit.characterizations as chz
+
+    instances = [EPInstance.from_matrix(gen_matrix(cfg))
+                 for s in (1, 2) for n in (0, 1, 4) for cfg in battery_configs("3.7", 8, n, s)]
+    assert any(inst.rank == 0 for inst in instances)
+    reduced, solved, _ = _recording(monkeypatch)
+    decided = _one_sided_recording(monkeypatch)
+    for inst in instances:
+        reduced.clear()
+        decided.clear()
+        battery.thm37_battery(inst)
+        systems = _table_systems(inst, chz._T37)
+        # a solvable row stops at its first inconsistent system
+        assert decided and set(decided) <= systems
+        if inst.rank:  # at rank 0, [c+ | a] is the zero a that the factorization reduces
+            assert _eliminated(systems, reduced) == []
+    assert solved == []
+
+
+def test_thm42_decides_full_rank_systems_without_elimination(monkeypatch):
+    # on a full-rank a, a+ a = e, p = e and q = e are verified, so a, a*, a a*
+    # and a* a have the one-sided inverses a+, (a+)*, v and w
+    import epkit.characterizations as chz
+
+    draws = [a for s in (1, 2) for cfg in battery_configs("4.2", 8, 4, s)
+             for a in [gen_matrix(cfg)] if rank(a) == a.rows]
+    assert draws
+    reduced, solved, built = _recording(monkeypatch)
+    decided = _one_sided_recording(monkeypatch)
+    for a in draws:
+        reduced.clear()
+        decided.clear()
+        battery.thm42_battery(a)
+        systems = _table_systems(built[-1], chz._T42)
+        assert len(systems) == 8 and set(decided) == systems
+        assert _eliminated(systems, reduced) == []
+    assert solved == []
 
 
 def test_prop52_forms_each_product_once(monkeypatch):

@@ -264,6 +264,25 @@ def test_hermitian_large_norm_exact_inputs(tmp_path, capsys):
                 assert code == EXIT_PROPERTY_FALSE and out.startswith("verdict: not_hermitian\n")
 
 
+def test_hermitian_prints_the_exact_verdict_beside_the_grid(tmp_path, capsys):
+    # the exact line comes from is_hermitian_exact; the exit code still
+    # follows the grid, so a tiny violation the grid cannot resolve exits 3
+    cases = (
+        ([["1", "0"], ["0", "0"]], "1", "hermitian", "hermitian", EXIT_PASS),
+        ([["1", "0"], ["0", "0"]], "2", "hermitian", "hermitian", EXIT_PASS),
+        ([["3", "1"], ["1", "5000000000"]], "1", "not_hermitian", "not_hermitian",
+         EXIT_PROPERTY_FALSE),
+        ([["3", "1"], ["1", "5000000000"]], "2", "hermitian", "hermitian", EXIT_PASS),
+        ([["0", "1/10000000"], ["0", "0"]], "2", "inconclusive", "not_hermitian",
+         EXIT_INCONCLUSIVE),
+    )
+    for k, (rows, p, grid, exact, exit_code) in enumerate(cases):
+        path = mfile(tmp_path, f"m{k}.json", matrix_obj(rows))
+        code, out, err = run_main(capsys, ["hermitian", path, "--p", p])
+        assert (code, err) == (exit_code, ""), (rows, p)
+        assert out.startswith(f"verdict: {grid}\nexact: {exact}\n"), (rows, p, out)
+
+
 def test_hermitian_between_tolerances_is_inconclusive_exit(tmp_path, capsys):
     # deviation lands between tol_pass and tol_fail: a verdict, not an error
     path = mfile(tmp_path, "nd.json", matrix_obj([["0", "1/10000000"], ["0", "0"]]))

@@ -9,7 +9,7 @@ matrices, unit pivots (-1, i, -i) and entries of more than 200 bits.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epkit.exactnum import GaussianRational
@@ -21,7 +21,9 @@ from epkit.linalg import (
     rank,
     rref,
     solve_exists,
+    transpose,
 )
+from epkit.pseudoinverse import _solve_one_sided, pinv
 
 from .oracles import (
     assert_canonical,
@@ -140,3 +142,30 @@ def test_solve_matches_oracle(data):
     else:
         assert_canonical(got)
         assert got.to_rows() == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_one_sided_inverse_solve_matches_solve_exists(data):
+    # a (n x r) of full column rank, rank 0 and n = 0 included, with its
+    # verified left inverse a+; a^T (r x n) has full row rank and the right
+    # inverse (a+)^T.  Consistent and arbitrary right-hand sides on each side.
+    n = data.draw(st.integers(0, 4))
+    r = data.draw(st.integers(0, n))
+    sc = scalars(data.draw(st.booleans()))
+    a = MatrixQ(n, r, [data.draw(sc) for _ in range(n * r)])
+    assume(rank(a) == r)
+    left = pinv(a)
+    assert left @ a == MatrixQ.identity(r)
+    k = data.draw(st.integers(0, 3))
+    for side, m, inv in (("right", a, left), ("left", transpose(a), transpose(left))):
+        if data.draw(st.booleans()):  # consistent by construction
+            x0 = [data.draw(sc) for _ in range(r * k)]
+            y = m @ MatrixQ(r, k, x0) if side == "right" else MatrixQ(k, r, x0) @ m
+        else:
+            shape = (n, k) if side == "right" else (k, n)
+            y = MatrixQ(*shape, [data.draw(sc) for _ in range(n * k)])
+        got = _solve_one_sided(m, y, side, inv)
+        assert got == solve_exists(m, y, side)
+        if got is not None:
+            assert_canonical(got)

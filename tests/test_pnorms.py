@@ -307,6 +307,20 @@ def test_exact_hermitian_inputs_take_eigh_and_match_the_series(monkeypatch):
     assert calls == [1, 1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_hermitian_phase_stays_finite_past_float_range():
+    # t lambda overflows past |lambda| ~ 2.8e307 on the default grid, but
+    # exp(i t a) is still unitary: the phase is reduced modulo 2 pi first
+    cases = [(MatrixQ.diagonal([10 ** 308, -10 ** 308]), (1, 2, math.inf)),
+             (MatrixQ.diagonal([3 * 10 ** 307, 0, -1]), (1, 2, math.inf)),
+             (MatrixQ.from_rows([[3, 1], [1, 10 ** 308]]), (2,))]
+    for a, norms in cases:
+        for p in norms:
+            rep = hermitian_check(a, PNorm(p))
+            assert rep.verdict == "hermitian" and not rep.closed_form, (a, p)
+            assert rep.max_deviation <= 1e-15, (a, p, rep.max_deviation)
+
+
 def test_idempotent_p2_closed_form_matches_the_stack():
     # at p = 2 the grid of an idempotent reads sigma(|e^{it} - 1| s),
     # s = ||q - q*||_2, instead of the norm of each e + (e^{it} - 1) q
