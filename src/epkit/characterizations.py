@@ -18,13 +18,13 @@ kinds:
   When the criterion fails the statement is false through that exact
   equivalent criterion, never because a search came up empty.
 - solvable: each witness key names a linear system m x = y or x m = y,
-  decided exactly by `EPInstance.solve`.  When `_ONE_SIDED` gives the
-  coefficient m a verified one-sided inverse (L m = e, or m R = e on the
-  left), the solution is unique and is L y (y R), and the one product
-  m x == y decides existence; otherwise solve_exists eliminates.  Either
-  way every returned solution has been checked by that product.  All
-  consistent gives the solutions as the witness; any inconsistent one is an
-  exact refutation.
+  decided exactly by `EPInstance.solve`.  When `_INNER` gives the
+  coefficient m a {1}-inverse g (m g m = m) whose guard holds, the system
+  is solvable iff m (g y) = y (y g m = y on the left), Penrose's
+  consistency test, so the candidate g y and one product decide it;
+  otherwise solve_exists eliminates.  Either way every returned solution
+  has been checked by that product.  All consistent gives the solutions as
+  the witness; any inconsistent one is an exact refutation.
 
 Verify once.  Rows hold names, never matrices or functions.  The named
 quantities live on one lazily memoised EPInstance per input, an MPPair
@@ -38,14 +38,15 @@ different names (4.1's p and q on an EP input) are decided once.  An
 inverse that may not exist is read through `solve` against the identity:
 one elimination both decides invertibility (None when singular) and gives
 the re-verified inverse.  A fact is read from the step that already proved
-it: the solvable rows of 3.5, 3.7 and 3.9 take their one-sided inverses
-from b+ b = e_r and c c+ = e_r, the identities `_validate` checks; those of
-4.1 and 4.2 on a full-rank a from a+ a = e_n and from Lemma 3.8's
-v (a a*) = p and w (a* a) = q with p = q = e_n, each guard checked once per
-instance; 4.2's v^ = w^-1 v and w^ = v w^-1 are invertible because
-`lemma38_witnesses` verified v v^-1 = e and w w^-1 = e; 5.6's outer factor
-e is square, so injective, right-injective and surjective are its one rank
-test; 5.2 reads idempotence off the hermitian check's closed form.  Every
+it.  Each solvable row's {1}-inverse rests on one guard checked once per
+instance: b+ b = e_r or c c+ = e_r (the identities `_validate` checks) for
+the factors in 3.5, 3.7 and 3.9; Penrose 1 or 2, or idempotence, for a,
+a+, a*, p and q in 4.1 and 4.2, and Penrose 1 for a a* and a* a with Lemma
+3.8's verified v and w; the identity pivot rows of the canonical range basis
+for 5.5's compression t1.  4.2's v^ = w^-1 v and w^ = v w^-1 are invertible
+because `lemma38_witnesses` verified v v^-1 = e and w w^-1 = e; 5.6's outer
+factor e is square, so injective, right-injective and surjective are its one
+rank test; 5.2 reads idempotence off the hermitian check's closed form.  Every
 row still `_require`s its witness identities, under its own battery's
 message, before it reports the witness.  A witness that fails to re-verify
 raises InternalConsistencyError: that is a bug, not a result.
@@ -69,6 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .exactnum import ONE
 from .linalg import (
     InternalConsistencyError,
     MatrixQ,
@@ -83,7 +85,6 @@ from .linalg import (
     rank,
     right_kernel,
     row_space,
-    solve_exists,
     subspace_equal,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
@@ -111,23 +112,13 @@ _QUANTITIES = {
     "b_star": lambda m: conj_transpose(m.b),
     "c_star": lambda m: conj_transpose(m.c),
     "cd_star": lambda m: conj_transpose(m.c_dagger),
-    # verified one-sided inverses for `_ONE_SIDED`, each None unless its guard
-    # holds; b* (b+)* = (b+ b)* and (c+)* c* = (c c+)* are identities too
-    "b_linv": lambda m: m.b_dagger if m.bd_b_is_e else None,
-    "bd_rinv": lambda m: m.b if m.bd_b_is_e else None,
-    "bs_rinv": lambda m: conj_transpose(m.b_dagger) if m.bd_b_is_e else None,
-    "c_rinv": lambda m: m.c_dagger if m.c_cd_is_e else None,
-    "cd_linv": lambda m: m.c if m.c_cd_is_e else None,
-    "cs_linv": lambda m: m.cd_star if m.c_cd_is_e else None,
-    # a of full rank: a+ a = e_n, formed only when the rank allows it; a is
-    # square, so a+ is then a right inverse too, and (a+)* inverts a*
-    "ad_a_is_e": lambda m: m.f.rank == m.a.rows and m.ad_a == m.e_n,
-    "a_inv": lambda m: m.a_dagger if m.ad_a_is_e else None,
-    "ad_inv": lambda m: m.a if m.ad_a_is_e else None,
-    "as_inv": lambda m: conj_transpose(m.a_dagger) if m.ad_a_is_e else None,
-    # lemma38 verified v (a a*) = (a a*) v = p and w (a* a) = (a* a) w = q
-    "bb_inv": lambda m: m.lemma38[0] if m.p == m.e_n else None,
-    "aa_inv": lambda m: m.lemma38[1] if m.q == m.e_n else None,
+    "bd_star": lambda m: conj_transpose(m.b_dagger),
+    "ad_star": lambda m: conj_transpose(m.a_dagger),
+    # the guards of `_INNER`: Penrose 1 and 2 for a+, and idempotence
+    "penrose1": lambda m: m.a_ad @ m.a == m.a,
+    "penrose2": lambda m: m.ad_a @ m.a_dagger == m.a_dagger,
+    "p_idempotent": lambda m: m.p @ m.p == m.p,
+    "q_idempotent": lambda m: m.q @ m.q == m.q,
     # kernels and ranges of the factors, against the daggers and the adjoints
     "ker_c": lambda m: kernel(m.c),
     "rng_b": lambda m: range_space(m.b),
@@ -208,8 +199,10 @@ _QUANTITIES = {
     "lemma38": lambda m: lemma38_witnesses(m),
     "s_adj": lambda m: m.w_inv @ m.s_dag,
     "u_adj": lambda m: m.u_dag @ m.v_inv,
-    "vhat": lambda m: m.w_inv @ m.lemma38[0],
-    "what": lambda m: m.lemma38[0] @ m.w_inv,
+    "v": lambda m: m.lemma38[0],
+    "w": lambda m: m.lemma38[1],
+    "vhat": lambda m: m.w_inv @ m.v,
+    "what": lambda m: m.v @ m.w_inv,
     # lemma38 has verified v v^-1 = e and w w^-1 = e, so vhat = w^-1 v and
     # what = v w^-1 are invertible, with inverses v^-1 w and w v^-1
     "v_w_invertible": lambda m: m.lemma38 is not None,
@@ -230,15 +223,22 @@ _QUANTITIES = {
     "a_hh_as_is_aa": lambda m: m.a @ m.h @ conj_transpose(m.h) @ m.a_star == m.aa,
     # 5.3, 5.5: t = j (t1 + 0) j^-1 over a range basis j1 and a kernel basis,
     # so j (x + 0) j^-1 = j1 x j_inv1 with j_inv1 the leading rank rows of j^-1
-    "j": lambda m: m.rng_a.basis.hstack(m.ker_a.basis),
+    "j": lambda m: m.rng_basis.hstack(m.ker_a.basis),
     "j_inv": lambda m: m.solve("j", "e_n", "right"),
     "j_inv1": lambda m: m.j_inv.take_rows(m.rng_a.dim),
     "j_invertible": lambda m: m.j_inv is not None,
-    "t1": lambda m: solve_exists(m.rng_a.basis, m.a @ m.rng_a.basis, side="right"),
+    # t1 solves B t1 = a B on the canonical range basis B, whose first 1 in each
+    # column lies on its identity pivot rows: selecting them gives S B = e_r
+    "rng_basis": lambda m: m.rng_a.basis,
+    "a_rng": lambda m: m.a @ m.rng_basis,
+    "rng_pivots": lambda m: conj_transpose(m.e_n.select_columns(
+        [m.rng_basis.col(j).index(ONE) for j in range(m.rng_basis.cols)])),
+    "rng_pivots_inv": lambda m: m.rng_pivots @ m.rng_basis == m.e_r,
+    "t1": lambda m: m.solve("rng_basis", "a_rng", "right"),
     "t1_inv": lambda m: m.solve("t1", "e_r", "right"),
     "t1_invertible": lambda m: m.t1_inv is not None,
-    "t_is_block": lambda m: m.a == m.rng_a.basis @ m.t1 @ m.j_inv1,
-    "td_is_block": lambda m: m.a_dagger == m.rng_a.basis @ m.t1_inv @ m.j_inv1,
+    "t_is_block": lambda m: m.a == m.rng_basis @ m.t1 @ m.j_inv1,
+    "td_is_block": lambda m: m.a_dagger == m.rng_basis @ m.t1_inv @ m.j_inv1,
     "decomposition": lambda m: _decompose(m),
     "decomposable": lambda m: m.decomposition is not None,
     "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
@@ -249,27 +249,28 @@ _QUANTITIES = {
     "e_full_rank": lambda m: rank(m.e_n) == m.a.rows,
 }
 
-# (coefficient, side) -> the quantity above holding the coefficient's
-# verified one-sided inverse (L with L M = e for M x = y, side "right"; R with
-# M R = e for x M = y, side "left") or None; the guard of each is named here
-_ONE_SIDED = {
-    ("b", "right"): "b_linv",            # b+ b = e_r (3.5, 3.7)
-    ("c_dagger", "right"): "cd_linv",    # c c+ = e_r (3.5, 3.7)
-    ("c_star", "right"): "cs_linv",      # c c+ = e_r (3.9)
-    ("b_dagger", "left"): "bd_rinv",     # b+ b = e_r (3.5, 3.7)
-    ("c", "left"): "c_rinv",             # c c+ = e_r (3.5, 3.7, 3.9)
-    ("b_star", "left"): "bs_rinv",       # b+ b = e_r (3.9)
-    ("a", "right"): "a_inv",             # a+ a = e_n (4.1, 4.2)
-    ("a", "left"): "a_inv",              # a+ a = e_n (4.1, 4.2)
-    ("a_dagger", "right"): "ad_inv",     # a+ a = e_n (4.1)
-    ("a_dagger", "left"): "ad_inv",      # a+ a = e_n (4.1)
-    ("a_star", "right"): "as_inv",       # a+ a = e_n (4.2)
-    ("a_star", "left"): "as_inv",        # a+ a = e_n (4.2)
-    ("bb", "right"): "bb_inv",           # p = e_n (4.2)
-    ("bb", "left"): "bb_inv",            # p = e_n (4.2)
-    ("aa", "right"): "aa_inv",           # q = e_n (4.2)
-    ("aa", "left"): "aa_inv",            # q = e_n (4.2)
+# coefficient -> (g, guard): g is a {1}-inverse (m g m = m) once the named
+# exact guard holds.  b+ b = e_r gives b b+ b = b, b+ b b+ = b+ and
+# b* (b+)* b* = b*, and c c+ = e_r the same for c.  lemma38 verified
+# (a a*) v = p = a (a* v) = a a+, so Penrose 1 gives (a a*) v (a a*) = a a*;
+# likewise (a* a) w (a* a) = a* a q = a* a.
+_INNER = {
+    "b": ("b_dagger", "bd_b_is_e"),          # 3.5, 3.7
+    "b_dagger": ("b", "bd_b_is_e"),          # 3.5, 3.7
+    "b_star": ("bd_star", "bd_b_is_e"),      # 3.9
+    "c": ("c_dagger", "c_cd_is_e"),          # 3.5, 3.7, 3.9
+    "c_dagger": ("c", "c_cd_is_e"),          # 3.5, 3.7
+    "c_star": ("cd_star", "c_cd_is_e"),      # 3.9
+    "a": ("a_dagger", "penrose1"),           # 4.1, 4.2: a a+ a = a
+    "a_star": ("ad_star", "penrose1"),       # 4.2: a* (a+)* a* = (a a+ a)*
+    "a_dagger": ("a", "penrose2"),           # 4.1: a+ a a+ = a+
+    "p": ("p", "p_idempotent"),              # 4.1
+    "q": ("q", "q_idempotent"),              # 4.1
+    "bb": ("v", "penrose1"),                 # 4.2
+    "aa": ("w", "penrose1"),                 # 4.2
+    "rng_basis": ("rng_pivots", "rng_pivots_inv"),  # 5.3, 5.5: S B = e_r
 }
+
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ class EPInstance(MPPair):
     """
 
     _DEFS = _QUANTITIES
-    _ONE_SIDED = _ONE_SIDED
+    _INNER = _INNER
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
@@ -315,7 +316,8 @@ class EPInstance(MPPair):
 
 def _square(a: MatrixQ, caller: str) -> EPInstance:
     """EPInstance of a square a for the 4.x and 5.x batteries, without
-    `_validate`: they never read the products it forms beyond a+, p and q."""
+    `_validate`: each identity they rest on is checked where it is read,
+    such as the Penrose guards of `_INNER` on a a+ and a+ a."""
     if not a.is_square:
         raise ShapeError(f"{caller} expects a square matrix")
     return EPInstance(a=a)
@@ -644,7 +646,7 @@ def _decompose(m: EPInstance) -> Optional[tuple]:
     _require(m.t1 is not None, "5.3 compression of t to its range exists")
     _require(m.t_is_block, "5.3 t = j (t1 + 0) j^-1")
     _require(m.t1_invertible, "5.3 compression invertible")
-    q1 = m.rng_a.basis @ m.j_inv1
+    q1 = m.rng_basis @ m.j_inv1
     _require(is_hermitian_idempotent_exact(q1, PNorm(2)),
              "5.3 block projection is a self-adjoint idempotent")
     _require(q1 == m.p, "5.3 block projection equals t t+")

@@ -116,9 +116,9 @@ class _Quantities:
     """
 
     _DEFS: dict = {}    # a class-level default, so `__getattr__` never recurses on it
-    # (coefficient name, side) -> name of the quantity holding a verified
-    # one-sided inverse of that coefficient, or None; see `solve`
-    _ONE_SIDED: dict = {}
+    # coefficient name -> (name of a {1}-inverse g of it, name of the exact
+    # check that makes g one); see `solve`
+    _INNER: dict = {}
 
     def __getattr__(self, name: str):
         try:
@@ -133,10 +133,9 @@ class _Quantities:
         """The system a x = y (side "right") or x a = y ("left") on two named
         quantities, decided once per system.
 
-        When `_ONE_SIDED` names a quantity for (a, side) and it holds a
-        matrix, that is a verified one-sided inverse of a, and
-        `_solve_one_sided` decides the system with products alone; otherwise
-        (no entry, or the entry's guard failed and it holds None)
+        When `_INNER` names a {1}-inverse g of a and its guard holds, g is
+        verified (a g a = a) and `_solve_inner` decides the system with
+        products alone; otherwise (no entry, or the guard failed)
         `solve_exists` eliminates.  The cache is keyed by the two matrices
         and the side, so equal systems under different names are decided
         once.
@@ -144,27 +143,25 @@ class _Quantities:
         cache = self.__dict__.setdefault("_solves", {})
         key = (getattr(self, a), getattr(self, y), side)
         if key not in cache:
-            name = self._ONE_SIDED.get((a, side))
-            inv = None if name is None else getattr(self, name)
-            cache[key] = solve_exists(*key) if inv is None else _solve_one_sided(*key, inv)
+            g, guard = self._INNER.get(a, (None, None))
+            cache[key] = (_solve_inner(*key, getattr(self, g))
+                          if g is not None and getattr(self, guard) else solve_exists(*key))
         return cache[key]
 
 
-def _solve_one_sided(a: MatrixQ, y: MatrixQ, side: str, inv: MatrixQ) -> Optional[MatrixQ]:
-    """The solution of a x = y (side "right") or x a = y ("left"), or None.
+def _solve_inner(a: MatrixQ, y: MatrixQ, side: str, g: MatrixQ) -> Optional[MatrixQ]:
+    """A solution of a x = y (side "right") or x a = y ("left"), or None.
 
-    `inv` must be a one-sided inverse of a that the caller has verified
-    exactly: inv a = e for side "right" (a has full column rank), a inv = e
-    for side "left" (full row rank).  Any solution x0 of a x0 = y then
-    equals inv y = inv a x0, so the candidate inv y (y inv on the left) is
-    the only one, and the product a x == y decides existence: None is an
-    exact refutation.  Being unique, the solution is the one `solve_exists`
-    returns.
+    `g` must be a {1}-inverse of a that the caller has verified, a g a = a.
+    Any solution x0 gives a (g y) = a g a x0 = y, so a solution exists iff
+    g y (y g on the left) is one (Penrose's consistency test): the one
+    product a x == y decides the system, and None is an exact refutation.
+    The solution g y need not be the one `solve_exists` returns.
     """
     if side == "right":
-        x = inv @ y
+        x = g @ y
         return x if a @ x == y else None
-    x = y @ inv
+    x = y @ g
     return x if x @ a == y else None
 
 

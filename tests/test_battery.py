@@ -269,14 +269,14 @@ def _recording(monkeypatch):
     return reduced, solved, built
 
 
-def _one_sided_recording(monkeypatch):
-    """Record the systems decided through a verified one-sided inverse."""
+def _inner_recording(monkeypatch):
+    """Record the systems decided through a verified {1}-inverse."""
     import epkit.pseudoinverse as pseudoinverse
 
     decided = []
-    orig = pseudoinverse._solve_one_sided
-    monkeypatch.setattr(pseudoinverse, "_solve_one_sided", lambda a, y, side, inv:
-                        decided.append((a, y, side)) or orig(a, y, side, inv))
+    orig = pseudoinverse._solve_inner
+    monkeypatch.setattr(pseudoinverse, "_solve_inner", lambda a, y, side, g:
+                        decided.append((a, y, side)) or orig(a, y, side, g))
     return decided
 
 
@@ -350,24 +350,23 @@ def test_no_identity_is_inverted(monkeypatch):
 
 def test_thm41_solves_equal_systems_once(monkeypatch):
     # on an EP input p = q, so 4.1.x's (p, q) and (q, p) are one system; on a
-    # hermitian involution a = a+, so (a, a+) and (a+, a) are one system too,
-    # there decided through the verified one-sided inverse a+ a = e
+    # hermitian involution a = a+, so (a, a+) and (a+, a) are one system too;
+    # each is decided once, through its verified {1}-inverse
     involutions = [MatrixQ.diagonal([1, -1, 1, -1]), MatrixQ.from_rows([[0, 1], [1, 0]])]
     draws = _ep_draws("4.1") + involutions
     _, solved, built = _recording(monkeypatch)
-    decided = _one_sided_recording(monkeypatch)
+    decided = _inner_recording(monkeypatch)
     for a in draws:
-        solved.clear()
         decided.clear()
         battery.thm41_battery(a)
         m = built[-1]
         assert m.p == m.q
-        assert sum(side == "left" and x == m.p and y == m.q for x, y, side in solved) == 1
-        both = solved + decided
-        assert len(set(both)) == len(both)  # no system is decided twice
+        assert sum(side == "left" and x == m.p and y == m.q for x, y, side in decided) == 1
+        assert len(set(decided)) == len(decided)  # no system is decided twice
         if a in involutions:
             assert m.a_dagger == a
             assert sorted(side for x, y, side in decided if x == y == a) == ["left", "right"]
+    assert solved == []
 
 
 def test_thm37_decides_factor_systems_without_elimination(monkeypatch):
@@ -380,7 +379,7 @@ def test_thm37_decides_factor_systems_without_elimination(monkeypatch):
                  for s in (1, 2) for n in (0, 1, 4) for cfg in battery_configs("3.7", 8, n, s)]
     assert any(inst.rank == 0 for inst in instances)
     reduced, solved, _ = _recording(monkeypatch)
-    decided = _one_sided_recording(monkeypatch)
+    decided = _inner_recording(monkeypatch)
     for inst in instances:
         reduced.clear()
         decided.clear()
@@ -393,24 +392,33 @@ def test_thm37_decides_factor_systems_without_elimination(monkeypatch):
     assert solved == []
 
 
-def test_thm42_decides_full_rank_systems_without_elimination(monkeypatch):
-    # on a full-rank a, a+ a = e, p = e and q = e are verified, so a, a*, a a*
-    # and a* a have the one-sided inverses a+, (a+)*, v and w
+def test_thm4x_decides_every_system_without_elimination(monkeypatch):
+    # at every rank, Penrose 1 and 2 and the idempotence of p and q make a+,
+    # a, (a+)*, p and q {1}-inverses of a, a+, a*, p and q, and with Lemma
+    # 3.8's v and w of a a* and a* a, so no 4.1 or 4.2 system reaches
+    # solve_exists (the only way a system is eliminated)
     import epkit.characterizations as chz
 
-    draws = [a for s in (1, 2) for cfg in battery_configs("4.2", 8, 4, s)
-             for a in [gen_matrix(cfg)] if rank(a) == a.rows]
-    assert draws
-    reduced, solved, built = _recording(monkeypatch)
-    decided = _one_sided_recording(monkeypatch)
-    for a in draws:
-        reduced.clear()
-        decided.clear()
-        battery.thm42_battery(a)
-        systems = _table_systems(built[-1], chz._T42)
-        assert len(systems) == 8 and set(decided) == systems
-        assert _eliminated(systems, reduced) == []
+    tables = {"4.1": (battery.thm41_battery, chz._T41), "4.2": (battery.thm42_battery, chz._T42)}
+    _, solved, built = _recording(monkeypatch)
+    decided = _inner_recording(monkeypatch)
+    ranks = set()
+    for tid, (fn, rows) in tables.items():
+        for a in [gen_matrix(cfg) for s in (1, 2) for n in (0, 1, 2, 4)
+                  for cfg in battery_configs(tid, 8, n, s)]:
+            decided.clear()
+            results = fn(a)
+            m = built[-1]
+            ranks.add((tid, m.rank == 0, m.rank == a.rows))
+            systems = _table_systems(m, rows)
+            # a solvable row stops at its first inconsistent system
+            assert decided and set(decided) <= systems
+            if results[0].truth:
+                assert set(decided) == systems
     assert solved == []
+    # rank 0, full rank and in between, for each battery
+    assert ranks >= {(tid, z, f) for tid in tables for z, f in
+                     ((True, False), (False, True), (False, False))}
 
 
 def test_prop52_forms_each_product_once(monkeypatch):
@@ -443,6 +451,22 @@ def test_thm53_forms_q1_with_one_product(monkeypatch):
             (j.select_columns(range(k)), j_inv.take_rows(k))]
         decomposed += 1
     assert decomposed
+
+
+def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
+    # the canonical range basis B has identity pivot rows, so their selection
+    # S (S B = e_r) decides t1 from B t1 = a B without an elimination; rank 0
+    # gives B of n x 0
+    _, _, built = _recording(monkeypatch)
+    decided = _inner_recording(monkeypatch)
+    for a in [MatrixQ.zeros(3, 3)] + _ep_draws("5.5"):
+        decided.clear()
+        t1 = thm53_decompose(a)[0]
+        m = built[-1]
+        basis = m.rng_a.basis
+        assert m.rng_pivots @ basis == MatrixQ.identity(basis.cols)
+        assert decided == [(basis, a @ basis, "right")]
+        assert basis @ t1 == a @ basis
 
 
 def test_run_battery_5_2_norms():
