@@ -18,13 +18,12 @@ kinds:
   When the criterion fails the statement is false through that exact
   equivalent criterion, never because a search came up empty.
 - solvable: each witness key names a linear system m x = y or x m = y,
-  decided exactly by `EPInstance.solve`.  When `_INNER` gives the
-  coefficient m a {1}-inverse g (m g m = m) whose guard holds, the system
-  is solvable iff m (g y) = y (y g m = y on the left), Penrose's
-  consistency test, so the candidate g y and one product decide it;
-  otherwise solve_exists eliminates.  Either way every returned solution
-  has been checked by that product.  All consistent gives the solutions as
-  the witness; any inconsistent one is an exact refutation.
+  decided exactly by `EPInstance.solve`.  `_INNER` gives the coefficient m
+  a {1}-inverse g (m g m = m) under a named guard, and the system is
+  solvable iff m (g y) = y (y g m = y on the left), Penrose's consistency
+  test, so the candidate g y and one product decide it.  All consistent
+  gives the solutions as the witness; any inconsistent one is an exact
+  refutation.
 
 Verify once.  Rows hold names, never matrices or functions.  The named
 quantities live on one lazily memoised EPInstance per input, an MPPair
@@ -32,24 +31,19 @@ subclass whose table extends the pair's a+, p, q and Grams with what every
 exact battery reads; the 3.x batteries take it validated from
 `EPInstance.from_matrix`, the 4.x and 5.x batteries build it from a after a
 square check.  Each product, subspace, inverse, solve and identity check
-runs at most once per object however many rows name it.  Solves are keyed
-by their two matrices and side, not by names, so equal systems under
-different names (4.1's p and q on an EP input) are decided once.  An
-inverse that may not exist is read through `solve` against the identity:
-one elimination both decides invertibility (None when singular) and gives
-the re-verified inverse.  A fact is read from the step that already proved
-it.  Each solvable row's {1}-inverse rests on one guard checked once per
-instance: b+ b = e_r or c c+ = e_r (the identities `_validate` checks) for
-the factors in 3.5, 3.7 and 3.9; Penrose 1 or 2, or idempotence, for a,
-a+, a*, p and q in 4.1 and 4.2, and Penrose 1 for a a* and a* a with Lemma
-3.8's verified v and w; the identity pivot rows of the canonical range basis
-for 5.5's compression t1.  4.2's v^ = w^-1 v and w^ = v w^-1 are invertible
-because `lemma38_witnesses` verified v v^-1 = e and w w^-1 = e; 5.6's outer
-factor e is square, so injective, right-injective and surjective are its one
-rank test; 5.2 reads idempotence off the hermitian check's closed form.  Every
-row still `_require`s its witness identities, under its own battery's
-message, before it reports the witness.  A witness that fails to re-verify
-raises InternalConsistencyError: that is a bug, not a result.
+runs at most once per object however many rows name it, and solves are
+keyed by their two matrices and side, so equal systems under different
+names (4.1's p and q on an EP input) are decided once.  Each {1}-inverse
+of `_INNER` rests on a named guard that holds by construction, so a failed
+guard raises.  Every inverse a row reads is a named closed form x^-1 that
+holds once a a+ = a+ a = p, as Lemma 3.8's v^-1 and w^-1 do, checked by the
+one product x x^-1 = e (a right inverse of a square matrix is two-sided)
+after an EP-equivalent criterion held, so a failed product is a defect in
+a+ or the factors, not a singular input.  The tables eliminate only for the
+factorization, the Gram inverses of `factor_daggers` and the kernel and
+range criteria.  Every row still `_require`s its witness identities, under
+its own battery's message, before it reports the witness; one that fails
+to re-verify raises InternalConsistencyError: a bug, not a result.
 
 Block maps.  The 5.x statements read t = j (t1 ⊕ 0) j⁻¹, and no padded n×n
 matrix is formed for it: j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁, with j₁ the leading k
@@ -79,10 +73,8 @@ from .linalg import (
     conj_transpose,
     full_rank_factorize,
     inverse,
-    is_invertible,
     kernel,
     range_space,
-    rank,
     right_kernel,
     row_space,
     subspace_equal,
@@ -149,13 +141,14 @@ _QUANTITIES = {
     "b_is_cd_u": lambda m: m.b == m.c_dagger @ m.u,
     "bd_is_z_c": lambda m: m.b_dagger == m.z @ m.c,
     "cd_is_b_z": lambda m: m.c_dagger == m.b @ m.z,
-    # 3.9: the adjoint composite, which carries b = c* z when EP
+    # 3.9: the adjoint composite z_adj = (c c*)^-1 u, which carries b = c* z_adj
+    # when EP; there u^-1 = z, so z_adj^-1 = z (c c*)
     "z_adj": lambda m: (m.cd_star @ m.c_dagger) @ m.u,
     "x_adj": lambda m: conj_transpose(m.s2_adj),                # (z*)^-1 = (z^-1)*
     "s1_adj": lambda m: conj_transpose(m.z_adj),
-    "s2_adj": lambda m: m.solve("z_adj", "e_r", "right"),
+    "s2_adj": lambda m: m.z @ (m.c @ m.c_star),
     "b_is_cs_z": lambda m: m.b == m.c_star @ m.z_adj,
-    "z_adj_invertible": lambda m: m.s2_adj is not None,
+    "z_adj_invertible": lambda m: m.z_adj @ m.s2_adj == m.e_r,
     "c_is_x_bs": lambda m: m.c == m.x_adj @ m.b_star,
     "bs_is_s1_c": lambda m: m.b_star == m.s1_adj @ m.c,
     "cs_is_b_s2": lambda m: m.c_star == m.b @ m.s2_adj,
@@ -180,14 +173,17 @@ _QUANTITIES = {
     "rng_pq": lambda m: subspace_equal(range_space(m.p), range_space(m.q)),
     "ker_grams": lambda m: subspace_equal(kernel(m.bb), kernel(m.aa)),
     "rng_grams": lambda m: subspace_equal(range_space(m.bb), range_space(m.aa)),
-    # 4.1: invertible multiples of a giving a+
+    # 4.1: invertible multiples of a giving a+, inverted on EP input (a a+ = a+ a)
     "ad2": lambda m: m.a_dagger @ m.a_dagger,
+    "a2": lambda m: m.a @ m.a,
     "s_dag": lambda m: m.ad2 + m.p_perp,
     "u_dag": lambda m: m.ad2 + m.q_perp,
+    "s_inv": lambda m: m.a2 + m.p_perp,
+    "u_inv": lambda m: m.a2 + m.q_perp,
     "s_a_is_ad": lambda m: m.s_dag @ m.a == m.a_dagger,
-    "s_invertible": lambda m: is_invertible(m.s_dag),
+    "s_invertible": lambda m: m.s_dag @ m.s_inv == m.e_n,
     "a_u_is_ad": lambda m: m.a @ m.u_dag == m.a_dagger,
-    "u_invertible": lambda m: is_invertible(m.u_dag),
+    "u_invertible": lambda m: m.u_dag @ m.u_inv == m.e_n,
     "q_is_e_p": lambda m: m.q == m.e_n @ m.p,
     "q_is_p_e": lambda m: m.q == m.p @ m.e_n,
     "pq_two_sided": lambda m: m.p @ m.q @ m.p == m.q and m.q @ m.p @ m.q == m.p,
@@ -203,51 +199,59 @@ _QUANTITIES = {
     "w": lambda m: m.lemma38[1],
     "vhat": lambda m: m.w_inv @ m.v,
     "what": lambda m: m.v @ m.w_inv,
-    # lemma38 has verified v v^-1 = e and w w^-1 = e, so vhat = w^-1 v and
-    # what = v w^-1 are invertible, with inverses v^-1 w and w v^-1
+    # lemma38 has verified v v^-1 = e and w w^-1 = e, so vhat = w^-1 v,
+    # what = v w^-1, w^-1 s and u v^-1 are invertible when their factors are
     "v_w_invertible": lambda m: m.lemma38 is not None,
     "z1_adj": lambda m: m.u_adj @ conj_transpose(m.u_adj),
     "z2_adj": lambda m: conj_transpose(m.s_adj) @ m.s_adj,
     "h": lambda m: (m.a_dagger @ m.a_star) + m.q_perp,
+    "h_inv": lambda m: (m.ad_star @ m.a) + m.q_perp,             # on EP input
     "s_adj_a_is_as": lambda m: m.s_adj @ m.a == m.a_star,
-    "s_adj_invertible": lambda m: is_invertible(m.s_adj),
+    "s_adj_invertible": lambda m: m.v_w_invertible and m.s_invertible,  # w^-1 s
     "a_u_adj_is_as": lambda m: m.a @ m.u_adj == m.a_star,
-    "u_adj_invertible": lambda m: is_invertible(m.u_adj),
+    "u_adj_invertible": lambda m: m.v_w_invertible and m.u_invertible,  # u v^-1
     "vhat_bb_is_aa": lambda m: m.vhat @ m.bb == m.aa,
     "bb_what_is_aa": lambda m: m.bb @ m.what == m.aa,
     "grams_two_sided": lambda m: (m.p @ m.aa @ m.p == m.aa) and (m.q @ m.bb @ m.q == m.bb),
     "a_z1_as_is_aa": lambda m: m.a @ m.z1_adj @ m.a_star == m.aa,
     "as_z2_a_is_bb": lambda m: m.a_star @ m.z2_adj @ m.a == m.bb,
-    "h_invertible": lambda m: is_invertible(m.h),
+    "h_invertible": lambda m: m.h @ m.h_inv == m.e_n,
     "a_h_is_as": lambda m: m.a @ m.h == m.a_star,
     "a_hh_as_is_aa": lambda m: m.a @ m.h @ conj_transpose(m.h) @ m.a_star == m.aa,
-    # 5.3, 5.5: t = j (t1 + 0) j^-1 over a range basis j1 and a kernel basis,
-    # so j (x + 0) j^-1 = j1 x j_inv1 with j_inv1 the leading rank rows of j^-1
-    "j": lambda m: m.rng_basis.hstack(m.ker_a.basis),
-    "j_inv": lambda m: m.solve("j", "e_n", "right"),
-    "j_inv1": lambda m: m.j_inv.take_rows(m.rng_a.dim),
-    "j_invertible": lambda m: m.j_inv is not None,
-    # t1 solves B t1 = a B on the canonical range basis B, whose first 1 in each
-    # column lies on its identity pivot rows: selecting them gives S B = e_r
+    # 5.3, 5.5: t = j (t1 + 0) j^-1 with j = [B K] over the canonical range and
+    # kernel bases, whose pivot rows S, S' give S B = e, S' K = e.  On EP input
+    # j^-1 = [S p; S' (e - p)], and t1 = S a B has inverse S a+ B
     "rng_basis": lambda m: m.rng_a.basis,
     "a_rng": lambda m: m.a @ m.rng_basis,
-    "rng_pivots": lambda m: conj_transpose(m.e_n.select_columns(
-        [m.rng_basis.col(j).index(ONE) for j in range(m.rng_basis.cols)])),
+    "rng_pivots": lambda m: _pivot_rows(m.rng_basis),
+    "ker_pivots": lambda m: _pivot_rows(m.ker_a.basis),
     "rng_pivots_inv": lambda m: m.rng_pivots @ m.rng_basis == m.e_r,
+    "j": lambda m: m.rng_basis.hstack(m.ker_a.basis),
+    "j_inv1": lambda m: m.rng_pivots @ m.p,                      # j^-1's top rank rows
+    "j_inv": lambda m: m.j_inv1.vstack(m.ker_pivots @ m.p_perp),
+    "j_invertible": lambda m: m.j @ m.j_inv == m.e_n,
     "t1": lambda m: m.solve("rng_basis", "a_rng", "right"),
-    "t1_inv": lambda m: m.solve("t1", "e_r", "right"),
-    "t1_invertible": lambda m: m.t1_inv is not None,
+    "t1_inv": lambda m: m.rng_pivots @ m.a_dagger @ m.rng_basis,
+    "t1_invertible": lambda m: m.t1 @ m.t1_inv == m.e_r,
     "t_is_block": lambda m: m.a == m.rng_basis @ m.t1 @ m.j_inv1,
     "td_is_block": lambda m: m.a_dagger == m.rng_basis @ m.t1_inv @ m.j_inv1,
     "decomposition": lambda m: _decompose(m),
     "decomposable": lambda m: m.decomposition is not None,
     "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
-    # 5.6: identity-framed factorizations; e is square, so its one rank test
-    # decides injective, right-injective and surjective alike
+    # 5.6: identity-framed factorizations; e is its own inverse, so e e = e
+    # makes it injective, right-injective and surjective alike
     "identity_framed": lambda m: (m.e_n @ m.a @ m.e_n == m.a
                                   and m.e_n @ m.a_dagger @ m.e_n == m.a_dagger),
-    "e_full_rank": lambda m: rank(m.e_n) == m.a.rows,
+    "e_invertible": lambda m: m.e_n @ m.e_n == m.e_n,
 }
+
+
+def _pivot_rows(basis: MatrixQ) -> MatrixQ:
+    """S with S basis = e: the rows of e at the leading 1 of each column of a
+    canonical column-reduced echelon basis."""
+    return conj_transpose(MatrixQ.identity(basis.rows).select_columns(
+        [basis.col(j).index(ONE) for j in range(basis.cols)]))
+
 
 # coefficient -> (g, guard): g is a {1}-inverse (m g m = m) once the named
 # exact guard holds.  b+ b = e_r gives b b+ b = b, b+ b b+ = b+ and
@@ -272,7 +276,6 @@ _INNER = {
 }
 
 
-
 @dataclass(frozen=True)
 class EPInstance(MPPair):
     """A square matrix with the derived quantities of every exact battery.
@@ -283,8 +286,7 @@ class EPInstance(MPPair):
     once on first read.  `from_matrix` validates a = b·c, b†·b = e_r,
     c·c† = e_r, a† = c†·b†, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b
     and the four Penrose conditions; the products it forms (`bc`, `a_ad`,
-    `ad_a`, `p`, `q`) stay for the batteries.  The 4.x and 5.x batteries
-    build the instance from a after a square check alone.
+    `ad_a`, `p`, `q`) stay for the batteries, which `_square` serves too.
     """
 
     _DEFS = _QUANTITIES
@@ -684,21 +686,21 @@ _FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
 _T56 = (
     _exists("ii", "ker_dagger",
             (_FRAMED_56, ("ker_dagger", "5.6 kernel condition on the middle factors"),
-             ("e_full_rank", "5.6 outer factors injective")),
+             ("e_invertible", "5.6 outer factors injective")),
             b1="e_n", c1="a", g1="e_n", f1="e_n", d1="a_dagger"),
     _exists("iii", "rng_dagger",
             (_FRAMED_56, ("rng_dagger", "5.6 range condition on the middle factors"),
-             ("e_full_rank", "5.6 outer factors surjective")),
+             ("e_invertible", "5.6 outer factors surjective")),
             h1="e_n", k1="a", l1="e_n", m1="a_dagger", n1="e_n"),
     _exists("iv", "rker_dagger",
             (_FRAMED_56,
              ("rker_dagger", "5.6 right-annihilator condition on the middle factors"),
-             ("e_full_rank", "5.6 outer factors right-injective")),
+             ("e_invertible", "5.6 outer factors right-injective")),
             note="kernel condition read clause-locally (c2 against d2)",
             b2="e_n", c2="a", g2="e_n", d2="a_dagger", g3="e_n"),
     _exists("v", "row_dagger",
             (_FRAMED_56, ("row_dagger", "5.6 row-space condition on the middle factors"),
-             ("e_full_rank", "5.6 outer factors left-surjective")),
+             ("e_invertible", "5.6 outer factors left-surjective")),
             h2="e_n", k2="a", l2="e_n", h3="e_n", m2="a_dagger"),
 )
 

@@ -27,13 +27,12 @@ s = max s_i = ||q - q*||_2, and one spectral norm per check replaces the one
 per grid point.  At p = 1 (p = inf) the norm of e + w q is its largest
 column (row) sum of moduli, |1 + w q_jj| + |w| sum_{i != j} |q_ij|, so the
 grid is one (grid, n) expression and the (grid, n, n) stack is never formed.
-Any other `MatrixQ` of size n >= 1 for which the exact rule holds is
-self-adjoint, so exp(i t a) = V diag(e^{i t lambda}) V* from `eigh`, whose
-error does not grow with ||t a||; every remaining input (numpy arrays
-included) goes through the truncated series of `expm`, whose squarings
-amplify its rounding with ||t a||, so a numpy input with a large norm can
-read falsely.  The grid itself, t with w = e^{it} - 1 and |w|, is built
-once per (grid, t_max).
+Any other input (numpy arrays too) whose float values satisfy the exact rule,
+as those of a `MatrixQ` for which it holds do, is self-adjoint, so
+exp(i t a) = V diag(e^{i t lambda}) V* from `eigh`, whose error does not
+grow with ||t a||; every remaining input goes through the truncated series
+of `expm`, whose squarings amplify its rounding with ||t a||.  The grid
+itself, t with w = e^{it} - 1 and |w|, is built once per (grid, t_max).
 
 p in {1, 2, inf}.  Every norm of a stack is `np.linalg.norm`: p=1 and p=inf
 are the closed-form column and row sums, p=2 the largest singular value from
@@ -205,9 +204,10 @@ def hermitian_check(
     row sums |1 + w a_jj| + |w| sum_{i != j} |a_ij| (`_idempotent_sum_norms`,
     w = e^{it} - 1).  The report's `closed_form` records this: it is True
     exactly when a is a `MatrixQ` of size n >= 1 with a @ a == a.  Any other
-    `MatrixQ` of size n >= 1 for which `is_hermitian_exact(a, norm)` holds
-    takes its stack from `_hermitian_exps`; every other input (not
-    hermitian, or a numpy array) takes the scaling-and-squaring series.
+    input of size n >= 1 whose float values satisfy the exact rule
+    (`_rule_violation` is 0; for a `MatrixQ`, whenever `is_hermitian_exact`
+    holds) takes its stack from `_hermitian_exps`; every other input takes
+    the scaling-and-squaring series.
     A grid point where any of these overflows reads deviation inf.  A numpy array
     with nan or inf entries raises ValueError, and so does a grid below 2
     points or a t_max that is not positive or whose grid leaves float range
@@ -218,8 +218,7 @@ def hermitian_check(
     n, m = arr.shape
     if n != m:
         raise ShapeError("hermitian_check expects a square matrix")
-    exact_input = isinstance(a, MatrixQ) and n > 0
-    closed_form = exact_input and a @ a == a
+    closed_form = isinstance(a, MatrixQ) and n > 0 and a @ a == a
     # the entries are finite, so only overflow makes inf or nan (inf * 0,
     # inf - inf): exp(i t a) is past float range there, a deviation of inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,7 +227,7 @@ def hermitian_check(
         elif closed_form:
             dev = np.abs(_idempotent_sum_norms(arr, w, r, norm) - 1.0)
         else:
-            if exact_input and is_hermitian_exact(a, norm):
+            if n and _rule_violation(arr, norm) == 0:
                 exps = _hermitian_exps(arr, ts)
             else:
                 exps = _expm_batch(1j * ts[:, None, None] * arr)
@@ -325,11 +324,10 @@ def is_hermitian_exact(a: MatrixQ, norm: PNorm) -> bool:
     return not any(a._im) and not any(x for k, x in enumerate(a._re) if k % (a.rows + 1))
 
 
-def _rule_violation(a: MatrixQ, norm: PNorm) -> float:
-    """How far a (n >= 1) misses the rule, on its float image.
-
-    max |a - a*| at p = 2; at p = 1 or inf the largest off-diagonal modulus
-    or |Im a_ii|.
+def _rule_violation(a, norm: PNorm) -> float:
+    """How far a (n >= 1, `MatrixQ` or array) misses the rule on its float
+    values, 0 exactly when they satisfy it: max |a - a*| at p = 2; at p = 1
+    or inf the largest off-diagonal modulus or |Im a_ii|.
     """
     arr = _as_array(a)
     if norm.p == 2:

@@ -37,7 +37,6 @@ from .linalg import (
     conj_transpose,
     full_rank_factorize,
     inverse,
-    solve_exists,
 )
 
 
@@ -131,21 +130,22 @@ class _Quantities:
 
     def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
         """The system a x = y (side "right") or x a = y ("left") on two named
-        quantities, decided once per system.
+        quantities, decided once per system, with no elimination.
 
-        When `_INNER` names a {1}-inverse g of a and its guard holds, g is
-        verified (a g a = a) and `_solve_inner` decides the system with
-        products alone; otherwise (no entry, or the guard failed)
-        `solve_exists` eliminates.  The cache is keyed by the two matrices
-        and the side, so equal systems under different names are decided
-        once.
+        `_INNER[a]` names a {1}-inverse g of a and the exact guard that makes
+        it one (a g a = a); `_solve_inner` decides the system from g by one
+        product.  The guard holds by construction, so a failed guard is a
+        defect and raises InternalConsistencyError.  The cache is keyed by
+        the two matrices and the side, so equal systems under different
+        names are decided once.
         """
         cache = self.__dict__.setdefault("_solves", {})
         key = (getattr(self, a), getattr(self, y), side)
         if key not in cache:
-            g, guard = self._INNER.get(a, (None, None))
-            cache[key] = (_solve_inner(*key, getattr(self, g))
-                          if g is not None and getattr(self, guard) else solve_exists(*key))
+            g, guard = self._INNER[a]
+            if not getattr(self, guard):
+                raise InternalConsistencyError(f"{guard} failed: {g} is no inner inverse of {a}")
+            cache[key] = _solve_inner(*key, getattr(self, g))
         return cache[key]
 
 

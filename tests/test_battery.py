@@ -21,7 +21,7 @@ from epkit.battery import (
 from epkit.characterizations import EPInstance, thm53_decompose
 from epkit.cli import battery_configs
 from epkit.exactnum import GaussianRational
-from epkit.linalg import MatrixQ, is_invertible, rank, transpose
+from epkit.linalg import MatrixQ, is_invertible, rank
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
 
@@ -257,12 +257,11 @@ def _recording(monkeypatch):
     each 4.x/5.x battery builds so a test can read its quantities."""
     import epkit.characterizations as chz
     import epkit.linalg as linalg
-    import epkit.pseudoinverse as pseudoinverse
 
     reduced, solved, built = [], [], []
-    orig_rref, orig_solve, orig_square = linalg.rref, pseudoinverse.solve_exists, chz._square
+    orig_rref, orig_solve, orig_square = linalg.rref, linalg.solve_exists, chz._square
     monkeypatch.setattr(linalg, "rref", lambda a: reduced.append(a) or orig_rref(a))
-    monkeypatch.setattr(pseudoinverse, "solve_exists", lambda a, y, side="right":
+    monkeypatch.setattr(linalg, "solve_exists", lambda a, y, side="right":
                         solved.append((a, y, side)) or orig_solve(a, y, side))
     monkeypatch.setattr(chz, "_square", lambda a, caller:
                         built.append(orig_square(a, caller)) or built[-1])
@@ -286,14 +285,6 @@ def _table_systems(m, rows) -> set:
             for row in rows if row.solve for x, y, side in row.solve.values()}
 
 
-def _eliminated(systems, reduced) -> list:
-    """The systems whose solve_exists operand, [m | y] or [m^T | y^T], was
-    reduced."""
-    return [(m, y, side) for m, y, side in systems
-            if (m.hstack(y) if side == "right" else transpose(m).hstack(transpose(y)))
-            in reduced]
-
-
 def _ep_draws(tid):
     return [gen_matrix(cfg) for s in (1, 2)
             for cfg in battery_configs(tid, 8, 4, s) if cfg.kind == "ep"]
@@ -312,22 +303,53 @@ def test_thm42_reads_vhat_what_invertibility_from_lemma38(monkeypatch):
         assert not any(x is m.vhat or x is m.what for x in reduced)
 
 
-def test_thm56_reduces_the_identity_once(monkeypatch):
-    # the square identity is injective, right-injective and surjective by one
-    # rank test (a kernel reduces it with its columns reversed)
+def test_thm56_never_reduces_the_identity(monkeypatch):
+    # the square identity is its own inverse, so e e = e makes it injective,
+    # right-injective and surjective without an elimination (a kernel would
+    # reduce it with its columns reversed)
     draws = _ep_draws("5.6")
-    reduced, _, _ = _recording(monkeypatch)
-    total = 0
+    reduced, _, built = _recording(monkeypatch)
     for a in draws:
         n = a.rows
         e = MatrixQ.identity(n)
         forms = (e, e.select_columns(range(n - 1, -1, -1)))
         reduced.clear()
         battery.thm56_battery(a)
-        count = sum(x in forms for x in reduced)
-        assert count <= 1
-        total += count
-    assert total  # the rows that test e ran
+        assert built[-1].__dict__["e_invertible"]  # the rows that test e ran
+        assert not any(x in forms for x in reduced)
+
+
+def test_exact_tables_read_every_inverse_without_elimination(monkeypatch):
+    # once the factorization and the Gram inverses of b+ and c+ are held,
+    # every exact table reads its inverses in closed form and decides its
+    # systems through verified {1}-inverses: only the kernel and range
+    # criteria reduce, and nothing tests a rank or inverts
+    import sys
+
+    import epkit.characterizations as chz
+
+    tables = {"3.2": chz._T32, "3.4": chz._T34, "3.5": chz._T35, "3.7": chz._T37,
+              "3.9": chz._T39, "3.10": chz._T310, "4.1": chz._T41, "4.2": chz._T42,
+              "5.5": chz._T55, "5.6": chz._T56}
+    instances = {tid: [EPInstance(a=gen_matrix(cfg)) for s in (1, 2) for n in (0, 1, 2, 4)
+                       for cfg in battery_configs(tid, 8, n, s)] for tid in tables}
+    assert all(m.daggers for insts in instances.values() for m in insts)  # daggers read f
+    called = []
+    for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "epkit"]:
+        for name in ("rank", "is_invertible", "solve_exists", "inverse"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *args, name=name, **kw: called.append(name))
+    ranks = set()
+    for tid, rows in tables.items():
+        for m in instances[tid]:
+            results = chz._evaluate(tid, m, rows)
+            ranks.add((tid, m.rank == 0, m.rank == m.a.rows, results[0].truth))
+            assert called == [], tid
+    # rank 0, full rank, and in between both EP and not, for each table
+    assert ranks >= {(tid, z, f, t) for tid in tables for z, f, t in
+                     ((True, False, True), (False, True, True),
+                      (False, False, True), (False, False, False))}
 
 
 def test_no_identity_is_inverted(monkeypatch):
@@ -378,17 +400,14 @@ def test_thm37_decides_factor_systems_without_elimination(monkeypatch):
     instances = [EPInstance.from_matrix(gen_matrix(cfg))
                  for s in (1, 2) for n in (0, 1, 4) for cfg in battery_configs("3.7", 8, n, s)]
     assert any(inst.rank == 0 for inst in instances)
-    reduced, solved, _ = _recording(monkeypatch)
+    _, solved, _ = _recording(monkeypatch)
     decided = _inner_recording(monkeypatch)
     for inst in instances:
-        reduced.clear()
         decided.clear()
         battery.thm37_battery(inst)
         systems = _table_systems(inst, chz._T37)
         # a solvable row stops at its first inconsistent system
         assert decided and set(decided) <= systems
-        if inst.rank:  # at rank 0, [c+ | a] is the zero a that the factorization reduces
-            assert _eliminated(systems, reduced) == []
     assert solved == []
 
 

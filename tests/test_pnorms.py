@@ -274,8 +274,10 @@ def test_only_exact_idempotents_skip_the_series(monkeypatch):
 
 def test_exact_hermitian_inputs_take_eigh_and_match_the_series(monkeypatch):
     # a MatrixQ for which the exact rule holds (and that is no idempotent)
-    # takes V diag(e^{it lambda}) V* from eigh; its numpy image still goes
-    # through the series, which agrees with it at these moderate norms
+    # takes V diag(e^{it lambda}) V* from eigh, and so does its numpy image,
+    # whose float values satisfy the same rule; the series agrees with both
+    # at these moderate norms
+    ts = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 1024)
     calls = []
     real = pnorms._expm_batch
     monkeypatch.setattr(pnorms, "_expm_batch", lambda mats: calls.append(1) or real(mats))
@@ -292,18 +294,41 @@ def test_exact_hermitian_inputs_take_eigh_and_match_the_series(monkeypatch):
         if a @ a == a:
             continue
         arr = np.array(a.to_complex_rows(), dtype=complex)
+        series = real(1j * ts[:, None, None] * arr)
         for p in norms:
             calls.clear()
             exact = hermitian_check(a, PNorm(p))
+            assert hermitian_check(arr, PNorm(p)) == exact
             assert calls == [] and exact.closed_form is False
-            series = hermitian_check(arr, PNorm(p))
-            assert calls == [1]
-            assert exact.verdict == series.verdict == "hermitian"
-            assert abs(exact.max_deviation - series.max_deviation) <= 1e-12
+            assert exact.verdict == "hermitian"
+            deviation = np.abs(pnorms._op_norms(series, PNorm(p)) - 1.0).max()
+            assert abs(exact.max_deviation - deviation) <= 1e-12
     # the rule fails for a symmetric non-diagonal matrix at p = 1 and inf
     calls.clear()
     for p in (1, math.inf):
         assert hermitian_check(symmetric[0], PNorm(p)).verdict == "not_hermitian"
+    assert calls == [1, 1]
+
+
+def test_numpy_inputs_decided_by_the_exact_rule_take_eigh(monkeypatch):
+    # a numpy array whose float values satisfy the exact rule takes its grid
+    # from eigh like a MatrixQ, so a large norm reads rounding error only;
+    # the symmetric non-diagonal matrix misses the rule at p = 1 and inf and
+    # still takes the series there
+    calls = []
+    real = pnorms._expm_batch
+    monkeypatch.setattr(pnorms, "_expm_batch", lambda mats: calls.append(1) or real(mats))
+    cases = [(np.diag([1e10, -1e10]), (1, 2, math.inf)),
+             (np.diag([1e6, -1e6]), (1, 2, math.inf)),
+             (np.array([[3.0, 1.0], [1.0, 5e9]]), (2,))]
+    for a, norms in cases:
+        for p in norms:
+            rep = hermitian_check(a, PNorm(p))
+            assert rep.verdict == "hermitian" and not rep.closed_form, (a, p)
+            assert rep.max_deviation <= 4.5e-16, (a, p, rep.max_deviation)
+    assert calls == []
+    for p in (1, math.inf):
+        assert hermitian_check(cases[2][0], PNorm(p)).verdict == "not_hermitian"
     assert calls == [1, 1]
 
 

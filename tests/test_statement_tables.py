@@ -165,3 +165,22 @@ def test_penrose_certificate_reads_the_held_products(monkeypatch):
     monkeypatch.setitem(EPInstance._DEFS, "p", lambda m: zero)
     with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
         EPInstance.from_matrix(DIAG20)
+
+
+def test_every_solved_coefficient_has_a_guarded_inner_inverse():
+    # every coefficient a solvable row names, and 5.3/5.5's range basis, has a
+    # {1}-inverse in _INNER, and no entry is unused; solve never eliminates,
+    # so an entry whose guard is forced false raises instead of falling back
+    tables = (chz._T35, chz._T37, chz._T39, chz._T41, chz._T42)
+    solved = {x for rows in tables for row in rows if row.solve
+              for x, _, _ in row.solve.values()}
+    assert solved | {"rng_basis"} == set(chz._INNER)
+    for coefficient, (_, guard) in chz._INNER.items():
+        for side in ("right", "left"):
+            m = EPInstance.from_matrix(DIAG20)
+            x = m.solve(coefficient, coefficient, side)  # m x = m: always solvable
+            assert x is not None
+            m = EPInstance.from_matrix(DIAG20)
+            m.__dict__[guard] = False
+            with pytest.raises(InternalConsistencyError, match=re.escape(guard)):
+                m.solve(coefficient, coefficient, side)
