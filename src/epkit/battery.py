@@ -4,7 +4,10 @@ Generation stays entirely inside the Gaussian rationals.  EP instances come
 from exact orthogonal projections: P = M0 (M0* M0)^-1 M0* for a random
 full-column-rank M0 is exactly self-adjoint and idempotent, so a candidate
 P M P whose rank equals rank(P) has range and kernel pinned to those of P
-and is therefore EP.  No eigendecomposition, no rounding.
+and is therefore EP.  No eigendecomposition, no rounding.  Every candidate
+is a validated `EPInstance.from_matrix` whose rank (and p = q, for non_ep)
+the acceptance tests read, and `run_battery` hands the accepted instance to
+its battery, so a drawn matrix is factorized once; `gen_matrix` returns a.
 
 Reports are plain data with a stable JSON field order so that identical
 seeds give byte-identical files (the elapsed field excepted).
@@ -33,10 +36,9 @@ from .characterizations import (
     thm55_battery,
     thm56_battery,
 )
-from .exactnum import I_UNIT, ONE
 from .linalg import MatrixQ, _canonical, conj_transpose, rank, solve_exists
 from .pnorms import PNorm
-from .pseudoinverse import is_ep
+from .pseudoinverse import is_ep  # noqa: F401  unused here; bench/tracer.py patches battery.is_ep
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -112,16 +114,22 @@ def _rejection(draw, accept, failure: str):
     raise GeneratorError(failure)
 
 
-def _rank_is(r: int):
-    return lambda m: rank(m) == r
+def _rand_invertible(rng, n: int, bound: int, use_complex: bool, what: str) -> MatrixQ:
+    return _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), lambda m: rank(m) == n,
+                      f"could not draw an invertible {what} of size {n}")
 
 
-def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> MatrixQ:
-    """Random n x n matrix of exact rank r, as a full-rank product."""
+def _instance_of_rank(draw, r: int, failure: str) -> EPInstance:
+    """The validated instance of the first matrix `draw` gives of rank r."""
+    return _rejection(lambda: EPInstance.from_matrix(draw()), lambda inst: inst.rank == r, failure)
+
+
+def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
+    """Instance of a random n x n matrix of exact rank r, drawn as a full-rank product."""
     def draw():
         left = _rand_matrix(rng, n, r, bound, use_complex)
         return left @ _rand_matrix(rng, r, n, bound, use_complex)
-    return _rejection(draw, _rank_is(r), f"could not draw a rank-{r} matrix of size {n}")
+    return _instance_of_rank(draw, r, f"could not draw a rank-{r} matrix of size {n}")
 
 
 def _orthogonal_projection(rng, n: int, r: int, bound: int, use_complex: bool) -> MatrixQ:
@@ -134,8 +142,8 @@ def _orthogonal_projection(rng, n: int, r: int, bound: int, use_complex: bool) -
     return m0 @ gram_inv @ conj_transpose(m0)
 
 
-def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
-    """Seed-deterministic random matrix of the configured kind.
+def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
+    """Validated EPInstance of a seed-deterministic random matrix of the configured kind.
 
     size_cap bounds exact-arithmetic cost; raise it knowingly for big runs.
     """
@@ -148,14 +156,14 @@ def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
     if cfg.kind == "invertible":
         if cfg.rank is not None and cfg.rank != n:
             raise GeneratorError("invertible draw requires rank = size")
-        return _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), _rank_is(n),
-                          f"could not draw an invertible matrix of size {n}")
+        return _instance_of_rank(lambda: _rand_matrix(rng, n, n, bound, use_complex), n,
+                                 f"could not draw an invertible matrix of size {n}")
 
     if cfg.kind == "ep":
         r = cfg.rank if cfg.rank is not None else rng.randint(0, n)
         proj = _orthogonal_projection(rng, n, r, bound, use_complex)
-        return _rejection(lambda: proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
-                          _rank_is(r), f"could not hit rank {r} for an ep draw of size {n}")
+        return _instance_of_rank(lambda: proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
+                                 r, f"could not hit rank {r} for an ep draw of size {n}")
 
     if cfg.kind == "non_ep":
         # a 1x1 (or rank-0 / full-rank) matrix is always EP
@@ -166,13 +174,18 @@ def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
         def draw():
             r = cfg.rank if cfg.rank is not None else rng.randint(1, n - 1)
             return _rand_rank_r(rng, n, r, bound, use_complex)
-        return _rejection(draw, lambda m: not is_ep(m),
+        return _rejection(draw, lambda inst: not inst.p_eq_q,
                           f"could not draw a non-ep matrix of size {n}")
 
     # arbitrary
     if cfg.rank is not None:
         return _rand_rank_r(rng, n, cfg.rank, bound, use_complex)
-    return _rand_matrix(rng, n, n, bound, use_complex)
+    return EPInstance.from_matrix(_rand_matrix(rng, n, n, bound, use_complex))
+
+
+def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
+    """The matrix a of `gen_instance(cfg)`: the same seed-deterministic draw."""
+    return gen_instance(cfg, size_cap=size_cap).a
 
 
 def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
@@ -195,27 +208,24 @@ def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
     if rng.random() < 0.5:
         perm = list(range(n))
         rng.shuffle(perm)
-        units = (ONE, -ONE, I_UNIT, -I_UNIT)
-        j_mat = MatrixQ.from_rows([[units[rng.randrange(4)] if j == perm[i] else 0
-                                    for j in range(n)] for i in range(n)])
+        # row i holds the unit 1, -1, i or -i at column perm[i]
+        re, im = [0] * (n * n), [0] * (n * n)
+        for i, col in enumerate(perm):
+            re[i * n + col], im[i * n + col] = ((1, 0), (-1, 0), (0, 1), (0, -1))[rng.randrange(4)]
+        j_mat = _canonical(n, n, 1, re, im)
     else:
-        j_mat = _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), _rank_is(n),
-                           f"could not draw an invertible basis map of size {n}")
-    t1 = _rejection(lambda: _rand_matrix(rng, k, k, bound, use_complex), _rank_is(k),
-                    f"could not draw an invertible block of size {k}")
+        j_mat = _rand_invertible(rng, n, bound, use_complex, "basis map")
+    t1 = _rand_invertible(rng, k, bound, use_complex, "block")
     return t1, j_mat
 
 
-_INSTANCE_BATTERIES = {
+_BATTERIES = {
     "3.2": thm32_battery,
     "3.4": thm34_battery,
     "3.5": thm35_battery,
     "3.7": thm37_battery,
     "3.9": thm39_battery,
     "3.10": thm310_battery,
-}
-
-_MATRIX_BATTERIES = {
     "4.1": thm41_battery,
     "4.2": thm42_battery,
     "5.5": thm55_battery,
@@ -273,13 +283,7 @@ def run_battery(theorem_id: str, cfgs, *, seed: Optional[int] = None,
         pairs = [gen_block_pair(cfg) for cfg in cfgs]
         all_results = [prop52_battery(t1, j, norm) for t1, j in pairs]
     else:
-        mats = [gen_matrix(cfg) for cfg in cfgs]
-        if theorem_id in _INSTANCE_BATTERIES:
-            battery = _INSTANCE_BATTERIES[theorem_id]
-            all_results = [battery(EPInstance.from_matrix(m)) for m in mats]
-        else:
-            battery = _MATRIX_BATTERIES[theorem_id]
-            all_results = [battery(m) for m in mats]
+        all_results = [_BATTERIES[theorem_id](gen_instance(cfg)) for cfg in cfgs]
 
     counts: dict = {}
     violations = []

@@ -28,22 +28,24 @@ kinds:
 Verify once.  Rows hold names, never matrices or functions.  The named
 quantities live on one lazily memoised EPInstance per input, an MPPair
 subclass whose table extends the pair's a+, p, q and Grams with what every
-exact battery reads; the 3.x batteries take it validated from
-`EPInstance.from_matrix`, the 4.x and 5.x batteries build it from a after a
-square check.  Each product, subspace, inverse, solve and identity check
-runs at most once per object however many rows name it, and solves are
-keyed by their two matrices and side, so equal systems under different
-names (4.1's p and q on an EP input) are decided once.  Each {1}-inverse
-of `_INNER` rests on a named guard that holds by construction, so a failed
-guard raises.  Every inverse a row reads is a named closed form x^-1 that
-holds once a a+ = a+ a = p, as Lemma 3.8's v^-1 and w^-1 do, checked by the
-one product x x^-1 = e (a right inverse of a square matrix is two-sided)
-after an EP-equivalent criterion held, so a failed product is a defect in
-a+ or the factors, not a singular input.  The tables eliminate only for the
-factorization, the Gram inverses of `factor_daggers` and the kernel and
-range criteria.  Every row still `_require`s its witness identities, under
-its own battery's message, before it reports the witness; one that fails
-to re-verify raises InternalConsistencyError: a bug, not a result.
+exact battery reads.  Every exact battery and `thm53_decompose` take a
+square MatrixQ, validated by `EPInstance.from_matrix`, or its EPInstance as
+given (`battery.gen_instance` hands over the one it drew), so every verdict
+rests on the four-condition certificate for a+.  Each product, subspace,
+inverse, solve and identity check runs at most once per object however many
+rows name it, and solves are keyed by their two matrices and side, so equal
+systems under different names (4.1's p and q on an EP input) are decided
+once.  Each {1}-inverse of `_INNER` rests on a named guard that holds by
+construction, so a failed guard raises.  Every inverse a row reads is a
+named closed form x^-1 that holds once a a+ = a+ a = p, as Lemma 3.8's v^-1
+and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
+square matrix is two-sided) after an EP-equivalent criterion held, so a
+failed product is a defect in a+ or the factors, not a singular input.  The
+tables eliminate only for the factorization, the Gram inverses of
+`factor_daggers` and the kernel and range criteria.  Every row still
+`_require`s its witness identities, under its own battery's message, before
+it reports the witness; one that fails to re-verify raises
+InternalConsistencyError: a bug, not a result.
 
 Block maps.  The 5.x statements read t = j (t1 ⊕ 0) j⁻¹, and no padded n×n
 matrix is formed for it: j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁, with j₁ the leading k
@@ -80,7 +82,7 @@ from .linalg import (
     subspace_equal,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
-from .pseudoinverse import MPPair, _penrose_from_products, lemma38_witnesses
+from .pseudoinverse import MPPair, lemma38_witnesses
 
 CONSTRUCTIVE = "constructive"
 CRITERION = "criterion"
@@ -284,9 +286,9 @@ class EPInstance(MPPair):
     a† = c†·b†, p = b·b†, q = c†·c and the Grams come from `MPPair`; the
     table above adds what the 3.x, 4.x and 5.x batteries read, each computed
     once on first read.  `from_matrix` validates a = b·c, b†·b = e_r,
-    c·c† = e_r, a† = c†·b†, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b
-    and the four Penrose conditions; the products it forms (`bc`, `a_ad`,
-    `ad_a`, `p`, `q`) stay for the batteries, which `_square` serves too.
+    c·c† = e_r, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b and the four
+    Penrose conditions; the products it forms (`bc`, `a_ad`, `ad_a`, `p`,
+    `q`, and Penrose 1 and 2, which guard `_INNER`) stay for the batteries.
     """
 
     _DEFS = _QUANTITIES
@@ -308,7 +310,9 @@ class EPInstance(MPPair):
         _require(self.ad_a == self.q, "a+ a = c+ c")
         _require(self.c @ self.a_dagger == self.b_dagger, "b+ = c a+")
         _require(self.a_dagger @ self.b == self.c_dagger, "c+ = a+ b")
-        _require(_penrose_from_products(self.a, self.a_dagger, self.a_ad, self.ad_a).valid,
+        _require(self.penrose1 and self.penrose2
+                 and conj_transpose(self.a_ad) == self.a_ad
+                 and conj_transpose(self.ad_a) == self.ad_a,
                  "four-condition certificate for a+")
 
     @property
@@ -316,13 +320,9 @@ class EPInstance(MPPair):
         return self.f.rank
 
 
-def _square(a: MatrixQ, caller: str) -> EPInstance:
-    """EPInstance of a square a for the 4.x and 5.x batteries, without
-    `_validate`: each identity they rest on is checked where it is read,
-    such as the Penrose guards of `_INNER` on a a+ and a+ a."""
-    if not a.is_square:
-        raise ShapeError(f"{caller} expects a square matrix")
-    return EPInstance(a=a)
+def _instance(a: MatrixQ | EPInstance) -> EPInstance:
+    """An EPInstance as given, or a square MatrixQ's validated EPInstance."""
+    return a if isinstance(a, EPInstance) else EPInstance.from_matrix(a)
 
 
 @dataclass(frozen=True)
@@ -423,18 +423,18 @@ _T32 = (
 )
 
 
-def thm32_battery(inst: EPInstance) -> list:
+def thm32_battery(a: MatrixQ | EPInstance) -> list:
     """Four statements: EP; b b+ = c+ c; kernel(b+) = kernel(c); range(b) = range(c+)."""
-    return _evaluate("3.2", inst, _T32)
+    return _evaluate("3.2", _instance(a), _T32)
 
 
 _T34 = tuple(_criterion(sid, crit) for sid, crit in
              zip(("i", "ii", "iii", "iv", "v", "vi"), _VANISHING))
 
 
-def thm34_battery(inst: EPInstance) -> list:
+def thm34_battery(a: MatrixQ | EPInstance) -> list:
     """Six conjunctions of exact product-vanishing conditions."""
-    return _evaluate("3.4", inst, _T34)
+    return _evaluate("3.4", _instance(a), _T34)
 
 
 # -- Battery 3.5: composite-letter existentials over r×r ------------------
@@ -460,8 +460,8 @@ _T35 = (
 )
 
 
-def thm35_battery(inst: EPInstance) -> list:
-    return _evaluate("3.5", inst, _T35)
+def thm35_battery(a: MatrixQ | EPInstance) -> list:
+    return _evaluate("3.5", _instance(a), _T35)
 
 
 # -- Battery 3.7: the 26-statement mixed family -------------------------
@@ -501,10 +501,10 @@ _T37 = (
 )
 
 
-def thm37_battery(inst: EPInstance) -> list:
+def thm37_battery(a: MatrixQ | EPInstance) -> list:
     """Twenty-six statements; the catalog numbering carries two (xxiv) slots,
     reported as xxiv-a and xxiv-b (and no xxv)."""
-    return _evaluate("3.7", inst, _T37)
+    return _evaluate("3.7", _instance(a), _T37)
 
 
 # -- Battery 3.9: adjoint in place of the dagger ---------------------------
@@ -531,8 +531,8 @@ _T39 = (
 )
 
 
-def thm39_battery(inst: EPInstance) -> list:
-    return _evaluate("3.9", inst, _T39)
+def thm39_battery(a: MatrixQ | EPInstance) -> list:
+    return _evaluate("3.9", _instance(a), _T39)
 
 
 # -- Battery 3.10: multi-factor product identities -------------------------
@@ -550,14 +550,14 @@ _T310 = (
 )
 
 
-def thm310_battery(inst: EPInstance) -> list:
+def thm310_battery(a: MatrixQ | EPInstance) -> list:
     """Seven statements built from literal factor chains.
 
     Two chains pair the adjoint of the product with its factors; they are
     composed as (b c)* = c* b* so every chain is shape-consistent under the
     rectangular reading.
     """
-    return _evaluate("3.10", inst, _T310)
+    return _evaluate("3.10", _instance(a), _T310)
 
 
 # -- Battery 4.1: factorizations of the pseudoinverse through the element --
@@ -587,8 +587,8 @@ _T41 = (
 )
 
 
-def thm41_battery(a: MatrixQ) -> list:
-    return _evaluate("4.1", _square(a, "thm41_battery"), _T41)
+def thm41_battery(a: MatrixQ | EPInstance) -> list:
+    return _evaluate("4.1", _instance(a), _T41)
 
 
 # -- Battery 4.2: the adjoint versions, via the invertible norm witnesses --
@@ -623,21 +623,21 @@ _T42 = (
 )
 
 
-def thm42_battery(a: MatrixQ) -> list:
-    return _evaluate("4.2", _square(a, "thm42_battery"), _T42)
+def thm42_battery(a: MatrixQ | EPInstance) -> list:
+    return _evaluate("4.2", _instance(a), _T42)
 
 
 # -- Block decomposition (5.x family) ---------------------------------------
 
 
-def thm53_decompose(t: MatrixQ):
+def thm53_decompose(t: MatrixQ | EPInstance):
     """Exact block decomposition of an EP matrix; None when not EP.
 
     Returns (t1, j, j_inv, q1) with t = j (t1 ⊕ 0) j⁻¹, t1 invertible,
     j the column concatenation of a range basis and a kernel basis, and
     q1 = j (e ⊕ 0) j⁻¹ a self-adjoint idempotent equal to t·t†.
     """
-    return _square(t, "thm53_decompose").decomposition
+    return _instance(t).decomposition
 
 
 def _decompose(m: EPInstance) -> Optional[tuple]:
@@ -675,10 +675,10 @@ _T55 = (
 )
 
 
-def thm55_battery(t: MatrixQ) -> list:
+def thm55_battery(t: MatrixQ | EPInstance) -> list:
     """Two statements: shared-right-factor and shared-left-factor forms
     for t and t† together; each combines its two clauses."""
-    return _evaluate("5.5", _square(t, "thm55_battery"), _T55)
+    return _evaluate("5.5", _instance(t), _T55)
 
 
 _FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
@@ -705,9 +705,9 @@ _T56 = (
 )
 
 
-def thm56_battery(a: MatrixQ) -> list:
+def thm56_battery(a: MatrixQ | EPInstance) -> list:
     """Four statements factoring a and a† with matched kernel/range conditions."""
-    return _evaluate("5.6", _square(a, "thm56_battery"), _T56)
+    return _evaluate("5.6", _instance(a), _T56)
 
 
 # -- Battery 5.2: norm-relative statements on a conjugated block map ----

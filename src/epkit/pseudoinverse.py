@@ -90,12 +90,7 @@ def penrose_certificate(a: MatrixQ, x: MatrixQ) -> PenroseCertificate:
         raise ShapeError(
             f"candidate inverse must be {a.cols}x{a.rows}, got {x.rows}x{x.cols}"
         )
-    return _penrose_from_products(a, x, a @ x, x @ a)
-
-
-def _penrose_from_products(a: MatrixQ, x: MatrixQ,
-                           ax: MatrixQ, xa: MatrixQ) -> PenroseCertificate:
-    """The certificate from products a x and x a the caller already holds."""
+    ax, xa = a @ x, x @ a
     return PenroseCertificate(
         cond1_residual=(ax @ a) - a,
         cond2_residual=(xa @ x) - x,

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -241,8 +242,8 @@ def test_no_matrix_is_both_rank_tested_and_inverted(monkeypatch):
                 x = aug.select_columns(range(n))
                 assert x not in rank_tested, (label, x)
 
-    batteries = {"3.9": lambda a: battery.thm39_battery(EPInstance.from_matrix(a)),
-                 "4.2": battery.thm42_battery, "5.5": battery.thm55_battery}
+    batteries = {"3.9": battery.thm39_battery, "4.2": battery.thm42_battery,
+                 "5.5": battery.thm55_battery}
     for tid, fn in batteries.items():
         for s in (1, 2):
             for cfg in battery_configs(tid, 8, 4, s):
@@ -252,19 +253,31 @@ def test_no_matrix_is_both_rank_tested_and_inverted(monkeypatch):
         assert_single_elimination("ep draw", gen_matrix, cfg)
 
 
+def _record_calls(monkeypatch, orig, record):
+    """Route every epkit module's reference to the function `orig` through a
+    wrapper that passes the call's arguments to `record` first."""
+    def wrapped(*args, **kw):
+        record(*args, **kw)
+        return orig(*args, **kw)
+    for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "epkit"]:
+        if getattr(module, orig.__name__, None) is orig:
+            monkeypatch.setattr(module, orig.__name__, wrapped)
+
+
 def _recording(monkeypatch):
-    """Record rref operands and solve_exists systems, and keep the EPInstance
-    each 4.x/5.x battery builds so a test can read its quantities."""
+    """Record rref operands and solve_exists systems in every epkit module,
+    and keep the EPInstance each battery reads so a test can read its
+    quantities.  Draw the inputs first: the ep generator's Gram solve is
+    generation, not battery work."""
     import epkit.characterizations as chz
     import epkit.linalg as linalg
 
     reduced, solved, built = [], [], []
-    orig_rref, orig_solve, orig_square = linalg.rref, linalg.solve_exists, chz._square
-    monkeypatch.setattr(linalg, "rref", lambda a: reduced.append(a) or orig_rref(a))
-    monkeypatch.setattr(linalg, "solve_exists", lambda a, y, side="right":
-                        solved.append((a, y, side)) or orig_solve(a, y, side))
-    monkeypatch.setattr(chz, "_square", lambda a, caller:
-                        built.append(orig_square(a, caller)) or built[-1])
+    _record_calls(monkeypatch, linalg.rref, reduced.append)
+    _record_calls(monkeypatch, linalg.solve_exists,
+                  lambda a, y, side="right": solved.append((a, y, side)))
+    orig_instance = chz._instance
+    monkeypatch.setattr(chz, "_instance", lambda a: built.append(orig_instance(a)) or built[-1])
     return reduced, solved, built
 
 
@@ -419,12 +432,13 @@ def test_thm4x_decides_every_system_without_elimination(monkeypatch):
     import epkit.characterizations as chz
 
     tables = {"4.1": (battery.thm41_battery, chz._T41), "4.2": (battery.thm42_battery, chz._T42)}
+    draws = {tid: [gen_matrix(cfg) for s in (1, 2) for n in (0, 1, 2, 4)
+                   for cfg in battery_configs(tid, 8, n, s)] for tid in tables}
     _, solved, built = _recording(monkeypatch)
     decided = _inner_recording(monkeypatch)
     ranks = set()
     for tid, (fn, rows) in tables.items():
-        for a in [gen_matrix(cfg) for s in (1, 2) for n in (0, 1, 2, 4)
-                  for cfg in battery_configs(tid, 8, n, s)]:
+        for a in draws[tid]:
             decided.clear()
             results = fn(a)
             m = built[-1]
@@ -476,9 +490,10 @@ def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
     # the canonical range basis B has identity pivot rows, so their selection
     # S (S B = e_r) decides t1 from B t1 = a B without an elimination; rank 0
     # gives B of n x 0
+    draws = [MatrixQ.zeros(3, 3)] + _ep_draws("5.5")
     _, _, built = _recording(monkeypatch)
     decided = _inner_recording(monkeypatch)
-    for a in [MatrixQ.zeros(3, 3)] + _ep_draws("5.5"):
+    for a in draws:
         decided.clear()
         t1 = thm53_decompose(a)[0]
         m = built[-1]
@@ -486,6 +501,31 @@ def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
         assert m.rng_pivots @ basis == MatrixQ.identity(basis.cols)
         assert decided == [(basis, a @ basis, "right")]
         assert basis @ t1 == a @ basis
+
+
+def test_run_battery_factorizes_each_draw_once(monkeypatch):
+    # the generator's acceptance tests read the validated instance it draws,
+    # and run_battery hands that instance to the battery, so the drawn a is
+    # factorized once and never rank-tested or EP-tested on its own (rref
+    # operands are not counted: a kernel or range operand equals a on zero
+    # or symmetric draws)
+    import epkit.linalg as linalg
+    import epkit.pseudoinverse as pseudoinverse
+
+    cfgs = [cfg for n in (0, 1, 2, 4) for cfg in battery_configs("3.7", 4, n, 5)]
+    cfgs += [GeneratorConfig(seed=child_seed(5, i), n=3, kind=kind, rank=rank)
+             for i, (kind, rank) in enumerate((("invertible", None), ("arbitrary", 2),
+                                               ("ep", 1), ("non_ep", 2)))]
+    requests = [(tid, cfg, gen_matrix(cfg)) for tid in SUPPORTED_THEOREMS if tid != "5.2"
+                for cfg in cfgs]
+    calls = []
+    for orig in (linalg.full_rank_factorize, linalg.rank, pseudoinverse.is_ep):
+        _record_calls(monkeypatch, orig, lambda a, name=orig.__name__: calls.append((name, a)))
+    for tid, cfg, a in requests:
+        calls.clear()
+        run_battery(tid, [cfg])
+        assert [name for name, x in calls if x == a] == ["full_rank_factorize"], (tid, cfg)
+    assert {cfg.kind for cfg in cfgs} == set(KINDS)
 
 
 def test_run_battery_5_2_norms():

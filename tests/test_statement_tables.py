@@ -37,6 +37,7 @@ from epkit.characterizations import (
     thm39_battery,
     thm41_battery,
     thm42_battery,
+    thm53_decompose,
     thm55_battery,
     thm56_battery,
 )
@@ -133,6 +134,17 @@ def test_memo_isolation_matrix_batteries():
         assert forward == fresh and backward == fresh
 
 
+def test_every_exact_battery_reads_a_matrix_or_its_instance_alike():
+    # a square matrix is validated through EPInstance.from_matrix and an
+    # instance is read as given, so both give the same results, 3.x included
+    batteries = {**INSTANCE_BATTERIES, **MATRIX_BATTERIES, "5.3": thm53_decompose}
+    inputs = [gen_matrix(cfg) for n in (0, 1, 2, 4) for cfg in battery_configs("3.7", 6, n, 7)]
+    assert {a.rows for a in inputs} == {0, 1, 2, 4}
+    for a in inputs:
+        for tid, fn in batteries.items():
+            assert fn(a) == fn(EPInstance.from_matrix(a)), (tid, a)
+
+
 def test_every_listed_check_is_required():
     # an existential row reports its witness only after each identity on its
     # check list holds; a memoised identity forced false must raise under the
@@ -165,6 +177,17 @@ def test_penrose_certificate_reads_the_held_products(monkeypatch):
     monkeypatch.setitem(EPInstance._DEFS, "p", lambda m: zero)
     with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
         EPInstance.from_matrix(DIAG20)
+
+
+def test_4x_5x_batteries_certify_the_held_pseudoinverse(monkeypatch):
+    # 4.x and 5.x read a validated instance as 3.x does: an a+ that passes
+    # a a+ = b b+, a+ a = c+ c, b+ = c a+ and c+ = a+ b but not Penrose 2
+    # (a+ a a+ = a+) is caught under the certificate's message
+    held = MatrixQ.from_rows([["1/2", 0], [0, 1]])     # of DIAG20; a+ is diag(1/2, 0)
+    monkeypatch.setitem(EPInstance._DEFS, "a_dagger", lambda m: held)
+    for fn in (*MATRIX_BATTERIES.values(), thm53_decompose):
+        with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
+            fn(DIAG20)
 
 
 def test_every_solved_coefficient_has_a_guarded_inner_inverse():
