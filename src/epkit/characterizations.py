@@ -26,16 +26,17 @@ kinds:
   refutation.
 
 Verify once.  Rows hold names, never matrices or functions.  The named
-quantities live on one lazily memoised EPInstance per input, an MPPair
-subclass whose table extends the pair's a+, p, q and Grams with what every
-exact battery reads.  Every exact battery and `thm53_decompose` take a
-square MatrixQ, validated by `EPInstance.from_matrix`, or its EPInstance as
-given (`battery.gen_instance` hands over the one it drew), so every verdict
-rests on the four-condition certificate for a+.  Each product, subspace,
-inverse, solve and identity check runs at most once per object however many
-rows name it, and solves are keyed by their two matrices and side, so equal
-systems under different names (4.1's p and q on an EP input) are decided
-once.  Each {1}-inverse of `_INNER` rests on a named guard that holds by
+quantities live on one lazily memoised EPInstance per input, the package's
+only memoised object: one table, `_QUANTITIES`, holds the factorization,
+a+, p, q, the Grams and the rank with what every exact battery reads.
+Every exact battery and `thm53_decompose` take a square MatrixQ, validated
+by `EPInstance.from_matrix`, or its EPInstance as given
+(`battery.gen_instance` hands over the one it drew), so every verdict, and
+`epkit ep`'s, rests on the four-condition certificate for a+.  Each
+product, subspace, inverse, solve and identity check runs at most once per
+object however many rows name it, and solves are keyed by their two
+matrices and side, so equal systems under different names (4.1's p and q
+on an EP input) are decided once.  Each {1}-inverse of `_INNER` rests on a named guard that holds by
 construction, so a failed guard raises.  Every inverse a row reads is a
 named closed form x^-1 that holds once a a+ = a+ a = p, as Lemma 3.8's v^-1
 and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
@@ -82,7 +83,7 @@ from .linalg import (
     subspace_equal,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
-from .pseudoinverse import MPPair, lemma38_witnesses
+from .pseudoinverse import factor_daggers, lemma38_witnesses
 
 CONSTRUCTIVE = "constructive"
 CRITERION = "criterion"
@@ -94,8 +95,27 @@ def _require(cond: bool, what: str) -> None:
 
 
 _QUANTITIES = {
-    **MPPair._DEFS,
-    "e_r": lambda m: MatrixQ.identity(m.f.rank),
+    # the factorization, the daggers, a+ = c+ b+, the projections and the Grams
+    "f": lambda m: full_rank_factorize(m.a),
+    "rank": lambda m: m.f.rank,
+    "b": lambda m: m.f.b,
+    "c": lambda m: m.f.c,
+    "daggers": lambda m: factor_daggers(m.f),
+    "b_dagger": lambda m: m.daggers[0],
+    "c_dagger": lambda m: m.daggers[1],
+    "a_dagger": lambda m: m.c_dagger @ m.b_dagger,
+    "p": lambda m: m.b @ m.b_dagger,                             # a a+, onto range(a)
+    "q": lambda m: m.c_dagger @ m.c,                             # a+ a, kernel(a) as kernel
+    "e_n": lambda m: MatrixQ.identity(m.a.rows),
+    "e_r": lambda m: MatrixQ.identity(m.rank),
+    "a_star": lambda m: conj_transpose(m.a),
+    "aa": lambda m: m.a_star @ m.a,                              # a* a
+    "bb": lambda m: m.a @ m.a_star,                              # a a*
+    "p_eq_q": lambda m: m.p == m.q,
+    "p_perp": lambda m: m.e_n - m.p,
+    "q_perp": lambda m: m.e_n - m.q,
+    "v_inv": lambda m: m.p_perp + m.bb,                          # Lemma 3.8's v^-1
+    "w_inv": lambda m: m.q_perp + m.aa,                          # Lemma 3.8's w^-1
     # the products validation needs, kept for the batteries
     "bd_b_is_e": lambda m: m.b_dagger @ m.b == m.e_r,            # b+ b = e_r
     "c_cd_is_e": lambda m: m.c @ m.c_dagger == m.e_r,            # c c+ = e_r
@@ -279,20 +299,36 @@ _INNER = {
 
 
 @dataclass(frozen=True)
-class EPInstance(MPPair):
+class EPInstance:
     """A square matrix with the derived quantities of every exact battery.
 
-    Only a is stored.  The full-rank factorization a = b·c, b†, c†,
-    a† = c†·b†, p = b·b†, q = c†·c and the Grams come from `MPPair`; the
-    table above adds what the 3.x, 4.x and 5.x batteries read, each computed
-    once on first read.  `from_matrix` validates a = b·c, b†·b = e_r,
-    c·c† = e_r, a·a† = b·b†, a†·a = c†·c, b† = c·a†, c† = a†·b and the four
-    Penrose conditions; the products it forms (`bc`, `a_ad`, `ad_a`, `p`,
-    `q`, and Penrose 1 and 2, which guard `_INNER`) stay for the batteries.
+    Only a is stored.  Every other attribute is a name in `_QUANTITIES`,
+    computed on first read and then kept: reading a name the instance does
+    not hold yet evaluates its table entry and stores the value in the
+    instance `__dict__` (which a frozen dataclass allows, since that bypasses
+    `__setattr__`), so every later read is a plain attribute read.  The
+    table starts from the full-rank factorization a = b·c, b†, c†,
+    a† = c†·b†, p = b·b†, q = c†·c, the Grams and the rank, and adds what
+    the 3.x, 4.x and 5.x batteries read.
+
+    `from_matrix` validates a = b·c, b†·b = e_r, c·c† = e_r, a·a† = b·b†,
+    a†·a = c†·c and the four Penrose conditions.  b† = c·a† and c† = a†·b
+    are not checked apart: they follow from a† = c†·b† and the two checked
+    identities by associativity.  The products it forms (`bc`, `a_ad`,
+    `ad_a`, `p`, `q`, and Penrose 1 and 2, which guard `_INNER`) stay for
+    the batteries.
     """
 
-    _DEFS = _QUANTITIES
-    _INNER = _INNER
+    a: MatrixQ
+
+    def __getattr__(self, name: str):
+        try:
+            define = _QUANTITIES[name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+        value = self.__dict__[name] = define(self)
+        return value
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
@@ -308,16 +344,46 @@ class EPInstance(MPPair):
         _require(self.c_cd_is_e, "c c+ = e")
         _require(self.a_ad == self.p, "a a+ = b b+")
         _require(self.ad_a == self.q, "a+ a = c+ c")
-        _require(self.c @ self.a_dagger == self.b_dagger, "b+ = c a+")
-        _require(self.a_dagger @ self.b == self.c_dagger, "c+ = a+ b")
         _require(self.penrose1 and self.penrose2
                  and conj_transpose(self.a_ad) == self.a_ad
                  and conj_transpose(self.ad_a) == self.ad_a,
                  "four-condition certificate for a+")
 
-    @property
-    def rank(self) -> int:
-        return self.f.rank
+    def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
+        """The system a x = y (side "right") or x a = y ("left") on two named
+        quantities, decided once per system, with no elimination.
+
+        `_INNER[a]` names a {1}-inverse g of a and the exact guard that makes
+        it one (a g a = a); `_solve_inner` decides the system from g by one
+        product.  The guard holds by construction, so a failed guard is a
+        defect and raises InternalConsistencyError.  The cache is keyed by
+        the two matrices and the side, so equal systems under different
+        names are decided once.
+        """
+        cache = self.__dict__.setdefault("_solves", {})
+        key = (getattr(self, a), getattr(self, y), side)
+        if key not in cache:
+            g, guard = _INNER[a]
+            if not getattr(self, guard):
+                raise InternalConsistencyError(f"{guard} failed: {g} is no inner inverse of {a}")
+            cache[key] = _solve_inner(*key, getattr(self, g))
+        return cache[key]
+
+
+def _solve_inner(a: MatrixQ, y: MatrixQ, side: str, g: MatrixQ) -> Optional[MatrixQ]:
+    """A solution of a x = y (side "right") or x a = y ("left"), or None.
+
+    `g` must be a {1}-inverse of a that the caller has verified, a g a = a.
+    Any solution x0 gives a (g y) = a g a x0 = y, so a solution exists iff
+    g y (y g on the left) is one (Penrose's consistency test): the one
+    product a x == y decides the system, and None is an exact refutation.
+    The solution g y need not be the one `solve_exists` returns.
+    """
+    if side == "right":
+        x = g @ y
+        return x if a @ x == y else None
+    x = y @ g
+    return x if x @ a == y else None
 
 
 def _instance(a: MatrixQ | EPInstance) -> EPInstance:

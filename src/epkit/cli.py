@@ -20,10 +20,11 @@ import sys
 from typing import Optional
 
 from .battery import GeneratorConfig, GeneratorError, child_seed, run_battery
+from .characterizations import EPInstance
 from .exactnum import ScalarParseError, as_scalar, format_scalar, parse_scalar
 from .linalg import MatrixQ, ShapeError
 from .pnorms import PNorm, hermitian_check, is_hermitian_exact, parse_p
-from .pseudoinverse import MPPair, penrose_certificate, pinv
+from .pseudoinverse import penrose_certificate, pinv
 
 EXIT_PASS = 0
 EXIT_PROPERTY_FALSE = 1
@@ -117,14 +118,14 @@ def cmd_ep(args) -> int:
     a = read_matrix(args.input)
     if not a.is_square:
         raise InputError(f"ep check needs a square matrix, got {a.rows}x{a.cols}")
-    pair = MPPair(a=a)
-    p_text, q_text = format_matrix(pair.p), format_matrix(pair.q)
-    sys.stdout.write(f"EP: {'yes' if pair.p_eq_q else 'no'}\n")
+    inst = EPInstance.from_matrix(a)
+    p_text, q_text = format_matrix(inst.p), format_matrix(inst.q)
+    sys.stdout.write(f"EP: {'yes' if inst.p_eq_q else 'no'}\n")
     sys.stdout.write("p = a a+:\n")
     sys.stdout.write(p_text)
     sys.stdout.write("q = a+ a:\n")
     sys.stdout.write(q_text)
-    return EXIT_PASS if pair.p_eq_q else EXIT_PROPERTY_FALSE
+    return EXIT_PASS if inst.p_eq_q else EXIT_PROPERTY_FALSE
 
 
 def battery_configs(theorem_id: str, trials: int, size: int, seed: int) -> list:

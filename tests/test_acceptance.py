@@ -32,7 +32,6 @@ from epkit.linalg import (
 )
 from epkit.pnorms import PNorm, expm, hermitian_check, is_hermitian_exact
 from epkit.pseudoinverse import (
-    MPPair,
     is_ep,
     lemma38_witnesses,
     penrose_certificate,
@@ -131,14 +130,14 @@ def test_criterion_5_invertible_norm_witnesses():
             kind = "arbitrary"
         a = gen_matrix(GeneratorConfig(seed=child_seed(9005, i), n=n, kind=kind))
         x = pinv(a)
-        pair = MPPair.from_matrix(a)
-        v, w = lemma38_witnesses(pair)
+        inst = EPInstance.from_matrix(a)
+        v, w = lemma38_witnesses(inst)
         a_star = conj_transpose(a)
         assert is_invertible(v) and is_invertible(w)
         assert a_star @ v == x
         assert w @ a_star == x
-        assert (a @ a_star) @ v == pair.p and v @ (a @ a_star) == pair.p
-        assert w @ (a_star @ a) == pair.q and (a_star @ a) @ w == pair.q
+        assert (a @ a_star) @ v == inst.p and v @ (a @ a_star) == inst.p
+        assert w @ (a_star @ a) == inst.q and (a_star @ a) @ w == inst.q
     report(5, "200 square instances, v and w invertible, five clauses exact")
 
 

@@ -283,11 +283,11 @@ def _recording(monkeypatch):
 
 def _inner_recording(monkeypatch):
     """Record the systems decided through a verified {1}-inverse."""
-    import epkit.pseudoinverse as pseudoinverse
+    import epkit.characterizations as chz
 
     decided = []
-    orig = pseudoinverse._solve_inner
-    monkeypatch.setattr(pseudoinverse, "_solve_inner", lambda a, y, side, g:
+    orig = chz._solve_inner
+    monkeypatch.setattr(chz, "_solve_inner", lambda a, y, side, g:
                         decided.append((a, y, side)) or orig(a, y, side, g))
     return decided
 

@@ -47,30 +47,18 @@ EXPECTED_COUNTS = {
 }
 
 
-def instance_batteries(inst):
-    return {
-        "3.2": thm32_battery(inst),
-        "3.4": thm34_battery(inst),
-        "3.5": thm35_battery(inst),
-        "3.7": thm37_battery(inst),
-        "3.9": thm39_battery(inst),
-        "3.10": thm310_battery(inst),
-    }
-
-
-def matrix_batteries(a):
-    return {
-        "4.1": thm41_battery(a),
-        "4.2": thm42_battery(a),
-        "5.5": thm55_battery(a),
-        "5.6": thm56_battery(a),
-    }
+# every exact battery takes a square matrix or its EPInstance alike
+EXACT_BATTERIES = {
+    "3.2": thm32_battery, "3.4": thm34_battery, "3.5": thm35_battery,
+    "3.7": thm37_battery, "3.9": thm39_battery, "3.10": thm310_battery,
+    "4.1": thm41_battery, "4.2": thm42_battery,
+    "5.5": thm55_battery, "5.6": thm56_battery,
+}
 
 
 def all_batteries(a):
-    out = instance_batteries(EPInstance.from_matrix(a))
-    out.update(matrix_batteries(a))
-    return out
+    inst = EPInstance.from_matrix(a)
+    return {tid: fn(inst) for tid, fn in EXACT_BATTERIES.items()}
 
 
 # -- instance construction -----------------------------------------------------
@@ -275,7 +263,7 @@ def test_thm56_witness_keys():
 
 def test_square_batteries_reject_rectangles():
     rect = MatrixQ.zeros(2, 3)
-    for fn in (thm41_battery, thm42_battery, thm55_battery, thm56_battery):
+    for fn in (*EXACT_BATTERIES.values(), thm53_decompose):
         with pytest.raises(ShapeError):
             fn(rect)
 

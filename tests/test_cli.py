@@ -124,6 +124,20 @@ def test_ep_yes_and_no(tmp_path, capsys):
     assert out.startswith("EP: no\n")
 
 
+def test_ep_verdict_rests_on_the_certificate(tmp_path, monkeypatch):
+    # epkit ep reads the validated instance every battery reads, so a held a+
+    # that passes a a+ = b b+ and a+ a = c+ c but not Penrose 2 is a defect
+    # raised under the certificate's message, never a verdict
+    from epkit import characterizations as chz
+    from epkit.linalg import InternalConsistencyError
+
+    held = MatrixQ.from_rows([["1/2", 0], [0, 1]])     # of diag(2, 0); a+ is diag(1/2, 0)
+    monkeypatch.setitem(chz._QUANTITIES, "a_dagger", lambda m: held)
+    path = mfile(tmp_path, "d.json", matrix_obj([["2", "0"], ["0", "0"]]))
+    with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
+        main(["ep", path])
+
+
 def test_ep_rejects_rectangular(tmp_path, capsys):
     path = mfile(tmp_path, "r.json", matrix_obj([["1", "0"]]))
     code, out, err = run_main(capsys, ["ep", path])

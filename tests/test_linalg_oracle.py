@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epkit.characterizations import _solve_inner
 from epkit.exactnum import GaussianRational
 from epkit.linalg import (
     MatrixQ,
@@ -23,7 +24,7 @@ from epkit.linalg import (
     solve_exists,
     transpose,
 )
-from epkit.pseudoinverse import _solve_inner, pinv
+from epkit.pseudoinverse import pinv
 
 from .oracles import (
     assert_canonical,

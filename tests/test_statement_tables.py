@@ -26,37 +26,16 @@ import pytest
 
 from epkit import characterizations as chz
 from epkit.battery import gen_block_pair, gen_matrix
-from epkit.characterizations import (
-    EPInstance,
-    prop52_battery,
-    thm310_battery,
-    thm32_battery,
-    thm34_battery,
-    thm35_battery,
-    thm37_battery,
-    thm39_battery,
-    thm41_battery,
-    thm42_battery,
-    thm53_decompose,
-    thm55_battery,
-    thm56_battery,
-)
+from epkit.characterizations import EPInstance, prop52_battery, thm53_decompose
 from epkit.cli import battery_configs
 from epkit.linalg import InternalConsistencyError, MatrixQ
 from epkit.pnorms import PNorm
 
+from .test_characterizations import EXACT_BATTERIES
+
 NILPOTENT = MatrixQ.from_rows([[0, 1], [0, 0]])
 DIAG20 = MatrixQ.diagonal([2, 0])
 SHEAR = MatrixQ.from_rows([[1, 1], [0, 1]])
-
-INSTANCE_BATTERIES = {
-    "3.2": thm32_battery, "3.4": thm34_battery, "3.5": thm35_battery,
-    "3.7": thm37_battery, "3.9": thm39_battery, "3.10": thm310_battery,
-}
-MATRIX_BATTERIES = {
-    "4.1": thm41_battery, "4.2": thm42_battery,
-    "5.5": thm55_battery, "5.6": thm56_battery,
-}
 
 PINNED = {
     "3.2": "95dd830a6ee24a7414bf90cbb505bb3b1db9a6b3e5699800adebf57575ff2d13",
@@ -93,12 +72,8 @@ def _matrices(tid):
 
 
 def test_pinned_statement_digests():
-    got = {}
-    for tid, battery in INSTANCE_BATTERIES.items():
-        got[tid] = _digest([_shape(battery(EPInstance.from_matrix(a)))
-                            for a in _matrices(tid)])
-    for tid, battery in MATRIX_BATTERIES.items():
-        got[tid] = _digest([_shape(battery(a)) for a in _matrices(tid)])
+    got = {tid: _digest([_shape(battery(a)) for a in _matrices(tid)])
+           for tid, battery in EXACT_BATTERIES.items()}
     pairs = [gen_block_pair(cfg) for n in (3, 4)
              for cfg in battery_configs("5.2", 8, n, 2024)]
     results = [prop52_battery(t1, j, PNorm(p)) for t1, j in pairs for p in (1, 2, math.inf)]
@@ -112,32 +87,34 @@ def _isolation_inputs():
 
 
 def test_memo_isolation_instance_batteries():
+    # all ten batteries share one warm instance, in either order: what one
+    # battery leaves in the memo never changes another's answers
     for a in _isolation_inputs():
-        fresh = {tid: fn(EPInstance.from_matrix(a)) for tid, fn in INSTANCE_BATTERIES.items()}
+        fresh = {tid: fn(EPInstance.from_matrix(a)) for tid, fn in EXACT_BATTERIES.items()}
         first = EPInstance.from_matrix(a)
-        forward = {tid: fn(first) for tid, fn in INSTANCE_BATTERIES.items()}
+        forward = {tid: fn(first) for tid, fn in EXACT_BATTERIES.items()}
         second = EPInstance.from_matrix(a)
-        backward = {tid: INSTANCE_BATTERIES[tid](second) for tid in reversed(INSTANCE_BATTERIES)}
+        backward = {tid: EXACT_BATTERIES[tid](second) for tid in reversed(EXACT_BATTERIES)}
         assert forward == fresh and backward == fresh
         # a cold and a warm instance survive pickling with the same answers
-        for inst in (EPInstance.from_matrix(a), first):
+        for inst in (EPInstance.from_matrix(a), first, second):
             loaded = pickle.loads(pickle.dumps(inst))
             assert loaded == inst
-            assert {tid: fn(loaded) for tid, fn in INSTANCE_BATTERIES.items()} == fresh
+            assert {tid: fn(loaded) for tid, fn in EXACT_BATTERIES.items()} == fresh
 
 
 def test_memo_isolation_matrix_batteries():
     for a in _isolation_inputs():
-        fresh = {tid: fn(pickle.loads(pickle.dumps(a))) for tid, fn in MATRIX_BATTERIES.items()}
-        forward = {tid: fn(a) for tid, fn in MATRIX_BATTERIES.items()}
-        backward = {tid: MATRIX_BATTERIES[tid](a) for tid in reversed(MATRIX_BATTERIES)}
+        fresh = {tid: fn(pickle.loads(pickle.dumps(a))) for tid, fn in EXACT_BATTERIES.items()}
+        forward = {tid: fn(a) for tid, fn in EXACT_BATTERIES.items()}
+        backward = {tid: EXACT_BATTERIES[tid](a) for tid in reversed(EXACT_BATTERIES)}
         assert forward == fresh and backward == fresh
 
 
 def test_every_exact_battery_reads_a_matrix_or_its_instance_alike():
     # a square matrix is validated through EPInstance.from_matrix and an
     # instance is read as given, so both give the same results, 3.x included
-    batteries = {**INSTANCE_BATTERIES, **MATRIX_BATTERIES, "5.3": thm53_decompose}
+    batteries = {**EXACT_BATTERIES, "5.3": thm53_decompose}
     inputs = [gen_matrix(cfg) for n in (0, 1, 2, 4) for cfg in battery_configs("3.7", 6, n, 7)]
     assert {a.rows for a in inputs} == {0, 1, 2, 4}
     for a in inputs:
@@ -173,19 +150,32 @@ def test_penrose_certificate_reads_the_held_products(monkeypatch):
     # a wrong a_ad (matched by p, so the earlier a a+ = b b+ check passes)
     # must still be caught under the certificate's message
     zero = MatrixQ.zeros(2, 2)
-    monkeypatch.setitem(EPInstance._DEFS, "a_ad", lambda m: zero)
-    monkeypatch.setitem(EPInstance._DEFS, "p", lambda m: zero)
+    monkeypatch.setitem(chz._QUANTITIES, "a_ad", lambda m: zero)
+    monkeypatch.setitem(chz._QUANTITIES, "p", lambda m: zero)
+    with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
+        EPInstance.from_matrix(DIAG20)
+
+
+def test_certificate_catches_another_left_inverse_of_b(monkeypatch):
+    # b+ = c a+ and c+ = a+ b are not checked apart, since they follow from
+    # b+ b = e and c c+ = e; a held b+ that is another left inverse of b
+    # passes b+ b = e, a a+ = b b+, a+ a = c+ c and Penrose 1 and 2, but
+    # a a+ is not hermitian, so the certificate still catches it
+    held = MatrixQ.from_rows([["1/2", 1]])     # DIAG20 = b c, b = [2; 0], c = [1 0]
+    monkeypatch.setitem(chz._QUANTITIES, "b_dagger", lambda m: held)
+    m = EPInstance(a=DIAG20)
+    assert m.bd_b_is_e and m.a_ad == m.p and m.ad_a == m.q and m.penrose1 and m.penrose2
     with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
         EPInstance.from_matrix(DIAG20)
 
 
 def test_4x_5x_batteries_certify_the_held_pseudoinverse(monkeypatch):
-    # 4.x and 5.x read a validated instance as 3.x does: an a+ that passes
-    # a a+ = b b+, a+ a = c+ c, b+ = c a+ and c+ = a+ b but not Penrose 2
-    # (a+ a a+ = a+) is caught under the certificate's message
+    # every exact battery, 4.x and 5.x as much as 3.x, reads a validated
+    # instance: an a+ that passes a a+ = b b+ and a+ a = c+ c but not
+    # Penrose 2 (a+ a a+ = a+) is caught under the certificate's message
     held = MatrixQ.from_rows([["1/2", 0], [0, 1]])     # of DIAG20; a+ is diag(1/2, 0)
-    monkeypatch.setitem(EPInstance._DEFS, "a_dagger", lambda m: held)
-    for fn in (*MATRIX_BATTERIES.values(), thm53_decompose):
+    monkeypatch.setitem(chz._QUANTITIES, "a_dagger", lambda m: held)
+    for fn in (*EXACT_BATTERIES.values(), thm53_decompose):
         with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
             fn(DIAG20)
 
