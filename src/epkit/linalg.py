@@ -13,10 +13,13 @@ Representation: a MatrixQ holds one positive common denominator and two
 flat row-major lists of Python ints, the real and the imaginary numerators,
 so entry k is (re[k] + im[k] i) / den.  The form is canonical: den shares no
 factor with all the numerators at once, and the zero matrix has den 1, so
-equality and hashing compare integers.  Products, sums, transposes, stacking
-and slicing are integer list work with one gcd normalisation per result; a
-product of two complex matrices takes three integer matrix products, not
-four (Gauss's form).
+equality and hashing compare integers.  Sums, transposes, stacking and
+slicing are integer list work, and every result gets one gcd normalisation.
+A product is one numpy integer matrix product of the stacked parts, the left
+operand's [re; im] against the right's (re, im); numpy never holds a float
+here.  Its dtype is int64 when the operands' bit lengths and the inner
+dimension prove that no entry, nor the difference of two, reaches 2**63, and
+object (Python ints, through numpy's loop) otherwise.
 `rref` is fraction-free Gauss-Jordan elimination over the Gaussian integers
 (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination"): every division by the previous pivot is exact, and
@@ -31,8 +34,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from itertools import repeat
-from operator import add, floordiv, mod, mul, sub
+from operator import floordiv, mod
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .exactnum import ZERO, GaussianRational, as_scalar
 
@@ -190,23 +195,24 @@ class MatrixQ:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        shape = (self.rows, self.cols, other.cols)
-        ar, ai, br, bi = self._re, self._im, other._re, other._im
-        a_complex, b_complex = any(ai), any(bi)
-        re = _int_matmul(ar, br, *shape)
+        n, k, m = self.rows, self.cols, other.cols
+        a_complex, b_complex = any(self._im), any(other._im)
+        left = self._re + self._im if a_complex else self._re
+        right = other._re + other._im if b_complex else other._re
+        # every entry of p is below k 2**(bits(left) + bits(right)) in absolute
+        # value, so under this bound a difference of two is below 2**63
+        small = _bits(left) + _bits(right) + (2 * k).bit_length() <= 63
+        dtype = np.int64 if small else object
+        # p[j] = [ar; ai] @ (br, bi)[j], for the parts that are nonzero
+        p = (np.array(left, dtype).reshape((1 + a_complex) * n, k)
+             @ np.array(right, dtype).reshape(1 + b_complex, k, m))
         if a_complex and b_complex:
-            # Gauss: three integer products, im = (ar + ai)(br + bi) - ar br - ai bi
-            ii = _int_matmul(ai, bi, *shape)
-            s = _int_matmul(list(map(add, ar, ai)), list(map(add, br, bi)), *shape)
-            im = [z - x - y for z, x, y in zip(s, re, ii)]
-            re = list(map(sub, re, ii))
-        elif a_complex:
-            im = _int_matmul(ai, br, *shape)
-        elif b_complex:
-            im = _int_matmul(ar, bi, *shape)
-        else:
-            im = [0] * len(re)
-        return _canonical(self.rows, other.cols, self._den * other._den, re, im)
+            re = (p[0, :n] - p[1, n:]).ravel().tolist()
+            im = (p[1, :n] + p[0, n:]).ravel().tolist()
+        else:  # p holds the real part, then the imaginary part if nonzero
+            flat = p.ravel().tolist()
+            re, im = flat[:n * m], flat[n * m:] or [0] * (n * m)
+        return _canonical(n, m, self._den * other._den, re, im)
 
     def _same_shape(self, other: "MatrixQ") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -317,13 +323,9 @@ def _rescaled(m: MatrixQ, s: int) -> tuple:
     return [x * s for x in m._re], [x * s for x in m._im]
 
 
-def _int_matmul(a: list, b: list, n: int, k: int, m: int) -> list:
-    """Flat n x m product of the flat integer matrices a (n x k) and b (k x m)."""
-    if not m:
-        return []
-    rows = [a[i * k:(i + 1) * k] for i in range(n)]
-    cols = [b[j::m] for j in range(m)]
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
+def _bits(xs: list) -> int:
+    """Bit length of the largest absolute value in xs; 0 when xs is empty."""
+    return max(max(xs), -min(xs)).bit_length() if xs else 0
 
 
 def _transposed(flat: list, rows: int, cols: int) -> list:

@@ -3,7 +3,9 @@
 Every operation of epkit.linalg that works on the common-denominator form is
 compared entry for entry with the GaussianRational code in tests/oracles.py,
 on real and complex entries, rank-deficient shapes, 0 x n and n x 0
-matrices, unit pivots (-1, i, -i) and entries of more than 200 bits.
+matrices, unit pivots (-1, i, -i) and entries of more than 200 bits.  The
+product is also checked against a plain Python-int product at the bit bound
+where its numpy kernel switches from int64 to Python ints.
 """
 
 from fractions import Fraction
@@ -96,6 +98,63 @@ def test_products_and_sums_match_oracle(data):
         assert_canonical(got)
         assert got.to_rows() == want
         assert got == to_mq(want, got.cols)
+
+
+def _int_product(a: list, b: list, k: int, m: int) -> list:
+    """Schoolbook product of rows of (re, im) integer pairs, in Python ints."""
+    cols = [[b[t][j] for t in range(k)] for j in range(m)]
+    return [[(sum(x * u - y * v for (x, y), (u, v) in zip(row, col)),
+              sum(x * v + y * u for (x, y), (u, v) in zip(row, col)))
+             for col in cols] for row in a]
+
+
+def _gaussian(pairs: list) -> list:
+    return [[GaussianRational(*z) for z in r] for r in pairs]
+
+
+def _near_max(bits: int, a_side: bool, complex_part: bool, n: int, k: int, m: int) -> list:
+    """n x k (left) or k x m (right) pairs of magnitude just below 2**bits.
+
+    Signs are set so that in every entry of the product one of
+    re = ar br - ai bi and im = ar bi + ai br sums terms of one sign, the
+    largest sums the bit lengths allow; the offsets keep the entries
+    distinct while every bit length stays `bits`.
+    """
+    top = 2 ** bits - 1
+    rows, cols = (n, k) if a_side else (k, m)
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            if a_side:  # row i of a, column t = j
+                re, im = (-1) ** i * (top - 3 * j - i), top - j - 2 * i
+            else:  # row t = i of b, column j
+                re, im = top - i - 2 * j, (-1) ** (j + 1) * (top - 5 * i - j)
+            row.append((re, im if complex_part else 0))
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("a_complex, b_complex",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_products_at_the_int64_bound(a_complex, b_complex):
+    # bits(a) + bits(b) + (2k).bit_length() at 63 takes int64 and at 64 takes
+    # Python ints; at 64 and k = 3 a complex-by-complex entry reaches
+    # 6 * 2**61, which int64 would wrap
+    cases = [(2, k, 3) for k in range(1, 9)] + [(0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0)]
+    for total in (63, 64):
+        for n, k, m in cases:
+            width = (2 * k).bit_length()
+            a_bits = (total - width) // 2
+            a = _near_max(a_bits, True, a_complex, n, k, m)
+            b = _near_max(total - width - a_bits, False, b_complex, n, k, m)
+            ga, gb = _gaussian(a), _gaussian(b)
+            got = MatrixQ(n, k, sum(ga, [])) @ MatrixQ(k, m, sum(gb, []))
+            want = _int_product(a, b, k, m)
+            assert (got.rows, got.cols, got._den) == (n, m, 1)
+            assert got._re == [z[0] for r in want for z in r], (total, n, k, m)
+            assert got._im == [z[1] for r in want for z in r], (total, n, k, m)
+            assert got.to_rows() == oracle_matmul(ga, gb, m)
 
 
 @settings(max_examples=150, deadline=None)

@@ -96,19 +96,12 @@ def test_memo_isolation_instance_batteries():
         second = EPInstance.from_matrix(a)
         backward = {tid: EXACT_BATTERIES[tid](second) for tid in reversed(EXACT_BATTERIES)}
         assert forward == fresh and backward == fresh
-        # a cold and a warm instance survive pickling with the same answers
-        for inst in (EPInstance.from_matrix(a), first, second):
-            loaded = pickle.loads(pickle.dumps(inst))
-            assert loaded == inst
+        # a cold and a warm instance, and the matrix itself, survive pickling
+        # with the same answers
+        for held in (EPInstance.from_matrix(a), first, second, a):
+            loaded = pickle.loads(pickle.dumps(held))
+            assert loaded == held
             assert {tid: fn(loaded) for tid, fn in EXACT_BATTERIES.items()} == fresh
-
-
-def test_memo_isolation_matrix_batteries():
-    for a in _isolation_inputs():
-        fresh = {tid: fn(pickle.loads(pickle.dumps(a))) for tid, fn in EXACT_BATTERIES.items()}
-        forward = {tid: fn(a) for tid, fn in EXACT_BATTERIES.items()}
-        backward = {tid: EXACT_BATTERIES[tid](a) for tid in reversed(EXACT_BATTERIES)}
-        assert forward == fresh and backward == fresh
 
 
 def test_every_exact_battery_reads_a_matrix_or_its_instance_alike():
