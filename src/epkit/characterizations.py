@@ -43,7 +43,11 @@ and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
 square matrix is two-sided) after an EP-equivalent criterion held, so a
 failed product is a defect in a+ or the factors, not a singular input.  The
 tables eliminate only for the factorization, the Gram inverses of
-`factor_daggers` and the kernel and range criteria.  Every row still
+`factor_daggers` and three factor subspaces, ker c, range b and ker b*.
+Every kernel, range, right kernel and row space they read equals one of
+these, its entrywise conjugate, range c* or row c for every matrix, and the
+bases of the last two are c* and c^T themselves (c is an RREF); a full-rank
+instance reduces none of them.  Every row still
 `_require`s its witness identities, under its own battery's message, before
 it reports the witness; one that fails to re-verify raises
 InternalConsistencyError: a bug, not a result.
@@ -73,14 +77,14 @@ from .linalg import (
     MatrixQ,
     ShapeError,
     SingularMatrixError,
+    Subspace,
     conj_transpose,
     full_rank_factorize,
     inverse,
     kernel,
     range_space,
-    right_kernel,
-    row_space,
     subspace_equal,
+    transpose,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
 from .pseudoinverse import factor_daggers, lemma38_witnesses
@@ -133,19 +137,28 @@ _QUANTITIES = {
     "penrose2": lambda m: m.ad_a @ m.a_dagger == m.a_dagger,
     "p_idempotent": lambda m: m.p @ m.p == m.p,
     "q_idempotent": lambda m: m.q @ m.q == m.q,
-    # kernels and ranges of the factors, against the daggers and the adjoints
-    "ker_c": lambda m: kernel(m.c),
-    "rng_b": lambda m: range_space(m.b),
-    "rker_b": lambda m: right_kernel(m.b),
-    "row_c": lambda m: row_space(m.c),
-    "ker_ok": lambda m: subspace_equal(kernel(m.b_dagger), m.ker_c),
-    "rng_ok": lambda m: subspace_equal(m.rng_b, range_space(m.c_dagger)),
-    "rker_ok": lambda m: subspace_equal(m.rker_b, right_kernel(m.c_dagger)),
-    "row_ok": lambda m: subspace_equal(m.row_c, row_space(m.b_dagger)),
-    "adj_ker_ok": lambda m: subspace_equal(kernel(m.b_star), m.ker_c),
-    "adj_rng_ok": lambda m: subspace_equal(m.rng_b, range_space(m.c_star)),
-    "adj_rker_ok": lambda m: subspace_equal(m.rker_b, right_kernel(m.c_star)),
-    "adj_row_ok": lambda m: subspace_equal(m.row_c, row_space(m.b_star)),
+    # every subspace the tables read, from three eliminations of the factors:
+    # b has full column rank and c full row rank, so ker a = ker c and
+    # range a = range b, and b+ = (b* b)^-1 b*, c+ = c* (c c*)^-1 give
+    # ker b+ = ker b* and range c+ = range c*.  At full rank c = e and b = a,
+    # and no subspace needs an elimination
+    "full_rank": lambda m: m.rank == m.a.rows,
+    "ker_c": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.c),
+    "ker_bs": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.b_star),
+    "rng_b": lambda m: Subspace(m.a.rows, m.e_n) if m.full_rank else range_space(m.b),
+    "rng_cs": lambda m: Subspace(m.a.rows, m.c_star),   # canonical: conj c is an RREF
+    "row_c": lambda m: Subspace(m.a.rows, transpose(m.c)),  # c is an RREF
+    "rker_b": lambda m: _conj(m.ker_bs),                # rker b = conj ker b*
+    "rker_cs": lambda m: _conj(m.ker_c),                # rker c* = conj ker c
+    "row_bs": lambda m: _conj(m.rng_b),                 # row b* = conj range b
+    "ker_ok": lambda m: subspace_equal(m.ker_bs, m.ker_c),      # ker b+ = ker b*
+    "rng_ok": lambda m: subspace_equal(m.rng_b, m.rng_cs),      # range c+ = range c*
+    "rker_ok": lambda m: subspace_equal(m.rker_b, m.rker_cs),   # rker c+ = rker c*
+    "row_ok": lambda m: subspace_equal(m.row_c, m.row_bs),      # row b+ = row b*
+    "adj_ker_ok": lambda m: m.ker_ok,       # ker b* = ker b+
+    "adj_rng_ok": lambda m: m.rng_ok,       # range c* = range c+
+    "adj_rker_ok": lambda m: m.rker_ok,     # rker c* = rker c+
+    "adj_row_ok": lambda m: m.row_ok,       # row b* = row b+
     # 3.4: the vanishing products
     "g2": lambda m: m.c @ m.p_perp,                              # c (e - bb+)
     "g3": lambda m: m.b_dagger @ m.q_perp,                       # b+ (e - c+c)
@@ -182,19 +195,22 @@ _QUANTITIES = {
     "chain_iii2": lambda m: m.bb == m.bc @ m.p @ m.cs_bs,                  # bc bb+ c*b*
     "chain_v1": lambda m: m.bb == m.a_dagger @ m.bc @ m.bc @ m.cs_bs,      # c+b+ bc bc c*b*
     "chain_vi1": lambda m: m.aa == m.bc @ m.a_dagger @ m.cs_bs @ m.bc,     # bc c+b+ c*b* bc
-    # kernels and ranges of a against a+, a*, and of p against q, aa* against a*a
-    "ker_a": lambda m: kernel(m.a),
-    "rng_a": lambda m: range_space(m.a),
-    "ker_dagger": lambda m: subspace_equal(m.ker_a, kernel(m.a_dagger)),
-    "rng_dagger": lambda m: subspace_equal(m.rng_a, range_space(m.a_dagger)),
-    "rker_dagger": lambda m: subspace_equal(right_kernel(m.a), right_kernel(m.a_dagger)),
-    "row_dagger": lambda m: subspace_equal(row_space(m.a), row_space(m.a_dagger)),
-    "ker_adjoint": lambda m: subspace_equal(m.ker_a, kernel(m.a_star)),
-    "rng_adjoint": lambda m: subspace_equal(m.rng_a, range_space(m.a_star)),
-    "ker_pq": lambda m: subspace_equal(kernel(m.p), kernel(m.q)),
-    "rng_pq": lambda m: subspace_equal(range_space(m.p), range_space(m.q)),
-    "ker_grams": lambda m: subspace_equal(kernel(m.bb), kernel(m.aa)),
-    "rng_grams": lambda m: subspace_equal(range_space(m.bb), range_space(m.aa)),
+    # kernels and ranges of a against a+, a*, and of p against q, aa* against
+    # a*a, read from the factor subspaces: a+ = c+ b+ with c+ of full column
+    # rank and b+ of full row rank, a* = c* b*, p = b b+, q = c+ c, and a
+    # Gram has the kernel and range of its outer factor
+    "ker_a": lambda m: m.ker_c,
+    "rng_a": lambda m: m.rng_b,
+    "ker_dagger": lambda m: m.ker_ok,     # ker a = ker c, ker a+ = ker b+
+    "rng_dagger": lambda m: m.rng_ok,     # range a = range b, range a+ = range c+
+    "rker_dagger": lambda m: m.rker_ok,   # rker a = rker b, rker a+ = rker c+
+    "row_dagger": lambda m: m.row_ok,     # row a = row c, row a+ = row b+
+    "ker_adjoint": lambda m: m.ker_ok,    # ker a* = ker b*
+    "rng_adjoint": lambda m: m.rng_ok,    # range a* = range c*
+    "ker_pq": lambda m: m.ker_ok,         # ker p = ker b+, ker q = ker c
+    "rng_pq": lambda m: m.rng_ok,         # range p = range b, range q = range c+
+    "ker_grams": lambda m: m.ker_ok,      # ker a a* = ker a*, ker a* a = ker a
+    "rng_grams": lambda m: m.rng_ok,      # range a a* = range a, range a* a = range a*
     # 4.1: invertible multiples of a giving a+, inverted on EP input (a a+ = a+ a)
     "ad2": lambda m: m.a_dagger @ m.a_dagger,
     "a2": lambda m: m.a @ m.a,
@@ -266,6 +282,16 @@ _QUANTITIES = {
                                   and m.e_n @ m.a_dagger @ m.e_n == m.a_dagger),
     "e_invertible": lambda m: m.e_n @ m.e_n == m.e_n,
 }
+
+
+def _trivial(n: int) -> Subspace:
+    return Subspace(n, MatrixQ.zeros(n, 0))
+
+
+def _conj(s: Subspace) -> Subspace:
+    """The entrywise conjugate subspace.  Conjugation keeps every leading 1
+    and every 0, so the conjugated basis is still canonical."""
+    return Subspace(s.ambient_dim, transpose(conj_transpose(s.basis)))
 
 
 def _pivot_rows(basis: MatrixQ) -> MatrixQ:

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
 Everything here computes exactly and never rounds: row reduction, rank, the
-four fundamental subspaces, full-rank factorization, linear solves, inverses,
-and the left-multiplication Kronecker lift.  Zero-dimensional matrices
-(0 x n, n x 0) are legal values throughout.
+four fundamental subspaces, full-rank factorization, linear solves and
+inverses.  Zero-dimensional matrices (0 x n, n x 0) are legal values
+throughout.
 
 Subspaces are stored in a canonical column-reduced echelon basis so that
 subspace equality is plain structural equality.  `range_space` is the one
@@ -441,16 +441,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def contains_vector(self, v: MatrixQ) -> bool:
-        if v.rows != self.ambient_dim or v.cols != 1:
-            raise ShapeError("vector/ambient mismatch")
-        return rank(self.basis.hstack(v)) == self.dim
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ShapeError("ambient dimension mismatch")
-        return rank(self.basis.hstack(other.basis)) == self.dim
-
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
     """Exact subspace equality; ambient-dimension mismatch is an error."""
@@ -570,27 +560,3 @@ def inverse(a: MatrixQ) -> MatrixQ:
     if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return _pivot_solution(aug, pivots, n)
-
-
-def kron(a: MatrixQ, b: MatrixQ) -> MatrixQ:
-    """Kronecker product a (x) b."""
-    re, im = [], []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            br = b._re[k * b.cols:(k + 1) * b.cols]
-            bi = b._im[k * b.cols:(k + 1) * b.cols]
-            for j in range(a.cols):
-                x, y = a._re[i * a.cols + j], a._im[i * a.cols + j]
-                re += [x * u - y * v for u, v in zip(br, bi)]
-                im += [x * v + y * u for u, v in zip(br, bi)]
-    return _canonical(a.rows * b.rows, a.cols * b.cols, a._den * b._den, re, im)
-
-
-def kron_left_mult(a: MatrixQ) -> MatrixQ:
-    """Matrix of x -> a x on n x n matrices, in the row-major entry basis.
-
-    Equals a (x) I_n: row-major vec(a x) = (a (x) I_n) row-major vec(x).
-    """
-    if not a.is_square:
-        raise ShapeError("kron_left_mult needs a square matrix")
-    return kron(a, MatrixQ.identity(a.rows))

@@ -15,12 +15,12 @@ The memoised, validated form of these quantities, with the Grams and
 everything the batteries read, is `characterizations.EPInstance`; this
 module sits below it and never imports it.
 
-`lemma38_witnesses` / `lemma38_factor_witnesses` build, on such an instance,
-the invertible elements v, w with a^+ = a* v = w a* (and the related factor
-identities) and re-verify every claimed identity before returning.  Their
-inverses come in closed form, v^-1 = (e - p) + a a* and w^-1 = (e - q) + a* a
-(the instance's `v_inv` and `w_inv`), so one product each, v v^-1 = e and
-w w^-1 = e, checks invertibility without an elimination.
+`lemma38_witnesses` builds, on such an instance, the invertible elements
+v, w with a^+ = a* v = w a* and re-verifies every claimed identity before
+returning.  Their inverses come in closed form, v^-1 = (e - p) + a a* and
+w^-1 = (e - q) + a* a (the instance's `v_inv` and `w_inv`), so one product
+each, v v^-1 = e and w w^-1 = e, checks invertibility without an
+elimination.
 """
 
 from __future__ import annotations
@@ -129,48 +129,3 @@ def lemma38_witnesses(inst) -> tuple:
     if not all(checks):
         raise InternalConsistencyError("lemma38 witness identities failed")
     return v, w
-
-
-@dataclass(frozen=True)
-class Lemma38FactorChecks:
-    """Pass/fail record for the factor-level witness identities."""
-
-    bpinv_gram_inverse_ok: bool  # (b^+ (b^+)*)^-1 == b* b
-    cpinv_gram_inverse_ok: bool  # ((c^+)* c^+)^-1 == c c*
-    vb_identity_ok: bool  # v b == (b^+)* (c^+)* c^+
-    cw_identity_ok: bool  # c w == b^+ (b^+)* (c^+)*
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.bpinv_gram_inverse_ok
-            and self.cpinv_gram_inverse_ok
-            and self.vb_identity_ok
-            and self.cw_identity_ok
-        )
-
-
-def lemma38_factor_witnesses(f: FullRankFactorization, inst) -> Lemma38FactorChecks:
-    """Check the factor-level identities tied to the v, w witnesses of an
-    `EPInstance`.
-
-    `f` must factor inst.a (b c == a), otherwise it is rejected.
-    """
-    if f.b @ f.c != inst.a:
-        raise ValueError("factorization does not reproduce the matrix of the instance")
-    v, w = lemma38_witnesses(inst)
-    b, c = f.b, f.c
-    bp, cp = factor_daggers(f)
-    bps = conj_transpose(bp)
-    cps = conj_transpose(cp)
-    e_r = MatrixQ.identity(f.rank)
-    g_b = bp @ bps
-    g_c = cps @ cp
-    bsb = conj_transpose(b) @ b
-    ccs = c @ conj_transpose(c)
-    return Lemma38FactorChecks(
-        bpinv_gram_inverse_ok=(g_b @ bsb == e_r and bsb @ g_b == e_r),
-        cpinv_gram_inverse_ok=(g_c @ ccs == e_r and ccs @ g_c == e_r),
-        vb_identity_ok=(v @ b == bps @ cps @ cp),
-        cw_identity_ok=(c @ w == bp @ bps @ cps),
-    )

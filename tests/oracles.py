@@ -12,15 +12,29 @@ and Gauss-Jordan elimination that epkit.linalg used before its matrices
 moved to a common denominator over integer numerators; the `oracle_*`
 functions built on them check that core entry for entry.  They work on
 lists of rows of GaussianRational and never touch epkit.linalg.
+
+The helpers at the end are reference constructions that only the tests
+read, so they live here rather than in the package: the Kronecker product
+and the left-multiplication lift a (x) e, subspace containment by rank, and
+the factor-level identities of Lemma 3.8's witnesses.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from epkit.exactnum import ONE, ZERO, GaussianRational
-from epkit.linalg import MatrixQ, conj_transpose
+from epkit.linalg import (
+    FullRankFactorization,
+    MatrixQ,
+    ShapeError,
+    Subspace,
+    conj_transpose,
+    rank,
+)
+from epkit.pseudoinverse import factor_daggers, lemma38_witnesses
 
 
 def assert_canonical(m: MatrixQ) -> None:
@@ -201,3 +215,81 @@ def brute_force_pinv(a: MatrixQ) -> MatrixQ:
     assert conj_transpose(a @ y) == (a @ y)
     assert conj_transpose(y @ a) == (y @ a)
     return y
+
+
+# -- reference constructions --------------------------------------------------
+
+
+def kron(a: MatrixQ, b: MatrixQ) -> MatrixQ:
+    """Kronecker product a (x) b, entry by entry."""
+    return MatrixQ(a.rows * b.rows, a.cols * b.cols,
+                   [a.entry(i, j) * b.entry(k, l)
+                    for i in range(a.rows) for k in range(b.rows)
+                    for j in range(a.cols) for l in range(b.cols)])
+
+
+def kron_left_mult(a: MatrixQ) -> MatrixQ:
+    """Matrix of x -> a x on n x n matrices, in the row-major entry basis.
+
+    Equals a (x) I_n: row-major vec(a x) = (a (x) I_n) row-major vec(x).
+    """
+    if not a.is_square:
+        raise ShapeError("kron_left_mult needs a square matrix")
+    return kron(a, MatrixQ.identity(a.rows))
+
+
+def contains_vector(s: Subspace, v: MatrixQ) -> bool:
+    if v.rows != s.ambient_dim or v.cols != 1:
+        raise ShapeError("vector/ambient mismatch")
+    return rank(s.basis.hstack(v)) == s.dim
+
+
+def contains_subspace(s: Subspace, other: Subspace) -> bool:
+    if s.ambient_dim != other.ambient_dim:
+        raise ShapeError("ambient dimension mismatch")
+    return rank(s.basis.hstack(other.basis)) == s.dim
+
+
+@dataclass(frozen=True)
+class Lemma38FactorChecks:
+    """Pass/fail record for the factor-level witness identities."""
+
+    bpinv_gram_inverse_ok: bool  # (b^+ (b^+)*)^-1 == b* b
+    cpinv_gram_inverse_ok: bool  # ((c^+)* c^+)^-1 == c c*
+    vb_identity_ok: bool  # v b == (b^+)* (c^+)* c^+
+    cw_identity_ok: bool  # c w == b^+ (b^+)* (c^+)*
+
+    @property
+    def all_ok(self) -> bool:
+        return (
+            self.bpinv_gram_inverse_ok
+            and self.cpinv_gram_inverse_ok
+            and self.vb_identity_ok
+            and self.cw_identity_ok
+        )
+
+
+def lemma38_factor_witnesses(f: FullRankFactorization, inst) -> Lemma38FactorChecks:
+    """Check the factor-level identities tied to the v, w witnesses of an
+    `EPInstance`.
+
+    `f` must factor inst.a (b c == a), otherwise it is rejected.
+    """
+    if f.b @ f.c != inst.a:
+        raise ValueError("factorization does not reproduce the matrix of the instance")
+    v, w = lemma38_witnesses(inst)
+    b, c = f.b, f.c
+    bp, cp = factor_daggers(f)
+    bps = conj_transpose(bp)
+    cps = conj_transpose(cp)
+    e_r = MatrixQ.identity(f.rank)
+    g_b = bp @ bps
+    g_c = cps @ cp
+    bsb = conj_transpose(b) @ b
+    ccs = c @ conj_transpose(c)
+    return Lemma38FactorChecks(
+        bpinv_gram_inverse_ok=(g_b @ bsb == e_r and bsb @ g_b == e_r),
+        cpinv_gram_inverse_ok=(g_c @ ccs == e_r and ccs @ g_c == e_r),
+        vb_identity_ok=(v @ b == bps @ cps @ cp),
+        cw_identity_ok=(c @ w == bp @ bps @ cps),
+    )

@@ -28,7 +28,6 @@ from epkit.linalg import (
     conj_transpose,
     inverse,
     is_invertible,
-    kron_left_mult,
 )
 from epkit.pnorms import PNorm, expm, hermitian_check, is_hermitian_exact
 from epkit.pseudoinverse import (
@@ -38,7 +37,7 @@ from epkit.pseudoinverse import (
     pinv,
 )
 
-from .oracles import brute_force_pinv
+from .oracles import brute_force_pinv, kron_left_mult
 
 GOLDEN_DEVIATION = (1.0 + math.sqrt(5.0)) / 2.0 - 1.0
 

@@ -22,9 +22,11 @@ from epkit.battery import (
 from epkit.characterizations import EPInstance, thm53_decompose
 from epkit.cli import battery_configs
 from epkit.exactnum import GaussianRational
-from epkit.linalg import MatrixQ, is_invertible, rank
+from epkit.linalg import MatrixQ, is_invertible, rank, transpose
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
+
+from .test_characterizations import EXACT_BATTERIES
 
 
 def test_child_seed_deterministic_and_dispersed():
@@ -335,8 +337,8 @@ def test_thm56_never_reduces_the_identity(monkeypatch):
 def test_exact_tables_read_every_inverse_without_elimination(monkeypatch):
     # once the factorization and the Gram inverses of b+ and c+ are held,
     # every exact table reads its inverses in closed form and decides its
-    # systems through verified {1}-inverses: only the kernel and range
-    # criteria reduce, and nothing tests a rank or inverts
+    # systems through verified {1}-inverses: only the three factor subspaces
+    # reduce, and nothing tests a rank or inverts
     import sys
 
     import epkit.characterizations as chz
@@ -363,6 +365,42 @@ def test_exact_tables_read_every_inverse_without_elimination(monkeypatch):
     assert ranks >= {(tid, z, f, t) for tid in tables for z, f, t in
                      ((True, False, True), (False, True, True),
                       (False, False, True), (False, False, False))}
+
+
+def _orientations(x: MatrixQ) -> list:
+    """x as given, transposed, and each with its columns reversed: the
+    operands that rref, range_space, kernel and right_kernel reduce."""
+    return [y.select_columns(cols) for y in (x, transpose(x))
+            for cols in (range(y.cols), range(y.cols - 1, -1, -1))]
+
+
+def test_exact_batteries_reduce_at_most_the_three_factor_subspaces(monkeypatch):
+    # every kernel, range, right kernel and row space a table reads is ker c,
+    # range b or ker b*, a conjugate of one, or read off c, so a held instance
+    # reduces at most three operands, each c, b or b*, and none at full rank; a, a+,
+    # b+, c+, p, q, a* and the Grams are never reduced in any orientation (an
+    # empty operand at rank 0 equals every empty matrix of its shape, b+ too)
+    instances = {tid: [EPInstance.from_matrix(gen_matrix(cfg)) for s in (1, 2)
+                       for n in (0, 1, 2, 4) for cfg in battery_configs(tid, 8, n, s)]
+                 for tid in EXACT_BATTERIES}
+    assert all(m.daggers for insts in instances.values() for m in insts)  # daggers read f
+    reduced, _, _ = _recording(monkeypatch)
+    ranks = set()
+    for tid, fn in EXACT_BATTERIES.items():
+        for m in instances[tid]:
+            reduced.clear()
+            fn(m)
+            n = m.a.rows
+            ranks.add((tid, m.rank == 0, m.rank == n))
+            assert len(reduced) <= (0 if m.rank == n else 3), tid
+            factors = (_orientations(m.c)[1], transpose(m.b), _orientations(m.b_star)[1])
+            assert all(x in factors for x in reduced), tid
+            whole = (m.a, m.a_dagger, m.b_dagger, m.c_dagger, m.p, m.q, m.a_star, m.bb, m.aa)
+            assert not any(x in _orientations(y) for x in reduced if x.rows and x.cols
+                           for y in whole), tid
+    # rank 0, full rank and in between, for each battery
+    assert ranks >= {(tid, z, f) for tid in EXACT_BATTERIES for z, f in
+                     ((True, False), (False, True), (False, False))}
 
 
 def test_no_identity_is_inverted(monkeypatch):
@@ -507,8 +545,7 @@ def test_run_battery_factorizes_each_draw_once(monkeypatch):
     # the generator's acceptance tests read the validated instance it draws,
     # and run_battery hands that instance to the battery, so the drawn a is
     # factorized once and never rank-tested or EP-tested on its own (rref
-    # operands are not counted: a kernel or range operand equals a on zero
-    # or symmetric draws)
+    # operands are not counted here: the factorization reduces a itself)
     import epkit.linalg as linalg
     import epkit.pseudoinverse as pseudoinverse
 

@@ -1,0 +1,123 @@
+"""The factor subspaces of `EPInstance` against direct eliminations.
+
+The statement tables read every kernel, range, right kernel and row space
+from three eliminations of the factors (ker c, range b, ker b*), from c
+itself and from entrywise conjugates.  The identities behind that hold for
+every square matrix, EP or not, at every rank.  Here each table quantity is
+compared with the direct route that reduces a, a+, p, q, a*, the Grams and
+the daggers themselves, so a `linalg` defect that broke one route would
+show as a mismatch.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from epkit.characterizations import EPInstance
+from epkit.exactnum import I_UNIT, GaussianRational
+from epkit.linalg import (
+    MatrixQ,
+    conj_transpose,
+    kernel,
+    range_space,
+    right_kernel,
+    row_space,
+    subspace_equal,
+)
+
+
+def _scalars(complex_entries: bool):
+    parts = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    im = parts if complex_entries else st.just(Fraction(0))
+    return st.builds(GaussianRational, parts, im)
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix of rank at most r, for every r from 0 to n: x y with
+    x of n x r and y of r x n, or x m x* (EP when m is invertible)."""
+    n = draw(st.integers(0, 4))
+    r = draw(st.integers(0, n))
+    sc = _scalars(draw(st.booleans()))
+
+    def block(rows, cols):
+        return MatrixQ(rows, cols, [draw(sc) for _ in range(rows * cols)])
+
+    x = block(n, r)
+    if draw(st.booleans()):
+        return x @ block(r, r) @ conj_transpose(x)
+    return x @ block(r, n)
+
+
+def _direct(m: EPInstance) -> dict:
+    """name -> (the table's subspace, every direct elimination it stands for)."""
+    a, ad, a_star = m.a, m.a_dagger, m.a_star
+    return {
+        "ker_c": (m.ker_c, [kernel(m.c), kernel(a), kernel(m.q), kernel(m.aa)]),
+        "rng_b": (m.rng_b, [range_space(m.b), range_space(a), range_space(m.p),
+                            range_space(m.bb)]),
+        "ker_bs": (m.ker_bs, [kernel(m.b_star), kernel(m.b_dagger), kernel(ad),
+                              kernel(a_star), kernel(m.p), kernel(m.bb)]),
+        "rng_cs": (m.rng_cs, [range_space(m.c_star), range_space(m.c_dagger),
+                              range_space(ad), range_space(a_star), range_space(m.q),
+                              range_space(m.aa)]),
+        "row_c": (m.row_c, [row_space(m.c), row_space(a)]),
+        "rker_b": (m.rker_b, [right_kernel(m.b), right_kernel(a)]),
+        "rker_cs": (m.rker_cs, [right_kernel(m.c_star), right_kernel(m.c_dagger),
+                                right_kernel(ad)]),
+        "row_bs": (m.row_bs, [row_space(m.b_star), row_space(m.b_dagger), row_space(ad)]),
+    }
+
+
+def _direct_criteria(m: EPInstance) -> dict:
+    """Each kernel and range criterion as the direct eliminations decide it."""
+    a, ad, a_star = m.a, m.a_dagger, m.a_star
+    ker_c, rng_b, rker_b, row_c = kernel(m.c), range_space(m.b), right_kernel(m.b), row_space(m.c)
+    return {
+        "ker_ok": subspace_equal(kernel(m.b_dagger), ker_c),
+        "rng_ok": subspace_equal(rng_b, range_space(m.c_dagger)),
+        "rker_ok": subspace_equal(rker_b, right_kernel(m.c_dagger)),
+        "row_ok": subspace_equal(row_c, row_space(m.b_dagger)),
+        "adj_ker_ok": subspace_equal(kernel(m.b_star), ker_c),
+        "adj_rng_ok": subspace_equal(rng_b, range_space(m.c_star)),
+        "adj_rker_ok": subspace_equal(rker_b, right_kernel(m.c_star)),
+        "adj_row_ok": subspace_equal(row_c, row_space(m.b_star)),
+        "ker_dagger": subspace_equal(kernel(a), kernel(ad)),
+        "rng_dagger": subspace_equal(range_space(a), range_space(ad)),
+        "rker_dagger": subspace_equal(right_kernel(a), right_kernel(ad)),
+        "row_dagger": subspace_equal(row_space(a), row_space(ad)),
+        "ker_adjoint": subspace_equal(kernel(a), kernel(a_star)),
+        "rng_adjoint": subspace_equal(range_space(a), range_space(a_star)),
+        "ker_pq": subspace_equal(kernel(m.p), kernel(m.q)),
+        "rng_pq": subspace_equal(range_space(m.p), range_space(m.q)),
+        "ker_grams": subspace_equal(kernel(m.bb), kernel(m.aa)),
+        "rng_grams": subspace_equal(range_space(m.bb), range_space(m.aa)),
+    }
+
+
+def _m(rows) -> MatrixQ:
+    return MatrixQ.from_rows(rows)
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+# rank 0, full rank, and both verdicts in between, real and complex
+@example(MatrixQ.zeros(0, 0))
+@example(MatrixQ.zeros(3, 3))
+@example(_m([[1, 2], [3, 4]]))
+@example(_m([[0, 1], [0, 0]]))
+@example(_m([[2, 0], [0, 0]]))
+@example(_m([[1, I_UNIT], [0, 0]]))
+@example(_m([[1, I_UNIT], [-I_UNIT, 1]]))
+@example(_m([[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1], [2, 4, 0, 2]]))
+@example(_m([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, I_UNIT, 0], [0, 0, 0, 0]]))
+def test_factor_subspaces_equal_the_direct_eliminations(a):
+    m = EPInstance.from_matrix(a)
+    for name, (table, direct) in _direct(m).items():
+        assert all(table == d for d in direct), name
+    for name, truth in _direct_criteria(m).items():
+        assert getattr(m, name) == truth, name
+    # every kernel and range criterion is one EP-equivalent fact
+    assert set(_direct_criteria(m).values()) == {m.is_ep}

@@ -17,8 +17,6 @@ from epkit.linalg import (
     inverse,
     is_invertible,
     kernel,
-    kron,
-    kron_left_mult,
     range_space,
     rank,
     right_kernel,
@@ -30,7 +28,7 @@ from epkit.linalg import (
 )
 from epkit.linalg import _divide
 
-from .oracles import assert_canonical
+from .oracles import assert_canonical, contains_subspace, contains_vector, kron, kron_left_mult
 from .test_linalg_oracle import UNIT_PIVOTS, to_mq
 
 
@@ -185,7 +183,7 @@ def test_kernel_and_range():
         assert rng_sp.ambient_dim == a.rows
         assert rng_sp.dim == rank(a)
         for j in range(a.cols):
-            assert rng_sp.contains_vector(a.select_columns([j]))
+            assert contains_vector(rng_sp, a.select_columns([j]))
 
 
 def test_right_sided_spaces():
@@ -207,8 +205,8 @@ def test_subspace_canonicalization():
     assert s1.dim == 1
     s3 = range_space(MatrixQ.from_rows([[1], [0], [0]]))
     assert not subspace_equal(s1, s3)
-    assert s1.contains_subspace(s2)
-    assert not s3.contains_subspace(s1)
+    assert contains_subspace(s1, s2)
+    assert not contains_subspace(s3, s1)
 
 
 def test_subspace_ambient_mismatch():
@@ -217,9 +215,9 @@ def test_subspace_ambient_mismatch():
     with pytest.raises(ShapeError):
         subspace_equal(s1, s2)
     with pytest.raises(ShapeError):
-        s1.contains_subspace(s2)
+        contains_subspace(s1, s2)
     with pytest.raises(ShapeError):
-        s1.contains_vector(MatrixQ.zeros(3, 1))
+        contains_vector(s1, MatrixQ.zeros(3, 1))
 
 
 def test_zero_and_full_subspaces():

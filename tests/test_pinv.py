@@ -14,7 +14,6 @@ from epkit.linalg import (
     full_rank_factorize,
     inverse,
     kernel,
-    kron_left_mult,
     range_space,
     rank,
     subspace_equal,
@@ -22,13 +21,12 @@ from epkit.linalg import (
 from epkit.pseudoinverse import (
     factor_daggers,
     is_ep,
-    lemma38_factor_witnesses,
     lemma38_witnesses,
     penrose_certificate,
     pinv,
 )
 
-from .oracles import brute_force_pinv
+from .oracles import brute_force_pinv, kron_left_mult, lemma38_factor_witnesses
 
 
 def rand_mq(rng, rows, cols, bound=3):
