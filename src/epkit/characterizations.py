@@ -36,7 +36,14 @@ by `EPInstance.from_matrix`, or its EPInstance as given
 product, subspace, inverse, solve and identity check runs at most once per
 object however many rows name it, and solves are keyed by their two
 matrices and side, so equal systems under different names (4.1's p and q
-on an EP input) are decided once.  Each {1}-inverse of `_INNER` rests on a named guard that holds by
+on an EP input) are decided once.  Products are memoised the same way:
+validation and every table run inside the instance's `linalg.product_memo`
+block, so a product of content-equal operands (3.10's chains, whose b c
+is a; p p as a guard and in a solve) is formed once per instance, and one
+with an identity or zero operand (c = e and p = q = e at full rank, 4.1's
+and 5.6's literal e) is never formed.  The memo is a dict in the instance, so
+EPInstance is still the only memoised object and no cache outlives it.
+Each {1}-inverse of `_INNER` rests on a named guard that holds by
 construction, so a failed guard raises.  Every inverse a row reads is a
 named closed form x^-1 that holds once a a+ = a+ a = p, as Lemma 3.8's v^-1
 and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
@@ -82,6 +89,7 @@ from .linalg import (
     full_rank_factorize,
     inverse,
     kernel,
+    product_memo,
     range_space,
     subspace_equal,
     transpose,
@@ -335,7 +343,10 @@ class EPInstance:
     `__setattr__`), so every later read is a plain attribute read.  The
     table starts from the full-rank factorization a = b·c, b†, c†,
     a† = c†·b†, p = b·b†, q = c†·c, the Grams and the rank, and adds what
-    the 3.x, 4.x and 5.x batteries read.
+    the 3.x, 4.x and 5.x batteries read.  Next to those values the instance
+    keeps `_solves`, its decided systems, and `_products`, the product memo
+    that `memoised()` makes active; both are keyed by matrix content and
+    live and die with the instance.
 
     `from_matrix` validates a = b·c, b†·b = e_r, c·c† = e_r, a·a† = b·b†,
     a†·a = c†·c and the four Penrose conditions.  b† = c·a† and c† = a†·b
@@ -361,8 +372,15 @@ class EPInstance:
         if not a.is_square:
             raise ShapeError("EPInstance expects a square matrix")
         inst = cls(a=a)
-        inst._validate()
+        with inst.memoised():
+            inst._validate()
         return inst
+
+    def memoised(self):
+        """The block in which `@` reads and fills this instance's product
+        memo (`linalg.product_memo`): validation, the statement tables and
+        the 5.3 decomposition run in it."""
+        return product_memo(self.__dict__.setdefault("_products", {}))
 
     def _validate(self) -> None:
         _require(self.bc == self.a, "instance factorization b c = a")
@@ -483,12 +501,13 @@ def _decide(m: EPInstance, row: _Row) -> tuple:
 def _evaluate(thm: str, m: EPInstance, rows: tuple) -> list:
     """One StatementResult per row, in table order."""
     out = []
-    for row in rows:
-        truth, witness = _decide(m, row)
-        out.append(StatementResult(
-            theorem_id=thm, statement_id=f"{thm}.{row.stmt}", truth=truth,
-            evaluation_route=CRITERION if witness is None else CONSTRUCTIVE,
-            witness=witness, note=row.note))
+    with m.memoised():
+        for row in rows:
+            truth, witness = _decide(m, row)
+            out.append(StatementResult(
+                theorem_id=thm, statement_id=f"{thm}.{row.stmt}", truth=truth,
+                evaluation_route=CRITERION if witness is None else CONSTRUCTIVE,
+                witness=witness, note=row.note))
     return out
 
 
@@ -729,7 +748,9 @@ def thm53_decompose(t: MatrixQ | EPInstance):
     j the column concatenation of a range basis and a kernel basis, and
     q1 = j (e ⊕ 0) j⁻¹ a self-adjoint idempotent equal to t·t†.
     """
-    return _instance(t).decomposition
+    m = _instance(t)
+    with m.memoised():
+        return m.decomposition
 
 
 def _decompose(m: EPInstance) -> Optional[tuple]:

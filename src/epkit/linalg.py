@@ -19,7 +19,15 @@ A product is one numpy integer matrix product of the stacked parts, the left
 operand's [re; im] against the right's (re, im); numpy never holds a float
 here.  Its dtype is int64 when the operands' bit lengths and the inner
 dimension prove that no entry, nor the difference of two, reaches 2**63, and
-object (Python ints, through numpy's loop) otherwise.
+object (Python ints, through numpy's loop) otherwise.  An identity or zero
+operand never reaches numpy: e x and x e return x's lists, and a zero or
+empty operand gives `MatrixQ.zeros`.  Inside a `product_memo` block (an
+EPInstance opens one over its own dict) any other operand pair is looked up
+by content and formed only on a miss.  Every product is a new MatrixQ, which
+may share the lists of an equal one: they are never mutated.  Each matrix
+computes its hash and its kernel facts (the complex flag, the bit length and
+the stacked numerator list) once, on first use, in slots that pickling and
+copying leave out.
 `rref` is fraction-free Gauss-Jordan elimination over the Gaussian integers
 (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination"): every division by the previous pivot is exact, and
@@ -30,6 +38,8 @@ constructor takes GaussianRational entries and `entry`, `row`, `col` and
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -61,7 +71,9 @@ class MatrixQ:
     docstring); entries read out as GaussianRational.
     """
 
-    __slots__ = ("rows", "cols", "_den", "_re", "_im")
+    # _hash and _facts cache the hash and `_kernel_facts`; None until first
+    # read, and never pickled or copied
+    __slots__ = ("rows", "cols", "_den", "_re", "_im", "_hash", "_facts")
 
     rows: int
     cols: int
@@ -195,24 +207,40 @@ class MatrixQ:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        a_complex, b_complex = any(self._im), any(other._im)
-        left = self._re + self._im if a_complex else self._re
-        right = other._re + other._im if b_complex else other._re
-        # every entry of p is below k 2**(bits(left) + bits(right)) in absolute
-        # value, so under this bound a difference of two is below 2**63
-        small = _bits(left) + _bits(right) + (2 * k).bit_length() <= 63
-        dtype = np.int64 if small else object
-        # p[j] = [ar; ai] @ (br, bi)[j], for the parts that are nonzero
-        p = (np.array(left, dtype).reshape((1 + a_complex) * n, k)
-             @ np.array(right, dtype).reshape(1 + b_complex, k, m))
-        if a_complex and b_complex:
-            re = (p[0, :n] - p[1, n:]).ravel().tolist()
-            im = (p[1, :n] + p[0, n:]).ravel().tolist()
-        else:  # p holds the real part, then the imaginary part if nonzero
-            flat = p.ravel().tolist()
-            re, im = flat[:n * m], flat[n * m:] or [0] * (n * m)
-        return _canonical(n, m, self._den * other._den, re, im)
+        _, a_bits, _, a_is_e = self._kernel_facts()
+        _, b_bits, _, b_is_e = other._kernel_facts()
+        if not a_bits or not b_bits:
+            return MatrixQ.zeros(self.rows, other.cols)
+        if a_is_e:
+            return _alias(other)
+        if b_is_e:
+            return _alias(self)
+        memo = _PRODUCTS.get()
+        if memo is None:
+            return _product(self, other)
+        key = (self, other)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = _product(self, other)
+            return out
+        return _alias(out)
+
+    def _kernel_facts(self) -> tuple:
+        """(complex, bits, stacked, identity), computed once: whether an
+        imaginary part is nonzero, the bit length of the largest numerator,
+        the numerators the product kernel reads (re, then im if complex),
+        and whether self is an identity."""
+        facts = self._facts
+        if facts is None:
+            cplx = any(self._im)
+            stacked = self._re + self._im if cplx else self._re
+            bits = _bits(stacked)
+            n, re = self.rows, self._re
+            identity = (bits == 1 and not cplx and self._den == 1 and n == self.cols
+                        and re[::n + 1].count(1) == n and re.count(0) == n * n - n)
+            facts = (cplx, bits, stacked, identity)
+            object.__setattr__(self, "_facts", facts)
+        return facts
 
     def _same_shape(self, other: "MatrixQ") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -267,7 +295,11 @@ class MatrixQ:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._den, tuple(self._re), tuple(self._im)))
+        h = self._hash
+        if h is None:
+            h = hash((self.rows, self.cols, self._den, tuple(self._re), tuple(self._im)))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         body = "; ".join(
@@ -276,13 +308,16 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
-def _fill(m: MatrixQ, rows: int, cols: int, den: int, re: list, im: list) -> None:
+def _fill(m: MatrixQ, rows: int, cols: int, den: int, re: list, im: list,
+          h: Optional[int] = None, facts: Optional[tuple] = None) -> None:
     setter = object.__setattr__
     setter(m, "rows", rows)
     setter(m, "cols", cols)
     setter(m, "_den", den)
     setter(m, "_re", re)
     setter(m, "_im", im)
+    setter(m, "_hash", h)
+    setter(m, "_facts", facts)
 
 
 def _new(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:
@@ -290,6 +325,49 @@ def _new(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:
     m = object.__new__(MatrixQ)
     _fill(m, rows, cols, den, re, im)
     return m
+
+
+def _alias(m: MatrixQ) -> MatrixQ:
+    """A new MatrixQ equal to m, sharing its lists and its caches."""
+    out = object.__new__(MatrixQ)
+    _fill(out, m.rows, m.cols, m._den, m._re, m._im, m._hash, m._facts)
+    return out
+
+
+def _product(a: MatrixQ, b: MatrixQ) -> MatrixQ:
+    """a @ b by one numpy integer product; the shapes compose."""
+    n, k, m = a.rows, a.cols, b.cols
+    a_complex, a_bits, left, _ = a._kernel_facts()
+    b_complex, b_bits, right, _ = b._kernel_facts()
+    # every entry of p is below k 2**(bits(left) + bits(right)) in absolute
+    # value, so under this bound a difference of two is below 2**63
+    dtype = np.int64 if a_bits + b_bits + (2 * k).bit_length() <= 63 else object
+    # p[j] = [ar; ai] @ (br, bi)[j], for the parts that are nonzero
+    p = (np.array(left, dtype).reshape((1 + a_complex) * n, k)
+         @ np.array(right, dtype).reshape(1 + b_complex, k, m))
+    if a_complex and b_complex:
+        re = (p[0, :n] - p[1, n:]).ravel().tolist()
+        im = (p[1, :n] + p[0, n:]).ravel().tolist()
+    else:  # p holds the real part, then the imaginary part if nonzero
+        flat = p.ravel().tolist()
+        re, im = flat[:n * m], flat[n * m:] or [0] * (n * m)
+    return _canonical(n, m, a._den * b._den, re, im)
+
+
+# the product memo of the enclosing `product_memo` block; None outside one
+_PRODUCTS: ContextVar[Optional[dict]] = ContextVar("epkit_products", default=None)
+
+
+@contextmanager
+def product_memo(memo: dict):
+    """Within the block, `@` reads and fills memo, keyed by operand content,
+    so a product of equal operands is formed once.  Blocks nest; on exit the
+    enclosing block's memo, or none, is active again."""
+    token = _PRODUCTS.set(memo)
+    try:
+        yield
+    finally:
+        _PRODUCTS.reset(token)
 
 
 def _canonical(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:

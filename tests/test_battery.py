@@ -27,6 +27,7 @@ from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
 
 from .test_characterizations import EXACT_BATTERIES
+from .test_linalg import _kernel_recording
 
 
 def test_child_seed_deterministic_and_dispersed():
@@ -504,6 +505,28 @@ def test_prop52_forms_each_product_once(monkeypatch):
             products.clear()
             battery.prop52_battery(t1, j, PNorm(p))
             assert len(products) == 16, (p, t1, j)
+
+
+def test_run_battery_forms_each_product_once(monkeypatch):
+    # within one request every product that reaches numpy has operands that
+    # no earlier one had, by content, and none is an identity or zero: those
+    # return at once, and an instance memoises the rest
+    formed = _kernel_recording(monkeypatch)
+    requests = [(tid, cfg) for tid in EXACT_BATTERIES for n in (4, 6) for s in (1, 2)
+                for cfg in battery_configs(tid, 4, n, s)]
+    total = 0
+    for tid, cfg in requests:
+        formed.clear()
+        run_battery(tid, [cfg])
+        assert len(set(formed)) == len(formed), (tid, cfg)
+        assert not any(x.is_zero() or y.is_zero() or _is_identity(x) or _is_identity(y)
+                       for x, y in formed), (tid, cfg)
+        total += len(formed)
+    assert total
+
+
+def _is_identity(x: MatrixQ) -> bool:
+    return x.is_square and x == MatrixQ.identity(x.rows)
 
 
 def test_thm53_forms_q1_with_one_product(monkeypatch):

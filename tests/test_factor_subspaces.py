@@ -6,7 +6,8 @@ itself and from entrywise conjugates.  The identities behind that hold for
 every square matrix, EP or not, at every rank.  Here each table quantity is
 compared with the direct route that reduces a, a+, p, q, a*, the Grams and
 the daggers themselves, so a `linalg` defect that broke one route would
-show as a mismatch.
+show as a mismatch.  The generic identities the tables rest on are also
+checked by themselves on rectangular matrices, empty ones included.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from epkit.linalg import (
     row_space,
     subspace_equal,
 )
+from epkit.pseudoinverse import pinv
 
 
 def _scalars(complex_entries: bool):
@@ -48,6 +50,22 @@ def square_matrices(draw):
     if draw(st.booleans()):
         return x @ block(r, r) @ conj_transpose(x)
     return x @ block(r, n)
+
+
+@st.composite
+def rect_matrices(draw, rows=None):
+    """An m x n matrix of rank at most r, for every r up to min(m, n), with
+    m and n from 0 to 4 (m fixed when rows is given), as x y with x of m x r
+    and y of r x n."""
+    m = draw(st.integers(0, 4)) if rows is None else rows
+    n = draw(st.integers(0, 4))
+    r = draw(st.integers(0, min(m, n)))
+    sc = _scalars(draw(st.booleans()))
+
+    def block(rows, cols):
+        return MatrixQ(rows, cols, [draw(sc) for _ in range(rows * cols)])
+
+    return block(m, r) @ block(r, n)
 
 
 def _direct(m: EPInstance) -> dict:
@@ -121,3 +139,44 @@ def test_factor_subspaces_equal_the_direct_eliminations(a):
         assert getattr(m, name) == truth, name
     # every kernel and range criterion is one EP-equivalent fact
     assert set(_direct_criteria(m).values()) == {m.is_ep}
+
+
+_RECT_EXAMPLES = [MatrixQ.zeros(0, 3), MatrixQ.zeros(3, 0), MatrixQ.zeros(0, 0),
+                  MatrixQ.zeros(2, 3), _m([[1, 2, 3]]), _m([[1], [I_UNIT]]),
+                  _m([[1, I_UNIT, 0], [2, "2i", 0]]), _m([[1, 0], [0, 1], [1, 1]])]
+
+
+def _with_examples(test):
+    for a in _RECT_EXAMPLES:
+        test = example(a)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(rect_matrices())
+@_with_examples
+def test_generic_gram_and_dagger_subspaces_on_rectangular_matrices(a):
+    # ker(a a*) = ker a*, ker(a* a) = ker a, range(a a*) = range a,
+    # range(a* a) = range a*, ker a+ = ker a* and range a+ = range a*: they
+    # hold for every m x n matrix, EP or not
+    a_star, ad = conj_transpose(a), pinv(a)
+    assert kernel(a @ a_star) == kernel(a_star)
+    assert kernel(a_star @ a) == kernel(a)
+    assert range_space(a @ a_star) == range_space(a)
+    assert range_space(a_star @ a) == range_space(a_star)
+    assert kernel(ad) == kernel(a_star)
+    assert range_space(ad) == range_space(a_star)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_right_kernels_agree_iff_ranges_agree(data):
+    # rker x = rker y iff range x = range y, for x and y with equal row
+    # counts; y is often x t, whose range lies in that of x
+    x = data.draw(rect_matrices())
+    if data.draw(st.booleans()):
+        y = x @ data.draw(rect_matrices(rows=x.cols))
+    else:
+        y = data.draw(rect_matrices(rows=x.rows))
+    same_range = subspace_equal(range_space(x), range_space(y))
+    assert subspace_equal(right_kernel(x), right_kernel(y)) == same_range

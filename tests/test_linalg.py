@@ -17,6 +17,7 @@ from epkit.linalg import (
     inverse,
     is_invertible,
     kernel,
+    product_memo,
     range_space,
     rank,
     right_kernel,
@@ -28,7 +29,14 @@ from epkit.linalg import (
 )
 from epkit.linalg import _divide
 
-from .oracles import assert_canonical, contains_subspace, contains_vector, kron, kron_left_mult
+from .oracles import (
+    assert_canonical,
+    contains_subspace,
+    contains_vector,
+    kron,
+    kron_left_mult,
+    oracle_matmul,
+)
 from .test_linalg_oracle import UNIT_PIVOTS, to_mq
 
 
@@ -96,15 +104,97 @@ def test_immutability():
 
 
 def test_pickle_and_copy_round_trip():
+    # the cached hash and product-kernel facts are filled on the original and
+    # left out of every copy, which rebuilds them on demand
     rng = random.Random(10)
     cases = [MatrixQ.zeros(0, 3), MatrixQ.zeros(3, 0), MatrixQ.zeros(0, 0),
              MatrixQ.zeros(2, 2), MatrixQ.identity(3), rand_mq(rng, 3, 4),
              MatrixQ.from_rows([[f"{2 ** 250}/7", "1/3-2i"]])]
     for m in cases:
+        fresh = MatrixQ(m.rows, m.cols, [x for r in m.to_rows() for x in r])
+        m._kernel_facts(), hash(m)
+        assert m._hash is not None and m._facts is not None
         for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
-            assert back == m and hash(back) == hash(m)
+            assert back._hash is None and back._facts is None
+            assert back == fresh and hash(back) == hash(fresh) == hash(m)
             assert (back.rows, back.cols) == (m.rows, m.cols)
             assert back.to_rows() == m.to_rows()
+            for name in ("rows", "_re", "_hash", "_facts"):
+                with pytest.raises(AttributeError):
+                    setattr(back, name, None)
+
+
+# -- products: trivial operands and the product memo ---------------------------
+
+
+def _kernel_recording(monkeypatch) -> list:
+    """Record the operand pairs of every product that reaches numpy."""
+    import epkit.linalg as linalg
+
+    formed = []
+    orig = linalg._product
+    monkeypatch.setattr(linalg, "_product", lambda x, y: formed.append((x, y)) or orig(x, y))
+    return formed
+
+
+def _fields(m: MatrixQ) -> tuple:
+    return m.rows, m.cols, m._den, m._re, m._im
+
+
+def test_identity_and_zero_operands_reach_no_kernel(monkeypatch):
+    # e x = x e = x and 0 x = x 0 = 0, entry for entry as the oracle forms
+    # them, on every side, real and complex, rectangular and empty
+    rng = random.Random(12)
+    formed = _kernel_recording(monkeypatch)
+    shapes = [(2, 3), (3, 2), (1, 4), (0, 3), (3, 0), (0, 0), (2, 2)]
+    for n, k in shapes:
+        for x in (rand_mq(rng, n, k), rand_mq(rng, n, k, complex_entries=False),
+                  MatrixQ.zeros(n, k)):
+            for m in (0, 1, 3):
+                pairs = [(MatrixQ.identity(n), x), (x, MatrixQ.identity(k)),
+                         (MatrixQ.zeros(m, n), x), (x, MatrixQ.zeros(k, m))]
+                for left, right in pairs:
+                    got = left @ right
+                    want = oracle_matmul(left.to_rows(), right.to_rows(), right.cols)
+                    assert _fields(got) == _fields(
+                        MatrixQ(left.rows, right.cols, [z for r in want for z in r]))
+                    assert got is not left and got is not right
+                    assert got is not left @ right
+    assert formed == []
+    # an identity operand keeps the shape check
+    for left, right in ((MatrixQ.identity(3), rand_mq(rng, 2, 2)),
+                        (rand_mq(rng, 2, 2), MatrixQ.identity(3)),
+                        (MatrixQ.identity(0), MatrixQ.zeros(1, 1))):
+        with pytest.raises(ShapeError):
+            left @ right
+    # a unit diagonal with a -1, or a scaled identity, is no identity
+    for e in (MatrixQ.diagonal([1, -1]), MatrixQ.diagonal([2, 2]),
+              MatrixQ.from_rows([[1, 1], [0, 1]]), MatrixQ.diagonal(["1i", "1i"])):
+        y = rand_mq(rng, 2, 2)
+        assert e @ y == to_mq(oracle_matmul(e.to_rows(), y.to_rows(), 2), 2)
+    assert len(formed) == 4
+
+
+def test_product_memo_forms_each_product_once(monkeypatch):
+    # inside a product_memo block a product of content-equal operands is
+    # formed once and every call returns a new object; outside, and inside
+    # another memo, it is formed again
+    rng = random.Random(13)
+    formed = _kernel_recording(monkeypatch)
+    x, y = rand_mq(rng, 3, 2), rand_mq(rng, 2, 4)
+    x2, y2 = MatrixQ(3, 2, [z for r in x.to_rows() for z in r]), transpose(transpose(y))
+    memo = {}
+    with product_memo(memo):
+        results = [x @ y, x2 @ y2, x @ y2]
+    assert formed == [(x, y)] and len(memo) == 1
+    assert len({id(r) for r in results}) == 3 and all(r == results[0] for r in results)
+    with product_memo({}):
+        x @ y
+        with product_memo(memo):
+            x2 @ y
+        x @ y
+    x @ y
+    assert len(formed) == 3
 
 
 # -- canonical form -------------------------------------------------------------

@@ -32,6 +32,7 @@ from epkit.linalg import InternalConsistencyError, MatrixQ
 from epkit.pnorms import PNorm
 
 from .test_characterizations import EXACT_BATTERIES
+from .test_linalg import _kernel_recording
 
 NILPOTENT = MatrixQ.from_rows([[0, 1], [0, 0]])
 DIAG20 = MatrixQ.diagonal([2, 0])
@@ -86,16 +87,35 @@ def _isolation_inputs():
     return [gen_matrix(cfg) for cfg in battery_configs("3.7", 8, 3, 31)] + [NILPOTENT, DIAG20, SHEAR]
 
 
-def test_memo_isolation_instance_batteries():
+def test_memo_isolation_instance_batteries(monkeypatch):
     # all ten batteries share one warm instance, in either order: what one
     # battery leaves in the memo never changes another's answers
+    formed = _kernel_recording(monkeypatch)
     for a in _isolation_inputs():
         fresh = {tid: fn(EPInstance.from_matrix(a)) for tid, fn in EXACT_BATTERIES.items()}
+        formed.clear()
         first = EPInstance.from_matrix(a)
         forward = {tid: fn(first) for tid, fn in EXACT_BATTERIES.items()}
+        by_first = list(formed)
         second = EPInstance.from_matrix(a)
         backward = {tid: EXACT_BATTERIES[tid](second) for tid in reversed(EXACT_BATTERIES)}
         assert forward == fresh and backward == fresh
+        # each instance forms its own products, each once, whatever another
+        # instance of the same matrix already formed
+        formed.clear()
+        third = EPInstance.from_matrix(a)
+        assert {tid: fn(third) for tid, fn in EXACT_BATTERIES.items()} == fresh
+        assert formed == by_first and len(set(formed)) == len(formed)
+        # outside any instance, and inside another instance's memo, a product
+        # the instances memoised is formed again; inside its own it is not
+        for x, y in by_first[:3]:
+            formed.clear()
+            x @ y
+            with EPInstance(a=a).memoised():
+                x @ y
+            with first.memoised():
+                x @ y
+            assert formed == [(x, y), (x, y)]
         # a cold and a warm instance, and the matrix itself, survive pickling
         # with the same answers
         for held in (EPInstance.from_matrix(a), first, second, a):
