@@ -51,10 +51,11 @@ square matrix is two-sided) after an EP-equivalent criterion held, so a
 failed product is a defect in a+ or the factors, not a singular input.  The
 tables eliminate only for the factorization, the Gram inverses of
 `factor_daggers` and three factor subspaces, ker c, range b and ker b*.
-Every kernel, range, right kernel and row space they read equals one of
-these, its entrywise conjugate, range c* or row c for every matrix, and the
-bases of the last two are c* and c^T themselves (c is an RREF); a full-rank
-instance reduces none of them.  Every row still
+Every kernel, range, right-kernel and row-space statement is one of two
+facts about them, `ker_ok` (ker b* = ker c) or `rng_ok` (range b = range c*,
+whose basis is c* itself, as c is an RREF), by identities that hold for
+every matrix, written beside those two entries.  A full-rank instance
+reduces none of them.  Every row still
 `_require`s its witness identities, under its own battery's message, before
 it reports the witness; one that fails to re-verify raises
 InternalConsistencyError: a bug, not a result.
@@ -92,7 +93,6 @@ from .linalg import (
     product_memo,
     range_space,
     subspace_equal,
-    transpose,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
 from .pseudoinverse import factor_daggers, lemma38_witnesses
@@ -145,28 +145,22 @@ _QUANTITIES = {
     "penrose2": lambda m: m.ad_a @ m.a_dagger == m.a_dagger,
     "p_idempotent": lambda m: m.p @ m.p == m.p,
     "q_idempotent": lambda m: m.q @ m.q == m.q,
-    # every subspace the tables read, from three eliminations of the factors:
-    # b has full column rank and c full row rank, so ker a = ker c and
-    # range a = range b, and b+ = (b* b)^-1 b*, c+ = c* (c c*)^-1 give
-    # ker b+ = ker b* and range c+ = range c*.  At full rank c = e and b = a,
-    # and no subspace needs an elimination
+    # every subspace the tables read, from three eliminations of the factors.
+    # b has full column rank, c full row rank, b+ = (b* b)^-1 b* and
+    # c+ = c* (c c*)^-1, so for every matrix, EP or not,
+    #   ker a = ker q = ker a* a = ker c,  ker a+ = ker a* = ker p = ker a a* = ker b*,
+    #   range a = range p = range a a* = range b,
+    #   range a+ = range a* = range q = range a* a = range c*,
+    # and rker x = conj ker x*, row x = conj range x*: every kernel and
+    # right-kernel criterion is ker_ok, every range and row-space one rng_ok.
+    # At full rank c = e and b = a, and no subspace needs an elimination
     "full_rank": lambda m: m.rank == m.a.rows,
     "ker_c": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.c),
     "ker_bs": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.b_star),
     "rng_b": lambda m: Subspace(m.a.rows, m.e_n) if m.full_rank else range_space(m.b),
     "rng_cs": lambda m: Subspace(m.a.rows, m.c_star),   # canonical: conj c is an RREF
-    "row_c": lambda m: Subspace(m.a.rows, transpose(m.c)),  # c is an RREF
-    "rker_b": lambda m: _conj(m.ker_bs),                # rker b = conj ker b*
-    "rker_cs": lambda m: _conj(m.ker_c),                # rker c* = conj ker c
-    "row_bs": lambda m: _conj(m.rng_b),                 # row b* = conj range b
-    "ker_ok": lambda m: subspace_equal(m.ker_bs, m.ker_c),      # ker b+ = ker b*
-    "rng_ok": lambda m: subspace_equal(m.rng_b, m.rng_cs),      # range c+ = range c*
-    "rker_ok": lambda m: subspace_equal(m.rker_b, m.rker_cs),   # rker c+ = rker c*
-    "row_ok": lambda m: subspace_equal(m.row_c, m.row_bs),      # row b+ = row b*
-    "adj_ker_ok": lambda m: m.ker_ok,       # ker b* = ker b+
-    "adj_rng_ok": lambda m: m.rng_ok,       # range c* = range c+
-    "adj_rker_ok": lambda m: m.rker_ok,     # rker c* = rker c+
-    "adj_row_ok": lambda m: m.row_ok,       # row b* = row b+
+    "ker_ok": lambda m: subspace_equal(m.ker_bs, m.ker_c),
+    "rng_ok": lambda m: subspace_equal(m.rng_b, m.rng_cs),
     # 3.4: the vanishing products
     "g2": lambda m: m.c @ m.p_perp,                              # c (e - bb+)
     "g3": lambda m: m.b_dagger @ m.q_perp,                       # b+ (e - c+c)
@@ -203,22 +197,6 @@ _QUANTITIES = {
     "chain_iii2": lambda m: m.bb == m.bc @ m.p @ m.cs_bs,                  # bc bb+ c*b*
     "chain_v1": lambda m: m.bb == m.a_dagger @ m.bc @ m.bc @ m.cs_bs,      # c+b+ bc bc c*b*
     "chain_vi1": lambda m: m.aa == m.bc @ m.a_dagger @ m.cs_bs @ m.bc,     # bc c+b+ c*b* bc
-    # kernels and ranges of a against a+, a*, and of p against q, aa* against
-    # a*a, read from the factor subspaces: a+ = c+ b+ with c+ of full column
-    # rank and b+ of full row rank, a* = c* b*, p = b b+, q = c+ c, and a
-    # Gram has the kernel and range of its outer factor
-    "ker_a": lambda m: m.ker_c,
-    "rng_a": lambda m: m.rng_b,
-    "ker_dagger": lambda m: m.ker_ok,     # ker a = ker c, ker a+ = ker b+
-    "rng_dagger": lambda m: m.rng_ok,     # range a = range b, range a+ = range c+
-    "rker_dagger": lambda m: m.rker_ok,   # rker a = rker b, rker a+ = rker c+
-    "row_dagger": lambda m: m.row_ok,     # row a = row c, row a+ = row b+
-    "ker_adjoint": lambda m: m.ker_ok,    # ker a* = ker b*
-    "rng_adjoint": lambda m: m.rng_ok,    # range a* = range c*
-    "ker_pq": lambda m: m.ker_ok,         # ker p = ker b+, ker q = ker c
-    "rng_pq": lambda m: m.rng_ok,         # range p = range b, range q = range c+
-    "ker_grams": lambda m: m.ker_ok,      # ker a a* = ker a*, ker a* a = ker a
-    "rng_grams": lambda m: m.rng_ok,      # range a a* = range a, range a* a = range a*
     # 4.1: invertible multiples of a giving a+, inverted on EP input (a a+ = a+ a)
     "ad2": lambda m: m.a_dagger @ m.a_dagger,
     "a2": lambda m: m.a @ m.a,
@@ -267,12 +245,12 @@ _QUANTITIES = {
     # 5.3, 5.5: t = j (t1 + 0) j^-1 with j = [B K] over the canonical range and
     # kernel bases, whose pivot rows S, S' give S B = e, S' K = e.  On EP input
     # j^-1 = [S p; S' (e - p)], and t1 = S a B has inverse S a+ B
-    "rng_basis": lambda m: m.rng_a.basis,
+    "rng_basis": lambda m: m.rng_b.basis,
     "a_rng": lambda m: m.a @ m.rng_basis,
     "rng_pivots": lambda m: _pivot_rows(m.rng_basis),
-    "ker_pivots": lambda m: _pivot_rows(m.ker_a.basis),
+    "ker_pivots": lambda m: _pivot_rows(m.ker_c.basis),
     "rng_pivots_inv": lambda m: m.rng_pivots @ m.rng_basis == m.e_r,
-    "j": lambda m: m.rng_basis.hstack(m.ker_a.basis),
+    "j": lambda m: m.rng_basis.hstack(m.ker_c.basis),
     "j_inv1": lambda m: m.rng_pivots @ m.p,                      # j^-1's top rank rows
     "j_inv": lambda m: m.j_inv1.vstack(m.ker_pivots @ m.p_perp),
     "j_invertible": lambda m: m.j @ m.j_inv == m.e_n,
@@ -294,12 +272,6 @@ _QUANTITIES = {
 
 def _trivial(n: int) -> Subspace:
     return Subspace(n, MatrixQ.zeros(n, 0))
-
-
-def _conj(s: Subspace) -> Subspace:
-    """The entrywise conjugate subspace.  Conjugation keeps every leading 1
-    and every 0, so the conjugated basis is still canonical."""
-    return Subspace(s.ambient_dim, transpose(conj_transpose(s.basis)))
 
 
 def _pivot_rows(basis: MatrixQ) -> MatrixQ:
@@ -589,8 +561,8 @@ _T37 = (
     _criterion("ii", "p_eq_q"),
     _criterion("iii", "ker_ok"),
     _criterion("iv", "rng_ok"),
-    _criterion("v", "rker_ok"),
-    _criterion("vi", "row_ok"),
+    _criterion("v", "ker_ok"),
+    _criterion("vi", "rng_ok"),
     *(_criterion(sid, crit) for sid, crit in
       zip(("vii", "viii", "ix", "x", "xi", "xii"), _VANISHING)),
     _exists("xiii", "ker_ok", _U_KER_37, x="u"),
@@ -627,18 +599,18 @@ _T39 = (
     _criterion("i", "is_ep"),
     _solvable("ii", right_multiplier=("c_star", "a", "right"),
               left_multiplier=("b_star", "a", "left")),
-    _criterion("iii", "adj_ker_ok"),
-    _criterion("iv", "adj_rng_ok"),
-    _criterion("v", "adj_rker_ok"),
-    _criterion("vi", "adj_row_ok"),
-    _exists("vii", "adj_rng_ok", _Z_39, note=_COSET, z="z_adj"),
-    _exists("viii", "adj_ker_ok", _X_39, note=_COSET, x="x_adj"),
-    _exists("ix", "adj_ker_ok", _X_39, x="x_adj"),
-    _exists("x", "adj_ker_ok", _X_39, y="x_adj"),
+    _criterion("iii", "ker_ok"),
+    _criterion("iv", "rng_ok"),
+    _criterion("v", "ker_ok"),
+    _criterion("vi", "rng_ok"),
+    _exists("vii", "rng_ok", _Z_39, note=_COSET, z="z_adj"),
+    _exists("viii", "ker_ok", _X_39, note=_COSET, x="x_adj"),
+    _exists("ix", "ker_ok", _X_39, x="x_adj"),
+    _exists("x", "ker_ok", _X_39, y="x_adj"),
     _solvable("xi", z1=("b_star", "c", "left"), z2=("c", "b_star", "left")),
-    _exists("xii", "adj_rng_ok", _Z_39, v="z_adj"),
-    _exists("xiii", "adj_ker_ok", _Z_39 + (("bs_is_s1_c", "3.9 b* = s1 c"),), s1="s1_adj"),
-    _exists("xiv", "adj_rng_ok", _Z_39 + (("cs_is_b_s2", "3.9 c* = b s2"),), s2="s2_adj"),
+    _exists("xii", "rng_ok", _Z_39, v="z_adj"),
+    _exists("xiii", "ker_ok", _Z_39 + (("bs_is_s1_c", "3.9 b* = s1 c"),), s1="s1_adj"),
+    _exists("xiv", "rng_ok", _Z_39 + (("cs_is_b_s2", "3.9 c* = b s2"),), s2="s2_adj"),
 )
 
 
@@ -680,17 +652,17 @@ _E_RIGHT_41 = (("q_is_p_e", "4.1 a+a = aa+ w with w = e"),)
 
 _T41 = (
     _criterion("i", "p_eq_q"),
-    _exists("ii", "ker_dagger", _S_41, s="s_dag"),
+    _exists("ii", "ker_ok", _S_41, s="s_dag"),
     _solvable("iii", s1=("a", "a_dagger", "left"), s2=("a_dagger", "a", "left")),
-    _exists("iv", "rng_dagger", _U_41, u="u_dag"),
+    _exists("iv", "rng_ok", _U_41, u="u_dag"),
     _solvable("v", u1=("a", "a_dagger", "right"), u2=("a_dagger", "a", "right")),
-    _exists("vi", "rng_dagger", _U_41, t="u_dag"),
-    _exists("vii", "ker_dagger", _S_41, x="s_dag"),
-    _exists("viii", "ker_pq", _E_LEFT_41, v="e_n"),
-    _exists("ix", "ker_pq", _E_LEFT_41, v1="e_n"),
+    _exists("vi", "rng_ok", _U_41, t="u_dag"),
+    _exists("vii", "ker_ok", _S_41, x="s_dag"),
+    _exists("viii", "ker_ok", _E_LEFT_41, v="e_n"),
+    _exists("ix", "ker_ok", _E_LEFT_41, v1="e_n"),
     _solvable("x", v2=("p", "q", "left"), v3=("q", "p", "left")),
-    _exists("xi", "rng_pq", _E_RIGHT_41, w="e_n"),
-    _exists("xii", "rng_pq", _E_RIGHT_41, w1="e_n"),
+    _exists("xi", "rng_ok", _E_RIGHT_41, w="e_n"),
+    _exists("xii", "rng_ok", _E_RIGHT_41, w1="e_n"),
     _solvable("xiii", w2=("p", "q", "right"), w3=("q", "p", "right")),
     _exists("xiv", "pq_two_sided", (("a_z1_ad_is_q", "4.1 a+a = a z1 a+"),
                                     ("ad_z2_a_is_p", "4.1 aa+ = a+ z2 a")),
@@ -713,24 +685,24 @@ _H_42 = (("h_invertible", "4.2 h invertible"), ("a_h_is_as", "4.2 a* = a h"),
 
 _T42 = (
     _criterion("i", "p_eq_q"),
-    _exists("ii", "ker_adjoint", _S_42, s="s_adj"),
+    _exists("ii", "ker_ok", _S_42, s="s_adj"),
     _solvable("iii", s1=("a", "a_star", "left"), s2=("a_star", "a", "left")),
-    _exists("iv", "rng_adjoint", _U_42, u="u_adj"),
+    _exists("iv", "rng_ok", _U_42, u="u_adj"),
     _solvable("v", u1=("a", "a_star", "right"), u2=("a_star", "a", "right")),
-    _exists("vi", "rng_adjoint", _U_42, t="u_adj"),
-    _exists("vii", "ker_adjoint", _S_42, x="s_adj"),
-    _exists("viii", "ker_grams", _V_42, v="vhat"),
-    _exists("ix", "ker_grams", _V_42, v1="vhat"),
+    _exists("vi", "rng_ok", _U_42, t="u_adj"),
+    _exists("vii", "ker_ok", _S_42, x="s_adj"),
+    _exists("viii", "ker_ok", _V_42, v="vhat"),
+    _exists("ix", "ker_ok", _V_42, v1="vhat"),
     _solvable("x", v2=("bb", "aa", "left"), v3=("aa", "bb", "left")),
-    _exists("xi", "rng_grams", _W_42, w="what"),
-    _exists("xii", "rng_grams", _W_42, w1="what"),
+    _exists("xi", "rng_ok", _W_42, w="what"),
+    _exists("xii", "rng_ok", _W_42, w1="what"),
     _solvable("xiii", w2=("bb", "aa", "right"), w3=("aa", "bb", "right")),
     _exists("xiv", "grams_two_sided", (("a_z1_as_is_aa", "4.2 a*a = a z1 a*"),
                                        ("as_z2_a_is_bb", "4.2 aa* = a* z2 a")),
             z1="z1_adj", z2="z2_adj"),
-    _exists("xv", ("ker_adjoint", "rng_adjoint"), _H_42, h1="h"),
-    _exists("xvi", "ker_adjoint", _H_42, h2="h"),
-    _exists("xvii", "rng_adjoint", _H_42, h3="h"),
+    _exists("xv", ("ker_ok", "rng_ok"), _H_42, h1="h"),
+    _exists("xvi", "ker_ok", _H_42, h2="h"),
+    _exists("xvii", "rng_ok", _H_42, h3="h"),
 )
 
 
@@ -773,13 +745,13 @@ _DECOMPOSED_55 = (("decomposable", "5.5 kernel/range criterion implies decomposa
                   ("t_is_block", "5.5 t = V (A + 0) S"))
 
 _T55 = (
-    _exists("ii", "ker_dagger",
+    _exists("ii", "ker_ok",
             _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = W (B + 0) S"),
                               ("injective_sides", "5.5 injectivity side conditions")),
             note="both clauses verified with one decomposition",
             V1="j", A1="t1", S1="j_inv", W1="j", B1="t1_inv",
             V2="j", A2="t1", S2="j_inv", W2="j", B2="t1_inv"),
-    _exists("iii", "rng_dagger",
+    _exists("iii", "rng_ok",
             _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = V (B + 0) S'"),
                               ("injective_sides", "5.5 surjectivity side conditions")),
             note="first-clause block operator reported under its clause-local key A3",
@@ -796,24 +768,19 @@ def thm55_battery(t: MatrixQ | EPInstance) -> list:
 
 _FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
 
+# the kernel, range, right-annihilator and row-space conditions on the middle
+# factors are the rows' criteria, read once: iv's is ker_ok and v's rng_ok
 _T56 = (
-    _exists("ii", "ker_dagger",
-            (_FRAMED_56, ("ker_dagger", "5.6 kernel condition on the middle factors"),
-             ("e_invertible", "5.6 outer factors injective")),
+    _exists("ii", "ker_ok", (_FRAMED_56, ("e_invertible", "5.6 outer factors injective")),
             b1="e_n", c1="a", g1="e_n", f1="e_n", d1="a_dagger"),
-    _exists("iii", "rng_dagger",
-            (_FRAMED_56, ("rng_dagger", "5.6 range condition on the middle factors"),
-             ("e_invertible", "5.6 outer factors surjective")),
+    _exists("iii", "rng_ok", (_FRAMED_56, ("e_invertible", "5.6 outer factors surjective")),
             h1="e_n", k1="a", l1="e_n", m1="a_dagger", n1="e_n"),
-    _exists("iv", "rker_dagger",
-            (_FRAMED_56,
-             ("rker_dagger", "5.6 right-annihilator condition on the middle factors"),
-             ("e_invertible", "5.6 outer factors right-injective")),
+    _exists("iv", "ker_ok",
+            (_FRAMED_56, ("e_invertible", "5.6 outer factors right-injective")),
             note="kernel condition read clause-locally (c2 against d2)",
             b2="e_n", c2="a", g2="e_n", d2="a_dagger", g3="e_n"),
-    _exists("v", "row_dagger",
-            (_FRAMED_56, ("row_dagger", "5.6 row-space condition on the middle factors"),
-             ("e_invertible", "5.6 outer factors left-surjective")),
+    _exists("v", "rng_ok",
+            (_FRAMED_56, ("e_invertible", "5.6 outer factors left-surjective")),
             h2="e_n", k2="a", l2="e_n", h3="e_n", m2="a_dagger"),
 )
 

@@ -130,15 +130,16 @@ class MatrixQ:
     # -- access ------------------------------------------------------------
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        k = i * self.cols + j
+        k = _index(i, self.rows) * self.cols + _index(j, self.cols)
         return _scalar(self._re[k], self._im[k], self._den)
 
     def row(self, i: int) -> tuple:
         c = self.cols
+        i = _index(i, self.rows)
         return self._scalars(range(i * c, (i + 1) * c))
 
     def col(self, j: int) -> tuple:
-        return self._scalars(range(j, self.rows * self.cols, self.cols)) if self.cols else ()
+        return self._scalars(range(_index(j, self.cols), self.rows * self.cols, self.cols))
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -252,15 +253,21 @@ class MatrixQ:
 
     def select_columns(self, indices: Sequence[int]) -> "MatrixQ":
         idx = list(indices)
+        if idx and (min(idx) < 0 or max(idx) >= self.cols):
+            raise IndexError(f"column indices {idx} out of range for {self.cols} columns")
         ks = [i * self.cols + j for i in range(self.rows) for j in idx]
         return _canonical(self.rows, len(idx), self._den,
                           [self._re[k] for k in ks], [self._im[k] for k in ks])
 
     def take_rows(self, start: int, stop: Optional[int] = None) -> "MatrixQ":
-        """The rows range(start), or range(start, stop) when stop is given."""
-        rows = range(start) if stop is None else range(start, stop)
-        s = slice(rows.start * self.cols, rows.stop * self.cols)
-        return _canonical(len(rows), self.cols, self._den, self._re[s], self._im[s])
+        """The rows range(start), or range(start, stop) when stop is given;
+        IndexError unless 0 <= start <= stop <= rows."""
+        if stop is None:
+            start, stop = 0, start
+        if not 0 <= start <= stop <= self.rows:
+            raise IndexError(f"rows {start}:{stop} out of range for {self.rows} rows")
+        s = slice(start * self.cols, stop * self.cols)
+        return _canonical(stop - start, self.cols, self._den, self._re[s], self._im[s])
 
     def hstack(self, other: "MatrixQ") -> "MatrixQ":
         if self.rows != other.rows:
@@ -379,6 +386,13 @@ def _canonical(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:
             re = [x // g for x in re]
             im = [x // g for x in im]
     return _new(rows, cols, den, re, im)
+
+
+def _index(i: int, n: int) -> int:
+    """i when 0 <= i < n; IndexError otherwise, negative i included."""
+    if not 0 <= i < n:
+        raise IndexError(f"index {i} out of range for size {n}")
+    return i
 
 
 def _scalar(re: int, im: int, den: int) -> GaussianRational:

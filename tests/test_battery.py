@@ -558,7 +558,7 @@ def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
         decided.clear()
         t1 = thm53_decompose(a)[0]
         m = built[-1]
-        basis = m.rng_a.basis
+        basis = m.rng_b.basis
         assert m.rng_pivots @ basis == MatrixQ.identity(basis.cols)
         assert decided == [(basis, a @ basis, "right")]
         assert basis @ t1 == a @ basis

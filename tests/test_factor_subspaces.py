@@ -1,13 +1,16 @@
 """The factor subspaces of `EPInstance` against direct eliminations.
 
-The statement tables read every kernel, range, right kernel and row space
-from three eliminations of the factors (ker c, range b, ker b*), from c
-itself and from entrywise conjugates.  The identities behind that hold for
-every square matrix, EP or not, at every rank.  Here each table quantity is
+The statement tables read every kernel, range, right-kernel and row-space
+criterion as one of two facts, `ker_ok` (ker b* = ker c) and `rng_ok`
+(range b = range c*), from three eliminations of the factors (ker c,
+range b, ker b*) and from c itself.  The identities behind that hold for
+every square matrix, EP or not, at every rank.  Here each table subspace is
 compared with the direct route that reduces a, a+, p, q, a*, the Grams and
-the daggers themselves, so a `linalg` defect that broke one route would
-show as a mismatch.  The generic identities the tables rest on are also
-checked by themselves on rectangular matrices, empty ones included.
+the daggers themselves, and each kernel, range, right-kernel and row-space
+criterion of the rows, decided by such direct eliminations, with the fact
+its row reads.  So a `linalg` defect that broke one route would show as a
+mismatch.  The generic identities the tables rest on are also checked by
+themselves on rectangular matrices, empty ones included.
 """
 
 from fractions import Fraction
@@ -15,6 +18,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epkit import characterizations as chz
 from epkit.characterizations import EPInstance
 from epkit.exactnum import I_UNIT, GaussianRational
 from epkit.linalg import (
@@ -80,37 +84,34 @@ def _direct(m: EPInstance) -> dict:
         "rng_cs": (m.rng_cs, [range_space(m.c_star), range_space(m.c_dagger),
                               range_space(ad), range_space(a_star), range_space(m.q),
                               range_space(m.aa)]),
-        "row_c": (m.row_c, [row_space(m.c), row_space(a)]),
-        "rker_b": (m.rker_b, [right_kernel(m.b), right_kernel(a)]),
-        "rker_cs": (m.rker_cs, [right_kernel(m.c_star), right_kernel(m.c_dagger),
-                                right_kernel(ad)]),
-        "row_bs": (m.row_bs, [row_space(m.b_star), row_space(m.b_dagger), row_space(ad)]),
     }
 
 
 def _direct_criteria(m: EPInstance) -> dict:
-    """Each kernel and range criterion as the direct eliminations decide it."""
+    """(battery, statement) -> (the fact its row reads, the row's kernel,
+    range, right-kernel or row-space criterion as direct eliminations
+    decide it)."""
     a, ad, a_star = m.a, m.a_dagger, m.a_star
     ker_c, rng_b, rker_b, row_c = kernel(m.c), range_space(m.b), right_kernel(m.b), row_space(m.c)
     return {
-        "ker_ok": subspace_equal(kernel(m.b_dagger), ker_c),
-        "rng_ok": subspace_equal(rng_b, range_space(m.c_dagger)),
-        "rker_ok": subspace_equal(rker_b, right_kernel(m.c_dagger)),
-        "row_ok": subspace_equal(row_c, row_space(m.b_dagger)),
-        "adj_ker_ok": subspace_equal(kernel(m.b_star), ker_c),
-        "adj_rng_ok": subspace_equal(rng_b, range_space(m.c_star)),
-        "adj_rker_ok": subspace_equal(rker_b, right_kernel(m.c_star)),
-        "adj_row_ok": subspace_equal(row_c, row_space(m.b_star)),
-        "ker_dagger": subspace_equal(kernel(a), kernel(ad)),
-        "rng_dagger": subspace_equal(range_space(a), range_space(ad)),
-        "rker_dagger": subspace_equal(right_kernel(a), right_kernel(ad)),
-        "row_dagger": subspace_equal(row_space(a), row_space(ad)),
-        "ker_adjoint": subspace_equal(kernel(a), kernel(a_star)),
-        "rng_adjoint": subspace_equal(range_space(a), range_space(a_star)),
-        "ker_pq": subspace_equal(kernel(m.p), kernel(m.q)),
-        "rng_pq": subspace_equal(range_space(m.p), range_space(m.q)),
-        "ker_grams": subspace_equal(kernel(m.bb), kernel(m.aa)),
-        "rng_grams": subspace_equal(range_space(m.bb), range_space(m.aa)),
+        ("3.2", "iii"): ("ker_ok", subspace_equal(kernel(m.b_dagger), ker_c)),
+        ("3.2", "iv"): ("rng_ok", subspace_equal(rng_b, range_space(m.c_dagger))),
+        ("3.7", "v"): ("ker_ok", subspace_equal(rker_b, right_kernel(m.c_dagger))),
+        ("3.7", "vi"): ("rng_ok", subspace_equal(row_c, row_space(m.b_dagger))),
+        ("3.9", "iii"): ("ker_ok", subspace_equal(kernel(m.b_star), ker_c)),
+        ("3.9", "iv"): ("rng_ok", subspace_equal(rng_b, range_space(m.c_star))),
+        ("3.9", "v"): ("ker_ok", subspace_equal(rker_b, right_kernel(m.c_star))),
+        ("3.9", "vi"): ("rng_ok", subspace_equal(row_c, row_space(m.b_star))),
+        ("4.1", "ii"): ("ker_ok", subspace_equal(kernel(a), kernel(ad))),
+        ("4.1", "iv"): ("rng_ok", subspace_equal(range_space(a), range_space(ad))),
+        ("5.6", "iv"): ("ker_ok", subspace_equal(right_kernel(a), right_kernel(ad))),
+        ("5.6", "v"): ("rng_ok", subspace_equal(row_space(a), row_space(ad))),
+        ("4.2", "ii"): ("ker_ok", subspace_equal(kernel(a), kernel(a_star))),
+        ("4.2", "iv"): ("rng_ok", subspace_equal(range_space(a), range_space(a_star))),
+        ("4.1", "viii"): ("ker_ok", subspace_equal(kernel(m.p), kernel(m.q))),
+        ("4.1", "xi"): ("rng_ok", subspace_equal(range_space(m.p), range_space(m.q))),
+        ("4.2", "viii"): ("ker_ok", subspace_equal(kernel(m.bb), kernel(m.aa))),
+        ("4.2", "xi"): ("rng_ok", subspace_equal(range_space(m.bb), range_space(m.aa))),
     }
 
 
@@ -135,10 +136,13 @@ def test_factor_subspaces_equal_the_direct_eliminations(a):
     m = EPInstance.from_matrix(a)
     for name, (table, direct) in _direct(m).items():
         assert all(table == d for d in direct), name
-    for name, truth in _direct_criteria(m).items():
-        assert getattr(m, name) == truth, name
+    criteria = _direct_criteria(m)
+    for (tid, stmt), (fact, truth) in criteria.items():
+        rows = getattr(chz, "_T" + tid.replace(".", ""))
+        row, = (row for row in rows if row.stmt == stmt)
+        assert row.crit == (fact,) and getattr(m, fact) == truth, (tid, stmt)
     # every kernel and range criterion is one EP-equivalent fact
-    assert set(_direct_criteria(m).values()) == {m.is_ep}
+    assert {truth for _, truth in criteria.values()} == {m.is_ep}
 
 
 _RECT_EXAMPLES = [MatrixQ.zeros(0, 3), MatrixQ.zeros(3, 0), MatrixQ.zeros(0, 0),

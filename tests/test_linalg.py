@@ -78,6 +78,25 @@ def test_shape_errors():
         MatrixQ.from_rows([[1]]).vstack(MatrixQ.from_rows([[1, 2]]))
 
 
+@pytest.mark.parametrize("read", [
+    "a.entry(0, 5)", "a.entry(0, -1)", "a.entry(3, 0)", "a.entry(-1, 0)",
+    "a.row(3)", "a.row(-1)", "a.col(4)", "a.col(3)", "a.col(-1)",
+    "a.select_columns([-1])", "a.select_columns([0, 3])",
+    "a.take_rows(2, 10)", "a.take_rows(4)", "a.take_rows(-1)", "a.take_rows(-1, 2)",
+    "a.take_rows(2, 1)", "MatrixQ.zeros(2, 0).col(0)", "MatrixQ.zeros(0, 2).row(0)",
+])
+def test_out_of_range_access_raises(read):
+    # an index outside 0..rows-1 or 0..cols-1, negative ones included, and a
+    # row slice outside 0 <= start <= stop <= rows never read a neighbour
+    a = MatrixQ.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    with pytest.raises(IndexError):
+        eval(read, {"a": a, "MatrixQ": MatrixQ})
+    # the bounds themselves are in range
+    assert a.entry(2, 2) == GaussianRational(9) and a.col(2)[0] == GaussianRational(3)
+    assert a.take_rows(3) == a and a.take_rows(3, 3).rows == 0
+    assert a.select_columns([]).cols == 0 and MatrixQ.zeros(2, 0).take_rows(2).rows == 2
+
+
 def test_zero_dimensional_matmul():
     a = MatrixQ.zeros(2, 0)
     b = MatrixQ.zeros(0, 3)

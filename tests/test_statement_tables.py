@@ -16,6 +16,7 @@ was re-recorded once more, when the p = 2 grid norm of an idempotent became
 closed-form, with that note-free digest unchanged.
 """
 
+import dis
 import hashlib
 import json
 import math
@@ -135,17 +136,21 @@ def test_every_exact_battery_reads_a_matrix_or_its_instance_alike():
             assert fn(a) == fn(EPInstance.from_matrix(a)), (tid, a)
 
 
+_TABLES = {"3.2": chz._T32, "3.4": chz._T34, "3.5": chz._T35, "3.7": chz._T37,
+           "3.9": chz._T39, "3.10": chz._T310, "4.1": chz._T41, "4.2": chz._T42,
+           "5.5": chz._T55, "5.6": chz._T56}
+
+
 def test_every_listed_check_is_required():
     # an existential row reports its witness only after each identity on its
     # check list holds; a memoised identity forced false must raise under the
     # row's own message, even though the criterion is true
-    tables = {"3.5": chz._T35, "3.7": chz._T37, "3.9": chz._T39,
-              "4.1": chz._T41, "4.2": chz._T42, "5.5": chz._T55, "5.6": chz._T56}
-    for tid, rows in tables.items():
+    for tid, rows in _TABLES.items():
         for row in rows:
             for name, what in row.checks:
-                if name in row.crit:
-                    continue
+                # _decide reads the checks only once the criterion held, so
+                # a check that repeats it could never fail
+                assert name not in row.crit, (tid, row.stmt, name)
                 if tid.startswith("3."):
                     m = EPInstance.from_matrix(DIAG20)
                 else:
@@ -156,6 +161,34 @@ def test_every_listed_check_is_required():
                 pattern = re.escape(what) + ("|5\\.3 " if tid == "5.5" else "")
                 with pytest.raises(InternalConsistencyError, match=pattern):
                     chz._evaluate(tid, m, (row,))
+
+
+def _bare_rename(define) -> bool:
+    """Whether a table entry only loads one attribute of m and returns it."""
+    ops = [i.opname for i in dis.get_instructions(define)
+           if i.opname not in ("RESUME", "NOP", "CACHE")]
+    return (len(ops) == 3 and ops[0].startswith("LOAD_FAST") and ops[1] == "LOAD_ATTR"
+            and ops[2] == "RETURN_VALUE")
+
+
+def test_every_table_name_is_a_quantity_and_none_a_bare_rename():
+    # the rows and _INNER read only names that _QUANTITIES defines (or the
+    # instance's one field, a), and no entry there is another name for one
+    # value: a kernel or range criterion is read under its fact's own name
+    known = set(chz._QUANTITIES) | {"a"}
+    for tid, rows in _TABLES.items():
+        for row in rows:
+            read = {*row.crit, *(name for name, _ in row.checks),
+                    *(row.witness or {}).values(),
+                    *(x for system in (row.solve or {}).values() for x in system[:2])}
+            assert read <= known, (tid, row.stmt, read - known)
+    for coefficient, (g, guard) in chz._INNER.items():
+        assert {coefficient, g, guard} <= known, coefficient
+    assert [name for name, define in chz._QUANTITIES.items() if _bare_rename(define)] == []
+    # the detector itself: a lambda that only reads one attribute is a rename,
+    # one that reads an attribute of an attribute or calls is not
+    assert _bare_rename(lambda m: m.ker_ok)
+    assert not _bare_rename(chz._QUANTITIES["b"]) and not _bare_rename(chz._QUANTITIES["ker_ok"])
 
 
 def test_penrose_certificate_reads_the_held_products(monkeypatch):
