@@ -36,7 +36,8 @@ from .characterizations import (
     thm55_battery,
     thm56_battery,
 )
-from .linalg import MatrixQ, _canonical, conj_transpose, rank, solve_exists
+from .linalg import MatrixQ, _canonical, conj_transpose, is_invertible, solve_exists
+from .linalg import rank  # noqa: F401  unused here; bench/tracer.py patches battery.rank
 from .pnorms import PNorm
 from .pseudoinverse import is_ep  # noqa: F401  unused here; bench/tracer.py patches battery.is_ep
 
@@ -115,7 +116,13 @@ def _rejection(draw, accept, failure: str):
 
 
 def _rand_invertible(rng, n: int, bound: int, use_complex: bool, what: str) -> MatrixQ:
-    return _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), lambda m: rank(m) == n,
+    """The first random n x n matrix that has an inverse.
+
+    `is_invertible` decides each draw by computing its `inverse`, which the
+    matrix keeps, so a later `inverse` of the accepted draw runs no
+    elimination.
+    """
+    return _rejection(lambda: _rand_matrix(rng, n, n, bound, use_complex), is_invertible,
                       f"could not draw an invertible {what} of size {n}")
 
 
@@ -192,9 +199,10 @@ def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
     """(t1, j) pair for the conjugated-block battery.
 
     j is invertible n x n, drawn as an exact generalized permutation with
-    unit entries (an isometry for every supported norm) on a seeded coin
-    flip, otherwise as an arbitrary invertible matrix.  t1 is an invertible
-    block of seeded size rank (or random 0..n when rank is unset).
+    unit entries (an isometry for every supported norm, whose inverse is
+    its adjoint) on a seeded coin flip, otherwise as an arbitrary
+    invertible matrix.  t1 is an invertible block of seeded size rank (or
+    random 0..n when rank is unset).
     """
     if cfg.n > size_cap:
         raise GeneratorError(f"size {cfg.n} exceeds the size cap {size_cap}")

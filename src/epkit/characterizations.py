@@ -816,6 +816,12 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
     t# = b (c b)⁻² c).  With j = [j₁ j₂] split after its first k columns and
     j⁻¹ = [j⁻¹₁; j⁻¹₂] after its first k rows, j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁ and
     j (0 ⊕ e) j⁻¹ = j₂ j⁻¹₂, so no n×n block matrix is formed.
+
+    `inverse` keeps its result on the matrix, and `battery.gen_block_pair`
+    accepts t1 and a random j by inverting them, so on its draws this reads
+    those inverses back, and a unit monomial j inverts to its adjoint.  A
+    request then eliminates t1, a random j, and, for statement ii, t's own
+    factorization and c b, unless c b equals t1.
     """
     if not t1.is_square or not j.is_square:
         raise ShapeError("prop52_battery expects square t1 and j")
@@ -847,7 +853,10 @@ def prop52_battery(t1: MatrixQ, j: MatrixQ, norm: PNorm) -> list:
     truth1, note1 = _checked(q1, norm)
     truth2, note2 = _checked(q2, norm)
     f = full_rank_factorize(t)
-    group_proj = f.b @ inverse(f.c @ f.b) @ f.c  # t t#
+    # with b = j1 x and c = y ji1, x y = t1, c b = y x is similar to t1 and
+    # equal to it at k = 1 at least; then t1's inverse is the one already held
+    cb = f.c @ f.b
+    group_proj = f.b @ (t1_inv if cb == t1 else inverse(cb)) @ f.c  # t t#
 
     return [
         _res("5.2", "i", truth1, CONSTRUCTIVE if truth1 else CRITERION,

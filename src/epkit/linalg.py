@@ -25,9 +25,12 @@ empty operand gives `MatrixQ.zeros`.  Inside a `product_memo` block (an
 EPInstance opens one over its own dict) any other operand pair is looked up
 by content and formed only on a miss.  Every product is a new MatrixQ, which
 may share the lists of an equal one: they are never mutated.  Each matrix
-computes its hash and its kernel facts (the complex flag, the bit length and
-the stacked numerator list) once, on first use, in slots that pickling and
-copying leave out.
+computes its hash, its kernel facts (the complex flag, the bit length and
+the stacked numerator list) and its `inverse` (or the fact that it is
+singular) once, on first use, in slots that pickling and copying leave out.
+A unit monomial matrix (denominator 1, one nonzero per row and per column,
+each 1, -1, i or -i) is unitary, so its inverse is its adjoint and no
+elimination is run for it.
 `rref` is fraction-free Gauss-Jordan elimination over the Gaussian integers
 (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination"): every division by the previous pivot is exact, and
@@ -71,9 +74,10 @@ class MatrixQ:
     docstring); entries read out as GaussianRational.
     """
 
-    # _hash and _facts cache the hash and `_kernel_facts`; None until first
-    # read, and never pickled or copied
-    __slots__ = ("rows", "cols", "_den", "_re", "_im", "_hash", "_facts")
+    # _hash, _facts and _inv cache the hash, `_kernel_facts` and `inverse`
+    # (_SINGULAR when there is none); None until first read, and never
+    # pickled or copied
+    __slots__ = ("rows", "cols", "_den", "_re", "_im", "_hash", "_facts", "_inv")
 
     rows: int
     cols: int
@@ -325,6 +329,7 @@ def _fill(m: MatrixQ, rows: int, cols: int, den: int, re: list, im: list,
     setter(m, "_im", im)
     setter(m, "_hash", h)
     setter(m, "_facts", facts)
+    setter(m, "_inv", None)
 
 
 def _new(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:
@@ -638,17 +643,55 @@ def solve_exists(a: MatrixQ, y: MatrixQ, side: str = "right") -> Optional[Matrix
 
 
 def is_invertible(a: MatrixQ) -> bool:
-    return a.is_square and rank(a) == a.rows
+    """Whether a is square with an inverse, decided by `inverse`, which a keeps."""
+    try:
+        inverse(a)
+    except SingularMatrixError:
+        return False
+    return True
+
+
+# the `_inv` slot of a matrix that has no inverse
+_SINGULAR = object()
 
 
 def inverse(a: MatrixQ) -> MatrixQ:
-    """Exact inverse; SingularMatrixError when none exists.  0x0 inverts to itself."""
+    """Exact inverse; SingularMatrixError when none exists.
+
+    The result, or the fact that a is singular, is stored on a, so a second
+    call runs no elimination.  A unit monomial a (0x0 included) inverts to
+    its adjoint without one.
+    """
     if not a.is_square:
         raise SingularMatrixError("inverse of non-square matrix")
+    inv = a._inv
+    if inv is None:
+        inv = conj_transpose(a) if _is_unit_monomial(a) else _eliminated_inverse(a)
+        object.__setattr__(a, "_inv", inv)
+    if inv is _SINGULAR:
+        raise SingularMatrixError("matrix is singular")
+    return inv
+
+
+def _is_unit_monomial(a: MatrixQ) -> bool:
+    """Whether square a has denominator 1 and one nonzero per row and per
+    column, each 1, -1, i or -i: then a a* = e."""
+    n, re, im = a.rows, a._re, a._im
+    # such a matrix has exactly n nonzero parts, so counting zeros rejects
+    # most others without a Python loop
+    if a._den != 1 or re.count(0) + im.count(0) != 2 * n * n - n:
+        return False
+    units = [k for k in range(n * n) if re[k] or im[k]]
+    return (len(units) == n
+            and all(re[k] * re[k] + im[k] * im[k] == 1 for k in units)
+            and len({k // n for k in units}) == n
+            and len({k % n for k in units}) == n)
+
+
+def _eliminated_inverse(a: MatrixQ):
+    """a^-1 read off the RREF of [a | e], or _SINGULAR; a is square."""
     n = a.rows
-    if n == 0:
-        return a
     aug, pivots = rref(a.hstack(MatrixQ.identity(n)))
     if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
+        return _SINGULAR
     return _pivot_solution(aug, pivots, n)

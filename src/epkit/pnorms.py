@@ -26,7 +26,8 @@ closed-form: q is unitarily similar to I + 0 + (sum_i [[1, s_i], [0, 0]])
 s = max s_i = ||q - q*||_2, and one spectral norm per check replaces the one
 per grid point.  At p = 1 (p = inf) the norm of e + w q is its largest
 column (row) sum of moduli, |1 + w q_jj| + |w| sum_{i != j} |q_ij|, so the
-grid is one (grid, n) expression and the (grid, n, n) stack is never formed.
+grid is the elementwise maximum of n grid-long column sums and the
+(grid, n, n) stack is never formed.
 Any other input (numpy arrays too) whose float values satisfy the exact rule,
 as those of a `MatrixQ` for which it holds do, is self-adjoint, so
 exp(i t a) = V diag(e^{i t lambda}) V* from `eigh`, whose error does not
@@ -280,13 +281,16 @@ def _idempotent_sum_norms(q: np.ndarray, w: np.ndarray, r: np.ndarray,
 
     Column j of e + w q has 1 + w q_jj on the diagonal and w q_ij off it, so
     its sum of moduli is |1 + w q_jj| + |w| sum_{i != j} |q_ij|, and the
-    p = 1 norm is the largest; p = inf takes the row sums the same way.  One
-    (grid, n) expression replaces the norms of the (grid, n, n) stack.
+    p = 1 norm is the largest; p = inf takes the row sums the same way.  The
+    sums are formed one column of the grid at a time and folded with
+    `np.maximum`, which is exact, so no (grid, n) array is reduced along its
+    short axis and the (grid, n, n) stack is never formed.
     """
     moduli = np.abs(q)
     np.fill_diagonal(moduli, 0.0)
     off = moduli.sum(axis=0 if norm.p == 1 else 1)
-    return (np.abs(1.0 + w[:, None] * np.diagonal(q)) + r[:, None] * off).max(axis=1)
+    return functools.reduce(np.maximum, [np.abs(1.0 + w * d) + r * o
+                                         for d, o in zip(np.diagonal(q), off)])
 
 
 def _idempotent_spectral_deviation(q: np.ndarray, r: np.ndarray) -> np.ndarray:

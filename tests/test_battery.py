@@ -26,8 +26,10 @@ from epkit.linalg import MatrixQ, is_invertible, rank, transpose
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
 
+from .oracles import oracle_inverse
 from .test_characterizations import EXACT_BATTERIES
 from .test_linalg import _kernel_recording
+from .test_linalg_oracle import UNITS
 
 
 def test_child_seed_deterministic_and_dispersed():
@@ -254,6 +256,55 @@ def test_no_matrix_is_both_rank_tested_and_inverted(monkeypatch):
     for i in range(12):
         cfg = GeneratorConfig(seed=child_seed(17, i), n=4, kind="ep")
         assert_single_elimination("ep draw", gen_matrix, cfg)
+
+
+def _is_unit_monomial(x: MatrixQ) -> bool:
+    """One nonzero per row and per column, each 1, -1, i or -i."""
+    places = [(i, j, z) for i, row in enumerate(x.to_rows()) for j, z in enumerate(row) if z]
+    return (x.is_square and len(places) == x.rows and all(z in UNITS for *_, z in places)
+            and len({i for i, *_ in places}) == len({j for _, j, _ in places}) == x.rows)
+
+
+def test_prop52_eliminates_each_drawn_map_once(monkeypatch):
+    """The generator accepts t1 and a random j by inverting them, and the
+    battery reads those inverses back, so a 5.2 request tests no rank,
+    reduces no matrix twice, inverts t1 and a random j by at most one
+    elimination each and a unit monomial j by none.  A rejected (singular)
+    draw is reduced too, and may equal an earlier one; those are not counted."""
+    import epkit.linalg as linalg
+
+    reduced, rank_tested, drawn = [], [], []
+    _record_calls(monkeypatch, linalg.rref, reduced.append)
+    _record_calls(monkeypatch, linalg.rank, rank_tested.append)
+    orig_pair = battery.gen_block_pair
+    monkeypatch.setattr(battery, "gen_block_pair",
+                        lambda cfg, **kw: drawn.append(orig_pair(cfg, **kw)) or drawn[-1])
+
+    def rejected(m: MatrixQ) -> bool:
+        n = m.rows
+        return (m.cols == 2 * n and m.select_columns(range(n, 2 * n)) == MatrixQ.identity(n)
+                and oracle_inverse(m.select_columns(range(n)).to_rows()) is None)
+
+    monomials = 0
+    for n in range(6):
+        for s in (1, 2):
+            for cfg in battery_configs("5.2", 16, n, s):
+                for p in (1, 2, math.inf):
+                    reduced.clear()
+                    drawn.clear()
+                    rep = run_battery("5.2", [cfg], norm=PNorm(p))
+                    assert rep.trials == 1 and not rep.failed
+                    assert not rank_tested, (cfg, p)
+                    kept = [m for m in reduced if not rejected(m)]
+                    assert len(set(kept)) == len(kept), (cfg, p)
+                    (t1, j), = drawn
+                    inverted = [kept.count(x.hstack(MatrixQ.identity(x.rows))) if x.rows else 0
+                                for x in (t1, j)]
+                    assert inverted[0] <= 1 and inverted[1] <= 1, (cfg, p)
+                    if _is_unit_monomial(j):
+                        monomials += 1
+                        assert j.rows == 0 or j.hstack(MatrixQ.identity(j.rows)) not in reduced
+    assert monomials
 
 
 def _record_calls(monkeypatch, orig, record):

@@ -1,11 +1,12 @@
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from epkit.exactnum import GaussianRational
+from epkit.exactnum import ZERO, GaussianRational
 from epkit.linalg import (
     InternalConsistencyError,
     MatrixQ,
@@ -35,9 +36,10 @@ from .oracles import (
     contains_vector,
     kron,
     kron_left_mult,
+    oracle_inverse,
     oracle_matmul,
 )
-from .test_linalg_oracle import UNIT_PIVOTS, to_mq
+from .test_linalg_oracle import UNIT_PIVOTS, UNITS, to_mq
 
 
 def rand_mq(rng, rows, cols, bound=4, complex_entries=True):
@@ -123,22 +125,29 @@ def test_immutability():
 
 
 def test_pickle_and_copy_round_trip():
-    # the cached hash and product-kernel facts are filled on the original and
-    # left out of every copy, which rebuilds them on demand
+    # the cached hash, product-kernel facts and inverse (or singularity) are
+    # filled on the original and left out of every copy, which rebuilds them
+    # on demand
     rng = random.Random(10)
     cases = [MatrixQ.zeros(0, 3), MatrixQ.zeros(3, 0), MatrixQ.zeros(0, 0),
              MatrixQ.zeros(2, 2), MatrixQ.identity(3), rand_mq(rng, 3, 4),
-             MatrixQ.from_rows([[f"{2 ** 250}/7", "1/3-2i"]])]
+             MatrixQ.from_rows([[f"{2 ** 250}/7", "1/3-2i"]]),
+             MatrixQ.from_rows([[0, "1i"], [-1, 0]]), MatrixQ.from_rows([["1/2", 3], [1, 4]])]
     for m in cases:
         fresh = MatrixQ(m.rows, m.cols, [x for r in m.to_rows() for x in r])
         m._kernel_facts(), hash(m)
+        try:
+            inverse(m)
+        except SingularMatrixError:
+            pass
         assert m._hash is not None and m._facts is not None
+        assert m._inv is not None or not m.is_square
         for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
-            assert back._hash is None and back._facts is None
+            assert back._hash is None and back._facts is None and back._inv is None
             assert back == fresh and hash(back) == hash(fresh) == hash(m)
             assert (back.rows, back.cols) == (m.rows, m.cols)
             assert back.to_rows() == m.to_rows()
-            for name in ("rows", "_re", "_hash", "_facts"):
+            for name in ("rows", "_re", "_hash", "_facts", "_inv"):
                 with pytest.raises(AttributeError):
                     setattr(back, name, None)
 
@@ -425,6 +434,99 @@ def test_inverse():
         inverse(MatrixQ.zeros(2, 3))
     assert inverse(MatrixQ.zeros(0, 0)).rows == 0
     assert not is_invertible(MatrixQ.zeros(2, 3))
+
+
+def _rref_recording(monkeypatch) -> list:
+    import epkit.linalg as linalg
+
+    calls = []
+    orig = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or orig(a))
+    return calls
+
+
+def _unit_monomials(n: int):
+    """Every n x n matrix with one of 1, -1, i, -i per row, in distinct columns."""
+    for perm in itertools.permutations(range(n)):
+        for units in itertools.product(UNITS, repeat=n):
+            rows = [[ZERO] * n for _ in range(n)]
+            for i, (col, u) in enumerate(zip(perm, units)):
+                rows[i][col] = u
+            yield rows
+
+
+def test_unit_monomial_inverse_is_the_adjoint(monkeypatch):
+    # a unit monomial matrix is unitary: its inverse is its adjoint, equal to
+    # what elimination gives, and no elimination is run for it
+    calls = _rref_recording(monkeypatch)
+    rng = random.Random(11)
+    cases = [rows for n in (1, 2, 3) for rows in _unit_monomials(n)]
+    assert len(cases) == 4 + 32 + 384
+    for n in range(4, 9):
+        perms = [rng.sample(range(n), n) for _ in range(10)]
+        cases += [[[rng.choice(UNITS) if j == perm[i] else ZERO for j in range(n)]
+                    for i in range(n)] for perm in perms]
+    for rows in cases + [[]]:
+        m = MatrixQ.from_rows(rows)
+        inv = inverse(m)
+        assert inv == conj_transpose(m)
+        assert inv.to_rows() == oracle_inverse(rows)
+        assert_canonical(inv)
+    assert not calls
+
+
+@pytest.mark.parametrize("rows, invertible", [
+    ([[2]], True),
+    ([["1+1i"]], True),
+    ([["1/2"]], True),
+    ([[1, 0], [0, 2]], True),
+    ([[0, "1i"], ["1+1i", 0]], True),
+    ([[1, 0], [0, "1/2"]], True),
+    ([[1, 0], [0, 0]], False),   # a zero row
+    ([[1, 1], [0, 0]], False),   # two units in one row
+    ([[1, 1], [0, 1]], True),    # two units in one row, every row nonzero
+    ([[1, 0], [-1, 0]], False),  # a repeated column
+    ([[0, 0, 1], [0, "1i", 0], [0, 0, -1]], False),
+])
+def test_near_unit_monomials_are_eliminated(monkeypatch, rows, invertible):
+    # a near miss of the closed form is decided by elimination, whose
+    # inverse (or singularity) matches the oracle's
+    calls = _rref_recording(monkeypatch)
+    m = MatrixQ.from_rows(rows)
+    want = oracle_inverse(m.to_rows())
+    assert (want is not None) == invertible
+    if invertible:
+        assert inverse(m).to_rows() == want
+    else:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+    assert len(calls) == 1
+
+
+def test_inverse_is_stored(monkeypatch):
+    # a second inverse of the same matrix, or of a singular one, runs no
+    # elimination; a singular matrix raises on every call
+    calls = _rref_recording(monkeypatch)
+    rng = random.Random(12)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        m = rand_mq(rng, n, n)
+        calls.clear()
+        want = oracle_inverse(m.to_rows())
+        if want is None:
+            for _ in range(3):
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
+        else:
+            first = inverse(m)
+            assert inverse(m) == first and first.to_rows() == want
+        assert len(calls) == 1
+    singular = MatrixQ.from_rows([[1, "2i"], [2, "4i"]])
+    calls.clear()
+    for _ in range(3):
+        with pytest.raises(SingularMatrixError, match="singular"):
+            inverse(singular)
+    assert len(calls) == 1
 
 
 # -- kron ---------------------------------------------------------------------

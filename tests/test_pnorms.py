@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from epkit import pnorms
+from epkit.battery import GeneratorConfig, child_seed, gen_block_pair
 from epkit.exactnum import GaussianRational
 from epkit.linalg import MatrixQ, ShapeError, conj_transpose, inverse, is_invertible
 from epkit.pnorms import (
@@ -397,6 +398,43 @@ def test_idempotent_p1_pinf_sums_match_the_stack():
             assert abs(rep.max_deviation - dev) <= 1e-12 * max(1.0, dev)
             verdicts.add(rep.verdict)
     assert verdicts == {"hermitian", "not_hermitian"}
+
+
+def _broadcast_sum_norms(q, w, r, norm):
+    """The (grid, n) expression the column-wise fold must equal bit for bit."""
+    moduli = np.abs(q)
+    np.fill_diagonal(moduli, 0.0)
+    off = moduli.sum(axis=0 if norm.p == 1 else 1)
+    return (np.abs(1.0 + w[:, None] * np.diagonal(q)) + r[:, None] * off).max(axis=1)
+
+
+def test_idempotent_sums_fold_columns_bit_for_bit():
+    # max is exact and each column goes through the same operations, so the
+    # column-wise fold equals the (grid, n) expression exactly, nan included
+    rng = random.Random(23)
+    inputs = []
+    for n in range(1, 9):
+        for k in range(n + 1):
+            _, j = gen_block_pair(GeneratorConfig(seed=child_seed(23, 9 * n + k), n=n, rank=k))
+            j_inv = inverse(j)
+            for q in (j.select_columns(range(k)) @ j_inv.take_rows(k),
+                      j.select_columns(range(k, n)) @ j_inv.take_rows(k, n)):
+                inputs.append(np.array(q.to_complex_rows(), dtype=complex))
+    for n in range(1, 9):
+        for scale in (1e-8, 1e-4, 1.0, 1e4, 1e8, 1e308):
+            inputs.append(scale * rand_complex(rng, n, 1.0))
+    non_finite = 0
+    for grid, t_max in ((1024, 2.0 * math.pi), (7, 1.0), (1024, 100.0)):
+        _, w, r = pnorms._grid(grid, t_max)
+        for q in inputs:
+            for p in (1, math.inf):
+                with np.errstate(all="ignore"):
+                    want = _broadcast_sum_norms(q, w, r, PNorm(p))
+                    got = pnorms._idempotent_sum_norms(q, w, r, PNorm(p))
+                assert got.shape == want.shape == (grid,)
+                assert np.array_equal(got, want, equal_nan=True), (grid, t_max, p, q)
+                non_finite += not np.isfinite(want).all()
+    assert non_finite  # the 1e308 draws overflow, so inf and nan are compared too
 
 
 def test_p1_pinf_idempotent_check_forms_no_stack(monkeypatch):
