@@ -92,13 +92,29 @@ def _rand_matrix(rng, rows: int, cols: int, bound: int, use_complex: bool) -> Ma
 
     Each entry draws the real part's numerator and denominator, then, when
     complex, the imaginary part's, in row-major order; the draws are scaled
-    straight to their lcm as integer numerator lists.
+    straight to their lcm as integer numerator lists.  Each part is the
+    draw `rng.randint` makes, taken straight from `getrandbits` as CPython's
+    `Random._randbelow_with_getrandbits` takes it: for a range of size n,
+    n.bit_length() bits at a time until the value is below n.  So the values
+    and the generator's state afterwards are those of `randint(-bound, bound)`
+    and `randint(1, bound)`.
     """
     parts = 2 if use_complex else 1
-    randint = rng.randint
-    draws = [(randint(-bound, bound), randint(1, bound)) for _ in range(rows * cols * parts)]
-    den = lcm(*[d for _, d in draws])
-    nums = [x * (den // d) for x, d in draws]
+    getrandbits = rng.getrandbits
+    span = 2 * bound + 1
+    k_num, k_den = span.bit_length(), bound.bit_length()
+    nums, dens = [], []
+    for _ in range(rows * cols * parts):
+        x = getrandbits(k_num)
+        while x >= span:
+            x = getrandbits(k_num)
+        d = getrandbits(k_den)
+        while d >= bound:
+            d = getrandbits(k_den)
+        nums.append(x - bound)
+        dens.append(d + 1)
+    den = lcm(*dens)
+    nums = [x * (den // d) for x, d in zip(nums, dens)]
     im = nums[1::2] if use_complex else [0] * (rows * cols)
     return _canonical(rows, cols, den, nums[::parts], im)
 

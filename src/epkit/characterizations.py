@@ -49,7 +49,7 @@ named closed form x^-1 that holds once a a+ = a+ a = p, as Lemma 3.8's v^-1
 and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
 square matrix is two-sided) after an EP-equivalent criterion held, so a
 failed product is a defect in a+ or the factors, not a singular input.  The
-tables eliminate only for the factorization, the Gram inverses of
+tables eliminate only for the factorization, the two Gram eliminations of
 `factor_daggers` and three factor subspaces, ker c, range b and ker b*.
 Every kernel, range, right-kernel and row-space statement is one of two
 facts about them, `ker_ok` (ker b* = ker c) or `rng_ok` (range b = range c*,

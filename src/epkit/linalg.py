@@ -28,9 +28,12 @@ may share the lists of an equal one: they are never mutated.  Each matrix
 computes its hash, its kernel facts (the complex flag, the bit length and
 the stacked numerator list) and its `inverse` (or the fact that it is
 singular) once, on first use, in slots that pickling and copying leave out.
+`__setattr__` refuses every write, so construction fills the eight slots
+through their member descriptors' setters, bound once at import.
 A unit monomial matrix (denominator 1, one nonzero per row and per column,
 each 1, -1, i or -i) is unitary, so its inverse is its adjoint and no
-elimination is run for it.
+elimination is run for it.  Any other inverse, and g^-1 y for the Grams of
+`pseudoinverse.factor_daggers`, is read off one RREF of [g | y].
 `rref` is fraction-free Gauss-Jordan elimination over the Gaussian integers
 (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination"): every division by the previous pivot is exact, and
@@ -119,7 +122,9 @@ class MatrixQ:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return _new(n, n, 1, [int(i == j) for i in range(n) for j in range(n)], [0] * (n * n))
+        re = [0] * (n * n)
+        re[::n + 1] = [1] * n
+        return _new(n, n, 1, re, [0] * (n * n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "MatrixQ":
@@ -244,7 +249,7 @@ class MatrixQ:
             identity = (bits == 1 and not cplx and self._den == 1 and n == self.cols
                         and re[::n + 1].count(1) == n and re.count(0) == n * n - n)
             facts = (cplx, bits, stacked, identity)
-            object.__setattr__(self, "_facts", facts)
+            _set_facts(self, facts)
         return facts
 
     def _same_shape(self, other: "MatrixQ") -> None:
@@ -309,7 +314,7 @@ class MatrixQ:
         h = self._hash
         if h is None:
             h = hash((self.rows, self.cols, self._den, tuple(self._re), tuple(self._im)))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -319,17 +324,21 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
+# the slots' own setters, which `MatrixQ.__setattr__` does not reach
+(_set_rows, _set_cols, _set_den, _set_re, _set_im, _set_hash, _set_facts, _set_inv) = (
+    MatrixQ.__dict__[name].__set__ for name in MatrixQ.__slots__)
+
+
 def _fill(m: MatrixQ, rows: int, cols: int, den: int, re: list, im: list,
           h: Optional[int] = None, facts: Optional[tuple] = None) -> None:
-    setter = object.__setattr__
-    setter(m, "rows", rows)
-    setter(m, "cols", cols)
-    setter(m, "_den", den)
-    setter(m, "_re", re)
-    setter(m, "_im", im)
-    setter(m, "_hash", h)
-    setter(m, "_facts", facts)
-    setter(m, "_inv", None)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_den(m, den)
+    _set_re(m, re)
+    _set_im(m, im)
+    _set_hash(m, h)
+    _set_facts(m, facts)
+    _set_inv(m, None)
 
 
 def _new(rows: int, cols: int, den: int, re: list, im: list) -> MatrixQ:
@@ -666,8 +675,14 @@ def inverse(a: MatrixQ) -> MatrixQ:
         raise SingularMatrixError("inverse of non-square matrix")
     inv = a._inv
     if inv is None:
-        inv = conj_transpose(a) if _is_unit_monomial(a) else _eliminated_inverse(a)
-        object.__setattr__(a, "_inv", inv)
+        if _is_unit_monomial(a):
+            inv = conj_transpose(a)
+        else:
+            try:
+                inv = _inverse_times(a, MatrixQ.identity(a.rows))
+            except SingularMatrixError:
+                inv = _SINGULAR
+        _set_inv(a, inv)
     if inv is _SINGULAR:
         raise SingularMatrixError("matrix is singular")
     return inv
@@ -688,10 +703,17 @@ def _is_unit_monomial(a: MatrixQ) -> bool:
             and len({k % n for k in units}) == n)
 
 
-def _eliminated_inverse(a: MatrixQ):
-    """a^-1 read off the RREF of [a | e], or _SINGULAR; a is square."""
-    n = a.rows
-    aug, pivots = rref(a.hstack(MatrixQ.identity(n)))
+def _inverse_times(g: MatrixQ, y: MatrixQ) -> MatrixQ:
+    """g^-1 y read off one RREF of [g | y], with no product; g is square.
+
+    The left block reduces to e exactly when g is invertible, and then the
+    right block is g^-1 y.  SingularMatrixError otherwise.  An identity g,
+    0x0 included, gives y with no elimination.
+    """
+    if not g.rows or g._kernel_facts()[3]:
+        return y
+    n = g.rows
+    aug, pivots = rref(g.hstack(y))
     if pivots != list(range(n)):
-        return _SINGULAR
+        raise SingularMatrixError("matrix is singular")
     return _pivot_solution(aug, pivots, n)

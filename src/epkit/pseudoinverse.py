@@ -7,8 +7,10 @@ column rank and c of full row rank:
 
 which is exact over the Gaussian rationals for any rank (rank 0 gives the
 zero matrix of transposed shape).  `factor_daggers` is the one place that
-forms b^+ and c^+.  `penrose_certificate` re-checks the four defining
-conditions from scratch.
+forms b^+ and c^+, each from one elimination of its Gram beside the factor,
+[b* b | b*] and [c c* | c], which reads (b* b)^-1 b* and (c c*)^-1 c = (c^+)*
+without forming a Gram inverse.  `penrose_certificate` re-checks the four
+defining conditions from scratch.
 
 `is_ep` decides p == q exactly, with p = b b^+ = a a^+ and q = c^+ c = a^+ a.
 The memoised, validated form of these quantities, with the Grams and
@@ -32,24 +34,27 @@ from .linalg import (
     InternalConsistencyError,
     MatrixQ,
     ShapeError,
+    _inverse_times,
     conj_transpose,
     full_rank_factorize,
-    inverse,
 )
 
 
 def factor_daggers(f: FullRankFactorization) -> tuple:
     """(b^+, c^+) of a full-rank factorization: (b* b)^-1 b* and c* (c c*)^-1.
 
-    An identity c is its own c^+, with no elimination; `full_rank_factorize`
-    gives one whenever a has full column rank, since c is then a square RREF.
+    Each is one Gram product and one elimination: b^+ is read off the RREF
+    of [b* b | b*], and (c^+)* = (c c*)^-1 c, as c c* is hermitian, off that
+    of [c c* | c].  A factor without full rank has a singular Gram and
+    raises SingularMatrixError.  An identity c is its own c^+, with no
+    elimination; `full_rank_factorize` gives one whenever a has full column
+    rank, since c is then a square RREF.
     """
     bs = conj_transpose(f.b)
-    b_dagger = inverse(bs @ f.b) @ bs
+    b_dagger = _inverse_times(bs @ f.b, bs)
     if f.rank == f.c.cols and f.c == MatrixQ.identity(f.rank):
         return b_dagger, f.c
-    cs = conj_transpose(f.c)
-    return b_dagger, cs @ inverse(f.c @ cs)
+    return b_dagger, conj_transpose(_inverse_times(f.c @ conj_transpose(f.c), f.c))
 
 
 def pinv(a: MatrixQ) -> MatrixQ:

@@ -15,8 +15,9 @@ lists of rows of GaussianRational and never touch epkit.linalg.
 
 The helpers at the end are reference constructions that only the tests
 read, so they live here rather than in the package: the Kronecker product
-and the left-multiplication lift a (x) e, subspace containment by rank, and
-the factor-level identities of Lemma 3.8's witnesses.
+and the left-multiplication lift a (x) e, subspace containment by rank, the
+factor daggers through the Gram inverses, and the factor-level identities of
+Lemma 3.8's witnesses.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from epkit.linalg import (
     ShapeError,
     Subspace,
     conj_transpose,
+    inverse,
     rank,
 )
 from epkit.pseudoinverse import factor_daggers, lemma38_witnesses
@@ -248,6 +250,13 @@ def contains_subspace(s: Subspace, other: Subspace) -> bool:
     if s.ambient_dim != other.ambient_dim:
         raise ShapeError("ambient dimension mismatch")
     return rank(s.basis.hstack(other.basis)) == s.dim
+
+
+def gram_inverse_daggers(f: FullRankFactorization) -> tuple:
+    """(b^+, c^+) through the Gram inverses, inverse(b* b) b* and c* inverse(c c*),
+    the route `factor_daggers` took before it read each off one elimination."""
+    bs, cs = conj_transpose(f.b), conj_transpose(f.c)
+    return inverse(bs @ f.b) @ bs, cs @ inverse(f.c @ cs)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ def test_gen_block_pair():
         gen_block_pair(GeneratorConfig(seed=5, n=9))
 
 
-def test_rand_matrix_matches_per_scalar_draws():
+def test_rand_matrix_matches_per_scalar_draws(monkeypatch):
     # the reference: one GaussianRational per entry, real part's numerator
     # and denominator first, then the imaginary part's
     def per_scalar(rng, rows, cols, bound, use_complex):
@@ -172,16 +172,23 @@ def test_rand_matrix_matches_per_scalar_draws():
         return MatrixQ(rows, cols, [GaussianRational(frac(), frac() if use_complex else 0)
                                     for _ in range(rows * cols)])
 
-    for seed in range(40):
-        for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4)):
+    def no_randint(*args):
+        raise AssertionError("_rand_matrix draws through getrandbits, not randint")
+
+    # bounds 8 and 16 make the denominator range a power of two, where
+    # n.bit_length() and not (n - 1).bit_length() sets the bits per draw
+    for seed in range(200):
+        bound = 1 + seed % 16
+        for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4), (5, 6), (6, 6)):
             for use_complex in (False, True):
-                bound = 1 + seed % 7
                 new, old = random.Random(seed), random.Random(seed)
-                got = battery._rand_matrix(new, rows, cols, bound, use_complex)
+                with monkeypatch.context() as patched:
+                    patched.setattr(random.Random, "randint", no_randint)
+                    got = battery._rand_matrix(new, rows, cols, bound, use_complex)
                 assert got == per_scalar(old, rows, cols, bound, use_complex)
+                assert new.getstate() == old.getstate()
                 assert got.to_rows() == per_scalar(random.Random(seed), rows, cols, bound,
                                                    use_complex).to_rows()
-                assert new.getstate() == old.getstate()
 
 
 def test_run_battery_unknown_id():
@@ -456,15 +463,19 @@ def test_exact_batteries_reduce_at_most_the_three_factor_subspaces(monkeypatch):
 
 
 def test_no_identity_is_inverted(monkeypatch):
-    # a full-rank factorization a = b c with c = e needs no inverse of c c* = e
+    # a full-rank factorization a = b c with c = e needs no inverse of c c* = e;
+    # `factor_daggers` eliminates each Gram g beside its factor y, [g | y]
     import epkit.characterizations as chz
     import epkit.linalg as linalg
     import epkit.pseudoinverse as pseudoinverse
 
     inverted = []
     orig = linalg.inverse
-    for module in (linalg, pseudoinverse, chz):
+    for module in (linalg, chz):
         monkeypatch.setattr(module, "inverse", lambda a: inverted.append(a) or orig(a))
+    times = pseudoinverse._inverse_times
+    monkeypatch.setattr(pseudoinverse, "_inverse_times",
+                        lambda g, y: inverted.append(g) or times(g, y))
     for tid in SUPPORTED_THEOREMS:
         for s in (1, 2):
             run_battery(tid, battery_configs(tid, 8, 4, s))

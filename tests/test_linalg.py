@@ -65,6 +65,16 @@ def test_construction_and_access():
     assert MatrixQ.diagonal([1, "2i"]).entry(1, 1) == GaussianRational(0, 2)
 
 
+def test_identity_matches_its_entries():
+    # identity(n) fills its diagonal by one slice assignment
+    for n in range(9):
+        e = MatrixQ.identity(n)
+        want = MatrixQ(n, n, [GaussianRational(int(i == j)) for i in range(n) for j in range(n)])
+        assert e == want and hash(e) == hash(want)
+        assert e == MatrixQ.diagonal([1] * n)
+        assert_canonical(e)
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         MatrixQ(2, 2, [GaussianRational(0)] * 3)

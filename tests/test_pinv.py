@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from epkit.linalg import (
     InternalConsistencyError,
     MatrixQ,
     ShapeError,
+    SingularMatrixError,
     conj_transpose,
     full_rank_factorize,
     inverse,
@@ -26,22 +28,27 @@ from epkit.pseudoinverse import (
     pinv,
 )
 
-from .oracles import brute_force_pinv, kron_left_mult, lemma38_factor_witnesses
+from .oracles import (
+    brute_force_pinv,
+    gram_inverse_daggers,
+    kron_left_mult,
+    lemma38_factor_witnesses,
+)
 
 
-def rand_mq(rng, rows, cols, bound=3):
+def rand_mq(rng, rows, cols, bound=3, real=False):
     def sc():
         re = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-        if rng.random() < 0.5:
+        if real or rng.random() < 0.5:
             return GaussianRational(re)
         return GaussianRational(re, Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
 
     return MatrixQ(rows, cols, [sc() for _ in range(rows * cols)])
 
 
-def rand_with_rank(rng, rows, cols, r, bound=3):
+def rand_with_rank(rng, rows, cols, r, bound=3, real=False):
     while True:
-        m = rand_mq(rng, rows, r, bound) @ rand_mq(rng, r, cols, bound)
+        m = rand_mq(rng, rows, r, bound, real) @ rand_mq(rng, r, cols, bound, real)
         if rank(m) == r:
             return m
 
@@ -92,6 +99,76 @@ def test_full_rank_inputs():
                 f = FullRankFactorization(b=a @ inverse(g), c=g, rank=cols)
                 b_dagger, c_dagger = factor_daggers(f)
                 assert c_dagger @ b_dagger == x
+
+
+def _dagger_recording(monkeypatch) -> dict:
+    """Count `rref` calls, `@` calls and `inverse` calls wherever epkit binds it."""
+    import epkit.linalg as linalg
+
+    calls = {"rref": 0, "@": 0, "inverse": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    inverse_ = linalg.inverse
+    monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
+    monkeypatch.setattr(MatrixQ, "__matmul__", counting("@", MatrixQ.__matmul__))
+    for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "epkit"]:
+        if getattr(module, "inverse", None) is inverse_:
+            monkeypatch.setattr(module, "inverse", counting("inverse", inverse_))
+    return calls
+
+
+def test_factor_daggers_eliminate_once_per_factor(monkeypatch):
+    # b+ is read off the RREF of [b* b | b*] and (c+)* off that of [c c* | c]:
+    # per factor one product, its Gram, and one elimination, none when the
+    # Gram is e or 0 x 0, and no inverse; an identity c is its own c+.  The
+    # daggers equal the Gram-inverse route
+    rng = random.Random(52)
+    facts = []
+    for rows, cols in ((1, 1), (3, 3), (4, 2), (2, 4), (3, 5), (0, 0), (0, 2), (2, 0)):
+        for r in range(min(rows, cols) + 1):
+            for real in (True, False):
+                a = rand_with_rank(rng, rows, cols, r, real=real)
+                f = full_rank_factorize(a)
+                facts.append(f)
+                if r:  # a c that is no RREF: b g^-1 and g c for an invertible g
+                    g = rand_with_rank(rng, r, r, r, real=real)
+                    facts.append(FullRankFactorization(b=f.b @ inverse(g), c=g @ f.c, rank=r))
+    # b* b = e: the pivot columns of a are unit vectors
+    facts.append(full_rank_factorize(MatrixQ.from_rows([[1, 2, 0], [0, 0, 1], [0, 0, 0]])))
+    assert any(f.c != full_rank_factorize(f.c).c for f in facts)  # c is no RREF
+    assert {f.rank == f.b.rows for f in facts} == {True, False}
+    assert any(f.rank == 0 for f in facts)
+
+    def grams(f):
+        out = [conj_transpose(f.b) @ f.b]
+        if not (f.rank == f.c.cols and f.c == MatrixQ.identity(f.rank)):
+            out.append(f.c @ conj_transpose(f.c))
+        return out
+
+    cases = [(f, gram_inverse_daggers(f), grams(f)) for f in facts]
+    assert any(g == MatrixQ.identity(g.rows) for _, _, gs in cases for g in gs if g.rows)
+    calls = _dagger_recording(monkeypatch)
+    for f, want, gs in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        assert factor_daggers(f) == want
+        assert calls == {"@": len(gs), "inverse": 0,
+                         "rref": sum(g.rows > 0 and g != MatrixQ.identity(g.rows) for g in gs)}
+
+
+def test_factor_daggers_reject_factors_without_full_rank():
+    # a rank-deficient b or c has a singular Gram, as when it was inverted
+    e2 = MatrixQ.identity(2)
+    short = MatrixQ.from_rows([[1, 2], [2, 4]])
+    for f in (FullRankFactorization(b=short, c=e2, rank=2),
+              FullRankFactorization(b=e2, c=MatrixQ.from_rows([[1, "1i", 0], [2, "2i", 0]]), rank=2),
+              FullRankFactorization(b=MatrixQ.zeros(3, 1), c=MatrixQ.from_rows([[1, 0]]), rank=1)):
+        with pytest.raises(SingularMatrixError):
+            factor_daggers(f)
 
 
 def test_uniqueness_against_brute_force():
