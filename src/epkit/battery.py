@@ -8,6 +8,9 @@ and is therefore EP.  No eigendecomposition, no rounding.  Every candidate
 is a validated `EPInstance.from_matrix` whose rank (and p = q, for non_ep)
 the acceptance tests read, and `run_battery` hands the accepted instance to
 its battery, so a drawn matrix is factorized once; `gen_matrix` returns a.
+A rank-r draw a = left right (non_ep, and arbitrary with a rank) is
+factorized from its drawn factors, from the RREF of the r x n right, and
+never eliminated itself.
 
 Reports are plain data with a stable JSON field order so that identical
 seeds give byte-identical files (the elapsed field excepted).
@@ -36,7 +39,16 @@ from .characterizations import (
     thm55_battery,
     thm56_battery,
 )
-from .linalg import MatrixQ, _canonical, conj_transpose, is_invertible, solve_exists
+from .linalg import (
+    FullRankFactorization,
+    MatrixQ,
+    SingularMatrixError,
+    _canonical,
+    conj_transpose,
+    is_invertible,
+    rref,
+    solve_exists,
+)
 from .linalg import rank  # noqa: F401  unused here; bench/tracer.py patches battery.rank
 from .pnorms import PNorm
 from .pseudoinverse import is_ep  # noqa: F401  unused here; bench/tracer.py patches battery.is_ep
@@ -148,11 +160,31 @@ def _instance_of_rank(draw, r: int, failure: str) -> EPInstance:
 
 
 def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
-    """Instance of a random n x n matrix of exact rank r, drawn as a full-rank product."""
+    """Instance of a random n x n matrix of exact rank r, drawn as a full-rank product.
+
+    a = left right is factorized from its drawn factors, with no elimination
+    of a.  When right (r x n) has rank r, right = m c with c the nonzero rows
+    of its RREF and m = right[:, pivots] invertible, so a = (left m) c and
+    b = a[:, pivots] = left m.  a has rank r exactly when left has full
+    column rank; then a = b c is `full_rank_factorize(a)`, as RREF is
+    canonical.  A right of lower rank, or a left without full column rank
+    (whose b has a singular Gram, so validation raises SingularMatrixError),
+    rejects the draw, as a rank test of a would.
+    """
     def draw():
         left = _rand_matrix(rng, n, r, bound, use_complex)
-        return left @ _rand_matrix(rng, r, n, bound, use_complex)
-    return _instance_of_rank(draw, r, f"could not draw a rank-{r} matrix of size {n}")
+        right = _rand_matrix(rng, r, n, bound, use_complex)
+        reduced, pivots = rref(right)
+        if len(pivots) < r:
+            return None
+        a = left @ right
+        f = FullRankFactorization(b=a.select_columns(pivots), c=reduced.take_rows(r), rank=r)
+        try:
+            return EPInstance.from_factorization(a, f)
+        except SingularMatrixError:
+            return None
+    return _rejection(draw, lambda inst: inst is not None,
+                      f"could not draw a rank-{r} matrix of size {n}")
 
 
 def _orthogonal_projection(rng, n: int, r: int, bound: int, use_complex: bool) -> MatrixQ:
@@ -197,7 +229,7 @@ def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
         def draw():
             r = cfg.rank if cfg.rank is not None else rng.randint(1, n - 1)
             return _rand_rank_r(rng, n, r, bound, use_complex)
-        return _rejection(draw, lambda inst: not inst.p_eq_q,
+        return _rejection(draw, lambda inst: not inst.is_ep,
                           f"could not draw a non-ep matrix of size {n}")
 
     # arbitrary

@@ -32,16 +32,18 @@ a+, p, q, the Grams and the rank with what every exact battery reads.
 Every exact battery and `thm53_decompose` take a square MatrixQ, validated
 by `EPInstance.from_matrix`, or its EPInstance as given
 (`battery.gen_instance` hands over the one it drew), so every verdict, and
-`epkit ep`'s, rests on the four-condition certificate for a+.  Each
-product, subspace, inverse, solve and identity check runs at most once per
-object however many rows name it, and solves are keyed by their two
-matrices and side, so equal systems under different names (4.1's p and q
-on an EP input) are decided once.  Products are memoised the same way:
-validation and every table run inside the instance's `linalg.product_memo`
-block, so a product of content-equal operands (3.10's chains, whose b c
-is a; p p as a guard and in a solve) is formed once per instance, and one
-with an identity or zero operand (c = e and p = q = e at full rank, 4.1's
-and 5.6's literal e) is never formed.  The memo is a dict in the instance, so
+`epkit ep`'s, rests on the four-condition certificate for a+.  Validation
+checks a generating set of it, `mp_generators`, from which the four
+conditions follow by exact associativity.  Each product, subspace,
+inverse, solve and identity check runs at most once per object however
+many rows name it, and solves are keyed by their two matrices and side,
+so equal systems under different names (4.1's p and q on an EP input) are
+decided once.  Products are memoised the same way: validation and every
+table run inside the instance's `linalg.product_memo` block, so a product
+of content-equal operands (3.10's chains, whose b c is a; p q in a solve
+and in 4.1's two-sided check) is formed once per instance, and one with
+an identity or zero operand (c = e and p = q = e at full rank, 4.1's and
+5.6's literal e) is never formed.  The memo is a dict in the instance, so
 EPInstance is still the only memoised object and no cache outlives it.
 Each {1}-inverse of `_INNER` rests on a named guard that holds by
 construction, so a failed guard raises.  Every inverse a row reads is a
@@ -81,6 +83,7 @@ from typing import NamedTuple, Optional
 
 from .exactnum import ONE
 from .linalg import (
+    FullRankFactorization,
     InternalConsistencyError,
     MatrixQ,
     ShapeError,
@@ -123,28 +126,31 @@ _QUANTITIES = {
     "a_star": lambda m: conj_transpose(m.a),
     "aa": lambda m: m.a_star @ m.a,                              # a* a
     "bb": lambda m: m.a @ m.a_star,                              # a a*
-    "p_eq_q": lambda m: m.p == m.q,
+    "is_ep": lambda m: m.p == m.q,                               # a a+ = a+ a
     "p_perp": lambda m: m.e_n - m.p,
     "q_perp": lambda m: m.e_n - m.q,
     "v_inv": lambda m: m.p_perp + m.bb,                          # Lemma 3.8's v^-1
     "w_inv": lambda m: m.q_perp + m.aa,                          # Lemma 3.8's w^-1
-    # the products validation needs, kept for the batteries
+    # the generating set validation checks, kept for the batteries: with
+    # b c = a, b+ b = e_r, c c+ = e_r and hermitian p = b b+, q = c+ c, the
+    # held a+ = c+ b+ meets all four Penrose conditions by associativity:
+    # a a+ = b (c c+) b+ = p, a a+ a = b (b+ b) c = a, a+ a = c+ (b+ b) c = q
+    # and a+ a a+ = c+ (c c+) b+ = a+.  Comparing each held p, q, a+ with the
+    # product that defines it is a memo lookup, and catches a wrong entry
     "bd_b_is_e": lambda m: m.b_dagger @ m.b == m.e_r,            # b+ b = e_r
     "c_cd_is_e": lambda m: m.c @ m.c_dagger == m.e_r,            # c c+ = e_r
     "bc": lambda m: m.b @ m.c,
-    "a_ad": lambda m: m.a @ m.a_dagger,
-    "ad_a": lambda m: m.a_dagger @ m.a,
-    "is_ep": lambda m: m.a_ad == m.ad_a,
+    "mp_generators": lambda m: (m.bc == m.a and m.bd_b_is_e and m.c_cd_is_e
+                                and conj_transpose(m.p) == m.p
+                                and conj_transpose(m.q) == m.q
+                                and m.a_dagger == m.c_dagger @ m.b_dagger
+                                and m.p == m.b @ m.b_dagger
+                                and m.q == m.c_dagger @ m.c),
     "b_star": lambda m: conj_transpose(m.b),
     "c_star": lambda m: conj_transpose(m.c),
     "cd_star": lambda m: conj_transpose(m.c_dagger),
     "bd_star": lambda m: conj_transpose(m.b_dagger),
     "ad_star": lambda m: conj_transpose(m.a_dagger),
-    # the guards of `_INNER`: Penrose 1 and 2 for a+, and idempotence
-    "penrose1": lambda m: m.a_ad @ m.a == m.a,
-    "penrose2": lambda m: m.ad_a @ m.a_dagger == m.a_dagger,
-    "p_idempotent": lambda m: m.p @ m.p == m.p,
-    "q_idempotent": lambda m: m.q @ m.q == m.q,
     # every subspace the tables read, from three eliminations of the factors.
     # b has full column rank, c full row rank, b+ = (b* b)^-1 b* and
     # c+ = c* (c c*)^-1, so for every matrix, EP or not,
@@ -283,9 +289,11 @@ def _pivot_rows(basis: MatrixQ) -> MatrixQ:
 
 # coefficient -> (g, guard): g is a {1}-inverse (m g m = m) once the named
 # exact guard holds.  b+ b = e_r gives b b+ b = b, b+ b b+ = b+ and
-# b* (b+)* b* = b*, and c c+ = e_r the same for c.  lemma38 verified
-# (a a*) v = p = a (a* v) = a a+, so Penrose 1 gives (a a*) v (a a*) = a a*;
-# likewise (a* a) w (a* a) = a* a q = a* a.
+# b* (b+)* b* = b*, and c c+ = e_r the same for c.  The generating set gives
+# Penrose 1 and 2 for a+ (a a+ a = a, a+ a a+ = a+, and the adjoint of the
+# first) and p p = b (b+ b) b+ = p, q q = q.  lemma38 verified a* v = a+, so
+# (a a*) v = a a+ = p and (a a*) v (a a*) = p a a* = a a*; likewise
+# (a* a) w (a* a) = q a* a = a* a.
 _INNER = {
     "b": ("b_dagger", "bd_b_is_e"),          # 3.5, 3.7
     "b_dagger": ("b", "bd_b_is_e"),          # 3.5, 3.7
@@ -293,13 +301,13 @@ _INNER = {
     "c": ("c_dagger", "c_cd_is_e"),          # 3.5, 3.7, 3.9
     "c_dagger": ("c", "c_cd_is_e"),          # 3.5, 3.7
     "c_star": ("cd_star", "c_cd_is_e"),      # 3.9
-    "a": ("a_dagger", "penrose1"),           # 4.1, 4.2: a a+ a = a
-    "a_star": ("ad_star", "penrose1"),       # 4.2: a* (a+)* a* = (a a+ a)*
-    "a_dagger": ("a", "penrose2"),           # 4.1: a+ a a+ = a+
-    "p": ("p", "p_idempotent"),              # 4.1
-    "q": ("q", "q_idempotent"),              # 4.1
-    "bb": ("v", "penrose1"),                 # 4.2
-    "aa": ("w", "penrose1"),                 # 4.2
+    "a": ("a_dagger", "mp_generators"),      # 4.1, 4.2: a a+ a = a
+    "a_star": ("ad_star", "mp_generators"),  # 4.2: a* (a+)* a* = (a a+ a)*
+    "a_dagger": ("a", "mp_generators"),      # 4.1: a+ a a+ = a+
+    "p": ("p", "mp_generators"),             # 4.1: p p p = p
+    "q": ("q", "mp_generators"),             # 4.1: q q q = q
+    "bb": ("v", "mp_generators"),            # 4.2
+    "aa": ("w", "mp_generators"),            # 4.2
     "rng_basis": ("rng_pivots", "rng_pivots_inv"),  # 5.3, 5.5: S B = e_r
 }
 
@@ -320,12 +328,15 @@ class EPInstance:
     that `memoised()` makes active; both are keyed by matrix content and
     live and die with the instance.
 
-    `from_matrix` validates a = b·c, b†·b = e_r, c·c† = e_r, a·a† = b·b†,
-    a†·a = c†·c and the four Penrose conditions.  b† = c·a† and c† = a†·b
-    are not checked apart: they follow from a† = c†·b† and the two checked
-    identities by associativity.  The products it forms (`bc`, `a_ad`,
-    `ad_a`, `p`, `q`, and Penrose 1 and 2, which guard `_INNER`) stay for
-    the batteries.
+    `from_matrix` validates the generating set `mp_generators`: a = b·c,
+    b†·b = e_r, c·c† = e_r, p and q hermitian, and each held a†, p, q equal
+    to the product that defines it (c†·b†, b·b†, c†·c), a memo lookup.
+    Those make b† and c† the Moore-Penrose inverses of b and c, so a† meets
+    the four Penrose conditions by associativity, and a·a† = p, a†·a = q,
+    b† = c·a† and c† = a†·b follow the same way; none of them is formed.
+    The products it forms (`bc`, `p`, `q`, `a_dagger`, b†·b and c·c†) stay
+    for the batteries.  `from_factorization` validates the same set on a
+    factorization the caller already holds.
     """
 
     a: MatrixQ
@@ -341,12 +352,18 @@ class EPInstance:
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
-        if not a.is_square:
-            raise ShapeError("EPInstance expects a square matrix")
+        return cls(a=a)._validate()
+
+    @classmethod
+    def from_factorization(cls, a: MatrixQ, f: FullRankFactorization) -> "EPInstance":
+        """The validated instance of a, for a caller that built a from its
+        factors: a is not eliminated.  f must be what `full_rank_factorize(a)`
+        returns (c the nonzero rows of a's RREF, b the pivot columns of a).
+        A b without full column rank has a singular Gram and raises
+        SingularMatrixError."""
         inst = cls(a=a)
-        with inst.memoised():
-            inst._validate()
-        return inst
+        inst.__dict__["f"] = f
+        return inst._validate()
 
     def memoised(self):
         """The block in which `@` reads and fills this instance's product
@@ -354,16 +371,15 @@ class EPInstance:
         the 5.3 decomposition run in it."""
         return product_memo(self.__dict__.setdefault("_products", {}))
 
-    def _validate(self) -> None:
-        _require(self.bc == self.a, "instance factorization b c = a")
-        _require(self.bd_b_is_e, "b+ b = e")
-        _require(self.c_cd_is_e, "c c+ = e")
-        _require(self.a_ad == self.p, "a a+ = b b+")
-        _require(self.ad_a == self.q, "a+ a = c+ c")
-        _require(self.penrose1 and self.penrose2
-                 and conj_transpose(self.a_ad) == self.a_ad
-                 and conj_transpose(self.ad_a) == self.ad_a,
-                 "four-condition certificate for a+")
+    def _validate(self) -> "EPInstance":
+        if not self.a.is_square:
+            raise ShapeError("EPInstance expects a square matrix")
+        with self.memoised():
+            _require(self.bc == self.a, "instance factorization b c = a")
+            _require(self.bd_b_is_e, "b+ b = e")
+            _require(self.c_cd_is_e, "c c+ = e")
+            _require(self.mp_generators, "four-condition certificate for a+")
+        return self
 
     def solve(self, a: str, y: str, side: str) -> Optional[MatrixQ]:
         """The system a x = y (side "right") or x a = y ("left") on two named
@@ -500,7 +516,7 @@ _VANISHING = (("g1_zero", "g2_zero"), ("g3_zero", "g2_zero"), ("g1_zero", "g4_ze
 
 _T32 = (
     _criterion("i", "is_ep"),
-    _criterion("ii", "p_eq_q"),
+    _criterion("ii", "is_ep"),
     _criterion("iii", "ker_ok"),
     _criterion("iv", "rng_ok"),
 )
@@ -558,7 +574,7 @@ _Z_RNG_37 = (("cd_is_b_z", "3.7 c+ = b z"), _Z_INV_37)
 
 _T37 = (
     _criterion("i", "is_ep"),
-    _criterion("ii", "p_eq_q"),
+    _criterion("ii", "is_ep"),
     _criterion("iii", "ker_ok"),
     _criterion("iv", "rng_ok"),
     _criterion("v", "ker_ok"),
@@ -651,7 +667,7 @@ _E_LEFT_41 = (("q_is_e_p", "4.1 a+a = v aa+ with v = e"),)
 _E_RIGHT_41 = (("q_is_p_e", "4.1 a+a = aa+ w with w = e"),)
 
 _T41 = (
-    _criterion("i", "p_eq_q"),
+    _criterion("i", "is_ep"),
     _exists("ii", "ker_ok", _S_41, s="s_dag"),
     _solvable("iii", s1=("a", "a_dagger", "left"), s2=("a_dagger", "a", "left")),
     _exists("iv", "rng_ok", _U_41, u="u_dag"),
@@ -684,7 +700,7 @@ _H_42 = (("h_invertible", "4.2 h invertible"), ("a_h_is_as", "4.2 a* = a h"),
          ("a_hh_as_is_aa", "4.2 a*a = a h h* a*"))
 
 _T42 = (
-    _criterion("i", "p_eq_q"),
+    _criterion("i", "is_ep"),
     _exists("ii", "ker_ok", _S_42, s="s_adj"),
     _solvable("iii", s1=("a", "a_star", "left"), s2=("a_star", "a", "left")),
     _exists("iv", "rng_ok", _U_42, u="u_adj"),
@@ -726,7 +742,7 @@ def thm53_decompose(t: MatrixQ | EPInstance):
 
 
 def _decompose(m: EPInstance) -> Optional[tuple]:
-    if not m.p_eq_q:
+    if not m.is_ep:
         return None
     _require(m.j.rows == m.a.rows and m.j.cols == m.a.rows and m.j_invertible,
              "5.3 range and kernel bases concatenate to an invertible map")

@@ -120,12 +120,12 @@ def cmd_ep(args) -> int:
         raise InputError(f"ep check needs a square matrix, got {a.rows}x{a.cols}")
     inst = EPInstance.from_matrix(a)
     p_text, q_text = format_matrix(inst.p), format_matrix(inst.q)
-    sys.stdout.write(f"EP: {'yes' if inst.p_eq_q else 'no'}\n")
+    sys.stdout.write(f"EP: {'yes' if inst.is_ep else 'no'}\n")
     sys.stdout.write("p = a a+:\n")
     sys.stdout.write(p_text)
     sys.stdout.write("q = a+ a:\n")
     sys.stdout.write(q_text)
-    return EXIT_PASS if inst.p_eq_q else EXIT_PROPERTY_FALSE
+    return EXIT_PASS if inst.is_ep else EXIT_PROPERTY_FALSE
 
 
 def battery_configs(theorem_id: str, trials: int, size: int, seed: int) -> list:

@@ -584,6 +584,9 @@ def range_space(a: MatrixQ) -> Subspace:
     return Subspace(a.rows, transpose(r.take_rows(len(pivots))))
 
 
+# row_space and right_kernel are not exported from epkit: the package reads
+# both facts off the factor subspaces.  They stay here for the tests' direct
+# eliminations and for bench/tracer.py, which wraps them by name.
 def row_space(a: MatrixQ) -> Subspace:
     """Row space {x a : x} flipped into column form via plain transpose."""
     return range_space(transpose(a))

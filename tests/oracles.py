@@ -16,8 +16,8 @@ lists of rows of GaussianRational and never touch epkit.linalg.
 The helpers at the end are reference constructions that only the tests
 read, so they live here rather than in the package: the Kronecker product
 and the left-multiplication lift a (x) e, subspace containment by rank, the
-factor daggers through the Gram inverses, and the factor-level identities of
-Lemma 3.8's witnesses.
+factor daggers through the Gram inverses, the factor-level identities of
+Lemma 3.8's witnesses, and the rank-r draw that eliminates each candidate.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from epkit.battery import _MAX_ATTEMPTS, GeneratorError, _rand_matrix
+from epkit.characterizations import EPInstance
 from epkit.exactnum import ONE, ZERO, GaussianRational
 from epkit.linalg import (
     FullRankFactorization,
@@ -257,6 +259,20 @@ def gram_inverse_daggers(f: FullRankFactorization) -> tuple:
     the route `factor_daggers` took before it read each off one elimination."""
     bs, cs = conj_transpose(f.b), conj_transpose(f.c)
     return inverse(bs @ f.b) @ bs, cs @ inverse(f.c @ cs)
+
+
+def rand_rank_r_by_elimination(rng, n: int, r: int, bound: int, use_complex: bool):
+    """The validated instance of a random n x n matrix of rank r, by the
+    route `battery._rand_rank_r` took before it factorized each draw from its
+    drawn factors: every candidate left right goes through
+    `EPInstance.from_matrix`, which eliminates it, and is kept when its rank
+    is r.  It draws from `rng` what `_rand_rank_r` draws."""
+    for _ in range(_MAX_ATTEMPTS):
+        left = _rand_matrix(rng, n, r, bound, use_complex)
+        inst = EPInstance.from_matrix(left @ _rand_matrix(rng, r, n, bound, use_complex))
+        if inst.rank == r:
+            return inst
+    raise GeneratorError(f"could not draw a rank-{r} matrix of size {n}")
 
 
 @dataclass(frozen=True)

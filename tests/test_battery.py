@@ -22,11 +22,18 @@ from epkit.battery import (
 from epkit.characterizations import EPInstance, thm53_decompose
 from epkit.cli import battery_configs
 from epkit.exactnum import GaussianRational
-from epkit.linalg import MatrixQ, is_invertible, rank, transpose
+from epkit.linalg import (
+    MatrixQ,
+    SingularMatrixError,
+    full_rank_factorize,
+    is_invertible,
+    rank,
+    transpose,
+)
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
 
-from .oracles import oracle_inverse
+from .oracles import oracle_inverse, rand_rank_r_by_elimination
 from .test_characterizations import EXACT_BATTERIES
 from .test_linalg import _kernel_recording
 from .test_linalg_oracle import UNITS
@@ -629,7 +636,9 @@ def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
 def test_run_battery_factorizes_each_draw_once(monkeypatch):
     # the generator's acceptance tests read the validated instance it draws,
     # and run_battery hands that instance to the battery, so the drawn a is
-    # factorized once and never rank-tested or EP-tested on its own (rref
+    # factorized once and never rank-tested or EP-tested on its own.  A
+    # ranked draw (non_ep, or arbitrary with a rank) is a = left right and
+    # is factorized from its drawn factors, not by full_rank_factorize (rref
     # operands are not counted here: the factorization reduces a itself)
     import epkit.linalg as linalg
     import epkit.pseudoinverse as pseudoinverse
@@ -646,8 +655,80 @@ def test_run_battery_factorizes_each_draw_once(monkeypatch):
     for tid, cfg, a in requests:
         calls.clear()
         run_battery(tid, [cfg])
-        assert [name for name, x in calls if x == a] == ["full_rank_factorize"], (tid, cfg)
+        ranked = cfg.kind == "non_ep" or (cfg.kind == "arbitrary" and cfg.rank is not None)
+        expected = [] if ranked else ["full_rank_factorize"]
+        assert [name for name, x in calls if x == a] == expected, (tid, cfg)
     assert {cfg.kind for cfg in cfgs} == set(KINDS)
+
+
+def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
+    # a ranked draw a = left right takes c from the RREF of right and b as
+    # a's pivot columns; it must give what eliminating a gives, leave the
+    # rng where the eliminating route leaves it, and reject a rank-deficient
+    # left (bound 1 draws many) through b's singular Gram
+    import epkit.characterizations as chz
+
+    singular = []
+    orig = chz.factor_daggers
+
+    def daggers(f):
+        try:
+            return orig(f)
+        except SingularMatrixError:
+            singular.append(f)
+            raise
+    monkeypatch.setattr(chz, "factor_daggers", daggers)
+    for n in range(2, 7):
+        for r in range(1, n):
+            for bound in (1, 3):
+                for use_complex in (False, True):
+                    for s in range(8):
+                        seed = child_seed(n * 1000 + r * 100 + bound * 10 + use_complex, s)
+                        drawn, parent = random.Random(seed), random.Random(seed)
+                        inst = battery._rand_rank_r(drawn, n, r, bound, use_complex)
+                        ref = rand_rank_r_by_elimination(parent, n, r, bound, use_complex)
+                        assert inst.a == ref.a and drawn.getstate() == parent.getstate()
+                        f = full_rank_factorize(inst.a)
+                        assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank) == (
+                            ref.b, ref.c, r)
+    assert singular and all(rank(f.b) < f.rank for f in singular)
+    for kind, rank_of in (("non_ep", lambda n, i: None), ("non_ep", lambda n, i: 1 + i % (n - 1)),
+                          ("arbitrary", lambda n, i: i % (n + 1))):
+        for n in range(2, 7):
+            for bound in (1, 3):
+                for i in range(6):
+                    cfg = GeneratorConfig(seed=child_seed(77 * n + bound, i), n=n,
+                                          rank=rank_of(n, i), entry_bound=bound, kind=kind)
+                    inst = battery.gen_instance(cfg)
+                    f = full_rank_factorize(inst.a)
+                    assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank), cfg
+
+
+def test_work_per_instance_is_pinned(monkeypatch):
+    # products reaching numpy and rref calls over battery_configs(id, 24, 4, 11),
+    # generation included, as upper bounds: validation checks a generating
+    # set of the four Penrose conditions, Lemma 3.8 four identities, and a
+    # ranked draw is factorized from its drawn factors.  A change that brings
+    # back a check which follows from the others, or re-forms a product,
+    # raises a count past its bound
+    import epkit.linalg as linalg
+
+    counts = {"product": 0, "rref": 0}
+    product = linalg._product
+
+    def counted(a, b):
+        counts["product"] += 1
+        return product(a, b)
+    monkeypatch.setattr(linalg, "_product", counted)
+    _record_calls(monkeypatch, linalg.rref, lambda a: counts.__setitem__("rref", counts["rref"] + 1))
+    bounds = {"3.2": (212, 116), "3.4": (262, 74), "3.5": (306, 116), "3.7": (484, 116),
+              "3.9": (391, 116), "3.10": (377, 74), "4.1": (442, 116), "4.2": (940, 116),
+              "5.5": (332, 116), "5.6": (212, 116)}
+    assert set(bounds) == set(EXACT_BATTERIES)
+    for tid, (products, rrefs) in bounds.items():
+        counts.update(product=0, rref=0)
+        run_battery(tid, battery_configs(tid, 24, 4, 11))
+        assert counts["product"] <= products and counts["rref"] <= rrefs, (tid, counts)
 
 
 def test_run_battery_5_2_norms():

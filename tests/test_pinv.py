@@ -253,7 +253,7 @@ def test_memoised_quantities_match_pinv():
         assert m.a_dagger == x
         assert m.p == a @ x
         assert m.q == x @ a
-        assert is_ep(a) == ((a @ x) == (x @ a)) == m.p_eq_q
+        assert is_ep(a) == ((a @ x) == (x @ a)) == m.is_ep
     assert {(0, 0), (3, 0), (3, 3)} <= ranks and {(4, r) for r in range(5)} <= ranks
 
 

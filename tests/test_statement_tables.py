@@ -29,7 +29,7 @@ from epkit import characterizations as chz
 from epkit.battery import gen_block_pair, gen_matrix
 from epkit.characterizations import EPInstance, prop52_battery, thm53_decompose
 from epkit.cli import battery_configs
-from epkit.linalg import InternalConsistencyError, MatrixQ
+from epkit.linalg import InternalConsistencyError, MatrixQ, conj_transpose
 from epkit.pnorms import PNorm
 
 from .test_characterizations import EXACT_BATTERIES
@@ -205,12 +205,14 @@ def test_penrose_certificate_reads_the_held_products(monkeypatch):
 def test_certificate_catches_another_left_inverse_of_b(monkeypatch):
     # b+ = c a+ and c+ = a+ b are not checked apart, since they follow from
     # b+ b = e and c c+ = e; a held b+ that is another left inverse of b
-    # passes b+ b = e, a a+ = b b+, a+ a = c+ c and Penrose 1 and 2, but
-    # a a+ is not hermitian, so the certificate still catches it
+    # passes every generator but one, p = b b+ hermitian, so the certificate
+    # still catches it
     held = MatrixQ.from_rows([["1/2", 1]])     # DIAG20 = b c, b = [2; 0], c = [1 0]
     monkeypatch.setitem(chz._QUANTITIES, "b_dagger", lambda m: held)
     m = EPInstance(a=DIAG20)
-    assert m.bd_b_is_e and m.a_ad == m.p and m.ad_a == m.q and m.penrose1 and m.penrose2
+    assert m.bc == m.a and m.bd_b_is_e and m.c_cd_is_e and m.q == m.c_dagger @ m.c
+    assert m.a_dagger == m.c_dagger @ m.b_dagger and conj_transpose(m.q) == m.q
+    assert conj_transpose(m.p) != m.p
     with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
         EPInstance.from_matrix(DIAG20)
 
