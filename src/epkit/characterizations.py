@@ -52,23 +52,23 @@ and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
 square matrix is two-sided) after an EP-equivalent criterion held, so a
 failed product is a defect in a+ or the factors, not a singular input.  The
 tables eliminate only for the factorization, the two Gram eliminations of
-`factor_daggers` and three factor subspaces, ker c, range b and ker b*.
-Every kernel, range, right-kernel and row-space statement is one of two
-facts about them, `ker_ok` (ker b* = ker c) or `rng_ok` (range b = range c*,
-whose basis is c* itself, as c is an RREF), by identities that hold for
-every matrix, written beside those two entries.  A full-rank instance
-reduces none of them.  Every row still
-`_require`s its witness identities, under its own battery's message, before
-it reports the witness; one that fails to re-verify raises
-InternalConsistencyError: a bug, not a result.
+`factor_daggers` and, in 5.5 on EP input, ker c.  Every kernel, range,
+right-kernel and row-space statement is one fact, `rng_ok`
+(range b = range c*, equivalently ker b* = ker c, their orthogonal
+complements), by identities that hold for every matrix, written beside
+that entry.  c is an RREF, so the fact is the one product b = c* b[P, :]
+over c's pivot columns P, checked to be identity columns of c, and no
+elimination.  Every row still `_require`s its witness identities, under its
+own battery's message, before it reports the witness; one that fails to
+re-verify raises InternalConsistencyError: a bug, not a result.
 
 Block maps.  The 5.x statements read t = j (t1 ⊕ 0) j⁻¹, and no padded n×n
 matrix is formed for it: j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁, with j₁ the leading k
 columns of j and j⁻¹₁ the leading k rows of j⁻¹, and j (0 ⊕ e) j⁻¹ = j₂ j⁻¹₂
-from the trailing ones.  In 5.3 and 5.5, j₁ is the range basis and j⁻¹₁ the
-memoised `j_inv1`.  The exact hermitian rule is `pnorms.is_hermitian_exact`,
-which 5.2 and the 5.3 block projection read through
-`is_hermitian_idempotent_exact`.
+from the trailing ones.  In 5.3 and 5.5, j₁ is c*, on EP input the
+canonical basis of range a, and j⁻¹₁ the memoised `j_inv1`.  The exact
+hermitian rule is `pnorms.is_hermitian_exact`, which 5.2 and the 5.3 block
+projection read through `is_hermitian_idempotent_exact`.
 
 Rectangular reading: instances carry a square a = b·c with b of full column
 rank (n×r) and c of full row rank (r×n); each identity `e` is the identity
@@ -94,8 +94,6 @@ from .linalg import (
     inverse,
     kernel,
     product_memo,
-    range_space,
-    subspace_equal,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
 from .pseudoinverse import factor_daggers, lemma38_witnesses
@@ -151,22 +149,24 @@ _QUANTITIES = {
     "cd_star": lambda m: conj_transpose(m.c_dagger),
     "bd_star": lambda m: conj_transpose(m.b_dagger),
     "ad_star": lambda m: conj_transpose(m.a_dagger),
-    # every subspace the tables read, from three eliminations of the factors.
-    # b has full column rank, c full row rank, b+ = (b* b)^-1 b* and
-    # c+ = c* (c c*)^-1, so for every matrix, EP or not,
+    # the one subspace fact the tables read, rng_ok.  b has full column rank,
+    # c full row rank, b+ = (b* b)^-1 b* and c+ = c* (c c*)^-1, so for every
+    # matrix, EP or not,
     #   ker a = ker q = ker a* a = ker c,  ker a+ = ker a* = ker p = ker a a* = ker b*,
     #   range a = range p = range a a* = range b,
     #   range a+ = range a* = range q = range a* a = range c*,
     # and rker x = conj ker x*, row x = conj range x*: every kernel and
-    # right-kernel criterion is ker_ok, every range and row-space one rng_ok.
-    # At full rank c = e and b = a, and no subspace needs an elimination
+    # right-kernel criterion is ker b* = ker c, every range and row-space one
+    # range b = range c*.  c is an RREF, so c*'s rows at c's pivot columns P
+    # are e_r; range b and range c* both have dimension r, so they are equal
+    # iff range b lies in range c*, iff b = c* b[P, :]: one product, no
+    # elimination, and none at full rank, where c = c* = e
+    "c_pivots": lambda m: _pivots(m.c),
+    # range b = range c*, and ker b* = (range b)^perp, ker c = (range c*)^perp
+    # make it ker b* = ker c too
+    "rng_ok": lambda m: m.b == m.c_star @ m.b.select_rows(m.c_pivots),
     "full_rank": lambda m: m.rank == m.a.rows,
-    "ker_c": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.c),
-    "ker_bs": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.b_star),
-    "rng_b": lambda m: Subspace(m.a.rows, m.e_n) if m.full_rank else range_space(m.b),
-    "rng_cs": lambda m: Subspace(m.a.rows, m.c_star),   # canonical: conj c is an RREF
-    "ker_ok": lambda m: subspace_equal(m.ker_bs, m.ker_c),
-    "rng_ok": lambda m: subspace_equal(m.rng_b, m.rng_cs),
+    "ker_c": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.c),   # 5.5's j
     # 3.4: the vanishing products
     "g2": lambda m: m.c @ m.p_perp,                              # c (e - bb+)
     "g3": lambda m: m.b_dagger @ m.q_perp,                       # b+ (e - c+c)
@@ -249,22 +249,22 @@ _QUANTITIES = {
     "a_h_is_as": lambda m: m.a @ m.h == m.a_star,
     "a_hh_as_is_aa": lambda m: m.a @ m.h @ conj_transpose(m.h) @ m.a_star == m.aa,
     # 5.3, 5.5: t = j (t1 + 0) j^-1 with j = [B K] over the canonical range and
-    # kernel bases, whose pivot rows S, S' give S B = e, S' K = e.  On EP input
-    # j^-1 = [S p; S' (e - p)], and t1 = S a B has inverse S a+ B
-    "rng_basis": lambda m: m.rng_b.basis,
-    "a_rng": lambda m: m.a @ m.rng_basis,
-    "rng_pivots": lambda m: _pivot_rows(m.rng_basis),
+    # kernel bases, whose pivot rows S, S' give S B = e, S' K = e.  Both read
+    # them only on EP input, where range a = range c* has the canonical basis
+    # B = c*, as conj c is an RREF, with pivot rows P.  There
+    # j^-1 = [S p; S' (e - p)], and t1 = S a B has inverse S a+ B; S x is
+    # the selection of x's pivot rows, not a product
+    "a_rng": lambda m: m.a @ m.c_star,
     "ker_pivots": lambda m: _pivot_rows(m.ker_c.basis),
-    "rng_pivots_inv": lambda m: m.rng_pivots @ m.rng_basis == m.e_r,
-    "j": lambda m: m.rng_basis.hstack(m.ker_c.basis),
-    "j_inv1": lambda m: m.rng_pivots @ m.p,                      # j^-1's top rank rows
-    "j_inv": lambda m: m.j_inv1.vstack(m.ker_pivots @ m.p_perp),
+    "j": lambda m: m.c_star.hstack(m.ker_c.basis),
+    "j_inv1": lambda m: m.p.select_rows(m.c_pivots),             # j^-1's top rank rows
+    "j_inv": lambda m: m.j_inv1.vstack(m.p_perp.select_rows(m.ker_pivots)),
     "j_invertible": lambda m: m.j @ m.j_inv == m.e_n,
-    "t1": lambda m: m.solve("rng_basis", "a_rng", "right"),
-    "t1_inv": lambda m: m.rng_pivots @ m.a_dagger @ m.rng_basis,
+    "t1": lambda m: m.solve("c_star", "a_rng", "right"),
+    "t1_inv": lambda m: m.a_dagger.select_rows(m.c_pivots) @ m.c_star,
     "t1_invertible": lambda m: m.t1 @ m.t1_inv == m.e_r,
-    "t_is_block": lambda m: m.a == m.rng_basis @ m.t1 @ m.j_inv1,
-    "td_is_block": lambda m: m.a_dagger == m.rng_basis @ m.t1_inv @ m.j_inv1,
+    "t_is_block": lambda m: m.a == m.c_star @ m.t1 @ m.j_inv1,
+    "td_is_block": lambda m: m.a_dagger == m.c_star @ m.t1_inv @ m.j_inv1,
     "decomposition": lambda m: _decompose(m),
     "decomposable": lambda m: m.decomposition is not None,
     "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
@@ -280,11 +280,19 @@ def _trivial(n: int) -> Subspace:
     return Subspace(n, MatrixQ.zeros(n, 0))
 
 
-def _pivot_rows(basis: MatrixQ) -> MatrixQ:
-    """S with S basis = e: the rows of e at the leading 1 of each column of a
-    canonical column-reduced echelon basis."""
-    return conj_transpose(MatrixQ.identity(basis.rows).select_columns(
-        [basis.col(j).index(ONE) for j in range(basis.cols)]))
+def _pivots(c: MatrixQ) -> list:
+    """P, the column of each row's leading nonzero entry of c, with
+    c[:, P] = e checked: the pivot columns of an RREF."""
+    pivots = c.leading_columns()
+    if None in pivots or c.select_columns(pivots) != MatrixQ.identity(c.rows):
+        raise InternalConsistencyError("c is not an RREF: c[:, P] != e at its pivot columns P")
+    return pivots
+
+
+def _pivot_rows(basis: MatrixQ) -> list:
+    """The row of the leading 1 of each column of a canonical column-reduced
+    echelon basis: those rows S of e give S basis = e."""
+    return [basis.col(j).index(ONE) for j in range(basis.cols)]
 
 
 # coefficient -> (g, guard): g is a {1}-inverse (m g m = m) once the named
@@ -308,7 +316,6 @@ _INNER = {
     "q": ("q", "mp_generators"),             # 4.1: q q q = q
     "bb": ("v", "mp_generators"),            # 4.2
     "aa": ("w", "mp_generators"),            # 4.2
-    "rng_basis": ("rng_pivots", "rng_pivots_inv"),  # 5.3, 5.5: S B = e_r
 }
 
 
@@ -517,7 +524,7 @@ _VANISHING = (("g1_zero", "g2_zero"), ("g3_zero", "g2_zero"), ("g1_zero", "g4_ze
 _T32 = (
     _criterion("i", "is_ep"),
     _criterion("ii", "is_ep"),
-    _criterion("iii", "ker_ok"),
+    _criterion("iii", "rng_ok"),
     _criterion("iv", "rng_ok"),
 )
 
@@ -546,15 +553,15 @@ _Z_RNG_35 = _U_35 + (("cd_is_b_z", "3.5 c+ = b z"),)
 
 _T35 = (
     _criterion("i", "is_ep"),
-    _exists("ii", "ker_ok", _U_35, U="u", Z="z"),
-    _exists("iii", "ker_ok", _U_35, U1="u"),
+    _exists("ii", "rng_ok", _U_35, U="u", Z="z"),
+    _exists("iii", "rng_ok", _U_35, U1="u"),
     _solvable("iv", U2=_BD_C, U3=_C_BD),
     _exists("v", "rng_ok", _U_RNG_35, W="u"),
     _exists("vi", "rng_ok", _U_RNG_35, W1="u"),
     _solvable("vii", W2=_CD_B, W3=_B_CD),
     _solvable("viii", H1=_BD_C, H2=_CD_B),
     _solvable("ix", K1=_C_BD, K2=_B_CD),
-    _exists("x", "ker_ok", _Z_KER_35, S1="z"),
+    _exists("x", "rng_ok", _Z_KER_35, S1="z"),
     _exists("xi", "rng_ok", _Z_RNG_35, S2="z"),
 )
 
@@ -575,24 +582,24 @@ _Z_RNG_37 = (("cd_is_b_z", "3.7 c+ = b z"), _Z_INV_37)
 _T37 = (
     _criterion("i", "is_ep"),
     _criterion("ii", "is_ep"),
-    _criterion("iii", "ker_ok"),
+    _criterion("iii", "rng_ok"),
     _criterion("iv", "rng_ok"),
-    _criterion("v", "ker_ok"),
+    _criterion("v", "rng_ok"),
     _criterion("vi", "rng_ok"),
     *(_criterion(sid, crit) for sid, crit in
       zip(("vii", "viii", "ix", "x", "xi", "xii"), _VANISHING)),
-    _exists("xiii", "ker_ok", _U_KER_37, x="u"),
-    _exists("xiv", "ker_ok", _U_KER_37, y="u"),
+    _exists("xiii", "rng_ok", _U_KER_37, x="u"),
+    _exists("xiv", "rng_ok", _U_KER_37, y="u"),
     _solvable("xv", z1=_BD_C, z2=_C_BD),
     _exists("xvi", "rng_ok", _U_RNG_37, u="u"),
     _exists("xvii", "rng_ok", _U_RNG_37, v="u"),
     _solvable("xviii", w1=_CD_B, w2=_B_CD),
     _solvable("xix", h1=_BD_C, h2=_CD_B),
     _solvable("xx", k1=_C_BD, k2=_B_CD),
-    _exists("xxi", "ker_ok", _Z_KER_37, s1="z"),
+    _exists("xxi", "rng_ok", _Z_KER_37, s1="z"),
     _exists("xxii", "rng_ok", _Z_RNG_37, s2="z"),
     _exists("xxiii", "rng_ok", _U_RNG_37, note=_COSET, u="u"),
-    _exists("xxiv-a", "ker_ok", _U_KER_37, note=_COSET, x="u"),
+    _exists("xxiv-a", "rng_ok", _U_KER_37, note=_COSET, x="u"),
     _solvable("xxiv-b", right_multiplier=("c_dagger", "a", "right"),
               left_multiplier=("b_dagger", "a", "left")),
     _solvable("xxvi", right_multiplier=("b", "a_dagger", "right"),
@@ -615,17 +622,17 @@ _T39 = (
     _criterion("i", "is_ep"),
     _solvable("ii", right_multiplier=("c_star", "a", "right"),
               left_multiplier=("b_star", "a", "left")),
-    _criterion("iii", "ker_ok"),
+    _criterion("iii", "rng_ok"),
     _criterion("iv", "rng_ok"),
-    _criterion("v", "ker_ok"),
+    _criterion("v", "rng_ok"),
     _criterion("vi", "rng_ok"),
     _exists("vii", "rng_ok", _Z_39, note=_COSET, z="z_adj"),
-    _exists("viii", "ker_ok", _X_39, note=_COSET, x="x_adj"),
-    _exists("ix", "ker_ok", _X_39, x="x_adj"),
-    _exists("x", "ker_ok", _X_39, y="x_adj"),
+    _exists("viii", "rng_ok", _X_39, note=_COSET, x="x_adj"),
+    _exists("ix", "rng_ok", _X_39, x="x_adj"),
+    _exists("x", "rng_ok", _X_39, y="x_adj"),
     _solvable("xi", z1=("b_star", "c", "left"), z2=("c", "b_star", "left")),
     _exists("xii", "rng_ok", _Z_39, v="z_adj"),
-    _exists("xiii", "ker_ok", _Z_39 + (("bs_is_s1_c", "3.9 b* = s1 c"),), s1="s1_adj"),
+    _exists("xiii", "rng_ok", _Z_39 + (("bs_is_s1_c", "3.9 b* = s1 c"),), s1="s1_adj"),
     _exists("xiv", "rng_ok", _Z_39 + (("cs_is_b_s2", "3.9 c* = b s2"),), s2="s2_adj"),
 )
 
@@ -668,14 +675,14 @@ _E_RIGHT_41 = (("q_is_p_e", "4.1 a+a = aa+ w with w = e"),)
 
 _T41 = (
     _criterion("i", "is_ep"),
-    _exists("ii", "ker_ok", _S_41, s="s_dag"),
+    _exists("ii", "rng_ok", _S_41, s="s_dag"),
     _solvable("iii", s1=("a", "a_dagger", "left"), s2=("a_dagger", "a", "left")),
     _exists("iv", "rng_ok", _U_41, u="u_dag"),
     _solvable("v", u1=("a", "a_dagger", "right"), u2=("a_dagger", "a", "right")),
     _exists("vi", "rng_ok", _U_41, t="u_dag"),
-    _exists("vii", "ker_ok", _S_41, x="s_dag"),
-    _exists("viii", "ker_ok", _E_LEFT_41, v="e_n"),
-    _exists("ix", "ker_ok", _E_LEFT_41, v1="e_n"),
+    _exists("vii", "rng_ok", _S_41, x="s_dag"),
+    _exists("viii", "rng_ok", _E_LEFT_41, v="e_n"),
+    _exists("ix", "rng_ok", _E_LEFT_41, v1="e_n"),
     _solvable("x", v2=("p", "q", "left"), v3=("q", "p", "left")),
     _exists("xi", "rng_ok", _E_RIGHT_41, w="e_n"),
     _exists("xii", "rng_ok", _E_RIGHT_41, w1="e_n"),
@@ -701,14 +708,14 @@ _H_42 = (("h_invertible", "4.2 h invertible"), ("a_h_is_as", "4.2 a* = a h"),
 
 _T42 = (
     _criterion("i", "is_ep"),
-    _exists("ii", "ker_ok", _S_42, s="s_adj"),
+    _exists("ii", "rng_ok", _S_42, s="s_adj"),
     _solvable("iii", s1=("a", "a_star", "left"), s2=("a_star", "a", "left")),
     _exists("iv", "rng_ok", _U_42, u="u_adj"),
     _solvable("v", u1=("a", "a_star", "right"), u2=("a_star", "a", "right")),
     _exists("vi", "rng_ok", _U_42, t="u_adj"),
-    _exists("vii", "ker_ok", _S_42, x="s_adj"),
-    _exists("viii", "ker_ok", _V_42, v="vhat"),
-    _exists("ix", "ker_ok", _V_42, v1="vhat"),
+    _exists("vii", "rng_ok", _S_42, x="s_adj"),
+    _exists("viii", "rng_ok", _V_42, v="vhat"),
+    _exists("ix", "rng_ok", _V_42, v1="vhat"),
     _solvable("x", v2=("bb", "aa", "left"), v3=("aa", "bb", "left")),
     _exists("xi", "rng_ok", _W_42, w="what"),
     _exists("xii", "rng_ok", _W_42, w1="what"),
@@ -716,8 +723,8 @@ _T42 = (
     _exists("xiv", "grams_two_sided", (("a_z1_as_is_aa", "4.2 a*a = a z1 a*"),
                                        ("as_z2_a_is_bb", "4.2 aa* = a* z2 a")),
             z1="z1_adj", z2="z2_adj"),
-    _exists("xv", ("ker_ok", "rng_ok"), _H_42, h1="h"),
-    _exists("xvi", "ker_ok", _H_42, h2="h"),
+    _exists("xv", "rng_ok", _H_42, h1="h"),
+    _exists("xvi", "rng_ok", _H_42, h2="h"),
     _exists("xvii", "rng_ok", _H_42, h3="h"),
 )
 
@@ -749,7 +756,7 @@ def _decompose(m: EPInstance) -> Optional[tuple]:
     _require(m.t1 is not None, "5.3 compression of t to its range exists")
     _require(m.t_is_block, "5.3 t = j (t1 + 0) j^-1")
     _require(m.t1_invertible, "5.3 compression invertible")
-    q1 = m.rng_basis @ m.j_inv1
+    q1 = m.c_star @ m.j_inv1
     _require(is_hermitian_idempotent_exact(q1, PNorm(2)),
              "5.3 block projection is a self-adjoint idempotent")
     _require(q1 == m.p, "5.3 block projection equals t t+")
@@ -761,7 +768,7 @@ _DECOMPOSED_55 = (("decomposable", "5.5 kernel/range criterion implies decomposa
                   ("t_is_block", "5.5 t = V (A + 0) S"))
 
 _T55 = (
-    _exists("ii", "ker_ok",
+    _exists("ii", "rng_ok",
             _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = W (B + 0) S"),
                               ("injective_sides", "5.5 injectivity side conditions")),
             note="both clauses verified with one decomposition",
@@ -785,13 +792,13 @@ def thm55_battery(t: MatrixQ | EPInstance) -> list:
 _FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
 
 # the kernel, range, right-annihilator and row-space conditions on the middle
-# factors are the rows' criteria, read once: iv's is ker_ok and v's rng_ok
+# factors are the rows' criteria, read once: each is rng_ok
 _T56 = (
-    _exists("ii", "ker_ok", (_FRAMED_56, ("e_invertible", "5.6 outer factors injective")),
+    _exists("ii", "rng_ok", (_FRAMED_56, ("e_invertible", "5.6 outer factors injective")),
             b1="e_n", c1="a", g1="e_n", f1="e_n", d1="a_dagger"),
     _exists("iii", "rng_ok", (_FRAMED_56, ("e_invertible", "5.6 outer factors surjective")),
             h1="e_n", k1="a", l1="e_n", m1="a_dagger", n1="e_n"),
-    _exists("iv", "ker_ok",
+    _exists("iv", "rng_ok",
             (_FRAMED_56, ("e_invertible", "5.6 outer factors right-injective")),
             note="kernel condition read clause-locally (c2 against d2)",
             b2="e_n", c2="a", g2="e_n", d2="a_dagger", g3="e_n"),

@@ -150,6 +150,12 @@ class MatrixQ:
     def col(self, j: int) -> tuple:
         return self._scalars(range(_index(j, self.cols), self.rows * self.cols, self.cols))
 
+    def leading_columns(self) -> list:
+        """Per row, the column of its first nonzero entry, None for a zero row."""
+        re, im, c = self._re, self._im, self.cols
+        return [next((j for j in range(c) if re[i * c + j] or im[i * c + j]), None)
+                for i in range(self.rows)]
+
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -266,6 +272,14 @@ class MatrixQ:
             raise IndexError(f"column indices {idx} out of range for {self.cols} columns")
         ks = [i * self.cols + j for i in range(self.rows) for j in idx]
         return _canonical(self.rows, len(idx), self._den,
+                          [self._re[k] for k in ks], [self._im[k] for k in ks])
+
+    def select_rows(self, indices: Sequence[int]) -> "MatrixQ":
+        idx = list(indices)
+        if idx and (min(idx) < 0 or max(idx) >= self.rows):
+            raise IndexError(f"row indices {idx} out of range for {self.rows} rows")
+        ks = [i * self.cols + j for i in idx for j in range(self.cols)]
+        return _canonical(len(idx), self.cols, self._den,
                           [self._re[k] for k in ks], [self._im[k] for k in ks])
 
     def take_rows(self, start: int, stop: Optional[int] = None) -> "MatrixQ":

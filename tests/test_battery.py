@@ -617,9 +617,9 @@ def test_thm53_forms_q1_with_one_product(monkeypatch):
 
 
 def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
-    # the canonical range basis B has identity pivot rows, so their selection
-    # S (S B = e_r) decides t1 from B t1 = a B without an elimination; rank 0
-    # gives B of n x 0
+    # on EP input c* is the canonical range basis B, with identity pivot rows,
+    # so c* t1 = a c* is decided through the guarded {1}-inverse (c+)* of c*
+    # without an elimination; rank 0 gives B of n x 0
     draws = [MatrixQ.zeros(3, 3)] + _ep_draws("5.5")
     _, _, built = _recording(monkeypatch)
     decided = _inner_recording(monkeypatch)
@@ -627,10 +627,10 @@ def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
         decided.clear()
         t1 = thm53_decompose(a)[0]
         m = built[-1]
-        basis = m.rng_b.basis
-        assert m.rng_pivots @ basis == MatrixQ.identity(basis.cols)
-        assert decided == [(basis, a @ basis, "right")]
-        assert basis @ t1 == a @ basis
+        c_star = m.c_star
+        assert c_star.select_rows(m.c_pivots) == MatrixQ.identity(c_star.cols)
+        assert decided == [(c_star, a @ c_star, "right")]
+        assert c_star @ t1 == a @ c_star
 
 
 def test_run_battery_factorizes_each_draw_once(monkeypatch):
@@ -707,10 +707,14 @@ def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
 def test_work_per_instance_is_pinned(monkeypatch):
     # products reaching numpy and rref calls over battery_configs(id, 24, 4, 11),
     # generation included, as upper bounds: validation checks a generating
-    # set of the four Penrose conditions, Lemma 3.8 four identities, and a
-    # ranked draw is factorized from its drawn factors.  A change that brings
-    # back a check which follows from the others, or re-forms a product,
-    # raises a count past its bound
+    # set of the four Penrose conditions, Lemma 3.8 four identities, a
+    # ranked draw is factorized from its drawn factors, and the one subspace
+    # fact is the product b = c* b[P, :], which trades one product per
+    # rank-deficient draw for up to three eliminations (only 5.5 still
+    # eliminates ker c, on EP input), and 5.5 selects pivot rows rather
+    # than multiplying by them.  A change that brings back a check which
+    # follows from the others, or re-forms a product, raises a count past
+    # its bound
     import epkit.linalg as linalg
 
     counts = {"product": 0, "rref": 0}
@@ -721,14 +725,38 @@ def test_work_per_instance_is_pinned(monkeypatch):
         return product(a, b)
     monkeypatch.setattr(linalg, "_product", counted)
     _record_calls(monkeypatch, linalg.rref, lambda a: counts.__setitem__("rref", counts["rref"] + 1))
-    bounds = {"3.2": (212, 116), "3.4": (262, 74), "3.5": (306, 116), "3.7": (484, 116),
-              "3.9": (391, 116), "3.10": (377, 74), "4.1": (442, 116), "4.2": (940, 116),
-              "5.5": (332, 116), "5.6": (212, 116)}
+    bounds = {"3.2": (225, 74), "3.4": (262, 74), "3.5": (319, 74), "3.7": (497, 74),
+              "3.9": (396, 74), "3.10": (377, 74), "4.1": (455, 74), "4.2": (953, 74),
+              "5.5": (313, 82), "5.6": (225, 74)}
     assert set(bounds) == set(EXACT_BATTERIES)
     for tid, (products, rrefs) in bounds.items():
         counts.update(product=0, rref=0)
         run_battery(tid, battery_configs(tid, 24, 4, 11))
         assert counts["product"] <= products and counts["rref"] <= rrefs, (tid, counts)
+
+
+def test_only_5_5_eliminates_a_factor_subspace_and_only_on_ep_input(monkeypatch):
+    # every kernel and range criterion is the one product b = c* b[P, :], so
+    # no request, generation included, calls range_space, and kernel runs
+    # only for 5.5's kernel basis ker c, on rank-deficient EP input
+    import epkit.linalg as linalg
+
+    calls = []
+    for orig in (linalg.kernel, linalg.range_space):
+        _record_calls(monkeypatch, orig,
+                      lambda a, name=orig.__name__: calls.append((name, a)))
+    _, _, built = _recording(monkeypatch)
+    eliminated = 0
+    for tid in EXACT_BATTERIES:
+        for n in (0, 1, 4):
+            for cfg in battery_configs(tid, 24, n, 11):
+                calls.clear()
+                run_battery(tid, [cfg])
+                m = built[-1]
+                ep_deficient = tid == "5.5" and m.is_ep and not m.full_rank
+                assert calls == ([("kernel", m.c)] if ep_deficient else []), (tid, cfg)
+                eliminated += ep_deficient
+    assert eliminated
 
 
 def test_run_battery_5_2_norms():

@@ -1,20 +1,23 @@
 """The factor subspaces of `EPInstance` against direct eliminations.
 
 The statement tables read every kernel, range, right-kernel and row-space
-criterion as one of two facts, `ker_ok` (ker b* = ker c) and `rng_ok`
-(range b = range c*), from three eliminations of the factors (ker c,
-range b, ker b*) and from c itself.  The identities behind that hold for
-every square matrix, EP or not, at every rank.  Here each table subspace is
-compared with the direct route that reduces a, a+, p, q, a*, the Grams and
-the daggers themselves, and each kernel, range, right-kernel and row-space
-criterion of the rows, decided by such direct eliminations, with the fact
-its row reads.  So a `linalg` defect that broke one route would show as a
-mismatch.  The generic identities the tables rest on are also checked by
-themselves on rectangular matrices, empty ones included.
+criterion as one fact, `rng_ok`: range b = range c*, decided as
+b = c* b[P, :] over the pivot columns P of the RREF c, and equivalent to
+ker b* = ker c through the orthogonal complements.  The identities behind
+that hold for every square matrix, EP or not, at every rank.  Here the one
+table subspace the package still eliminates, ker c, is compared with the
+direct route that reduces a, q and a* a themselves; on EP input c* is
+compared with the canonical basis of range b; and each kernel, range,
+right-kernel and row-space criterion of the rows, decided by such direct
+eliminations, with the fact its row reads.  So a `linalg` defect that
+broke one route would show as a mismatch.  The generic identities the
+tables rest on are also checked by themselves on rectangular matrices,
+empty ones included.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,8 @@ from epkit import characterizations as chz
 from epkit.characterizations import EPInstance
 from epkit.exactnum import I_UNIT, GaussianRational
 from epkit.linalg import (
+    FullRankFactorization,
+    InternalConsistencyError,
     MatrixQ,
     conj_transpose,
     kernel,
@@ -74,17 +79,7 @@ def rect_matrices(draw, rows=None):
 
 def _direct(m: EPInstance) -> dict:
     """name -> (the table's subspace, every direct elimination it stands for)."""
-    a, ad, a_star = m.a, m.a_dagger, m.a_star
-    return {
-        "ker_c": (m.ker_c, [kernel(m.c), kernel(a), kernel(m.q), kernel(m.aa)]),
-        "rng_b": (m.rng_b, [range_space(m.b), range_space(a), range_space(m.p),
-                            range_space(m.bb)]),
-        "ker_bs": (m.ker_bs, [kernel(m.b_star), kernel(m.b_dagger), kernel(ad),
-                              kernel(a_star), kernel(m.p), kernel(m.bb)]),
-        "rng_cs": (m.rng_cs, [range_space(m.c_star), range_space(m.c_dagger),
-                              range_space(ad), range_space(a_star), range_space(m.q),
-                              range_space(m.aa)]),
-    }
+    return {"ker_c": (m.ker_c, [kernel(m.c), kernel(m.a), kernel(m.q), kernel(m.aa)])}
 
 
 def _direct_criteria(m: EPInstance) -> dict:
@@ -94,23 +89,23 @@ def _direct_criteria(m: EPInstance) -> dict:
     a, ad, a_star = m.a, m.a_dagger, m.a_star
     ker_c, rng_b, rker_b, row_c = kernel(m.c), range_space(m.b), right_kernel(m.b), row_space(m.c)
     return {
-        ("3.2", "iii"): ("ker_ok", subspace_equal(kernel(m.b_dagger), ker_c)),
+        ("3.2", "iii"): ("rng_ok", subspace_equal(kernel(m.b_dagger), ker_c)),
         ("3.2", "iv"): ("rng_ok", subspace_equal(rng_b, range_space(m.c_dagger))),
-        ("3.7", "v"): ("ker_ok", subspace_equal(rker_b, right_kernel(m.c_dagger))),
+        ("3.7", "v"): ("rng_ok", subspace_equal(rker_b, right_kernel(m.c_dagger))),
         ("3.7", "vi"): ("rng_ok", subspace_equal(row_c, row_space(m.b_dagger))),
-        ("3.9", "iii"): ("ker_ok", subspace_equal(kernel(m.b_star), ker_c)),
+        ("3.9", "iii"): ("rng_ok", subspace_equal(kernel(m.b_star), ker_c)),
         ("3.9", "iv"): ("rng_ok", subspace_equal(rng_b, range_space(m.c_star))),
-        ("3.9", "v"): ("ker_ok", subspace_equal(rker_b, right_kernel(m.c_star))),
+        ("3.9", "v"): ("rng_ok", subspace_equal(rker_b, right_kernel(m.c_star))),
         ("3.9", "vi"): ("rng_ok", subspace_equal(row_c, row_space(m.b_star))),
-        ("4.1", "ii"): ("ker_ok", subspace_equal(kernel(a), kernel(ad))),
+        ("4.1", "ii"): ("rng_ok", subspace_equal(kernel(a), kernel(ad))),
         ("4.1", "iv"): ("rng_ok", subspace_equal(range_space(a), range_space(ad))),
-        ("5.6", "iv"): ("ker_ok", subspace_equal(right_kernel(a), right_kernel(ad))),
+        ("5.6", "iv"): ("rng_ok", subspace_equal(right_kernel(a), right_kernel(ad))),
         ("5.6", "v"): ("rng_ok", subspace_equal(row_space(a), row_space(ad))),
-        ("4.2", "ii"): ("ker_ok", subspace_equal(kernel(a), kernel(a_star))),
+        ("4.2", "ii"): ("rng_ok", subspace_equal(kernel(a), kernel(a_star))),
         ("4.2", "iv"): ("rng_ok", subspace_equal(range_space(a), range_space(a_star))),
-        ("4.1", "viii"): ("ker_ok", subspace_equal(kernel(m.p), kernel(m.q))),
+        ("4.1", "viii"): ("rng_ok", subspace_equal(kernel(m.p), kernel(m.q))),
         ("4.1", "xi"): ("rng_ok", subspace_equal(range_space(m.p), range_space(m.q))),
-        ("4.2", "viii"): ("ker_ok", subspace_equal(kernel(m.bb), kernel(m.aa))),
+        ("4.2", "viii"): ("rng_ok", subspace_equal(kernel(m.bb), kernel(m.aa))),
         ("4.2", "xi"): ("rng_ok", subspace_equal(range_space(m.bb), range_space(m.aa))),
     }
 
@@ -119,23 +114,32 @@ def _m(rows) -> MatrixQ:
     return MatrixQ.from_rows(rows)
 
 
+def _with(examples):
+    def add(test):
+        for a in examples:
+            test = example(a)(test)
+        return test
+    return add
+
+
+# rank 0, full rank, and both verdicts in between, real and complex
+_SQUARE_EXAMPLES = [MatrixQ.zeros(0, 0), MatrixQ.zeros(3, 3), _m([[1, 2], [3, 4]]),
+                    _m([[0, 1], [0, 0]]), _m([[2, 0], [0, 0]]), _m([[1, I_UNIT], [0, 0]]),
+                    _m([[1, I_UNIT], [-I_UNIT, 1]]),
+                    _m([[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1], [2, 4, 0, 2]]),
+                    _m([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, I_UNIT, 0], [0, 0, 0, 0]])]
+
 
 @settings(max_examples=150, deadline=None)
 @given(square_matrices())
-# rank 0, full rank, and both verdicts in between, real and complex
-@example(MatrixQ.zeros(0, 0))
-@example(MatrixQ.zeros(3, 3))
-@example(_m([[1, 2], [3, 4]]))
-@example(_m([[0, 1], [0, 0]]))
-@example(_m([[2, 0], [0, 0]]))
-@example(_m([[1, I_UNIT], [0, 0]]))
-@example(_m([[1, I_UNIT], [-I_UNIT, 1]]))
-@example(_m([[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1], [2, 4, 0, 2]]))
-@example(_m([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, I_UNIT, 0], [0, 0, 0, 0]]))
+@_with(_SQUARE_EXAMPLES)
 def test_factor_subspaces_equal_the_direct_eliminations(a):
     m = EPInstance.from_matrix(a)
     for name, (table, direct) in _direct(m).items():
         assert all(table == d for d in direct), name
+    if m.is_ep:
+        # the range basis 5.3 and 5.5 read: c* is canonical, as c is an RREF
+        assert m.c_star == range_space(m.b).basis
     criteria = _direct_criteria(m)
     for (tid, stmt), (fact, truth) in criteria.items():
         rows = getattr(chz, "_T" + tid.replace(".", ""))
@@ -145,20 +149,42 @@ def test_factor_subspaces_equal_the_direct_eliminations(a):
     assert {truth for _, truth in criteria.values()} == {m.is_ep}
 
 
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@_with(_SQUARE_EXAMPLES)
+def test_rng_ok_is_the_range_fact_the_kernel_fact_and_ep(a):
+    # rng_ok reads b = c* b[P, :] with no elimination; it must decide
+    # range b = range c*, ker b* = ker c (their orthogonal complements) and
+    # EP alike, as direct eliminations decide the first two
+    m = EPInstance.from_matrix(a)
+    assert m.rng_ok == subspace_equal(range_space(m.b), range_space(m.c_star))
+    assert m.rng_ok == subspace_equal(kernel(m.b_star), kernel(m.c))
+    assert m.rng_ok == m.is_ep
+
+
+def test_a_factor_c_that_is_no_rref_raises():
+    # b = c* b[P, :] decides range b = range c* only if c[:, P] = e at c's
+    # pivot columns P.  a = [[2, 0], [0, 0]] = b c with b = [1; 0], c = [2 0]
+    # passes validation and is EP, but c* = [2; 0] would fail the check and
+    # give 3.2 a mixed battery; c = [[1, 0], [1, 1]] repeats its pivot column
+    cases = [(_m([[2, 0], [0, 0]]), _m([[1], [0]]), _m([[2, 0]])),
+             (MatrixQ.identity(2), _m([[1, 0], [-1, 1]]), _m([[1, 0], [1, 1]]))]
+    for a, b, c in cases:
+        for battery in (chz.thm32_battery, chz.thm55_battery, chz.thm53_decompose):
+            m = EPInstance.from_factorization(a, FullRankFactorization(b, c, c.rows))
+            assert m.is_ep
+            with pytest.raises(InternalConsistencyError, match="RREF"):
+                battery(m)
+
+
 _RECT_EXAMPLES = [MatrixQ.zeros(0, 3), MatrixQ.zeros(3, 0), MatrixQ.zeros(0, 0),
                   MatrixQ.zeros(2, 3), _m([[1, 2, 3]]), _m([[1], [I_UNIT]]),
                   _m([[1, I_UNIT, 0], [2, "2i", 0]]), _m([[1, 0], [0, 1], [1, 1]])]
 
 
-def _with_examples(test):
-    for a in _RECT_EXAMPLES:
-        test = example(a)(test)
-    return test
-
-
 @settings(max_examples=150, deadline=None)
 @given(rect_matrices())
-@_with_examples
+@_with(_RECT_EXAMPLES)
 def test_generic_gram_and_dagger_subspaces_on_rectangular_matrices(a):
     # ker(a a*) = ker a*, ker(a* a) = ker a, range(a a*) = range a,
     # range(a* a) = range a*, ker a+ = ker a* and range a+ = range a*: they
@@ -184,3 +210,19 @@ def test_right_kernels_agree_iff_ranges_agree(data):
         y = data.draw(rect_matrices(rows=x.rows))
     same_range = subspace_equal(range_space(x), range_space(y))
     assert subspace_equal(right_kernel(x), right_kernel(y)) == same_range
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_adjoint_kernels_agree_iff_ranges_agree(data):
+    # ker x* = (range x)^perp and ker y = (range y*)^perp, so ker x* = ker y
+    # iff range x = range y*, for y with as many columns as x has rows; y* is
+    # often x t, whose range lies in that of x
+    x = data.draw(rect_matrices())
+    if data.draw(st.booleans()):
+        y_star = x @ data.draw(rect_matrices(rows=x.cols))
+    else:
+        y_star = data.draw(rect_matrices(rows=x.rows))
+    y = conj_transpose(y_star)
+    same_range = subspace_equal(range_space(x), range_space(conj_transpose(y)))
+    assert subspace_equal(kernel(conj_transpose(x)), kernel(y)) == same_range

@@ -109,6 +109,22 @@ def test_out_of_range_access_raises(read):
     assert a.select_columns([]).cols == 0 and MatrixQ.zeros(2, 0).take_rows(2).rows == 2
 
 
+def test_select_rows_and_leading_columns():
+    # select_rows is select_columns through the transpose, repeats and empty
+    # selections included, and reads no row outside 0..rows-1
+    a = MatrixQ.from_rows([[0, 2, 3], [0, 0, 0], [7, "1/2", 9]])
+    for idx in ([], [2, 0], [1, 1, 2]):
+        assert a.select_rows(idx) == transpose(transpose(a).select_columns(idx))
+    for idx in ([3], [-1]):
+        with pytest.raises(IndexError):
+            a.select_rows(idx)
+    # the column of each row's first nonzero entry, None for a zero row
+    assert a.leading_columns() == [1, None, 0]
+    assert MatrixQ.from_rows([[0, "1i"]]).leading_columns() == [1]
+    assert MatrixQ.zeros(2, 0).leading_columns() == [None, None]
+    assert MatrixQ.zeros(0, 2).leading_columns() == []
+
+
 def test_zero_dimensional_matmul():
     a = MatrixQ.zeros(2, 0)
     b = MatrixQ.zeros(0, 3)

@@ -187,8 +187,8 @@ def test_every_table_name_is_a_quantity_and_none_a_bare_rename():
     assert [name for name, define in chz._QUANTITIES.items() if _bare_rename(define)] == []
     # the detector itself: a lambda that only reads one attribute is a rename,
     # one that reads an attribute of an attribute or calls is not
-    assert _bare_rename(lambda m: m.ker_ok)
-    assert not _bare_rename(chz._QUANTITIES["b"]) and not _bare_rename(chz._QUANTITIES["ker_ok"])
+    assert _bare_rename(lambda m: m.rng_ok)
+    assert not _bare_rename(chz._QUANTITIES["b"]) and not _bare_rename(chz._QUANTITIES["rng_ok"])
 
 
 def test_penrose_certificate_reads_the_held_products(monkeypatch):
@@ -229,13 +229,14 @@ def test_4x_5x_batteries_certify_the_held_pseudoinverse(monkeypatch):
 
 
 def test_every_solved_coefficient_has_a_guarded_inner_inverse():
-    # every coefficient a solvable row names, and 5.3/5.5's range basis, has a
-    # {1}-inverse in _INNER, and no entry is unused; solve never eliminates,
-    # so an entry whose guard is forced false raises instead of falling back
+    # every coefficient a solvable row names has a {1}-inverse in _INNER (3.9's
+    # c* also gives 5.3/5.5's t1), and no entry is unused; solve never
+    # eliminates, so an entry whose guard is forced false raises instead of
+    # falling back
     tables = (chz._T35, chz._T37, chz._T39, chz._T41, chz._T42)
     solved = {x for rows in tables for row in rows if row.solve
               for x, _, _ in row.solve.values()}
-    assert solved | {"rng_basis"} == set(chz._INNER)
+    assert solved == set(chz._INNER)
     for coefficient, (_, guard) in chz._INNER.items():
         for side in ("right", "left"):
             m = EPInstance.from_matrix(DIAG20)
