@@ -37,7 +37,9 @@ def main():
     show("basis map j (range columns then kernel columns)", j)
     show("q1 = t t+ (orthogonal projection onto the range)", q1)
     rebuilt = j @ embed(inverse(t1), t.rows) @ j_inv
-    print("t+ agrees with conjugating the inverted block:", pinv(t) == rebuilt)
+    agrees = pinv(t) == rebuilt
+    print("t+ agrees with conjugating the inverted block:", agrees)
+    assert agrees, "t+ must equal j (t1^-1 + 0) j^-1"
 
     print("\nsame block, two basis maps, 1-norm battery:")
     t1 = MatrixQ.from_rows([["3"]])

@@ -49,6 +49,7 @@ def main():
     print(f"\nseeded bulk run: {report.trials} instances, "
           f"violations={list(report.equivalence_violations)}, "
           f"failed={report.failed}")
+    assert not report.failed, "a battery must agree on every instance"
 
 
 if __name__ == "__main__":

@@ -36,8 +36,12 @@ def main():
     print("  x a x = x        :", cert.cond2_residual.is_zero())
     print("  (a x)* = a x     :", cert.ax_hermitian)
     print("  (x a)* = x a     :", cert.xa_hermitian)
+    assert cert.cond1_residual.is_zero() and cert.cond2_residual.is_zero()
+    assert cert.ax_hermitian and cert.xa_hermitian
 
-    print("\ninvolution: (a+)+ == a :", pinv(x) == a)
+    involution = pinv(x) == a
+    print("\ninvolution: (a+)+ == a :", involution)
+    assert involution, "(a+)+ must equal a"
 
 
 if __name__ == "__main__":

@@ -4,13 +4,13 @@ Generation stays entirely inside the Gaussian rationals.  EP instances come
 from exact orthogonal projections: P = M0 (M0* M0)^-1 M0* for a random
 full-column-rank M0 is exactly self-adjoint and idempotent, so a candidate
 P M P whose rank equals rank(P) has range and kernel pinned to those of P
-and is therefore EP.  No eigendecomposition, no rounding.  Every candidate
-is a validated `EPInstance.from_matrix` whose rank (and p = q, for non_ep)
-the acceptance tests read, and `run_battery` hands the accepted instance to
-its battery, so a drawn matrix is factorized once; `gen_matrix` returns a.
-A rank-r draw a = left right (non_ep, and arbitrary with a rank) is
-factorized from its drawn factors, from the RREF of the r x n right, and
-never eliminated itself.
+and is therefore EP.  No eigendecomposition, no rounding.  Every draw but
+an unranked arbitrary one is factorized from an r x n factor it was drawn
+with whose row space holds its rows (M0* for ep, right of a = left right
+for non_ep and a ranked arbitrary, e for invertible), and never eliminated
+itself.  The acceptance tests read the validated instance's rank (and
+p = q, for non_ep), and `run_battery` hands the accepted instance to its
+battery, so a drawn matrix is factorized once; `gen_matrix` returns a.
 
 Reports are plain data with a stable JSON field order so that identical
 seeds give byte-identical files (the elapsed field excepted).
@@ -45,9 +45,9 @@ from .linalg import (
     SingularMatrixError,
     _canonical,
     conj_transpose,
+    inverse,
     is_invertible,
     rref,
-    solve_exists,
 )
 from .linalg import rank  # noqa: F401  unused here; bench/tracer.py patches battery.rank
 from .pnorms import PNorm
@@ -154,47 +154,40 @@ def _rand_invertible(rng, n: int, bound: int, use_complex: bool, what: str) -> M
                       f"could not draw an invertible {what} of size {n}")
 
 
-def _instance_of_rank(draw, r: int, failure: str) -> EPInstance:
-    """The validated instance of the first matrix `draw` gives of rank r."""
-    return _rejection(lambda: EPInstance.from_matrix(draw()), lambda inst: inst.rank == r, failure)
+def _rand_factored(draw, failure: str) -> EPInstance:
+    """The validated instance of the first a of rank r that `draw` gives, with
+    an r x n `right` whose row space holds a's rows, as a pair (a, right).
 
-
-def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
-    """Instance of a random n x n matrix of exact rank r, drawn as a full-rank product.
-
-    a = left right is factorized from its drawn factors, with no elimination
-    of a.  When right (r x n) has rank r, right = m c with c the nonzero rows
-    of its RREF and m = right[:, pivots] invertible, so a = (left m) c and
-    b = a[:, pivots] = left m.  a has rank r exactly when left has full
-    column rank; then a = b c is `full_rank_factorize(a)`, as RREF is
-    canonical.  A right of lower rank, or a left without full column rank
-    (whose b has a singular Gram, so validation raises SingularMatrixError),
-    rejects the draw, as a rank test of a would.
+    a is factorized from right and never eliminated: right = m c with c the
+    nonzero rows of its RREF and m = right[:, P] invertible at its pivot
+    columns P, so a = a[:, P] c, as c[:, P] = e.  When a has rank r,
+    b = a[:, P] has full column rank and c is the RREF of a's row space, so
+    a = b c is `full_rank_factorize(a)`, as RREF is canonical.  A right of
+    rank < r, or a b whose Gram is singular (validation raises
+    SingularMatrixError), rejects the draw, as a rank test of a would.
     """
-    def draw():
-        left = _rand_matrix(rng, n, r, bound, use_complex)
-        right = _rand_matrix(rng, r, n, bound, use_complex)
+    def factored():
+        a, right = draw()
         reduced, pivots = rref(right)
+        r = right.rows
         if len(pivots) < r:
             return None
-        a = left @ right
         f = FullRankFactorization(b=a.select_columns(pivots), c=reduced.take_rows(r), rank=r)
         try:
             return EPInstance.from_factorization(a, f)
         except SingularMatrixError:
             return None
-    return _rejection(draw, lambda inst: inst is not None,
-                      f"could not draw a rank-{r} matrix of size {n}")
+    return _rejection(factored, lambda inst: inst is not None, failure)
 
 
-def _orthogonal_projection(rng, n: int, r: int, bound: int, use_complex: bool) -> MatrixQ:
-    """Exact orthogonal projection of rank r: M0 (M0* M0)^-1 M0*."""
+def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
+    """Instance of a random n x n matrix of exact rank r, drawn as a = left right
+    and factorized from right."""
     def draw():
-        m0 = _rand_matrix(rng, n, r, bound, use_complex)
-        return m0, solve_exists(conj_transpose(m0) @ m0, MatrixQ.identity(r))
-    m0, gram_inv = _rejection(draw, lambda pair: pair[1] is not None,
-                              f"could not draw a rank-{r} projection of size {n}")
-    return m0 @ gram_inv @ conj_transpose(m0)
+        left = _rand_matrix(rng, n, r, bound, use_complex)
+        right = _rand_matrix(rng, r, n, bound, use_complex)
+        return left @ right, right
+    return _rand_factored(draw, f"could not draw a rank-{r} matrix of size {n}")
 
 
 def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
@@ -211,14 +204,24 @@ def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
     if cfg.kind == "invertible":
         if cfg.rank is not None and cfg.rank != n:
             raise GeneratorError("invertible draw requires rank = size")
-        return _instance_of_rank(lambda: _rand_matrix(rng, n, n, bound, use_complex), n,
-                                 f"could not draw an invertible matrix of size {n}")
+        e = MatrixQ.identity(n)
+        return _rand_factored(lambda: (_rand_matrix(rng, n, n, bound, use_complex), e),
+                              f"could not draw an invertible matrix of size {n}")
 
     if cfg.kind == "ep":
+        # a = proj m proj, proj = m0 (m0* m0)^-1 m0*, has its rows in the row
+        # space of m0*; `inverse` reads the one `is_invertible` left on the Gram
         r = cfg.rank if cfg.rank is not None else rng.randint(0, n)
-        proj = _orthogonal_projection(rng, n, r, bound, use_complex)
-        return _instance_of_rank(lambda: proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
-                                 r, f"could not hit rank {r} for an ep draw of size {n}")
+        def gram_draw():
+            m0 = _rand_matrix(rng, n, r, bound, use_complex)
+            m0_star = conj_transpose(m0)
+            return m0, m0_star, m0_star @ m0
+        m0, m0_star, gram = _rejection(gram_draw, lambda drawn: is_invertible(drawn[2]),
+                                       f"could not draw a rank-{r} projection of size {n}")
+        proj = m0 @ inverse(gram) @ m0_star
+        return _rand_factored(lambda: (proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
+                                       m0_star),
+                              f"could not hit rank {r} for an ep draw of size {n}")
 
     if cfg.kind == "non_ep":
         # a 1x1 (or rank-0 / full-rank) matrix is always EP
@@ -258,8 +261,6 @@ def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
     use_complex = rng.random() < 0.5
     n, bound = cfg.n, cfg.entry_bound
     k = cfg.rank if cfg.rank is not None else rng.randint(0, n)
-    if not (0 <= k <= n):
-        raise GeneratorError(f"block size {k} out of range for size {n}")
 
     if rng.random() < 0.5:
         perm = list(range(n))

@@ -51,8 +51,9 @@ named closed form x^-1 that holds once a a+ = a+ a = p, as Lemma 3.8's v^-1
 and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
 square matrix is two-sided) after an EP-equivalent criterion held, so a
 failed product is a defect in a+ or the factors, not a singular input.  The
-tables eliminate only for the factorization, the two Gram eliminations of
-`factor_daggers` and, in 5.5 on EP input, ker c.  Every kernel, range,
+tables eliminate only for the factorization and the two Gram eliminations
+of `factor_daggers`, which validation runs: no battery and no
+`thm53_decompose` eliminates on a validated instance.  Every kernel, range,
 right-kernel and row-space statement is one fact, `rng_ok`
 (range b = range c*, equivalently ker b* = ker c, their orthogonal
 complements), by identities that hold for every matrix, written beside
@@ -66,7 +67,8 @@ Block maps.  The 5.x statements read t = j (t1 ⊕ 0) j⁻¹, and no padded n×n
 matrix is formed for it: j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁, with j₁ the leading k
 columns of j and j⁻¹₁ the leading k rows of j⁻¹, and j (0 ⊕ e) j⁻¹ = j₂ j⁻¹₂
 from the trailing ones.  In 5.3 and 5.5, j₁ is c*, on EP input the
-canonical basis of range a, and j⁻¹₁ the memoised `j_inv1`.  The exact
+canonical basis of range a, j₂ the basis of ker c read off the RREF c, and
+j⁻¹₁ the memoised `j_inv1`.  The exact
 hermitian rule is `pnorms.is_hermitian_exact`, which 5.2 and the 5.3 block
 projection read through `is_hermitian_idempotent_exact`.
 
@@ -81,18 +83,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .exactnum import ONE
 from .linalg import (
     FullRankFactorization,
     InternalConsistencyError,
     MatrixQ,
     ShapeError,
     SingularMatrixError,
-    Subspace,
     conj_transpose,
     full_rank_factorize,
     inverse,
-    kernel,
     product_memo,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
@@ -165,8 +164,6 @@ _QUANTITIES = {
     # range b = range c*, and ker b* = (range b)^perp, ker c = (range c*)^perp
     # make it ker b* = ker c too
     "rng_ok": lambda m: m.b == m.c_star @ m.b.select_rows(m.c_pivots),
-    "full_rank": lambda m: m.rank == m.a.rows,
-    "ker_c": lambda m: _trivial(m.a.rows) if m.full_rank else kernel(m.c),   # 5.5's j
     # 3.4: the vanishing products
     "g2": lambda m: m.c @ m.p_perp,                              # c (e - bb+)
     "g3": lambda m: m.b_dagger @ m.q_perp,                       # b+ (e - c+c)
@@ -248,15 +245,17 @@ _QUANTITIES = {
     "h_invertible": lambda m: m.h @ m.h_inv == m.e_n,
     "a_h_is_as": lambda m: m.a @ m.h == m.a_star,
     "a_hh_as_is_aa": lambda m: m.a @ m.h @ conj_transpose(m.h) @ m.a_star == m.aa,
-    # 5.3, 5.5: t = j (t1 + 0) j^-1 with j = [B K] over the canonical range and
-    # kernel bases, whose pivot rows S, S' give S B = e, S' K = e.  Both read
-    # them only on EP input, where range a = range c* has the canonical basis
-    # B = c*, as conj c is an RREF, with pivot rows P.  There
+    # 5.3, 5.5: t = j (t1 + 0) j^-1 with j = [B K] over a range basis B and a
+    # kernel basis K, whose rows S, S' give S B = e, S' K = e.  Both read them
+    # only on EP input, where range a = range c* has the canonical basis
+    # B = c*, as conj c is an RREF, with S its pivot rows P, and ker a = ker c
+    # has the basis K read off the RREF c, with S' its free columns F.  There
     # j^-1 = [S p; S' (e - p)], and t1 = S a B has inverse S a+ B; S x is
-    # the selection of x's pivot rows, not a product
+    # the selection of x's rows, not a product
     "a_rng": lambda m: m.a @ m.c_star,
-    "ker_pivots": lambda m: _pivot_rows(m.ker_c.basis),
-    "j": lambda m: m.c_star.hstack(m.ker_c.basis),
+    "ker_pivots": lambda m: [f for f in range(m.a.rows) if f not in m.c_pivots],   # F
+    "ker_c": lambda m: _null_basis(m.c, m.c_pivots, m.ker_pivots),
+    "j": lambda m: m.c_star.hstack(m.ker_c),
     "j_inv1": lambda m: m.p.select_rows(m.c_pivots),             # j^-1's top rank rows
     "j_inv": lambda m: m.j_inv1.vstack(m.p_perp.select_rows(m.ker_pivots)),
     "j_invertible": lambda m: m.j @ m.j_inv == m.e_n,
@@ -276,10 +275,6 @@ _QUANTITIES = {
 }
 
 
-def _trivial(n: int) -> Subspace:
-    return Subspace(n, MatrixQ.zeros(n, 0))
-
-
 def _pivots(c: MatrixQ) -> list:
     """P, the column of each row's leading nonzero entry of c, with
     c[:, P] = e checked: the pivot columns of an RREF."""
@@ -289,10 +284,13 @@ def _pivots(c: MatrixQ) -> list:
     return pivots
 
 
-def _pivot_rows(basis: MatrixQ) -> list:
-    """The row of the leading 1 of each column of a canonical column-reduced
-    echelon basis: those rows S of e give S basis = e."""
-    return [basis.col(j).index(ONE) for j in range(basis.cols)]
+def _null_basis(c: MatrixQ, pivots: list, free: list) -> MatrixQ:
+    """K with c K = 0 and K[F, :] = e, read off the RREF c with pivot columns
+    P and free columns F: column t is e_f - sum_i c[i, f] e_{P_i}, f = F[t].
+    Its rows at P are -c[:, F] and at F are e, as c[:, P] = e gives c K = 0."""
+    order = pivots + free
+    stacked = (-c.select_columns(free)).vstack(MatrixQ.identity(len(free)))
+    return stacked.select_rows(sorted(range(len(order)), key=order.__getitem__))
 
 
 # coefficient -> (g, guard): g is a {1}-inverse (m g m = m) once the named
@@ -363,11 +361,12 @@ class EPInstance:
 
     @classmethod
     def from_factorization(cls, a: MatrixQ, f: FullRankFactorization) -> "EPInstance":
-        """The validated instance of a, for a caller that built a from its
-        factors: a is not eliminated.  f must be what `full_rank_factorize(a)`
-        returns (c the nonzero rows of a's RREF, b the pivot columns of a).
-        A b without full column rank has a singular Gram and raises
-        SingularMatrixError."""
+        """The validated instance of a, for a caller that holds its factors:
+        a is not eliminated.  f must be what `full_rank_factorize(a)` returns
+        (c the nonzero rows of a's RREF, b the pivot columns of a); the
+        generator reads c off the RREF of a factor it drew, for every kind
+        but an unranked arbitrary draw.  A b without full column rank has a
+        singular Gram and raises SingularMatrixError."""
         inst = cls(a=a)
         inst.__dict__["f"] = f
         return inst._validate()

@@ -17,16 +17,18 @@ The helpers at the end are reference constructions that only the tests
 read, so they live here rather than in the package: the Kronecker product
 and the left-multiplication lift a (x) e, subspace containment by rank, the
 factor daggers through the Gram inverses, the factor-level identities of
-Lemma 3.8's witnesses, and the rank-r draw that eliminates each candidate.
+Lemma 3.8's witnesses, and the ranked, ep and invertible draws that
+eliminate each candidate.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from epkit.battery import _MAX_ATTEMPTS, GeneratorError, _rand_matrix
+from epkit.battery import _MASK64, _MAX_ATTEMPTS, GeneratorConfig, GeneratorError, _rand_matrix
 from epkit.characterizations import EPInstance
 from epkit.exactnum import ONE, ZERO, GaussianRational
 from epkit.linalg import (
@@ -37,6 +39,7 @@ from epkit.linalg import (
     conj_transpose,
     inverse,
     rank,
+    solve_exists,
 )
 from epkit.pseudoinverse import factor_daggers, lemma38_witnesses
 
@@ -261,18 +264,53 @@ def gram_inverse_daggers(f: FullRankFactorization) -> tuple:
     return inverse(bs @ f.b) @ bs, cs @ inverse(f.c @ cs)
 
 
+def _of_rank_by_elimination(draw, r: int, failure: str):
+    """The validated instance of the first matrix `draw` gives of rank r,
+    each candidate eliminated by `EPInstance.from_matrix`."""
+    for _ in range(_MAX_ATTEMPTS):
+        inst = EPInstance.from_matrix(draw())
+        if inst.rank == r:
+            return inst
+    raise GeneratorError(failure)
+
+
 def rand_rank_r_by_elimination(rng, n: int, r: int, bound: int, use_complex: bool):
     """The validated instance of a random n x n matrix of rank r, by the
     route `battery._rand_rank_r` took before it factorized each draw from its
     drawn factors: every candidate left right goes through
     `EPInstance.from_matrix`, which eliminates it, and is kept when its rank
     is r.  It draws from `rng` what `_rand_rank_r` draws."""
-    for _ in range(_MAX_ATTEMPTS):
+    def draw():
         left = _rand_matrix(rng, n, r, bound, use_complex)
-        inst = EPInstance.from_matrix(left @ _rand_matrix(rng, r, n, bound, use_complex))
-        if inst.rank == r:
-            return inst
-    raise GeneratorError(f"could not draw a rank-{r} matrix of size {n}")
+        return left @ _rand_matrix(rng, r, n, bound, use_complex)
+    return _of_rank_by_elimination(draw, r, f"could not draw a rank-{r} matrix of size {n}")
+
+
+def ep_or_invertible_by_elimination(cfg: GeneratorConfig) -> tuple:
+    """(instance, rng after the draw) of `battery.gen_instance(cfg)` for the
+    kinds ep and invertible, by the route it took before it factorized those
+    draws from a drawn factor: an ep draw's projection m0 (m0* m0)^-1 m0*
+    takes the Gram inverse from `solve_exists`, and every candidate, proj m
+    proj or an n x n draw, goes through `EPInstance.from_matrix` and is kept
+    when its rank is r (n for invertible)."""
+    rng = random.Random(cfg.seed & _MASK64)
+    use_complex = rng.random() < 0.5
+    n, bound = cfg.n, cfg.entry_bound
+    if cfg.kind == "invertible":
+        return _of_rank_by_elimination(lambda: _rand_matrix(rng, n, n, bound, use_complex), n,
+                                       f"could not draw an invertible matrix of size {n}"), rng
+    assert cfg.kind == "ep", cfg
+    r = cfg.rank if cfg.rank is not None else rng.randint(0, n)
+    for _ in range(_MAX_ATTEMPTS):
+        m0 = _rand_matrix(rng, n, r, bound, use_complex)
+        gram_inv = solve_exists(conj_transpose(m0) @ m0, MatrixQ.identity(r))
+        if gram_inv is not None:
+            break
+    else:
+        raise GeneratorError(f"could not draw a rank-{r} projection of size {n}")
+    proj = m0 @ gram_inv @ conj_transpose(m0)
+    return _of_rank_by_elimination(lambda: proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
+                                   r, f"could not hit rank {r} for an ep draw of size {n}"), rng
 
 
 @dataclass(frozen=True)

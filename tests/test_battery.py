@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,12 +29,11 @@ from epkit.linalg import (
     full_rank_factorize,
     is_invertible,
     rank,
-    transpose,
 )
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
 
-from .oracles import oracle_inverse, rand_rank_r_by_elimination
+from .oracles import ep_or_invertible_by_elimination, oracle_inverse, rand_rank_r_by_elimination
 from .test_characterizations import EXACT_BATTERIES
 from .test_linalg import _kernel_recording
 from .test_linalg_oracle import UNITS
@@ -433,40 +433,27 @@ def test_exact_tables_read_every_inverse_without_elimination(monkeypatch):
                       (False, False, True), (False, False, False))}
 
 
-def _orientations(x: MatrixQ) -> list:
-    """x as given, transposed, and each with its columns reversed: the
-    operands that rref, range_space, kernel and right_kernel reduce."""
-    return [y.select_columns(cols) for y in (x, transpose(x))
-            for cols in (range(y.cols), range(y.cols - 1, -1, -1))]
-
-
-def test_exact_batteries_reduce_at_most_the_three_factor_subspaces(monkeypatch):
-    # every kernel, range, right kernel and row space a table reads is ker c,
-    # range b or ker b*, a conjugate of one, or read off c, so a held instance
-    # reduces at most three operands, each c, b or b*, and none at full rank; a, a+,
-    # b+, c+, p, q, a* and the Grams are never reduced in any orientation (an
-    # empty operand at rank 0 equals every empty matrix of its shape, b+ too)
+def test_exact_batteries_never_reduce_on_a_validated_instance(monkeypatch):
+    # every kernel, range, right kernel and row space a table reads is the
+    # product fact rng_ok, 5.5's range basis is c* and its kernel basis is
+    # read off the RREF c, so once validation has factorized a and eliminated
+    # the two Grams, no battery and no thm53_decompose calls rref at all
     instances = {tid: [EPInstance.from_matrix(gen_matrix(cfg)) for s in (1, 2)
-                       for n in (0, 1, 2, 4) for cfg in battery_configs(tid, 8, n, s)]
+                       for n in (0, 1, 2, 4, 6) for cfg in battery_configs(tid, 8, n, s)]
                  for tid in EXACT_BATTERIES}
     assert all(m.daggers for insts in instances.values() for m in insts)  # daggers read f
     reduced, _, _ = _recording(monkeypatch)
     ranks = set()
     for tid, fn in EXACT_BATTERIES.items():
         for m in instances[tid]:
-            reduced.clear()
             fn(m)
-            n = m.a.rows
-            ranks.add((tid, m.rank == 0, m.rank == n))
-            assert len(reduced) <= (0 if m.rank == n else 3), tid
-            factors = (_orientations(m.c)[1], transpose(m.b), _orientations(m.b_star)[1])
-            assert all(x in factors for x in reduced), tid
-            whole = (m.a, m.a_dagger, m.b_dagger, m.c_dagger, m.p, m.q, m.a_star, m.bb, m.aa)
-            assert not any(x in _orientations(y) for x in reduced if x.rows and x.cols
-                           for y in whole), tid
-    # rank 0, full rank and in between, for each battery
-    assert ranks >= {(tid, z, f) for tid in EXACT_BATTERIES for z, f in
-                     ((True, False), (False, True), (False, False))}
+            thm53_decompose(m)
+            assert reduced == [], tid
+            ranks.add((tid, m.rank == 0, m.rank == m.a.rows, m.is_ep))
+    # rank 0, full rank, and in between both EP and not, for each battery
+    assert ranks >= {(tid, z, f, ep) for tid in EXACT_BATTERIES for z, f, ep in
+                     ((True, False, True), (False, True, True),
+                      (False, False, True), (False, False, False))}
 
 
 def test_no_identity_is_inverted(monkeypatch):
@@ -636,10 +623,11 @@ def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
 def test_run_battery_factorizes_each_draw_once(monkeypatch):
     # the generator's acceptance tests read the validated instance it draws,
     # and run_battery hands that instance to the battery, so the drawn a is
-    # factorized once and never rank-tested or EP-tested on its own.  A
-    # ranked draw (non_ep, or arbitrary with a rank) is a = left right and
-    # is factorized from its drawn factors, not by full_rank_factorize (rref
-    # operands are not counted here: the factorization reduces a itself)
+    # factorized once and never rank-tested or EP-tested on its own.  Every
+    # draw but an unranked arbitrary one (ep, invertible, non_ep, arbitrary
+    # with a rank) is factorized from a factor it was drawn with, not by
+    # full_rank_factorize (rref operands are not counted here: the
+    # factorization reduces a itself)
     import epkit.linalg as linalg
     import epkit.pseudoinverse as pseudoinverse
 
@@ -655,17 +643,18 @@ def test_run_battery_factorizes_each_draw_once(monkeypatch):
     for tid, cfg, a in requests:
         calls.clear()
         run_battery(tid, [cfg])
-        ranked = cfg.kind == "non_ep" or (cfg.kind == "arbitrary" and cfg.rank is not None)
-        expected = [] if ranked else ["full_rank_factorize"]
+        unranked = cfg.kind == "arbitrary" and cfg.rank is None
+        expected = ["full_rank_factorize"] if unranked else []
         assert [name for name, x in calls if x == a] == expected, (tid, cfg)
     assert {cfg.kind for cfg in cfgs} == set(KINDS)
 
 
 def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
-    # a ranked draw a = left right takes c from the RREF of right and b as
-    # a's pivot columns; it must give what eliminating a gives, leave the
-    # rng where the eliminating route leaves it, and reject a rank-deficient
-    # left (bound 1 draws many) through b's singular Gram
+    # a ranked draw a = left right takes c from the RREF of right, an ep draw
+    # a = proj m proj from that of m0*, an invertible one from that of e, and
+    # b as a's pivot columns; each must give what eliminating a gives, leave
+    # the rng where the eliminating route leaves it, and reject a
+    # rank-deficient a (bound 1 draws many) through b's singular Gram
     import epkit.characterizations as chz
 
     singular = []
@@ -702,17 +691,46 @@ def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
                     inst = battery.gen_instance(cfg)
                     f = full_rank_factorize(inst.a)
                     assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank), cfg
+    # ep and invertible draws against the routes that eliminated each
+    # candidate, with the generator's own rng captured
+    made = []
+    monkeypatch.setattr(battery, "random", SimpleNamespace(
+        Random=lambda seed: made.append(random.Random(seed)) or made[-1]))
+    seen = set()
+    for kind in ("ep", "invertible"):
+        for n in range(7):
+            for rank_ in [None, *(range(n + 1) if kind == "ep" else [n])]:
+                for bound in (1, 3):
+                    for s in range(4):
+                        cfg = GeneratorConfig(seed=child_seed(n * 100 + bound, s), n=n,
+                                              rank=rank_, entry_bound=bound, kind=kind)
+                        singular.clear()
+                        inst = battery.gen_instance(cfg)
+                        ref, parent = ep_or_invertible_by_elimination(cfg)
+                        assert inst.a == ref.a and made[-1].getstate() == parent.getstate(), cfg
+                        f = full_rank_factorize(inst.a)
+                        assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank) == (
+                            ref.b, ref.c, ref.rank), cfg
+                        assert all(rank(f.b) < f.rank for f in singular), cfg
+                        complex_ = random.Random(cfg.seed).random() < 0.5
+                        seen.add((kind, bound, complex_, bool(singular)))
+    assert seen >= {(kind, bound, complex_, False) for kind in ("ep", "invertible")
+                    for bound in (1, 3) for complex_ in (False, True)}
+    assert {kind for kind, _, _, rejected in seen if rejected} == {"ep", "invertible"}
+    with pytest.raises(GeneratorError, match="rank = size"):
+        battery.gen_instance(GeneratorConfig(seed=1, n=3, rank=2, kind="invertible"))
 
 
 def test_work_per_instance_is_pinned(monkeypatch):
     # products reaching numpy and rref calls over battery_configs(id, 24, 4, 11),
     # generation included, as upper bounds: validation checks a generating
-    # set of the four Penrose conditions, Lemma 3.8 four identities, a
-    # ranked draw is factorized from its drawn factors, and the one subspace
-    # fact is the product b = c* b[P, :], which trades one product per
-    # rank-deficient draw for up to three eliminations (only 5.5 still
-    # eliminates ker c, on EP input), and 5.5 selects pivot rows rather
-    # than multiplying by them.  A change that brings back a check which
+    # set of the four Penrose conditions, Lemma 3.8 four identities, every
+    # draw but an unranked arbitrary one is factorized from a factor it was
+    # drawn with (an ep draw's Gram inverse is checked by no product), the
+    # one subspace fact is the product b = c* b[P, :], which trades one
+    # product per rank-deficient draw for up to three eliminations, 5.5
+    # reads its kernel basis off the RREF c, and it selects pivot rows
+    # rather than multiplying by them.  A change that brings back a check which
     # follows from the others, or re-forms a product, raises a count past
     # its bound
     import epkit.linalg as linalg
@@ -725,9 +743,9 @@ def test_work_per_instance_is_pinned(monkeypatch):
         return product(a, b)
     monkeypatch.setattr(linalg, "_product", counted)
     _record_calls(monkeypatch, linalg.rref, lambda a: counts.__setitem__("rref", counts["rref"] + 1))
-    bounds = {"3.2": (225, 74), "3.4": (262, 74), "3.5": (319, 74), "3.7": (497, 74),
-              "3.9": (396, 74), "3.10": (377, 74), "4.1": (455, 74), "4.2": (953, 74),
-              "5.5": (313, 82), "5.6": (225, 74)}
+    bounds = {"3.2": (213, 74), "3.4": (250, 74), "3.5": (307, 74), "3.7": (485, 74),
+              "3.9": (384, 74), "3.10": (365, 74), "4.1": (443, 74), "4.2": (941, 74),
+              "5.5": (301, 74), "5.6": (213, 74)}
     assert set(bounds) == set(EXACT_BATTERIES)
     for tid, (products, rrefs) in bounds.items():
         counts.update(product=0, rref=0)
@@ -735,10 +753,10 @@ def test_work_per_instance_is_pinned(monkeypatch):
         assert counts["product"] <= products and counts["rref"] <= rrefs, (tid, counts)
 
 
-def test_only_5_5_eliminates_a_factor_subspace_and_only_on_ep_input(monkeypatch):
-    # every kernel and range criterion is the one product b = c* b[P, :], so
-    # no request, generation included, calls range_space, and kernel runs
-    # only for 5.5's kernel basis ker c, on rank-deficient EP input
+def test_no_request_eliminates_a_subspace(monkeypatch):
+    # every kernel and range criterion is the one product b = c* b[P, :], and
+    # 5.5's kernel basis is read off the RREF c, so no request, generation
+    # included, calls kernel or range_space
     import epkit.linalg as linalg
 
     calls = []
@@ -746,17 +764,15 @@ def test_only_5_5_eliminates_a_factor_subspace_and_only_on_ep_input(monkeypatch)
         _record_calls(monkeypatch, orig,
                       lambda a, name=orig.__name__: calls.append((name, a)))
     _, _, built = _recording(monkeypatch)
-    eliminated = 0
+    ep_deficient = 0
     for tid in EXACT_BATTERIES:
         for n in (0, 1, 4):
             for cfg in battery_configs(tid, 24, n, 11):
-                calls.clear()
                 run_battery(tid, [cfg])
                 m = built[-1]
-                ep_deficient = tid == "5.5" and m.is_ep and not m.full_rank
-                assert calls == ([("kernel", m.c)] if ep_deficient else []), (tid, cfg)
-                eliminated += ep_deficient
-    assert eliminated
+                assert calls == [], (tid, cfg)
+                ep_deficient += tid == "5.5" and m.is_ep and m.rank < n
+    assert ep_deficient
 
 
 def test_run_battery_5_2_norms():

@@ -4,9 +4,9 @@ The statement tables read every kernel, range, right-kernel and row-space
 criterion as one fact, `rng_ok`: range b = range c*, decided as
 b = c* b[P, :] over the pivot columns P of the RREF c, and equivalent to
 ker b* = ker c through the orthogonal complements.  The identities behind
-that hold for every square matrix, EP or not, at every rank.  Here the one
-table subspace the package still eliminates, ker c, is compared with the
-direct route that reduces a, q and a* a themselves; on EP input c* is
+that hold for every square matrix, EP or not, at every rank.  Here the
+span of 5.5's kernel basis, read off the RREF c with no elimination, is
+compared with the direct route that reduces c, a, q and a* a; on EP input c* is
 compared with the canonical basis of range b; and each kernel, range,
 right-kernel and row-space criterion of the rows, decided by such direct
 eliminations, with the fact its row reads.  So a `linalg` defect that
@@ -78,8 +78,9 @@ def rect_matrices(draw, rows=None):
 
 
 def _direct(m: EPInstance) -> dict:
-    """name -> (the table's subspace, every direct elimination it stands for)."""
-    return {"ker_c": (m.ker_c, [kernel(m.c), kernel(m.a), kernel(m.q), kernel(m.aa)])}
+    """name -> (the span of the table's basis, every direct elimination it
+    stands for)."""
+    return {"ker_c": (range_space(m.ker_c), [kernel(m.c), kernel(m.a), kernel(m.q), kernel(m.aa)])}
 
 
 def _direct_criteria(m: EPInstance) -> dict:
@@ -137,6 +138,11 @@ def test_factor_subspaces_equal_the_direct_eliminations(a):
     m = EPInstance.from_matrix(a)
     for name, (table, direct) in _direct(m).items():
         assert all(table == d for d in direct), name
+    # 5.5's kernel basis K is read off the RREF c: c K = 0, and its rows at
+    # c's free columns F are e
+    k = m.ker_c
+    assert k.cols == len(m.ker_pivots) == m.a.rows - m.rank
+    assert (m.c @ k).is_zero() and k.select_rows(m.ker_pivots) == MatrixQ.identity(k.cols)
     if m.is_ep:
         # the range basis 5.3 and 5.5 read: c* is canonical, as c is an RREF
         assert m.c_star == range_space(m.b).basis
