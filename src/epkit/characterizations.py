@@ -3,7 +3,12 @@
 Each battery evaluates every statement of one theorem independently on a
 concrete instance and returns one StatementResult per statement.  The point
 is that equivalences become testable: on any valid instance all truth values
-within a battery must agree, and a mixed battery is a counterexample.
+within a battery must agree, and a mixed battery is a counterexample.  The
+exceptions are ties that hold for every matrix, not through the theorem:
+the shared subspace fact `rng_ok` (below), and 4.2's adjoint pairs, where
+x m = y holds iff m* x* = y* (see `_ADJOINT`): the systems of v and xiii
+are the adjoints of those of iii and x and are read off their solutions,
+and xi and xii check viii's identity, as a a* v-hat* = (v-hat a a*)*.
 
 Statement tables.  Every exact battery is a table of rows that `_evaluate`
 reads in order.  A row names its statement id, its note and one of three
@@ -225,7 +230,8 @@ _QUANTITIES = {
     "v": lambda m: m.lemma38[0],
     "w": lambda m: m.lemma38[1],
     "vhat": lambda m: m.w_inv @ m.v,
-    "what": lambda m: m.v @ m.w_inv,
+    # v and w^-1 are hermitian, so v w^-1 = (w^-1 v)*
+    "what": lambda m: conj_transpose(m.vhat),
     # lemma38 has verified v v^-1 = e and w w^-1 = e, so vhat = w^-1 v,
     # what = v w^-1, w^-1 s and u v^-1 are invertible when their factors are
     "v_w_invertible": lambda m: m.lemma38 is not None,
@@ -238,7 +244,6 @@ _QUANTITIES = {
     "a_u_adj_is_as": lambda m: m.a @ m.u_adj == m.a_star,
     "u_adj_invertible": lambda m: m.v_w_invertible and m.u_invertible,  # u v^-1
     "vhat_bb_is_aa": lambda m: m.vhat @ m.bb == m.aa,
-    "bb_what_is_aa": lambda m: m.bb @ m.what == m.aa,
     "grams_two_sided": lambda m: (m.p @ m.aa @ m.p == m.aa) and (m.q @ m.bb @ m.q == m.bb),
     "a_z1_as_is_aa": lambda m: m.a @ m.z1_adj @ m.a_star == m.aa,
     "as_z2_a_is_bb": lambda m: m.a_star @ m.z2_adj @ m.a == m.bb,
@@ -315,6 +320,18 @@ _INNER = {
     "bb": ("v", "mp_generators"),            # 4.2
     "aa": ("w", "mp_generators"),            # 4.2
 }
+
+# name -> the name of its adjoint, for the coefficients and right-hand sides
+# of 4.2's systems.  x m = y holds iff m* x* = y*, so a system and its
+# adjoint with the other side are solvable together, and the witness of one
+# is the adjoint of the other's: `_INNER` gives a* the {1}-inverse
+# (a+)* = g(a)*, and v = g(a a*) and w = g(a* a) are hermitian, so
+# g(m*) = g(m)* for every m here and (y* g(m*))* = g(m) y exactly.  So
+# 4.2 iii's systems (x a = a*, x a* = a) are the adjoints of v's (a* x = a,
+# a x = a*), and x's (x bb = aa, x aa = bb) of xiii's (bb x = aa,
+# aa x = bb).  4.1 and the dagger-level tables stay out: their statements
+# also hold for an a+ taken relative to a norm, where no adjoint need exist
+_ADJOINT = {"a": "a_star", "a_star": "a", "aa": "aa", "bb": "bb"}
 
 
 @dataclass(frozen=True)
@@ -396,15 +413,25 @@ class EPInstance:
         product.  The guard holds by construction, so a failed guard is a
         defect and raises InternalConsistencyError.  The cache is keyed by
         the two matrices and the side, so equal systems under different
-        names are decided once.
+        names are decided once, and a system whose names `_ADJOINT` pairs
+        is read off its adjoint system when that one is already decided.
         """
         cache = self.__dict__.setdefault("_solves", {})
         key = (getattr(self, a), getattr(self, y), side)
         if key not in cache:
-            g, guard = _INNER[a]
-            if not getattr(self, guard):
-                raise InternalConsistencyError(f"{guard} failed: {g} is no inner inverse of {a}")
-            cache[key] = _solve_inner(*key, getattr(self, g))
+            adjoint = None
+            if a in _ADJOINT and y in _ADJOINT:
+                adjoint = (getattr(self, _ADJOINT[a]), getattr(self, _ADJOINT[y]),
+                           "left" if side == "right" else "right")
+            if adjoint in cache:
+                x = cache[adjoint]
+                cache[key] = None if x is None else conj_transpose(x)
+            else:
+                g, guard = _INNER[a]
+                if not getattr(self, guard):
+                    raise InternalConsistencyError(
+                        f"{guard} failed: {g} is no inner inverse of {a}")
+                cache[key] = _solve_inner(*key, getattr(self, g))
         return cache[key]
 
 
@@ -701,7 +728,8 @@ def thm41_battery(a: MatrixQ | EPInstance) -> list:
 _S_42 = (("s_adj_a_is_as", "4.2 a* = s a"), ("s_adj_invertible", "4.2 s invertible"))
 _U_42 = (("a_u_adj_is_as", "4.2 a* = a u"), ("u_adj_invertible", "4.2 u invertible"))
 _V_42 = (("vhat_bb_is_aa", "4.2 a*a = v aa*"), ("v_w_invertible", "4.2 v invertible"))
-_W_42 = (("bb_what_is_aa", "4.2 a*a = aa* w"), ("v_w_invertible", "4.2 w invertible"))
+# a a* what = (vhat a a*)*, so the check of v's identity is w's
+_W_42 = (("vhat_bb_is_aa", "4.2 a*a = aa* w"), ("v_w_invertible", "4.2 w invertible"))
 _H_42 = (("h_invertible", "4.2 h invertible"), ("a_h_is_as", "4.2 a* = a h"),
          ("a_hh_as_is_aa", "4.2 a*a = a h h* a*"))
 

@@ -19,7 +19,14 @@ A product is one numpy integer matrix product of the stacked parts, the left
 operand's [re; im] against the right's (re, im); numpy never holds a float
 here.  Its dtype is int64 when the operands' bit lengths and the inner
 dimension prove that no entry, nor the difference of two, reaches 2**63, and
-object (Python ints, through numpy's loop) otherwise.  An identity or zero
+object (Python ints, through numpy's loop) otherwise.  Past that bound a
+complex operand's entries x + y i are packed one Python int each, x + y X
+with X = 2**(width + 1) and width the bound's own sum of bit lengths, so
+the product is one object matmul whose entries c0 + c1 X + c2 X**2 carry
+re = c0 - c2 and im = c1 (re = c0 and im = c1 against a real operand).
+Every slot is a sum of at most 2k products of numerators, below
+2**width = X / 2 in absolute value by that same bound, so each reads back
+exactly as a signed digit.  An identity or zero
 operand never reaches numpy: e x and x e return x's lists, and a zero or
 empty operand gives `MatrixQ.zeros`.  Inside a `product_memo` block (an
 EPInstance opens one over its own dict) any other operand pair is looked up
@@ -376,7 +383,10 @@ def _product(a: MatrixQ, b: MatrixQ) -> MatrixQ:
     b_complex, b_bits, right, _ = b._kernel_facts()
     # every entry of p is below k 2**(bits(left) + bits(right)) in absolute
     # value, so under this bound a difference of two is below 2**63
-    dtype = np.int64 if a_bits + b_bits + (2 * k).bit_length() <= 63 else object
+    width = a_bits + b_bits + (2 * k).bit_length()
+    if width > 63 and (a_complex or b_complex):
+        return _packed_product(a, b, width)
+    dtype = np.int64 if width <= 63 else object
     # p[j] = [ar; ai] @ (br, bi)[j], for the parts that are nonzero
     p = (np.array(left, dtype).reshape((1 + a_complex) * n, k)
          @ np.array(right, dtype).reshape(1 + b_complex, k, m))
@@ -387,6 +397,44 @@ def _product(a: MatrixQ, b: MatrixQ) -> MatrixQ:
         flat = p.ravel().tolist()
         re, im = flat[:n * m], flat[n * m:] or [0] * (n * m)
     return _canonical(n, m, a._den * b._den, re, im)
+
+
+def _packed_product(a: MatrixQ, b: MatrixQ, width: int) -> MatrixQ:
+    """a @ b for a complex operand past the int64 bound, as one object product.
+
+    Each complex entry x + y i is packed into the one Python int x + y X,
+    X = 2**K with K = width + 1, and a real operand is its real numerators,
+    so one matmul gives c0 + c1 X + c2 X**2 per entry: re = c0 - c2 and
+    im = c1 when both operands are complex, re = c0 and im = c1 when one
+    is.  Each slot is below 2**width = X / 2 in absolute value (the bound
+    of `_product`), so adding X / 2 to every slot makes each a K-bit digit
+    in (0, X), read off by shifts and masks.
+    """
+    n, k, m = a.rows, a.cols, b.cols
+    shift = width + 1
+    mask, half = (1 << shift) - 1, 1 << width
+    a_complex, b_complex = a._kernel_facts()[0], b._kernel_facts()[0]
+    left = _packed(a, shift) if a_complex else a._re
+    right = _packed(b, shift) if b_complex else b._re
+    flat = (np.array(left, object).reshape(n, k)
+            @ np.array(right, object).reshape(k, m)).ravel().tolist()
+    three = a_complex and b_complex  # c0, c1 and c2, else c0 and c1
+    bias = (half << shift) + half
+    if three:
+        bias = (bias << shift) + half
+    biased = [v + bias for v in flat]
+    if three:  # the biases of c0 and c2 cancel in c0 - c2
+        re = [(u & mask) - (u >> 2 * shift) for u in biased]
+        im = [((u >> shift) & mask) - half for u in biased]
+    else:
+        re = [(u & mask) - half for u in biased]
+        im = [(u >> shift) - half for u in biased]
+    return _canonical(n, m, a._den * b._den, re, im)
+
+
+def _packed(m: MatrixQ, shift: int) -> list:
+    """Each entry's numerators re + im i as the one int re + (im << shift)."""
+    return [x + (y << shift) for x, y in zip(m._re, m._im)]
 
 
 # the product memo of the enclosing `product_memo` block; None outside one

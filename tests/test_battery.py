@@ -26,6 +26,7 @@ from epkit.exactnum import GaussianRational
 from epkit.linalg import (
     MatrixQ,
     SingularMatrixError,
+    conj_transpose,
     full_rank_factorize,
     is_invertible,
     rank,
@@ -523,15 +524,20 @@ def test_thm4x_decides_every_system_without_elimination(monkeypatch):
     # at every rank, Penrose 1 and 2 and the idempotence of p and q make a+,
     # a, (a+)*, p and q {1}-inverses of a, a+, a*, p and q, and with Lemma
     # 3.8's v and w of a a* and a* a, so no 4.1 or 4.2 system reaches
-    # solve_exists (the only way a system is eliminated)
+    # solve_exists (the only way a system is eliminated).  4.1 decides each
+    # of its systems through _solve_inner; a 4.2 system is decided so, or
+    # read off its adjoint system (x m = y iff m* x* = y*) once that one is
+    # decided, and every witness equals _solve_inner run on its own system
     import epkit.characterizations as chz
 
     tables = {"4.1": (battery.thm41_battery, chz._T41), "4.2": (battery.thm42_battery, chz._T42)}
     draws = {tid: [gen_matrix(cfg) for s in (1, 2) for n in (0, 1, 2, 4)
                    for cfg in battery_configs(tid, 8, n, s)] for tid in tables}
+    reference = chz._solve_inner
     _, solved, built = _recording(monkeypatch)
     decided = _inner_recording(monkeypatch)
-    ranks = set()
+    flip = {"left": "right", "right": "left"}
+    ranks, read = set(), 0
     for tid, (fn, rows) in tables.items():
         for a in draws[tid]:
             decided.clear()
@@ -539,10 +545,25 @@ def test_thm4x_decides_every_system_without_elimination(monkeypatch):
             m = built[-1]
             ranks.add((tid, m.rank == 0, m.rank == a.rows))
             systems = _table_systems(m, rows)
+            adjoints = {(conj_transpose(x), conj_transpose(y), flip[side])
+                        for x, y, side in decided}
             # a solvable row stops at its first inconsistent system
             assert decided and set(decided) <= systems
             if results[0].truth:
-                assert set(decided) == systems
+                if tid == "4.1":
+                    assert set(decided) == systems
+                else:
+                    assert systems <= set(decided) | adjoints
+                    read += len(systems - set(decided))
+            for row, res in zip(rows, results):
+                if row.solve is None:
+                    continue
+                direct = {key: reference(getattr(m, x), getattr(m, y), side,
+                                         getattr(m, chz._INNER[x][0]))
+                          for key, (x, y, side) in row.solve.items()}
+                assert res.truth == all(x is not None for x in direct.values())
+                assert res.witness == (direct if res.truth else None)
+    assert read  # some 4.2 system was read off its adjoint
     assert solved == []
     # rank 0, full rank and in between, for each battery
     assert ranks >= {(tid, z, f) for tid in tables for z, f in
@@ -729,10 +750,11 @@ def test_work_per_instance_is_pinned(monkeypatch):
     # drawn with (an ep draw's Gram inverse is checked by no product), the
     # one subspace fact is the product b = c* b[P, :], which trades one
     # product per rank-deficient draw for up to three eliminations, 5.5
-    # reads its kernel basis off the RREF c, and it selects pivot rows
-    # rather than multiplying by them.  A change that brings back a check which
-    # follows from the others, or re-forms a product, raises a count past
-    # its bound
+    # reads its kernel basis off the RREF c, it selects pivot rows rather
+    # than multiplying by them, and 4.2 reads v's and xiii's systems and w
+    # as the adjoints of iii's, x's and v-hat.  A change that brings back a
+    # check which follows from the others, or re-forms a product, raises a
+    # count past its bound
     import epkit.linalg as linalg
 
     counts = {"product": 0, "rref": 0}
@@ -744,7 +766,7 @@ def test_work_per_instance_is_pinned(monkeypatch):
     monkeypatch.setattr(linalg, "_product", counted)
     _record_calls(monkeypatch, linalg.rref, lambda a: counts.__setitem__("rref", counts["rref"] + 1))
     bounds = {"3.2": (213, 74), "3.4": (250, 74), "3.5": (307, 74), "3.7": (485, 74),
-              "3.9": (384, 74), "3.10": (365, 74), "4.1": (443, 74), "4.2": (941, 74),
+              "3.9": (384, 74), "3.10": (365, 74), "4.1": (443, 74), "4.2": (838, 74),
               "5.5": (301, 74), "5.6": (213, 74)}
     assert set(bounds) == set(EXACT_BATTERIES)
     for tid, (products, rrefs) in bounds.items():

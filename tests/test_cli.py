@@ -183,13 +183,13 @@ def test_battery_stdout_report(capsys):
 
 
 def test_battery_report_file_and_determinism(tmp_path, capsys):
-    out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for dest in (out1, out2):
         code, out, _ = run_main(capsys, ["battery", "--theorem", "3.5",
                                          "--trials", "6", "--size", "3",
-                                         "--seed", "9", "--out", dest])
+                                         "--seed", "9", "--out", str(dest)])
         assert code == EXIT_PASS and out == ""
-    o1, o2 = json.load(open(out1)), json.load(open(out2))
+    o1, o2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     o1.pop("elapsed"), o2.pop("elapsed")
     assert o1 == o2
 

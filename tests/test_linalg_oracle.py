@@ -5,7 +5,8 @@ compared entry for entry with the GaussianRational code in tests/oracles.py,
 on real and complex entries, rank-deficient shapes, 0 x n and n x 0
 matrices, unit pivots (-1, i, -i) and entries of more than 200 bits.  The
 product is also checked against a plain Python-int product at the bit bound
-where its numpy kernel switches from int64 to Python ints.
+where its numpy kernel switches from int64 to Python ints, and past it,
+where a complex operand's entries are packed one Python int each.
 """
 
 from fractions import Fraction
@@ -135,8 +136,10 @@ def _near_max(bits: int, a_side: bool, complex_part: bool, n: int, k: int, m: in
     return out
 
 
-@pytest.mark.parametrize("a_complex, b_complex",
-                         [(False, False), (False, True), (True, False), (True, True)])
+PAIRINGS = [(False, False), (False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("a_complex, b_complex", PAIRINGS)
 def test_products_at_the_int64_bound(a_complex, b_complex):
     # bits(a) + bits(b) + (2k).bit_length() at 63 takes int64 and at 64 takes
     # Python ints; at 64 and k = 3 a complex-by-complex entry reaches
@@ -155,6 +158,46 @@ def test_products_at_the_int64_bound(a_complex, b_complex):
             assert got._re == [z[0] for r in want for z in r], (total, n, k, m)
             assert got._im == [z[1] for r in want for z in r], (total, n, k, m)
             assert got.to_rows() == oracle_matmul(ga, gb, m)
+
+
+@pytest.mark.parametrize("a_complex, b_complex", PAIRINGS)
+def test_packed_products_past_the_int64_bound(monkeypatch, a_complex, b_complex):
+    # past the bound a complex operand's entries x + y i are packed into
+    # x + y 2**K, K = bits(a) + bits(b) + (2k).bit_length() + 1; near-maximal
+    # entries of both signs drive one slot of every product entry to within
+    # a factor 2k / 2**(2k).bit_length() of 2**(K - 1), so a K one bit
+    # narrower reads a wrong digit whenever both operands are complex.
+    # The first entry of each operand has odd parts, so a power-of-two
+    # denominator leaves every numerator as drawn
+    import epkit.linalg as linalg
+
+    packed = []
+    kernel = linalg._packed_product
+    monkeypatch.setattr(linalg, "_packed_product",
+                        lambda a, b, width: packed.append(width) or kernel(a, b, width))
+    cases = [(2, k, 3) for k in range(1, 9)] + [(1, 1, 1), (3, 2, 1)]
+    for total in (64, 65, 200, 2000):
+        for da, db in ((1, 1), (2, 1), (1, 8), (4, 32)):
+            for n, k, m in cases:
+                width = (2 * k).bit_length()
+                a_bits = (total - width) // 2
+                a = _near_max(a_bits, True, a_complex, n, k, m)
+                b = _near_max(total - width - a_bits, False, b_complex, n, k, m)
+                ga = [[GaussianRational(Fraction(x, da), Fraction(y, da)) for x, y in r]
+                      for r in a]
+                gb = [[GaussianRational(Fraction(x, db), Fraction(y, db)) for x, y in r]
+                      for r in b]
+                am, bm = MatrixQ(n, k, sum(ga, [])), MatrixQ(k, m, sum(gb, []))
+                assert (am._den, bm._den) == (da, db)
+                packed.clear()
+                got = am @ bm
+                assert packed == ([total] if a_complex or b_complex else [])
+                d = da * db
+                want = [[GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in r]
+                        for r in _int_product(a, b, k, m)]
+                assert got.to_rows() == want, (total, da, db, n, k, m)
+                assert want == oracle_matmul(ga, gb, m)
+                assert_canonical(got)
 
 
 @settings(max_examples=150, deadline=None)

@@ -22,8 +22,10 @@ import json
 import math
 import pickle
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
 
 from epkit import characterizations as chz
 from epkit.battery import gen_block_pair, gen_matrix
@@ -33,6 +35,7 @@ from epkit.linalg import InternalConsistencyError, MatrixQ, conj_transpose
 from epkit.pnorms import PNorm
 
 from .test_characterizations import EXACT_BATTERIES
+from .test_factor_subspaces import square_matrices
 from .test_linalg import _kernel_recording
 
 NILPOTENT = MatrixQ.from_rows([[0, 1], [0, 0]])
@@ -246,3 +249,33 @@ def test_every_solved_coefficient_has_a_guarded_inner_inverse():
             m.__dict__[guard] = False
             with pytest.raises(InternalConsistencyError, match=re.escape(guard)):
                 m.solve(coefficient, coefficient, side)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example(MatrixQ.zeros(3, 3))                                    # rank 0
+@example(MatrixQ.zeros(0, 0))
+@example(MatrixQ.from_rows([[1, 2], [3, 4]]))                    # full rank
+@example(NILPOTENT)                                              # not EP
+@example(MatrixQ.from_rows([[1, "1i", 0], [0, 0, 0], [2, 0, "-1i"]]))  # complex, rank 2
+def test_4_2_reads_adjoint_systems_as_their_direct_decisions(a):
+    # x m = y iff m* x* = y*, so once iii's and x's systems are decided, v's
+    # and xiii's are read as the adjoints of their solutions (or None) with
+    # no product; each must equal _solve_inner run on the system itself.
+    # what is read as vhat*, and must equal v w^-1
+    m = EPInstance.from_matrix(a)
+    systems = [system for row in chz._T42 if row.solve for system in row.solve.values()]
+    direct = {system: chz._solve_inner(getattr(m, system[0]), getattr(m, system[1]),
+                                       system[2], getattr(m, chz._INNER[system[0]][0]))
+              for system in systems}
+    decided = []
+    reference = chz._solve_inner
+    with mock.patch.object(chz, "_solve_inner", lambda x, y, side, g:
+                           decided.append((x, y, side)) or reference(x, y, side, g)):
+        for system in systems:  # table order: iii, v, x, xiii
+            assert m.solve(*system) == direct[system], system
+    first = {(getattr(m, x), getattr(m, y), side) for row in chz._T42
+             if row.stmt in ("iii", "x") for x, y, side in row.solve.values()}
+    assert set(decided) == first
+    assert m.what == m.v @ m.w_inv
+    assert (m.bb @ m.what == m.aa) == m.vhat_bb_is_aa
