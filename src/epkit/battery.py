@@ -1,16 +1,20 @@
 """Seeded instance generation and battery orchestration.
 
 Generation stays entirely inside the Gaussian rationals.  EP instances come
-from exact orthogonal projections: P = M0 (M0* M0)^-1 M0* for a random
-full-column-rank M0 is exactly self-adjoint and idempotent, so a candidate
-P M P whose rank equals rank(P) has range and kernel pinned to those of P
-and is therefore EP.  No eigendecomposition, no rounding.  Every draw but
+from exact orthogonal projections: for a random full-column-rank n x r M0
+and C = RREF(M0*), P = C+ C = M0 (M0* M0)^-1 M0* is exactly self-adjoint
+and idempotent, so a candidate P M P whose rank equals rank(P) has range
+and kernel pinned to those of P and is therefore EP.  No
+eigendecomposition, no rounding.  P M P = B C with K = C M C+ and
+B = C+ K, so an ep draw is built as that factorization, with the daggers
+C+ and B+ = K^-1 C it determines, and no P is formed.  Every other draw but
 an unranked arbitrary one is factorized from an r x n factor it was drawn
-with whose row space holds its rows (M0* for ep, right of a = left right
-for non_ep and a ranked arbitrary, e for invertible), and never eliminated
-itself.  The acceptance tests read the validated instance's rank (and
-p = q, for non_ep), and `run_battery` hands the accepted instance to its
-battery, so a drawn matrix is factorized once; `gen_matrix` returns a.
+with whose row space holds its rows (right of a = left right for non_ep
+and a ranked arbitrary, e for invertible), and never eliminated itself.
+An unranked arbitrary draw is factorized by `EPInstance.from_matrix`.  The
+acceptance tests read the validated instance's rank (and p = q, for
+non_ep), and `run_battery` hands the accepted instance to its battery, so a
+drawn matrix is factorized once; `gen_matrix` returns a.
 
 Reports are plain data with a stable JSON field order so that identical
 seeds give byte-identical files (the elapsed field excepted).
@@ -44,14 +48,16 @@ from .linalg import (
     MatrixQ,
     SingularMatrixError,
     _canonical,
+    _inverse_times,
     conj_transpose,
-    inverse,
     is_invertible,
+    product_memo,
     rref,
 )
 from .linalg import rank  # noqa: F401  unused here; bench/tracer.py patches battery.rank
 from .pnorms import PNorm
 from .pseudoinverse import is_ep  # noqa: F401  unused here; bench/tracer.py patches battery.is_ep
+from .pseudoinverse import row_dagger
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -154,6 +160,11 @@ def _rand_invertible(rng, n: int, bound: int, use_complex: bool, what: str) -> M
                       f"could not draw an invertible {what} of size {n}")
 
 
+def _first(draw, failure: str):
+    """The first of up to _MAX_ATTEMPTS draws that is not None."""
+    return _rejection(draw, lambda drawn: drawn is not None, failure)
+
+
 def _rand_factored(draw, failure: str) -> EPInstance:
     """The validated instance of the first a of rank r that `draw` gives, with
     an r x n `right` whose row space holds a's rows, as a pair (a, right).
@@ -163,8 +174,9 @@ def _rand_factored(draw, failure: str) -> EPInstance:
     columns P, so a = a[:, P] c, as c[:, P] = e.  When a has rank r,
     b = a[:, P] has full column rank and c is the RREF of a's row space, so
     a = b c is `full_rank_factorize(a)`, as RREF is canonical.  A right of
-    rank < r, or a b whose Gram is singular (validation raises
-    SingularMatrixError), rejects the draw, as a rank test of a would.
+    rank < r, or a b whose Gram is singular (`factor_daggers`, which
+    validation runs, raises SingularMatrixError), rejects the draw, as a
+    rank test of a would.
     """
     def factored():
         a, right = draw()
@@ -177,7 +189,46 @@ def _rand_factored(draw, failure: str) -> EPInstance:
             return EPInstance.from_factorization(a, f)
         except SingularMatrixError:
             return None
-    return _rejection(factored, lambda inst: inst is not None, failure)
+    return _first(factored, failure)
+
+
+def _rand_ep(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
+    """Instance of a = proj m proj for a random n x n m and the orthogonal
+    projection proj onto the row space of c = RREF(m0*), for the first
+    random n x r m0 of full column rank, drawn until a has rank r.
+
+    No proj is formed: proj = c+ c, so a = c+ K c = b c with K = c m c+
+    (r x r) and b = c+ K.  b = a[:, P] at c's pivot columns P, as
+    c[:, P] = e, so a = b c is `full_rank_factorize(a)` once a has rank r,
+    which is when K is invertible.  Then b* b = K* (c c*)^-1 K, as
+    (c+)* c+ = (c c*)^-1, so b+ = (b* b)^-1 b* = K^-1 c, read off one
+    elimination of [K | c]; a singular K rejects the draw, as a singular
+    Gram of b would.  c+ is `row_dagger(c)`, the one elimination of
+    [c c* | c] that the candidates share.  Each candidate's products, and
+    c c*, run in the product memo its instance keeps, so validation reads
+    b c = a from it, 3.5 c+ (c b) = c+ K and 3.9 c c*.
+    """
+    def basis():
+        reduced, pivots = rref(conj_transpose(_rand_matrix(rng, n, r, bound, use_complex)))
+        return reduced.take_rows(r) if len(pivots) == r else None
+    c = _first(basis, f"could not draw a rank-{r} projection of size {n}")
+    shared = {}
+    with product_memo(shared):
+        c_dagger = row_dagger(c)
+
+    def candidate():
+        products = dict(shared)
+        with product_memo(products):
+            k = c @ _rand_matrix(rng, n, n, bound, use_complex) @ c_dagger
+            try:
+                b_dagger = _inverse_times(k, c)
+            except SingularMatrixError:
+                return None
+            b = c_dagger @ k
+            a = b @ c
+        return EPInstance.from_factorization(a, FullRankFactorization(b=b, c=c, rank=r),
+                                             (b_dagger, c_dagger), products=products)
+    return _first(candidate, f"could not hit rank {r} for an ep draw of size {n}")
 
 
 def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
@@ -209,19 +260,8 @@ def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
                               f"could not draw an invertible matrix of size {n}")
 
     if cfg.kind == "ep":
-        # a = proj m proj, proj = m0 (m0* m0)^-1 m0*, has its rows in the row
-        # space of m0*; `inverse` reads the one `is_invertible` left on the Gram
         r = cfg.rank if cfg.rank is not None else rng.randint(0, n)
-        def gram_draw():
-            m0 = _rand_matrix(rng, n, r, bound, use_complex)
-            m0_star = conj_transpose(m0)
-            return m0, m0_star, m0_star @ m0
-        m0, m0_star, gram = _rejection(gram_draw, lambda drawn: is_invertible(drawn[2]),
-                                       f"could not draw a rank-{r} projection of size {n}")
-        proj = m0 @ inverse(gram) @ m0_star
-        return _rand_factored(lambda: (proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
-                                       m0_star),
-                              f"could not hit rank {r} for an ep draw of size {n}")
+        return _rand_ep(rng, n, r, bound, use_complex)
 
     if cfg.kind == "non_ep":
         # a 1x1 (or rank-0 / full-rank) matrix is always EP

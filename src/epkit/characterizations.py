@@ -56,13 +56,14 @@ named closed form x^-1 that holds once a a+ = a+ a = p, as Lemma 3.8's v^-1
 and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
 square matrix is two-sided) after an EP-equivalent criterion held, so a
 failed product is a defect in a+ or the factors, not a singular input.  The
-tables eliminate only for the factorization and the two Gram eliminations
-of `factor_daggers`, which validation runs: no battery and no
-`thm53_decompose` eliminates on a validated instance.  Every kernel, range,
-right-kernel and row-space statement is one fact, `rng_ok`
-(range b = range c*, equivalently ker b* = ker c, their orthogonal
-complements), by identities that hold for every matrix, written beside
-that entry.  c is an RREF, so the fact is the one product b = c* b[P, :]
+tables eliminate only to factorize a and form b+ and c+, which is done by
+the time an instance is validated (`factorize_with_daggers` in
+`from_matrix`, or the draw that hands over its factors and daggers): no
+battery and no `thm53_decompose` eliminates on a validated instance.
+Every kernel, range, right-kernel and row-space statement is one fact,
+`rng_ok` (range b = range c*, equivalently ker b* = ker c, their
+orthogonal complements), by identities that hold for every matrix,
+written beside that entry.  c is an RREF, so the fact is the one product b = c* b[P, :]
 over c's pivot columns P, checked to be identity columns of c, and no
 elimination.  Every row still `_require`s its witness identities, under its
 own battery's message, before it reports the witness; one that fails to
@@ -100,7 +101,7 @@ from .linalg import (
     product_memo,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
-from .pseudoinverse import factor_daggers, lemma38_witnesses
+from .pseudoinverse import factor_daggers, factorize_with_daggers, lemma38_witnesses
 
 CONSTRUCTIVE = "constructive"
 CRITERION = "criterion"
@@ -358,7 +359,8 @@ class EPInstance:
     b† = c·a† and c† = a†·b follow the same way; none of them is formed.
     The products it forms (`bc`, `p`, `q`, `a_dagger`, b†·b and c·c†) stay
     for the batteries.  `from_factorization` validates the same set on a
-    factorization the caller already holds.
+    factorization the caller already holds, and on its daggers when it
+    holds those too, so held daggers are certified, never trusted.
     """
 
     a: MatrixQ
@@ -374,18 +376,37 @@ class EPInstance:
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
-        return cls(a=a)._validate()
+        """The validated instance of a square a, factorized with its daggers
+        by `factorize_with_daggers`: one elimination of [a | e], and at
+        full rank no other.  The Grams it forms below full rank go into the
+        instance's product memo."""
+        products = {}
+        with product_memo(products):
+            f, daggers = factorize_with_daggers(a)
+        return cls.from_factorization(a, f, daggers, products=products)
 
     @classmethod
-    def from_factorization(cls, a: MatrixQ, f: FullRankFactorization) -> "EPInstance":
+    def from_factorization(cls, a: MatrixQ, f: FullRankFactorization,
+                           daggers: Optional[tuple] = None, *,
+                           products: Optional[dict] = None) -> "EPInstance":
         """The validated instance of a, for a caller that holds its factors:
         a is not eliminated.  f must be what `full_rank_factorize(a)` returns
         (c the nonzero rows of a's RREF, b the pivot columns of a); the
         generator reads c off the RREF of a factor it drew, for every kind
-        but an unranked arbitrary draw.  A b without full column rank has a
-        singular Gram and raises SingularMatrixError."""
+        but an unranked arbitrary draw.  daggers, when given, is (b+, c+)
+        as the caller read them off its own eliminations; otherwise
+        `factor_daggers` forms them, and a b without full column rank has a
+        singular Gram and raises SingularMatrixError.  Held daggers are
+        certified, not trusted: validation checks the same generating set,
+        and a wrong one raises InternalConsistencyError.  products, when
+        given, is the product memo the caller filled while forming a from
+        f, and becomes the instance's."""
         inst = cls(a=a)
         inst.__dict__["f"] = f
+        if daggers is not None:
+            inst.__dict__["daggers"] = daggers
+        if products is not None:
+            inst.__dict__["_products"] = products
         return inst._validate()
 
     def memoised(self):

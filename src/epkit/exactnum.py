@@ -137,12 +137,13 @@ def as_scalar(x) -> GaussianRational:
 #       | R ('+'|'-') R 'i'      real + imaginary   "3/4+1/2i", "1-2i"
 #       | R 'i'                  pure imaginary     "-2i", "1/2i"
 #
-# No whitespace anywhere.
+# No whitespace anywhere, a trailing newline included, and digits are the
+# ASCII 0-9 only: each pattern must match the whole string, under re.ASCII.
 
 _R = r"-?\d+(?:/\d+)?"
-_RE_REAL = _re.compile(rf"^({_R})$")
-_RE_IMAG = _re.compile(rf"^({_R})i$")
-_RE_FULL = _re.compile(rf"^({_R})([+-])(\d+(?:/\d+)?)i$")
+_RE_REAL = _re.compile(rf"({_R})", _re.ASCII)
+_RE_IMAG = _re.compile(rf"({_R})i", _re.ASCII)
+_RE_FULL = _re.compile(rf"({_R})([+-])(\d+(?:/\d+)?)i", _re.ASCII)
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -150,13 +151,13 @@ def parse_scalar(text: str) -> GaussianRational:
     if not isinstance(text, str):
         raise ScalarParseError(f"scalar must be a string, got {type(text).__name__}")
     try:
-        m = _RE_REAL.match(text)
+        m = _RE_REAL.fullmatch(text)
         if m:
             return GaussianRational(Fraction(m.group(1)))
-        m = _RE_IMAG.match(text)
+        m = _RE_IMAG.fullmatch(text)
         if m:
             return GaussianRational(0, Fraction(m.group(1)))
-        m = _RE_FULL.match(text)
+        m = _RE_FULL.fullmatch(text)
         if m:
             im = Fraction(m.group(3))
             if m.group(2) == "-":

@@ -6,14 +6,19 @@ column rank and c of full row rank:
     b^+ = (b* b)^-1 b*,   c^+ = c* (c c*)^-1,   a^+ = c^+ b^+
 
 which is exact over the Gaussian rationals for any rank (rank 0 gives the
-zero matrix of transposed shape).  `factor_daggers` is the one place that
-forms b^+ and c^+, each from one elimination of its Gram beside the factor,
+zero matrix of transposed shape).  `factor_daggers` forms b^+ and c^+ from
+the factors alone, each from one elimination of its Gram beside the factor,
 [b* b | b*] and [c c* | c], which reads (b* b)^-1 b* and (c c*)^-1 c = (c^+)*
-without forming a Gram inverse.  `penrose_certificate` re-checks the four
-defining conditions from scratch.  `EPInstance` does not call it: when b+
-and c+ are the Moore-Penrose inverses of b and c (b+ b = e, c c+ = e, b b+
-and c+ c hermitian), a^+ = c^+ b^+ meets all four conditions by
-associativity, so its validation checks that generating set instead.
+without forming a Gram inverse; `row_dagger` is its c^+ half.
+`factorize_with_daggers` reads the factorization of a square a and, at
+full rank, both daggers off one elimination of [a | e].  A caller that
+built a from its factors may know the daggers already (`battery` does for
+an ep draw); `EPInstance` certifies held daggers as it does computed ones.
+`penrose_certificate` re-checks the four defining conditions from scratch.
+`EPInstance` does not call it: when b+ and c+ are the Moore-Penrose
+inverses of b and c (b+ b = e, c c+ = e, b b+ and c+ c hermitian),
+a^+ = c^+ b^+ meets all four conditions by associativity, so its
+validation checks that generating set instead.
 
 `is_ep` decides p == q exactly, with p = b b^+ = a a^+ and q = c^+ c = a^+ a.
 The memoised, validated form of these quantities, with the Grams and
@@ -41,6 +46,7 @@ from .linalg import (
     _inverse_times,
     conj_transpose,
     full_rank_factorize,
+    rref,
 )
 
 
@@ -48,17 +54,48 @@ def factor_daggers(f: FullRankFactorization) -> tuple:
     """(b^+, c^+) of a full-rank factorization: (b* b)^-1 b* and c* (c c*)^-1.
 
     Each is one Gram product and one elimination: b^+ is read off the RREF
-    of [b* b | b*], and (c^+)* = (c c*)^-1 c, as c c* is hermitian, off that
-    of [c c* | c].  A factor without full rank has a singular Gram and
-    raises SingularMatrixError.  An identity c is its own c^+, with no
-    elimination; `full_rank_factorize` gives one whenever a has full column
-    rank, since c is then a square RREF.
+    of [b* b | b*], and c^+ is `row_dagger(c)`.  A factor without full rank
+    has a singular Gram and raises SingularMatrixError.
     """
     bs = conj_transpose(f.b)
-    b_dagger = _inverse_times(bs @ f.b, bs)
-    if f.rank == f.c.cols and f.c == MatrixQ.identity(f.rank):
-        return b_dagger, f.c
-    return b_dagger, conj_transpose(_inverse_times(f.c @ conj_transpose(f.c), f.c))
+    return _inverse_times(bs @ f.b, bs), row_dagger(f.c)
+
+
+def row_dagger(c: MatrixQ) -> MatrixQ:
+    """c^+ = c* (c c*)^-1 of a c with full row rank.
+
+    (c^+)* = (c c*)^-1 c, as c c* is hermitian, is read off the RREF of
+    [c c* | c]; SingularMatrixError when c has no full row rank.  An
+    identity c is its own c^+, with no elimination; `full_rank_factorize`
+    gives one whenever a has full column rank, since c is then a square
+    RREF.
+    """
+    if c.rows == c.cols and c == MatrixQ.identity(c.rows):
+        return c
+    return conj_transpose(_inverse_times(c @ conj_transpose(c), c))
+
+
+def factorize_with_daggers(a: MatrixQ) -> tuple:
+    """(`full_rank_factorize(a)`, `factor_daggers` of it) for a square a,
+    from one elimination of [a | e].
+
+    The RREF of [a | e] is E [a | e] with E invertible, and its rows whose
+    pivots lie in a's columns P are those of a's own RREF, so they give c
+    and a's columns P give b.  At full rank E a = e, so b = a, c = e = c^+
+    and the right block E = a^-1 is b^+ = (a* a)^-1 a*.  Below it,
+    `factor_daggers` forms both daggers from the factors.
+    """
+    if not a.is_square:
+        raise ShapeError("factorize_with_daggers expects a square matrix")
+    n = a.rows
+    reduced, pivots = rref(a.hstack(MatrixQ.identity(n)))
+    pivots = [p for p in pivots if p < n]
+    r = len(pivots)
+    left = reduced.take_rows(r).select_columns(range(n))
+    f = FullRankFactorization(b=a.select_columns(pivots), c=left, rank=r)
+    if r < n:
+        return f, factor_daggers(f)
+    return f, (reduced.select_columns(range(n, 2 * n)), left)
 
 
 def pinv(a: MatrixQ) -> MatrixQ:

@@ -17,8 +17,8 @@ The helpers at the end are reference constructions that only the tests
 read, so they live here rather than in the package: the Kronecker product
 and the left-multiplication lift a (x) e, subspace containment by rank, the
 factor daggers through the Gram inverses, the factor-level identities of
-Lemma 3.8's witnesses, and the ranked, ep and invertible draws that
-eliminate each candidate.
+Lemma 3.8's witnesses, the ranked and invertible draws that eliminate
+each candidate, and the ep draw through its projection m0 (m0* m0)^-1 m0*.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from epkit.linalg import (
     ShapeError,
     Subspace,
     conj_transpose,
+    full_rank_factorize,
     inverse,
     rank,
     solve_exists,
@@ -286,20 +287,30 @@ def rand_rank_r_by_elimination(rng, n: int, r: int, bound: int, use_complex: boo
     return _of_rank_by_elimination(draw, r, f"could not draw a rank-{r} matrix of size {n}")
 
 
-def ep_or_invertible_by_elimination(cfg: GeneratorConfig) -> tuple:
-    """(instance, rng after the draw) of `battery.gen_instance(cfg)` for the
-    kinds ep and invertible, by the route it took before it factorized those
-    draws from a drawn factor: an ep draw's projection m0 (m0* m0)^-1 m0*
-    takes the Gram inverse from `solve_exists`, and every candidate, proj m
-    proj or an n x n draw, goes through `EPInstance.from_matrix` and is kept
-    when its rank is r (n for invertible)."""
+def invertible_by_elimination(cfg: GeneratorConfig) -> tuple:
+    """(instance, rng after the draw) of an invertible
+    `battery.gen_instance(cfg)`, by the route it took before it factorized
+    each draw from e: every n x n candidate goes through
+    `EPInstance.from_matrix` and is kept when its rank is n."""
+    assert cfg.kind == "invertible", cfg
     rng = random.Random(cfg.seed & _MASK64)
     use_complex = rng.random() < 0.5
     n, bound = cfg.n, cfg.entry_bound
-    if cfg.kind == "invertible":
-        return _of_rank_by_elimination(lambda: _rand_matrix(rng, n, n, bound, use_complex), n,
-                                       f"could not draw an invertible matrix of size {n}"), rng
+    return _of_rank_by_elimination(lambda: _rand_matrix(rng, n, n, bound, use_complex), n,
+                                   f"could not draw an invertible matrix of size {n}"), rng
+
+
+def ep_by_projection(cfg: GeneratorConfig) -> tuple:
+    """(a, f, (b^+, c^+), rng after the draw) of an ep
+    `battery.gen_instance(cfg)`, by the route it took before it built each
+    draw as a factorization: the projection proj = m0 (m0* m0)^-1 m0* of the
+    first m0 whose Gram `solve_exists` inverts, then candidates proj m proj
+    until one has rank r, each eliminated by `full_rank_factorize`; the
+    daggers of the one kept come through the Gram inverses."""
     assert cfg.kind == "ep", cfg
+    rng = random.Random(cfg.seed & _MASK64)
+    use_complex = rng.random() < 0.5
+    n, bound = cfg.n, cfg.entry_bound
     r = cfg.rank if cfg.rank is not None else rng.randint(0, n)
     for _ in range(_MAX_ATTEMPTS):
         m0 = _rand_matrix(rng, n, r, bound, use_complex)
@@ -309,8 +320,12 @@ def ep_or_invertible_by_elimination(cfg: GeneratorConfig) -> tuple:
     else:
         raise GeneratorError(f"could not draw a rank-{r} projection of size {n}")
     proj = m0 @ gram_inv @ conj_transpose(m0)
-    return _of_rank_by_elimination(lambda: proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj,
-                                   r, f"could not hit rank {r} for an ep draw of size {n}"), rng
+    for _ in range(_MAX_ATTEMPTS):
+        a = proj @ _rand_matrix(rng, n, n, bound, use_complex) @ proj
+        f = full_rank_factorize(a)
+        if f.rank == r:
+            return a, f, gram_inverse_daggers(f), rng
+    raise GeneratorError(f"could not hit rank {r} for an ep draw of size {n}")
 
 
 @dataclass(frozen=True)

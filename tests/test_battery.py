@@ -34,7 +34,12 @@ from epkit.linalg import (
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import is_ep
 
-from .oracles import ep_or_invertible_by_elimination, oracle_inverse, rand_rank_r_by_elimination
+from .oracles import (
+    ep_by_projection,
+    invertible_by_elimination,
+    oracle_inverse,
+    rand_rank_r_by_elimination,
+)
 from .test_characterizations import EXACT_BATTERIES
 from .test_linalg import _kernel_recording
 from .test_linalg_oracle import UNITS
@@ -442,7 +447,8 @@ def test_exact_batteries_never_reduce_on_a_validated_instance(monkeypatch):
     instances = {tid: [EPInstance.from_matrix(gen_matrix(cfg)) for s in (1, 2)
                        for n in (0, 1, 2, 4, 6) for cfg in battery_configs(tid, 8, n, s)]
                  for tid in EXACT_BATTERIES}
-    assert all(m.daggers for insts in instances.values() for m in insts)  # daggers read f
+    # from_matrix hands each instance its daggers before any battery runs
+    assert all("daggers" in m.__dict__ for insts in instances.values() for m in insts)
     reduced, _, _ = _recording(monkeypatch)
     ranks = set()
     for tid, fn in EXACT_BATTERIES.items():
@@ -469,8 +475,9 @@ def test_no_identity_is_inverted(monkeypatch):
     for module in (linalg, chz):
         monkeypatch.setattr(module, "inverse", lambda a: inverted.append(a) or orig(a))
     times = pseudoinverse._inverse_times
-    monkeypatch.setattr(pseudoinverse, "_inverse_times",
-                        lambda g, y: inverted.append(g) or times(g, y))
+    for module in (pseudoinverse, battery):  # battery reads an ep draw's b+ off [K | c]
+        monkeypatch.setattr(module, "_inverse_times",
+                            lambda g, y: inverted.append(g) or times(g, y))
     for tid in SUPPORTED_THEOREMS:
         for s in (1, 2):
             run_battery(tid, battery_configs(tid, 8, 4, s))
@@ -644,11 +651,11 @@ def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
 def test_run_battery_factorizes_each_draw_once(monkeypatch):
     # the generator's acceptance tests read the validated instance it draws,
     # and run_battery hands that instance to the battery, so the drawn a is
-    # factorized once and never rank-tested or EP-tested on its own.  Every
-    # draw but an unranked arbitrary one (ep, invertible, non_ep, arbitrary
-    # with a rank) is factorized from a factor it was drawn with, not by
-    # full_rank_factorize (rref operands are not counted here: the
-    # factorization reduces a itself)
+    # factorized once and never rank-tested or EP-tested on its own.  An
+    # unranked arbitrary draw is factorized, with its daggers, by the one
+    # rref of [a | e] that EPInstance.from_matrix makes; every other draw
+    # (ep, invertible, non_ep, arbitrary with a rank) from a factor it was
+    # drawn with, so neither a nor [a | e] is reduced
     import epkit.linalg as linalg
     import epkit.pseudoinverse as pseudoinverse
 
@@ -659,23 +666,33 @@ def test_run_battery_factorizes_each_draw_once(monkeypatch):
     requests = [(tid, cfg, gen_matrix(cfg)) for tid in SUPPORTED_THEOREMS if tid != "5.2"
                 for cfg in cfgs]
     calls = []
-    for orig in (linalg.full_rank_factorize, linalg.rank, pseudoinverse.is_ep):
+    for orig in (linalg.full_rank_factorize, linalg.rank, pseudoinverse.is_ep, linalg.rref):
         _record_calls(monkeypatch, orig, lambda a, name=orig.__name__: calls.append((name, a)))
     for tid, cfg, a in requests:
+        a_e = a.hstack(MatrixQ.identity(a.rows))
         calls.clear()
         run_battery(tid, [cfg])
         unranked = cfg.kind == "arbitrary" and cfg.rank is None
-        expected = ["full_rank_factorize"] if unranked else []
-        assert [name for name, x in calls if x == a] == expected, (tid, cfg)
+        expected = [("rref", a_e)] if unranked and a.rows else []
+        # at size 0 an ep draw's basis m0* is as empty as a and [a | e]
+        assert [(name, x) for name, x in calls if a.rows and x in (a, a_e)] == expected, (tid, cfg)
     assert {cfg.kind for cfg in cfgs} == set(KINDS)
+
+
+def _seed_flipping(master: int, complex_: bool) -> int:
+    """The first child seed of master whose generator's first coin flip,
+    the entry field's, gives complex entries exactly when complex_."""
+    return next(seed for seed in (child_seed(master, i) for i in range(64))
+                if (random.Random(seed).random() < 0.5) == complex_)
 
 
 def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
     # a ranked draw a = left right takes c from the RREF of right, an ep draw
-    # a = proj m proj from that of m0*, an invertible one from that of e, and
-    # b as a's pivot columns; each must give what eliminating a gives, leave
-    # the rng where the eliminating route leaves it, and reject a
-    # rank-deficient a (bound 1 draws many) through b's singular Gram
+    # from that of m0*, an invertible one from that of e, and b as a's pivot
+    # columns; each must give what eliminating a gives, leave the rng where
+    # the eliminating route leaves it, and reject a rank-deficient a (bound 1
+    # draws many): a ranked or invertible draw through b's singular Gram, an
+    # ep draw through a singular K = c m c+
     import epkit.characterizations as chz
 
     singular = []
@@ -712,29 +729,51 @@ def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
                     inst = battery.gen_instance(cfg)
                     f = full_rank_factorize(inst.a)
                     assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank), cfg
-    # ep and invertible draws against the routes that eliminated each
-    # candidate, with the generator's own rng captured
+    # ep and invertible draws against the routes they took before they were
+    # built from drawn factors, with the generator's own rng captured: an
+    # invertible draw eliminated each candidate, an ep draw formed the
+    # projection m0 (m0* m0)^-1 m0* and eliminated each candidate proj m proj.
+    # An ep draw is a b c with its daggers held, and rejects a candidate
+    # through a singular K = c m c+, never through b's Gram
     made = []
     monkeypatch.setattr(battery, "random", SimpleNamespace(
         Random=lambda seed: made.append(random.Random(seed)) or made[-1]))
+    singular_k = []
+    times = battery._inverse_times
+
+    def k_inverse_times(k, y):
+        try:
+            return times(k, y)
+        except SingularMatrixError:
+            singular_k.append(k)
+            raise
+    monkeypatch.setattr(battery, "_inverse_times", k_inverse_times)
     seen = set()
     for kind in ("ep", "invertible"):
         for n in range(7):
             for rank_ in [None, *(range(n + 1) if kind == "ep" else [n])]:
                 for bound in (1, 3):
-                    for s in range(4):
-                        cfg = GeneratorConfig(seed=child_seed(n * 100 + bound, s), n=n,
-                                              rank=rank_, entry_bound=bound, kind=kind)
-                        singular.clear()
-                        inst = battery.gen_instance(cfg)
-                        ref, parent = ep_or_invertible_by_elimination(cfg)
-                        assert inst.a == ref.a and made[-1].getstate() == parent.getstate(), cfg
-                        f = full_rank_factorize(inst.a)
-                        assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank) == (
-                            ref.b, ref.c, ref.rank), cfg
-                        assert all(rank(f.b) < f.rank for f in singular), cfg
-                        complex_ = random.Random(cfg.seed).random() < 0.5
-                        seen.add((kind, bound, complex_, bool(singular)))
+                    for complex_ in (False, True):
+                        for s in range(2):
+                            cfg = GeneratorConfig(seed=_seed_flipping(n * 100 + bound * 10 + s,
+                                                                      complex_),
+                                                  n=n, rank=rank_, entry_bound=bound, kind=kind)
+                            singular.clear()
+                            singular_k.clear()
+                            inst = battery.gen_instance(cfg)
+                            if kind == "ep":
+                                a, f, daggers, parent = ep_by_projection(cfg)
+                                assert (inst.a, inst.f, inst.daggers) == (a, f, daggers), cfg
+                                assert not singular and all(rank(k) < k.rows for k in singular_k)
+                            else:
+                                ref, parent = invertible_by_elimination(cfg)
+                                assert inst.a == ref.a and not singular_k, cfg
+                                f = full_rank_factorize(inst.a)
+                                assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank) == (
+                                    ref.b, ref.c, ref.rank), cfg
+                                assert all(rank(f.b) < f.rank for f in singular), cfg
+                            assert made[-1].getstate() == parent.getstate(), cfg
+                            seen.add((kind, bound, complex_, bool(singular or singular_k)))
     assert seen >= {(kind, bound, complex_, False) for kind in ("ep", "invertible")
                     for bound in (1, 3) for complex_ in (False, True)}
     assert {kind for kind, _, _, rejected in seen if rejected} == {"ep", "invertible"}

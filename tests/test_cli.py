@@ -138,6 +138,16 @@ def test_ep_verdict_rests_on_the_certificate(tmp_path, monkeypatch):
         main(["ep", path])
 
 
+def test_ep_rejects_scalars_outside_the_grammar(tmp_path, capsys):
+    # the grammar has no whitespace, not even a trailing newline, and only
+    # ASCII digits: such an entry is an input error, not a number
+    for entry in ("5\n", "3-4i\n", "\u0663", "1/\uff12"):
+        path = mfile(tmp_path, "s.json", matrix_obj([[entry]]))
+        code, out, err = run_main(capsys, ["ep", path])
+        assert code == EXIT_INPUT_ERROR and out == "", entry
+        assert err.startswith("error:") and "entry (0,0)" in err, entry
+
+
 def test_ep_rejects_rectangular(tmp_path, capsys):
     path = mfile(tmp_path, "r.json", matrix_obj([["1", "0"]]))
     code, out, err = run_main(capsys, ["ep", path])

@@ -106,7 +106,9 @@ def test_parse_valid(text, re, im):
 @pytest.mark.parametrize(
     "text",
     ["i", "-i", "1.5", "1 + 2i", "", "2/0", "1//2", "--3", "+4", "4+i",
-     "3i+4", " 1", "1 ", "1+2j", "2 i", "1e3", "4/-2", "3+-2i"],
+     "3i+4", " 1", "1 ", "1+2j", "2 i", "1e3", "4/-2", "3+-2i",
+     # no trailing newline, and ASCII digits only
+     "5\n", "3-4i\n", "2i\n", "1/2\n", "\u0663", "1/\uff12", "\uff13+1i", "1-\u0662i"],
 )
 def test_parse_rejects(text):
     with pytest.raises(ScalarParseError):

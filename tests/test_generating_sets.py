@@ -6,7 +6,8 @@ defines it.  The four Penrose conditions for a+ = c+ b+ follow by exact
 associativity, so here `penrose_certificate` is the oracle for that
 implication on rectangular matrices, with b+ and c+ replaced by other
 one-sided inverses of b and c, for which it must fail exactly when the
-generators do.  `lemma38_witnesses` verifies four identities; the four it
+generators do, and daggers an instance is handed are certified the same
+way.  `lemma38_witnesses` verifies four identities; the four it
 no longer checks are verified here, and a wrong closed-form inverse must
 still be caught.
 """
@@ -70,6 +71,50 @@ def test_generating_set_implies_the_four_penrose_conditions(a, seed, move_b, mov
     assert penrose_certificate(a, cd @ bd).valid == generators
     if not (move_b or move_c):
         assert generators
+
+
+def _unit(rows: int, cols: int) -> MatrixQ:
+    """The rows x cols matrix with a single 1, at (0, 0)."""
+    return _m([[int(i == j == 0) for j in range(cols)] for i in range(rows)])
+
+
+@pytest.mark.parametrize("a", [
+    MatrixQ.zeros(3, 3),                                         # rank 0
+    _m([[1, "1i", 0], [0, 0, 0], [2, 0, "-1i"]]),                # rank 2, not EP
+    _m([[1, 0, 0], [0, "1i", 0], [0, 0, 0]]),                    # rank 2, EP
+    _m([[1, 2], [3, "4i"]]),                                     # full rank
+])
+def test_held_daggers_are_certified_not_trusted(a):
+    # from_factorization holds the daggers a draw hands it, and validation
+    # checks the same generating set on them as on computed ones: the true
+    # (b+, c+) pass, and every other pair raises.  An entry off breaks
+    # b+ b = e or c c+ = e, or p or q; a left inverse b_l of b that is not
+    # b+ is a {1,2,4}-inverse with b b_l not hermitian, and a right inverse
+    # c_r of c that is not c+ a {1,2,3}-inverse with c_r c not hermitian.
+    # At rank 0 the daggers are empty, and a wrongly shaped one is caught;
+    # at full rank both are unique one-sided inverses
+    f = full_rank_factorize(a)
+    b, c, r, n = f.b, f.c, f.rank, a.rows
+    bd, cd = factor_daggers(f)
+    m = EPInstance.from_factorization(a, f, (bd, cd))
+    assert m.daggers == (bd, cd) and m.a_dagger == cd @ bd
+    e_n, e_r = MatrixQ.identity(n), MatrixQ.identity(r)
+    wrong = []
+    if r:
+        wrong += [(bd + _unit(r, n), cd), (bd, cd + _unit(n, r))]
+    else:
+        wrong += [(MatrixQ.zeros(1, n), cd), (bd, MatrixQ.zeros(n, 1))]
+    if 0 < r < n:
+        b_l = bd + _m([[1, "1i", 2]] + [[0, 0, 0]] * (r - 1)) @ (e_n - b @ bd)
+        c_r = cd + (e_n - cd @ c) @ _m([["1i"] + [0] * (r - 1), [2] + [0] * (r - 1),
+                                        [1] + [0] * (r - 1)])
+        assert b_l @ b == e_r and not _hermitian(b @ b_l)        # {1,2,4}, not {3}
+        assert c @ c_r == e_r and not _hermitian(c_r @ c)        # {1,2,3}, not {4}
+        wrong += [(b_l, cd), (bd, c_r)]
+    assert len(wrong) == (4 if 0 < r < n else 2)
+    for daggers in wrong:
+        with pytest.raises(InternalConsistencyError):
+            EPInstance.from_factorization(a, f, daggers)
 
 
 def test_certificate_catches_a_held_q_that_is_not_c_dagger_c(monkeypatch):

@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from epkit.characterizations import EPInstance
 from epkit.exactnum import GaussianRational
@@ -22,6 +23,7 @@ from epkit.linalg import (
 )
 from epkit.pseudoinverse import (
     factor_daggers,
+    factorize_with_daggers,
     is_ep,
     lemma38_witnesses,
     penrose_certificate,
@@ -34,6 +36,7 @@ from .oracles import (
     kron_left_mult,
     lemma38_factor_witnesses,
 )
+from .test_factor_subspaces import square_matrices
 
 
 def rand_mq(rng, rows, cols, bound=3, real=False):
@@ -113,12 +116,12 @@ def _dagger_recording(monkeypatch) -> dict:
             return fn(*args)
         return counted
 
-    inverse_ = linalg.inverse
-    monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
+    inverse_, rref_ = linalg.inverse, linalg.rref
     monkeypatch.setattr(MatrixQ, "__matmul__", counting("@", MatrixQ.__matmul__))
     for module in [mod for key, mod in sys.modules.items() if key.split(".")[0] == "epkit"]:
-        if getattr(module, "inverse", None) is inverse_:
-            monkeypatch.setattr(module, "inverse", counting("inverse", inverse_))
+        for name, fn in (("inverse", inverse_), ("rref", rref_)):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
     return calls
 
 
@@ -158,6 +161,44 @@ def test_factor_daggers_eliminate_once_per_factor(monkeypatch):
         assert factor_daggers(f) == want
         assert calls == {"@": len(gs), "inverse": 0,
                          "rref": sum(g.rows > 0 and g != MatrixQ.identity(g.rows) for g in gs)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+@example(MatrixQ.zeros(0, 0))
+@example(MatrixQ.zeros(3, 3))                                    # rank 0
+@example(MatrixQ.from_rows([[1, 2], [3, 4]]))                    # full rank
+@example(MatrixQ.from_rows([[1, "1i", 0], [0, 1, 2], [2, 0, "-1i"]]))  # full rank, complex
+@example(MatrixQ.from_rows([[1, "1i", 0], [0, 0, 0], [2, 0, "-1i"]]))  # rank 2, complex
+@example(MatrixQ.from_rows([[0, 1], [0, 0]]))                    # rank 1, not EP
+def test_factorize_with_daggers_is_the_factorization_and_its_daggers(a):
+    # one RREF of [a | e] gives a's factorization, and at full rank its right
+    # block a^-1 = b+ with c = c+ = e; below it factor_daggers forms both.
+    # Each must be full_rank_factorize's factorization and factor_daggers'
+    # daggers of it, and from_matrix must hold exactly those
+    f, daggers = factorize_with_daggers(a)
+    want = full_rank_factorize(a)
+    assert f == want and daggers == factor_daggers(want)
+    assert EPInstance.from_matrix(a).daggers == daggers
+
+
+def test_factorize_with_daggers_reduces_once_at_full_rank(monkeypatch):
+    # a full-rank a costs the one elimination of [a | e] and no product; a
+    # deficient one adds factor_daggers' Gram eliminations
+    rng = random.Random(30)
+    cases = [(rand_with_rank(rng, n, n, r, real=real), r == n)
+             for n in (1, 3, 4) for r in (0, n - 1, n) for real in (True, False)]
+    calls = _dagger_recording(monkeypatch)
+    for a, full in cases:
+        calls.update(dict.fromkeys(calls, 0))
+        f, _ = factorize_with_daggers(a)
+        got = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        if not full:
+            factor_daggers(f)
+        assert got == {"rref": 1 + calls["rref"], "@": calls["@"], "inverse": 0}
+    with pytest.raises(ShapeError):
+        factorize_with_daggers(MatrixQ.zeros(2, 3))
 
 
 def test_factor_daggers_reject_factors_without_full_rank():
