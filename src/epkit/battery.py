@@ -11,7 +11,8 @@ C+ and B+ = K^-1 C it determines, and no P is formed.  Every other draw but
 an unranked arbitrary one is factorized from an r x n factor it was drawn
 with whose row space holds its rows (right of a = left right for non_ep
 and a ranked arbitrary, e for invertible), and never eliminated itself.
-An unranked arbitrary draw is factorized by `EPInstance.from_matrix`.  The
+An unranked arbitrary draw is factorized, with its daggers at full rank,
+off one elimination of [a | e] (`_rand_unfactored`).  The
 acceptance tests read the validated instance's rank (and p = q, for
 non_ep), and `run_battery` hands the accepted instance to its battery, so a
 drawn matrix is factorized once; `gen_matrix` returns a.
@@ -57,7 +58,7 @@ from .linalg import (
 from .linalg import rank  # noqa: F401  unused here; bench/tracer.py patches battery.rank
 from .pnorms import PNorm
 from .pseudoinverse import is_ep  # noqa: F401  unused here; bench/tracer.py patches battery.is_ep
-from .pseudoinverse import row_dagger
+from .pseudoinverse import factorize_with_daggers, row_dagger
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -231,6 +232,24 @@ def _rand_ep(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
     return _first(candidate, f"could not hit rank {r} for an ep draw of size {n}")
 
 
+def _rand_unfactored(rng, n: int, bound: int, use_complex: bool) -> EPInstance:
+    """Instance of a random n x n matrix drawn with no factor.
+
+    `factorize_with_daggers` reduces [a | e] once, which at full rank also
+    gives b+ = a^-1 and c = c+ = e.  Nearly every such draw has full rank
+    (of the first 4096 seed-0 benchmark requests' draws, 8 of 1020 on
+    `sweep-n4` and 1 of 1024 on `heavy-n6` do not).  Below it the right
+    block is wasted and `factor_daggers` forms both daggers, in the product
+    memo the instance keeps, so `EPInstance.from_matrix`, which other
+    callers use, keeps its one elimination of a.
+    """
+    a = _rand_matrix(rng, n, n, bound, use_complex)
+    products = {}
+    with product_memo(products):
+        f, daggers = factorize_with_daggers(a)
+    return EPInstance.from_factorization(a, f, daggers, products=products)
+
+
 def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
     """Instance of a random n x n matrix of exact rank r, drawn as a = left right
     and factorized from right."""
@@ -278,7 +297,7 @@ def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
     # arbitrary
     if cfg.rank is not None:
         return _rand_rank_r(rng, n, cfg.rank, bound, use_complex)
-    return EPInstance.from_matrix(_rand_matrix(rng, n, n, bound, use_complex))
+    return _rand_unfactored(rng, n, bound, use_complex)
 
 
 def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:

@@ -57,9 +57,9 @@ and w^-1 do, checked by the one product x x^-1 = e (a right inverse of a
 square matrix is two-sided) after an EP-equivalent criterion held, so a
 failed product is a defect in a+ or the factors, not a singular input.  The
 tables eliminate only to factorize a and form b+ and c+, which is done by
-the time an instance is validated (`factorize_with_daggers` in
-`from_matrix`, or the draw that hands over its factors and daggers): no
-battery and no `thm53_decompose` eliminates on a validated instance.
+the time an instance is validated (by validation itself in `from_matrix`,
+or by the draw that hands over its factors and daggers): no battery and no
+`thm53_decompose` eliminates on a validated instance.
 Every kernel, range, right-kernel and row-space statement is one fact,
 `rng_ok` (range b = range c*, equivalently ker b* = ker c, their
 orthogonal complements), by identities that hold for every matrix,
@@ -101,7 +101,7 @@ from .linalg import (
     product_memo,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
-from .pseudoinverse import factor_daggers, factorize_with_daggers, lemma38_witnesses
+from .pseudoinverse import factor_daggers, lemma38_witnesses
 
 CONSTRUCTIVE = "constructive"
 CRITERION = "criterion"
@@ -376,14 +376,9 @@ class EPInstance:
 
     @classmethod
     def from_matrix(cls, a: MatrixQ) -> "EPInstance":
-        """The validated instance of a square a, factorized with its daggers
-        by `factorize_with_daggers`: one elimination of [a | e], and at
-        full rank no other.  The Grams it forms below full rank go into the
-        instance's product memo."""
-        products = {}
-        with product_memo(products):
-            f, daggers = factorize_with_daggers(a)
-        return cls.from_factorization(a, f, daggers, products=products)
+        """The validated instance of a square a: one elimination of a, and
+        `factor_daggers`' two of the factors' Grams."""
+        return cls(a=a)._validate()
 
     @classmethod
     def from_factorization(cls, a: MatrixQ, f: FullRankFactorization,

@@ -83,7 +83,10 @@ def factorize_with_daggers(a: MatrixQ) -> tuple:
     pivots lie in a's columns P are those of a's own RREF, so they give c
     and a's columns P give b.  At full rank E a = e, so b = a, c = e = c^+
     and the right block E = a^-1 is b^+ = (a* a)^-1 a*.  Below it,
-    `factor_daggers` forms both daggers from the factors.
+    `factor_daggers` forms both daggers from the factors, and the right
+    block was reduced for nothing, so this pays only on input that nearly
+    always has full rank (`battery`'s unranked draws); `full_rank_factorize`
+    and `factor_daggers` are cheaper below full rank.
     """
     if not a.is_square:
         raise ShapeError("factorize_with_daggers expects a square matrix")

@@ -175,7 +175,7 @@ def test_factorize_with_daggers_is_the_factorization_and_its_daggers(a):
     # one RREF of [a | e] gives a's factorization, and at full rank its right
     # block a^-1 = b+ with c = c+ = e; below it factor_daggers forms both.
     # Each must be full_rank_factorize's factorization and factor_daggers'
-    # daggers of it, and from_matrix must hold exactly those
+    # daggers of it, which from_matrix, eliminating a alone, holds too
     f, daggers = factorize_with_daggers(a)
     want = full_rank_factorize(a)
     assert f == want and daggers == factor_daggers(want)
