@@ -7,15 +7,17 @@ and idempotent, so a candidate P M P whose rank equals rank(P) has range
 and kernel pinned to those of P and is therefore EP.  No
 eigendecomposition, no rounding.  P M P = B C with K = C M C+ and
 B = C+ K, so an ep draw is built as that factorization, with the daggers
-C+ and B+ = K^-1 C it determines, and no P is formed.  Every other draw but
-an unranked arbitrary one is factorized from an r x n factor it was drawn
-with whose row space holds its rows (right of a = left right for non_ep
-and a ranked arbitrary, e for invertible), and never eliminated itself.
-An unranked arbitrary draw is factorized, with its daggers at full rank,
-off one elimination of [a | e] (`_rand_unfactored`).  The
-acceptance tests read the validated instance's rank (and p = q, for
-non_ep), and `run_battery` hands the accepted instance to its battery, so a
-drawn matrix is factorized once; `gen_matrix` returns a.
+C+ and B+ = K^-1 C it determines, and no P is formed.  A non_ep or ranked
+arbitrary draw a = left right is factorized from right, whose RREF gives
+c, and never eliminated itself.  Every invertible draw, of the invertible
+kind or an unranked arbitrary one of full rank, is a = a e with daggers
+a^-1 and e (`_full_rank_instance`), a^-1 read off the one elimination of
+[a | e] by which `is_invertible` accepted it; a singular unranked draw
+goes through `EPInstance.from_matrix`.  The acceptance tests read the
+validated instance's rank (and p = q, for non_ep), and `run_battery`
+hands the accepted instance to its battery, so a drawn matrix is
+factorized once; `gen_matrix` returns a.  No draw is larger than
+_SIZE_CAP, which bounds the cost of exact arithmetic.
 
 Reports are plain data with a stable JSON field order so that identical
 seeds give byte-identical files (the elapsed field excepted).
@@ -51,6 +53,7 @@ from .linalg import (
     _canonical,
     _inverse_times,
     conj_transpose,
+    inverse,
     is_invertible,
     product_memo,
     rref,
@@ -58,11 +61,12 @@ from .linalg import (
 from .linalg import rank  # noqa: F401  unused here; bench/tracer.py patches battery.rank
 from .pnorms import PNorm
 from .pseudoinverse import is_ep  # noqa: F401  unused here; bench/tracer.py patches battery.is_ep
-from .pseudoinverse import factorize_with_daggers, row_dagger
+from .pseudoinverse import row_dagger
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MAX_ATTEMPTS = 1000
+_SIZE_CAP = 8
 
 KINDS = ("ep", "non_ep", "arbitrary", "invertible")
 
@@ -166,33 +170,6 @@ def _first(draw, failure: str):
     return _rejection(draw, lambda drawn: drawn is not None, failure)
 
 
-def _rand_factored(draw, failure: str) -> EPInstance:
-    """The validated instance of the first a of rank r that `draw` gives, with
-    an r x n `right` whose row space holds a's rows, as a pair (a, right).
-
-    a is factorized from right and never eliminated: right = m c with c the
-    nonzero rows of its RREF and m = right[:, P] invertible at its pivot
-    columns P, so a = a[:, P] c, as c[:, P] = e.  When a has rank r,
-    b = a[:, P] has full column rank and c is the RREF of a's row space, so
-    a = b c is `full_rank_factorize(a)`, as RREF is canonical.  A right of
-    rank < r, or a b whose Gram is singular (`factor_daggers`, which
-    validation runs, raises SingularMatrixError), rejects the draw, as a
-    rank test of a would.
-    """
-    def factored():
-        a, right = draw()
-        reduced, pivots = rref(right)
-        r = right.rows
-        if len(pivots) < r:
-            return None
-        f = FullRankFactorization(b=a.select_columns(pivots), c=reduced.take_rows(r), rank=r)
-        try:
-            return EPInstance.from_factorization(a, f)
-        except SingularMatrixError:
-            return None
-    return _first(factored, failure)
-
-
 def _rand_ep(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
     """Instance of a = proj m proj for a random n x n m and the orthogonal
     projection proj onto the row space of c = RREF(m0*), for the first
@@ -232,51 +209,65 @@ def _rand_ep(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
     return _first(candidate, f"could not hit rank {r} for an ep draw of size {n}")
 
 
-def _rand_unfactored(rng, n: int, bound: int, use_complex: bool) -> EPInstance:
-    """Instance of a random n x n matrix drawn with no factor.
+def _full_rank_instance(a: MatrixQ) -> EPInstance:
+    """The validated instance of an invertible a: a = a e, with daggers a^-1 and e.
 
-    `factorize_with_daggers` reduces [a | e] once, which at full rank also
-    gives b+ = a^-1 and c = c+ = e.  Nearly every such draw has full rank
-    (of the first 4096 seed-0 benchmark requests' draws, 8 of 1020 on
-    `sweep-n4` and 1 of 1024 on `heavy-n6` do not).  Below it the right
-    block is wasted and `factor_daggers` forms both daggers, in the product
-    memo the instance keeps, so `EPInstance.from_matrix`, which other
-    callers use, keeps its one elimination of a.
+    That is `full_rank_factorize(a)`, as a's RREF is e, and `factor_daggers`
+    of it, as (a* a)^-1 a* = a^-1 and e is its own dagger.  `inverse(a)`
+    reads the inverse that `is_invertible` stored on a, so a is eliminated
+    once, as [a | e], or not at all when it is a unit monomial.
     """
-    a = _rand_matrix(rng, n, n, bound, use_complex)
-    products = {}
-    with product_memo(products):
-        f, daggers = factorize_with_daggers(a)
-    return EPInstance.from_factorization(a, f, daggers, products=products)
+    e = MatrixQ.identity(a.rows)
+    return EPInstance.from_factorization(a, FullRankFactorization(b=a, c=e, rank=a.rows),
+                                         (inverse(a), e))
 
 
 def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
-    """Instance of a random n x n matrix of exact rank r, drawn as a = left right
-    and factorized from right."""
-    def draw():
+    """Instance of the first random n x n a = left right, with left n x r
+    and right r x n, that has rank r.
+
+    a is factorized from right and never eliminated: right = m c with c the
+    nonzero rows of its RREF and m = right[:, P] invertible at its pivot
+    columns P, so a = a[:, P] c, as c[:, P] = e.  When a has rank r,
+    b = a[:, P] has full column rank and c is the RREF of a's row space, so
+    a = b c is `full_rank_factorize(a)`, as RREF is canonical.  A right of
+    rank < r, or a b whose Gram is singular (`factor_daggers`, which
+    validation runs, raises SingularMatrixError), rejects the draw, as a
+    rank test of a would.
+    """
+    def factored():
         left = _rand_matrix(rng, n, r, bound, use_complex)
         right = _rand_matrix(rng, r, n, bound, use_complex)
-        return left @ right, right
-    return _rand_factored(draw, f"could not draw a rank-{r} matrix of size {n}")
+        reduced, pivots = rref(right)
+        if len(pivots) < r:
+            return None
+        a = left @ right
+        f = FullRankFactorization(b=a.select_columns(pivots), c=reduced.take_rows(r), rank=r)
+        try:
+            return EPInstance.from_factorization(a, f)
+        except SingularMatrixError:
+            return None
+    return _first(factored, f"could not draw a rank-{r} matrix of size {n}")
 
 
-def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
-    """Validated EPInstance of a seed-deterministic random matrix of the configured kind.
-
-    size_cap bounds exact-arithmetic cost; raise it knowingly for big runs.
-    """
-    if cfg.n > size_cap:
-        raise GeneratorError(f"size {cfg.n} exceeds the size cap {size_cap}")
+def _setup(cfg: GeneratorConfig) -> tuple:
+    """(rng, use_complex) of a draw: the seeded generator and its first coin
+    flip, the entry field's.  GeneratorError when the size exceeds _SIZE_CAP."""
+    if cfg.n > _SIZE_CAP:
+        raise GeneratorError(f"size {cfg.n} exceeds the size cap {_SIZE_CAP}")
     rng = random.Random(cfg.seed & _MASK64)
-    use_complex = rng.random() < 0.5
+    return rng, rng.random() < 0.5
+
+
+def gen_instance(cfg: GeneratorConfig) -> EPInstance:
+    """Validated EPInstance of a seed-deterministic random matrix of the configured kind."""
+    rng, use_complex = _setup(cfg)
     n, bound = cfg.n, cfg.entry_bound
 
     if cfg.kind == "invertible":
         if cfg.rank is not None and cfg.rank != n:
             raise GeneratorError("invertible draw requires rank = size")
-        e = MatrixQ.identity(n)
-        return _rand_factored(lambda: (_rand_matrix(rng, n, n, bound, use_complex), e),
-                              f"could not draw an invertible matrix of size {n}")
+        return _full_rank_instance(_rand_invertible(rng, n, bound, use_complex, "matrix"))
 
     if cfg.kind == "ep":
         r = cfg.rank if cfg.rank is not None else rng.randint(0, n)
@@ -297,15 +288,16 @@ def gen_instance(cfg: GeneratorConfig, *, size_cap: int = 8) -> EPInstance:
     # arbitrary
     if cfg.rank is not None:
         return _rand_rank_r(rng, n, cfg.rank, bound, use_complex)
-    return _rand_unfactored(rng, n, bound, use_complex)
+    a = _rand_matrix(rng, n, n, bound, use_complex)
+    return _full_rank_instance(a) if is_invertible(a) else EPInstance.from_matrix(a)
 
 
-def gen_matrix(cfg: GeneratorConfig, *, size_cap: int = 8) -> MatrixQ:
+def gen_matrix(cfg: GeneratorConfig) -> MatrixQ:
     """The matrix a of `gen_instance(cfg)`: the same seed-deterministic draw."""
-    return gen_instance(cfg, size_cap=size_cap).a
+    return gen_instance(cfg).a
 
 
-def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
+def gen_block_pair(cfg: GeneratorConfig):
     """(t1, j) pair for the conjugated-block battery.
 
     j is invertible n x n, drawn as an exact generalized permutation with
@@ -314,10 +306,7 @@ def gen_block_pair(cfg: GeneratorConfig, *, size_cap: int = 8):
     invertible matrix.  t1 is an invertible block of seeded size rank (or
     random 0..n when rank is unset).
     """
-    if cfg.n > size_cap:
-        raise GeneratorError(f"size {cfg.n} exceeds the size cap {size_cap}")
-    rng = random.Random(cfg.seed & _MASK64)
-    use_complex = rng.random() < 0.5
+    rng, use_complex = _setup(cfg)
     n, bound = cfg.n, cfg.entry_bound
     k = cfg.rank if cfg.rank is not None else rng.randint(0, n)
 

@@ -387,15 +387,16 @@ class EPInstance:
         """The validated instance of a, for a caller that holds its factors:
         a is not eliminated.  f must be what `full_rank_factorize(a)` returns
         (c the nonzero rows of a's RREF, b the pivot columns of a); the
-        generator reads c off the RREF of a factor it drew, for every kind
-        but an unranked arbitrary draw.  daggers, when given, is (b+, c+)
-        as the caller read them off its own eliminations; otherwise
-        `factor_daggers` forms them, and a b without full column rank has a
-        singular Gram and raises SingularMatrixError.  Held daggers are
-        certified, not trusted: validation checks the same generating set,
-        and a wrong one raises InternalConsistencyError.  products, when
-        given, is the product memo the caller filled while forming a from
-        f, and becomes the instance's."""
+        generator reads c off the RREF of a factor it drew, or, for an
+        invertible draw, takes b = a and c = e.  daggers, when given, is
+        (b+, c+) as the caller read them off its own eliminations (a^-1 and
+        e for an invertible draw); otherwise `factor_daggers` forms them,
+        and a b without full column rank has a singular Gram and raises
+        SingularMatrixError.  Held daggers are certified, not trusted:
+        validation checks the same generating set, and a wrong one raises
+        InternalConsistencyError.  products, when given, is the product
+        memo the caller filled while forming a from f, and becomes the
+        instance's."""
         inst = cls(a=a)
         inst.__dict__["f"] = f
         if daggers is not None:

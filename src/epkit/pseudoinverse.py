@@ -10,10 +10,11 @@ zero matrix of transposed shape).  `factor_daggers` forms b^+ and c^+ from
 the factors alone, each from one elimination of its Gram beside the factor,
 [b* b | b*] and [c c* | c], which reads (b* b)^-1 b* and (c c*)^-1 c = (c^+)*
 without forming a Gram inverse; `row_dagger` is its c^+ half.
-`factorize_with_daggers` reads the factorization of a square a and, at
-full rank, both daggers off one elimination of [a | e].  A caller that
-built a from its factors may know the daggers already (`battery` does for
-an ep draw); `EPInstance` certifies held daggers as it does computed ones.
+An invertible a has the factorization a = a e, and its daggers are a^-1
+and e, so `linalg.inverse` is its whole route.  A caller that built a from
+its factors, or inverted it, may know the daggers already (`battery` does
+for an ep draw and for every invertible one); `EPInstance` certifies held
+daggers as it does computed ones.
 `penrose_certificate` re-checks the four defining conditions from scratch.
 `EPInstance` does not call it: when b+ and c+ are the Moore-Penrose
 inverses of b and c (b+ b = e, c c+ = e, b b+ and c+ c hermitian),
@@ -46,7 +47,6 @@ from .linalg import (
     _inverse_times,
     conj_transpose,
     full_rank_factorize,
-    rref,
 )
 
 
@@ -73,32 +73,6 @@ def row_dagger(c: MatrixQ) -> MatrixQ:
     if c.rows == c.cols and c == MatrixQ.identity(c.rows):
         return c
     return conj_transpose(_inverse_times(c @ conj_transpose(c), c))
-
-
-def factorize_with_daggers(a: MatrixQ) -> tuple:
-    """(`full_rank_factorize(a)`, `factor_daggers` of it) for a square a,
-    from one elimination of [a | e].
-
-    The RREF of [a | e] is E [a | e] with E invertible, and its rows whose
-    pivots lie in a's columns P are those of a's own RREF, so they give c
-    and a's columns P give b.  At full rank E a = e, so b = a, c = e = c^+
-    and the right block E = a^-1 is b^+ = (a* a)^-1 a*.  Below it,
-    `factor_daggers` forms both daggers from the factors, and the right
-    block was reduced for nothing, so this pays only on input that nearly
-    always has full rank (`battery`'s unranked draws); `full_rank_factorize`
-    and `factor_daggers` are cheaper below full rank.
-    """
-    if not a.is_square:
-        raise ShapeError("factorize_with_daggers expects a square matrix")
-    n = a.rows
-    reduced, pivots = rref(a.hstack(MatrixQ.identity(n)))
-    pivots = [p for p in pivots if p < n]
-    r = len(pivots)
-    left = reduced.take_rows(r).select_columns(range(n))
-    f = FullRankFactorization(b=a.select_columns(pivots), c=left, rank=r)
-    if r < n:
-        return f, factor_daggers(f)
-    return f, (reduced.select_columns(range(n, 2 * n)), left)
 
 
 def pinv(a: MatrixQ) -> MatrixQ:

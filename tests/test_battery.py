@@ -32,7 +32,7 @@ from epkit.linalg import (
     rank,
 )
 from epkit.pnorms import PNorm
-from epkit.pseudoinverse import is_ep
+from epkit.pseudoinverse import factor_daggers, is_ep
 
 from .oracles import (
     ep_by_projection,
@@ -126,7 +126,6 @@ def test_infeasible_draws():
         gen_matrix(GeneratorConfig(seed=1, n=3, rank=2, kind="invertible"))
     with pytest.raises(GeneratorError):
         gen_matrix(GeneratorConfig(seed=1, n=9))
-    gen_matrix(GeneratorConfig(seed=1, n=9), size_cap=9)  # override is allowed
 
 
 def test_validation_never_fires_bulk():
@@ -280,7 +279,8 @@ def test_no_matrix_is_both_rank_tested_and_inverted(monkeypatch):
 
 def _is_unit_monomial(x: MatrixQ) -> bool:
     """One nonzero per row and per column, each 1, -1, i or -i."""
-    places = [(i, j, z) for i, row in enumerate(x.to_rows()) for j, z in enumerate(row) if z]
+    places = [(i, j, z) for i, row in enumerate(x.to_rows()) for j, z in enumerate(row)
+              if not z.is_zero()]
     return (x.is_square and len(places) == x.rows and all(z in UNITS for *_, z in places)
             and len({i for i, *_ in places}) == len({j for _, j, _ in places}) == x.rows)
 
@@ -652,33 +652,49 @@ def test_run_battery_factorizes_each_draw_once(monkeypatch):
     # the generator's acceptance tests read the validated instance it draws,
     # and run_battery hands that instance to the battery, so the drawn a is
     # factorized once and never rank-tested or EP-tested on its own.  An
-    # unranked arbitrary draw is factorized, with its daggers, by the one
-    # rref of [a | e] that the draw makes; every other draw
-    # (ep, invertible, non_ep, arbitrary with a rank) from a factor it was
+    # invertible or unranked arbitrary draw is eliminated once, as [a | e],
+    # by is_invertible, whose inverse gives the factorization a = a e and
+    # its daggers; a unit monomial a, 0x0 included, is inverted as its
+    # adjoint with none.  A singular unranked draw then goes through
+    # from_matrix, which factorizes a off rref(a).  Every other draw (ep,
+    # non_ep, arbitrary with a rank) is factorized from a factor it was
     # drawn with, so neither a nor [a | e] is reduced
     import epkit.linalg as linalg
     import epkit.pseudoinverse as pseudoinverse
 
+    def unranked(master, n, bound, accept):
+        return next(cfg for cfg in (GeneratorConfig(seed=child_seed(master, i), n=n,
+                                                    entry_bound=bound) for i in range(200))
+                    if accept(gen_matrix(cfg)))
     cfgs = [cfg for n in (0, 1, 2, 4) for cfg in battery_configs("3.7", 4, n, 5)]
     cfgs += [GeneratorConfig(seed=child_seed(5, i), n=3, kind=kind, rank=rank)
              for i, (kind, rank) in enumerate((("invertible", None), ("arbitrary", 2),
                                                ("ep", 1), ("non_ep", 2)))]
+    cfgs += [unranked(6, 3, 1, lambda a: rank(a) < 3), unranked(7, 2, 1, _is_unit_monomial)]
     requests = [(tid, cfg, gen_matrix(cfg)) for tid in SUPPORTED_THEOREMS if tid != "5.2"
                 for cfg in cfgs]
     calls = []
     for orig in (linalg.full_rank_factorize, linalg.rank, pseudoinverse.is_ep, linalg.rref):
         _record_calls(monkeypatch, orig, lambda a, name=orig.__name__: calls.append((name, a)))
+    routes = set()
     for tid, cfg, a in requests:
         a_e = a.hstack(MatrixQ.identity(a.rows))
+        inverted = cfg.kind == "invertible" or cfg.kind == "arbitrary" and cfg.rank is None
+        route = ("other" if not inverted
+                 else "unit monomial" if _is_unit_monomial(a)
+                 else "singular" if rank(a) < a.rows else "full rank")
         calls.clear()
         run_battery(tid, [cfg])
-        unranked = cfg.kind == "arbitrary" and cfg.rank is None
-        expected = [("rref", a_e)] if unranked and a.rows else []
+        expected = {"full rank": [("rref", a_e)],
+                    "singular": [("rref", a_e), ("full_rank_factorize", a), ("rref", a)]}
         # at size 0 an ep draw's basis m0* is as empty as a and [a | e], so
         # only its rref cannot be told from theirs
         assert [(name, x) for name, x in calls
-                if x in (a, a_e) and (a.rows or name != "rref")] == expected, (tid, cfg)
+                if x in (a, a_e) and (a.rows or name != "rref")] == expected.get(route, []), (
+                    tid, cfg)
+        routes.add(route)
     assert {cfg.kind for cfg in cfgs} == set(KINDS)
+    assert routes == {"other", "unit monomial", "singular", "full rank"}
 
 
 def _seed_flipping(master: int, complex_: bool) -> int:
@@ -689,12 +705,13 @@ def _seed_flipping(master: int, complex_: bool) -> int:
 
 
 def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
-    # a ranked draw a = left right takes c from the RREF of right, an ep draw
-    # from that of m0*, an invertible one from that of e, and b as a's pivot
-    # columns; each must give what eliminating a gives, leave the rng where
-    # the eliminating route leaves it, and reject a rank-deficient a (bound 1
-    # draws many): a ranked or invertible draw through b's singular Gram, an
-    # ep draw through a singular K = c m c+
+    # a ranked draw a = left right takes c from the RREF of right and an ep
+    # draw from that of m0*, with b as a's pivot columns, and an invertible
+    # draw is a = a e with daggers a^-1 and e; each must give what
+    # eliminating a gives, leave the rng where the eliminating route leaves
+    # it, and reject a rank-deficient a (bound 1 draws many): a ranked draw
+    # through b's singular Gram, an invertible one at is_invertible, an ep
+    # draw through a singular K = c m c+
     import epkit.characterizations as chz
 
     singular = []
@@ -736,7 +753,8 @@ def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
     # invertible draw eliminated each candidate, an ep draw formed the
     # projection m0 (m0* m0)^-1 m0* and eliminated each candidate proj m proj.
     # An ep draw is a b c with its daggers held, and rejects a candidate
-    # through a singular K = c m c+, never through b's Gram
+    # through a singular K = c m c+, never through b's Gram; an invertible
+    # draw rejects a candidate at is_invertible, never through either
     made = []
     monkeypatch.setattr(battery, "random", SimpleNamespace(
         Random=lambda seed: made.append(random.Random(seed)) or made[-1]))
@@ -750,6 +768,10 @@ def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
             singular_k.append(k)
             raise
     monkeypatch.setattr(battery, "_inverse_times", k_inverse_times)
+    singular_a = []
+    accept = battery.is_invertible
+    monkeypatch.setattr(battery, "is_invertible",
+                        lambda a: accept(a) or singular_a.append(a) or False)
     seen = set()
     for kind in ("ep", "invertible"):
         for n in range(7):
@@ -762,20 +784,24 @@ def test_rank_r_draws_are_factorized_from_their_drawn_factors(monkeypatch):
                                                   n=n, rank=rank_, entry_bound=bound, kind=kind)
                             singular.clear()
                             singular_k.clear()
+                            singular_a.clear()
                             inst = battery.gen_instance(cfg)
                             if kind == "ep":
                                 a, f, daggers, parent = ep_by_projection(cfg)
                                 assert (inst.a, inst.f, inst.daggers) == (a, f, daggers), cfg
-                                assert not singular and all(rank(k) < k.rows for k in singular_k)
+                                assert not singular and not singular_a
+                                assert all(rank(k) < k.rows for k in singular_k)
                             else:
                                 ref, parent = invertible_by_elimination(cfg)
-                                assert inst.a == ref.a and not singular_k, cfg
+                                assert inst.a == ref.a and not singular and not singular_k, cfg
                                 f = full_rank_factorize(inst.a)
                                 assert (inst.b, inst.c, inst.rank) == (f.b, f.c, f.rank) == (
                                     ref.b, ref.c, ref.rank), cfg
-                                assert all(rank(f.b) < f.rank for f in singular), cfg
+                                assert inst.daggers == factor_daggers(f) == ref.daggers, cfg
+                                assert all(rank(a) < a.rows for a in singular_a), cfg
                             assert made[-1].getstate() == parent.getstate(), cfg
-                            seen.add((kind, bound, complex_, bool(singular or singular_k)))
+                            seen.add((kind, bound, complex_,
+                                      bool(singular or singular_k or singular_a)))
     assert seen >= {(kind, bound, complex_, False) for kind in ("ep", "invertible")
                     for bound in (1, 3) for complex_ in (False, True)}
     assert {kind for kind, _, _, rejected in seen if rejected} == {"ep", "invertible"}
@@ -790,7 +816,8 @@ def test_work_per_instance_is_pinned(monkeypatch):
     # draw but an unranked arbitrary one is factorized from a factor it was
     # drawn with, an ep draw hands over the daggers c+ and b+ = K^-1 c that
     # its draw reads off [c c* | c] and [K | c], an unranked arbitrary one
-    # those of its one rref of [a | e] at full rank, the
+    # of full rank a^-1 and e, a^-1 off the one rref of [a | e] by which
+    # is_invertible accepted it (test_invertible_draws_pin_their_work), the
     # one subspace fact is the product b = c* b[P, :], which trades one
     # product per rank-deficient draw for up to three eliminations, 5.5
     # reads its kernel basis off the RREF c, it selects pivot rows rather
@@ -816,6 +843,45 @@ def test_work_per_instance_is_pinned(monkeypatch):
         counts.update(product=0, rref=0)
         run_battery(tid, battery_configs(tid, 24, 4, 11))
         assert counts["product"] <= products and counts["rref"] <= rrefs, (tid, counts)
+
+
+def test_invertible_draws_pin_their_work(monkeypatch):
+    # an invertible draw, and an unranked arbitrary one of full rank, is
+    # accepted by is_invertible, whose one rref of [a | e] per candidate
+    # leaves a^-1 on the candidate, and is the instance a = a e with daggers
+    # a^-1 and e.  Its validation then makes two products, b+ b = a^-1 a and
+    # p = a a^-1; a = a e, c c+ = e e, q and a+ = e a^-1 need none.  Over a
+    # fixed prefix of seeds, so a change that reduces e, forms a Gram or
+    # eliminates an accepted draw again raises a count
+    import epkit.linalg as linalg
+
+    counts = {"product": 0, "rref": 0}
+    product = linalg._product
+
+    def counted(a, b):
+        counts["product"] += 1
+        return product(a, b)
+    monkeypatch.setattr(linalg, "_product", counted)
+    _record_calls(monkeypatch, linalg.rref, lambda a: counts.__setitem__("rref", counts["rref"] + 1))
+    candidates = []
+    accept = battery.is_invertible
+    monkeypatch.setattr(battery, "is_invertible", lambda a: candidates.append(a) or accept(a))
+    rejected = full_rank = 0
+    for n in (4, 6):
+        for s in range(300):
+            for kind in ("invertible", "arbitrary"):
+                counts.update(product=0, rref=0)
+                candidates.clear()
+                inst = battery.gen_instance(GeneratorConfig(seed=child_seed(n, s), n=n, kind=kind))
+                assert not any(_is_unit_monomial(a) for a in candidates), (n, s, kind)
+                if kind == "invertible":
+                    assert counts == {"product": 2, "rref": len(candidates)}, (n, s, counts)
+                    rejected += len(candidates) - 1
+                elif inst.rank == n:
+                    assert candidates == [inst.a], (n, s)
+                    assert counts == {"product": 2, "rref": 1}, (n, s, counts)
+                    full_rank += 1
+    assert rejected and full_rank
 
 
 def test_no_request_eliminates_a_subspace(monkeypatch):

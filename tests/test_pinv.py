@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
+from epkit.battery import _full_rank_instance
 from epkit.characterizations import EPInstance
 from epkit.exactnum import GaussianRational
 from epkit.linalg import (
@@ -16,6 +17,7 @@ from epkit.linalg import (
     conj_transpose,
     full_rank_factorize,
     inverse,
+    is_invertible,
     kernel,
     range_space,
     rank,
@@ -23,7 +25,6 @@ from epkit.linalg import (
 )
 from epkit.pseudoinverse import (
     factor_daggers,
-    factorize_with_daggers,
     is_ep,
     lemma38_witnesses,
     penrose_certificate,
@@ -164,41 +165,21 @@ def test_factor_daggers_eliminate_once_per_factor(monkeypatch):
 
 
 @settings(max_examples=150, deadline=None)
-@given(square_matrices())
+@given(square_matrices().filter(is_invertible))
 @example(MatrixQ.zeros(0, 0))
-@example(MatrixQ.zeros(3, 3))                                    # rank 0
-@example(MatrixQ.from_rows([[1, 2], [3, 4]]))                    # full rank
-@example(MatrixQ.from_rows([[1, "1i", 0], [0, 1, 2], [2, 0, "-1i"]]))  # full rank, complex
-@example(MatrixQ.from_rows([[1, "1i", 0], [0, 0, 0], [2, 0, "-1i"]]))  # rank 2, complex
-@example(MatrixQ.from_rows([[0, 1], [0, 0]]))                    # rank 1, not EP
-def test_factorize_with_daggers_is_the_factorization_and_its_daggers(a):
-    # one RREF of [a | e] gives a's factorization, and at full rank its right
-    # block a^-1 = b+ with c = c+ = e; below it factor_daggers forms both.
-    # Each must be full_rank_factorize's factorization and factor_daggers'
-    # daggers of it, which from_matrix, eliminating a alone, holds too
-    f, daggers = factorize_with_daggers(a)
-    want = full_rank_factorize(a)
-    assert f == want and daggers == factor_daggers(want)
-    assert EPInstance.from_matrix(a).daggers == daggers
-
-
-def test_factorize_with_daggers_reduces_once_at_full_rank(monkeypatch):
-    # a full-rank a costs the one elimination of [a | e] and no product; a
-    # deficient one adds factor_daggers' Gram eliminations
-    rng = random.Random(30)
-    cases = [(rand_with_rank(rng, n, n, r, real=real), r == n)
-             for n in (1, 3, 4) for r in (0, n - 1, n) for real in (True, False)]
-    calls = _dagger_recording(monkeypatch)
-    for a, full in cases:
-        calls.update(dict.fromkeys(calls, 0))
-        f, _ = factorize_with_daggers(a)
-        got = dict(calls)
-        calls.update(dict.fromkeys(calls, 0))
-        if not full:
-            factor_daggers(f)
-        assert got == {"rref": 1 + calls["rref"], "@": calls["@"], "inverse": 0}
-    with pytest.raises(ShapeError):
-        factorize_with_daggers(MatrixQ.zeros(2, 3))
+@example(MatrixQ.from_rows([[1, 2], [3, 4]]))
+@example(MatrixQ.from_rows([[1, "1i", 0], [0, 1, 2], [2, 0, "-1i"]]))  # complex
+@example(MatrixQ.from_rows([[0, "1i"], [-1, 0]]))  # unit monomial, inverted as its adjoint
+def test_full_rank_instance_is_the_factorization_and_its_daggers(a):
+    # an invertible a is a = a e with daggers a^-1 and e, the inverse that
+    # is_invertible stored on a.  That must be full_rank_factorize's
+    # factorization and factor_daggers' daggers of it, which from_matrix,
+    # eliminating a alone, holds too
+    assert is_invertible(a)
+    inst = _full_rank_instance(a)
+    f = full_rank_factorize(a)
+    assert inst.f == f
+    assert inst.daggers == factor_daggers(f) == EPInstance.from_matrix(a).daggers
 
 
 def test_factor_daggers_reject_factors_without_full_rank():
