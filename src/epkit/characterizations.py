@@ -34,16 +34,16 @@ Verify once.  Rows hold names, never matrices or functions.  The named
 quantities live on one lazily memoised EPInstance per input, the package's
 only memoised object: one table, `_QUANTITIES`, holds the factorization,
 a+, p, q, the Grams and the rank with what every exact battery reads.
-Every exact battery and `thm53_decompose` take a square MatrixQ, validated
-by `EPInstance.from_matrix`, or its EPInstance as given
-(`battery.gen_instance` hands over the one it drew), so every verdict, and
-`epkit ep`'s, rests on the four-condition certificate for a+.  Validation
-checks a generating set of it, `mp_generators`, from which the four
-conditions follow by exact associativity.  Each product, subspace,
-inverse, solve and identity check runs at most once per object however
-many rows name it, and solves are keyed by their two matrices and side,
-so equal systems under different names (4.1's p and q on an EP input) are
-decided once.  Products are memoised the same way: validation and every
+Every exact battery and `thm53_decompose` take a square MatrixQ or an
+EPInstance and validate it (`battery.gen_instance` hands over the one it
+drew, already validated, whose memoised certificate is read back), so
+every verdict, and `epkit ep`'s, rests on the four-condition certificate
+for a+.  Validation checks a generating set of it, `mp_generators`, from
+which the four conditions follow by exact associativity.  Each product,
+subspace, inverse, solve and identity check runs at most once per object
+however many rows name it, and solves are keyed by their two matrices and
+side, so equal systems under different names (4.1's p and q on an EP
+input) are decided once.  Products are memoised the same way: validation and every
 table run inside the instance's `linalg.product_memo` block, so a product
 of content-equal operands (3.10's chains, whose b c is a; p q in a solve
 and in 4.1's two-sided check) is formed once per instance, and one with
@@ -65,9 +65,12 @@ Every kernel, range, right-kernel and row-space statement is one fact,
 orthogonal complements), by identities that hold for every matrix,
 written beside that entry.  c is an RREF, so the fact is the one product b = c* b[P, :]
 over c's pivot columns P, checked to be identity columns of c, and no
-elimination.  Every row still `_require`s its witness identities, under its
-own battery's message, before it reports the witness; one that fails to
-re-verify raises InternalConsistencyError: a bug, not a result.
+elimination.  Every row still `_require`s each identity on its check list,
+a `_QUANTITIES` name, before it reports the witness; one that fails to
+re-verify raises InternalConsistencyError naming the statement and the
+identity ("3.7.xxi bd_is_z_c"): a bug, not a result.  `thm53_decompose`
+requires its block identities, `_BLOCKS`, the same way under "5.3", and
+5.5's rows check that same list.
 
 Block maps.  The 5.x statements read t = j (t1 ⊕ 0) j⁻¹, and no padded n×n
 matrix is formed for it: j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁, with j₁ the leading k
@@ -264,17 +267,18 @@ _QUANTITIES = {
     "j": lambda m: m.c_star.hstack(m.ker_c),
     "j_inv1": lambda m: m.p.select_rows(m.c_pivots),             # j^-1's top rank rows
     "j_inv": lambda m: m.j_inv1.vstack(m.p_perp.select_rows(m.ker_pivots)),
-    "j_invertible": lambda m: m.j @ m.j_inv == m.e_n,
+    "j_invertible": lambda m: (m.j.rows == m.j.cols == m.a.rows
+                               and m.j @ m.j_inv == m.e_n),
     "t1": lambda m: m.solve("c_star", "a_rng", "right"),
     "t1_inv": lambda m: m.a_dagger.select_rows(m.c_pivots) @ m.c_star,
-    "t1_invertible": lambda m: m.t1 @ m.t1_inv == m.e_r,
+    "t1_invertible": lambda m: m.t1 is not None and m.t1 @ m.t1_inv == m.e_r,
     "t_is_block": lambda m: m.a == m.c_star @ m.t1 @ m.j_inv1,
     "td_is_block": lambda m: m.a_dagger == m.c_star @ m.t1_inv @ m.j_inv1,
-    "decomposition": lambda m: _decompose(m),
-    "decomposable": lambda m: m.decomposition is not None,
-    "injective_sides": lambda m: m.j_invertible and m.t1_invertible,
+    "q1": lambda m: m.c_star @ m.j_inv1,                          # j (e + 0) j^-1
+    "q1_is_p": lambda m: is_hermitian_idempotent_exact(m.q1, PNorm(2)) and m.q1 == m.p,
     # 5.6: identity-framed factorizations; e is its own inverse, so e e = e
-    # makes it injective, right-injective and surjective alike
+    # makes it injective, right-injective and surjective alike, and every
+    # 5.6 row checks the same two identities
     "identity_framed": lambda m: (m.e_n @ m.a @ m.e_n == m.a
                                   and m.e_n @ m.a_dagger @ m.e_n == m.a_dagger),
     "e_invertible": lambda m: m.e_n @ m.e_n == m.e_n,
@@ -415,9 +419,6 @@ class EPInstance:
         if not self.a.is_square:
             raise ShapeError("EPInstance expects a square matrix")
         with self.memoised():
-            _require(self.bc == self.a, "instance factorization b c = a")
-            _require(self.bd_b_is_e, "b+ b = e")
-            _require(self.c_cd_is_e, "c c+ = e")
             _require(self.mp_generators, "four-condition certificate for a+")
         return self
 
@@ -469,8 +470,10 @@ def _solve_inner(a: MatrixQ, y: MatrixQ, side: str, g: MatrixQ) -> Optional[Matr
 
 
 def _instance(a: MatrixQ | EPInstance) -> EPInstance:
-    """An EPInstance as given, or a square MatrixQ's validated EPInstance."""
-    return a if isinstance(a, EPInstance) else EPInstance.from_matrix(a)
+    """The validated EPInstance of a square MatrixQ, or the EPInstance given,
+    validated too: on one already validated that reads only its memoised
+    `mp_generators`, with no product and no elimination."""
+    return (a if isinstance(a, EPInstance) else EPInstance(a=a))._validate()
 
 
 @dataclass(frozen=True)
@@ -496,7 +499,7 @@ class _Row(NamedTuple):
     stmt: str
     crit: tuple = ()                  # names of exact conditions, conjoined
     witness: Optional[dict] = None    # existential: key -> derived matrix name
-    checks: tuple = ()                # existential: (identity name, message), in order
+    checks: tuple = ()                # existential: identity names, required in order
     solve: Optional[dict] = None      # solvable: key -> (name, name, side)
     note: Optional[str] = None
 
@@ -509,16 +512,17 @@ def _criterion(stmt: str, crit, note=None) -> _Row:
     return _Row(stmt, crit=_names(crit), note=note)
 
 
-def _exists(stmt: str, crit, checks: tuple, note=None, **witness) -> _Row:
-    return _Row(stmt, crit=_names(crit), witness=witness, checks=checks, note=note)
+def _exists(stmt: str, crit, checks, note=None, **witness) -> _Row:
+    return _Row(stmt, crit=_names(crit), witness=witness, checks=_names(checks), note=note)
 
 
 def _solvable(stmt: str, note=None, **systems) -> _Row:
     return _Row(stmt, solve=systems, note=note)
 
 
-def _decide(m: EPInstance, row: _Row) -> tuple:
-    """(truth, witness) of one row over the memoised quantities of m."""
+def _decide(m: EPInstance, row: _Row, sid: str) -> tuple:
+    """(truth, witness) of one row, statement sid, over the memoised
+    quantities of m."""
     if row.solve is not None:
         witness = {}
         for key, (x, y, side) in row.solve.items():
@@ -531,8 +535,8 @@ def _decide(m: EPInstance, row: _Row) -> tuple:
         return False, None
     if row.witness is None:
         return True, None
-    for name, what in row.checks:
-        _require(getattr(m, name), what)
+    for name in row.checks:
+        _require(getattr(m, name), f"{sid} {name}")
     return True, {key: getattr(m, name) for key, name in row.witness.items()}
 
 
@@ -541,9 +545,10 @@ def _evaluate(thm: str, m: EPInstance, rows: tuple) -> list:
     out = []
     with m.memoised():
         for row in rows:
-            truth, witness = _decide(m, row)
+            sid = f"{thm}.{row.stmt}"
+            truth, witness = _decide(m, row, sid)
             out.append(StatementResult(
-                theorem_id=thm, statement_id=f"{thm}.{row.stmt}", truth=truth,
+                theorem_id=thm, statement_id=sid, truth=truth,
                 evaluation_route=CRITERION if witness is None else CONSTRUCTIVE,
                 witness=witness, note=row.note))
     return out
@@ -588,11 +593,10 @@ def thm34_battery(a: MatrixQ | EPInstance) -> list:
 
 # -- Battery 3.5: composite-letter existentials over r×r ------------------
 
-_U_35 = (("u_inverts_z", "3.5 composite u invertible with inverse z"),
-         ("c_is_u_bd", "3.5 c = u b+"))
-_U_RNG_35 = _U_35 + (("b_is_cd_u", "3.5 b = c+ u"),)
-_Z_KER_35 = _U_35 + (("bd_is_z_c", "3.5 b+ = z c"),)
-_Z_RNG_35 = _U_35 + (("cd_is_b_z", "3.5 c+ = b z"),)
+_U_35 = ("u_inverts_z", "c_is_u_bd")
+_U_RNG_35 = _U_35 + ("b_is_cd_u",)
+_Z_KER_35 = _U_35 + ("bd_is_z_c",)
+_Z_RNG_35 = _U_35 + ("cd_is_b_z",)
 
 _T35 = (
     _criterion("i", "is_ep"),
@@ -615,12 +619,9 @@ def thm35_battery(a: MatrixQ | EPInstance) -> list:
 
 # -- Battery 3.7: the 26-statement mixed family -------------------------
 
-_U_INV_37 = ("u_inverts_z", "3.7 composite u invertible")
-_Z_INV_37 = ("u_inverts_z", "3.7 z invertible")
-_U_KER_37 = (_U_INV_37, ("c_is_u_bd", "3.7 c = u b+"))
-_U_RNG_37 = (_U_INV_37, ("b_is_cd_u", "3.7 b = c+ u"))
-_Z_KER_37 = (("bd_is_z_c", "3.7 b+ = z c"), _Z_INV_37)
-_Z_RNG_37 = (("cd_is_b_z", "3.7 c+ = b z"), _Z_INV_37)
+_U_RNG_37 = ("u_inverts_z", "b_is_cd_u")
+_Z_KER_37 = ("bd_is_z_c", "u_inverts_z")
+_Z_RNG_37 = ("cd_is_b_z", "u_inverts_z")
 
 _T37 = (
     _criterion("i", "is_ep"),
@@ -631,8 +632,8 @@ _T37 = (
     _criterion("vi", "rng_ok"),
     *(_criterion(sid, crit) for sid, crit in
       zip(("vii", "viii", "ix", "x", "xi", "xii"), _VANISHING)),
-    _exists("xiii", "rng_ok", _U_KER_37, x="u"),
-    _exists("xiv", "rng_ok", _U_KER_37, y="u"),
+    _exists("xiii", "rng_ok", _U_35, x="u"),
+    _exists("xiv", "rng_ok", _U_35, y="u"),
     _solvable("xv", z1=_BD_C, z2=_C_BD),
     _exists("xvi", "rng_ok", _U_RNG_37, u="u"),
     _exists("xvii", "rng_ok", _U_RNG_37, v="u"),
@@ -642,7 +643,7 @@ _T37 = (
     _exists("xxi", "rng_ok", _Z_KER_37, s1="z"),
     _exists("xxii", "rng_ok", _Z_RNG_37, s2="z"),
     _exists("xxiii", "rng_ok", _U_RNG_37, note=_COSET, u="u"),
-    _exists("xxiv-a", "rng_ok", _U_KER_37, note=_COSET, x="u"),
+    _exists("xxiv-a", "rng_ok", _U_35, note=_COSET, x="u"),
     _solvable("xxiv-b", right_multiplier=("c_dagger", "a", "right"),
               left_multiplier=("b_dagger", "a", "left")),
     _solvable("xxvi", right_multiplier=("b", "a_dagger", "right"),
@@ -658,8 +659,8 @@ def thm37_battery(a: MatrixQ | EPInstance) -> list:
 
 # -- Battery 3.9: adjoint in place of the dagger ---------------------------
 
-_Z_39 = (("b_is_cs_z", "3.9 b = c* z"), ("z_adj_invertible", "3.9 z invertible"))
-_X_39 = _Z_39 + (("c_is_x_bs", "3.9 c = x b*"),)
+_Z_39 = ("b_is_cs_z", "z_adj_invertible")
+_X_39 = _Z_39 + ("c_is_x_bs",)
 
 _T39 = (
     _criterion("i", "is_ep"),
@@ -675,8 +676,8 @@ _T39 = (
     _exists("x", "rng_ok", _X_39, y="x_adj"),
     _solvable("xi", z1=("b_star", "c", "left"), z2=("c", "b_star", "left")),
     _exists("xii", "rng_ok", _Z_39, v="z_adj"),
-    _exists("xiii", "rng_ok", _Z_39 + (("bs_is_s1_c", "3.9 b* = s1 c"),), s1="s1_adj"),
-    _exists("xiv", "rng_ok", _Z_39 + (("cs_is_b_s2", "3.9 c* = b s2"),), s2="s2_adj"),
+    _exists("xiii", "rng_ok", _Z_39 + ("bs_is_s1_c",), s1="s1_adj"),
+    _exists("xiv", "rng_ok", _Z_39 + ("cs_is_b_s2",), s2="s2_adj"),
 )
 
 
@@ -711,10 +712,8 @@ def thm310_battery(a: MatrixQ | EPInstance) -> list:
 
 # -- Battery 4.1: factorizations of the pseudoinverse through the element --
 
-_S_41 = (("s_a_is_ad", "4.1 a+ = s a"), ("s_invertible", "4.1 s invertible"))
-_U_41 = (("a_u_is_ad", "4.1 a+ = a u"), ("u_invertible", "4.1 u invertible"))
-_E_LEFT_41 = (("q_is_e_p", "4.1 a+a = v aa+ with v = e"),)
-_E_RIGHT_41 = (("q_is_p_e", "4.1 a+a = aa+ w with w = e"),)
+_S_41 = ("s_a_is_ad", "s_invertible")
+_U_41 = ("a_u_is_ad", "u_invertible")
 
 _T41 = (
     _criterion("i", "is_ep"),
@@ -724,15 +723,13 @@ _T41 = (
     _solvable("v", u1=("a", "a_dagger", "right"), u2=("a_dagger", "a", "right")),
     _exists("vi", "rng_ok", _U_41, t="u_dag"),
     _exists("vii", "rng_ok", _S_41, x="s_dag"),
-    _exists("viii", "rng_ok", _E_LEFT_41, v="e_n"),
-    _exists("ix", "rng_ok", _E_LEFT_41, v1="e_n"),
+    _exists("viii", "rng_ok", "q_is_e_p", v="e_n"),
+    _exists("ix", "rng_ok", "q_is_e_p", v1="e_n"),
     _solvable("x", v2=("p", "q", "left"), v3=("q", "p", "left")),
-    _exists("xi", "rng_ok", _E_RIGHT_41, w="e_n"),
-    _exists("xii", "rng_ok", _E_RIGHT_41, w1="e_n"),
+    _exists("xi", "rng_ok", "q_is_p_e", w="e_n"),
+    _exists("xii", "rng_ok", "q_is_p_e", w1="e_n"),
     _solvable("xiii", w2=("p", "q", "right"), w3=("q", "p", "right")),
-    _exists("xiv", "pq_two_sided", (("a_z1_ad_is_q", "4.1 a+a = a z1 a+"),
-                                    ("ad_z2_a_is_p", "4.1 aa+ = a+ z2 a")),
-            z1="z1", z2="z2"),
+    _exists("xiv", "pq_two_sided", ("a_z1_ad_is_q", "ad_z2_a_is_p"), z1="z1", z2="z2"),
 )
 
 
@@ -742,13 +739,11 @@ def thm41_battery(a: MatrixQ | EPInstance) -> list:
 
 # -- Battery 4.2: the adjoint versions, via the invertible norm witnesses --
 
-_S_42 = (("s_adj_a_is_as", "4.2 a* = s a"), ("s_adj_invertible", "4.2 s invertible"))
-_U_42 = (("a_u_adj_is_as", "4.2 a* = a u"), ("u_adj_invertible", "4.2 u invertible"))
-_V_42 = (("vhat_bb_is_aa", "4.2 a*a = v aa*"), ("v_w_invertible", "4.2 v invertible"))
-# a a* what = (vhat a a*)*, so the check of v's identity is w's
-_W_42 = (("vhat_bb_is_aa", "4.2 a*a = aa* w"), ("v_w_invertible", "4.2 w invertible"))
-_H_42 = (("h_invertible", "4.2 h invertible"), ("a_h_is_as", "4.2 a* = a h"),
-         ("a_hh_as_is_aa", "4.2 a*a = a h h* a*"))
+_S_42 = ("s_adj_a_is_as", "s_adj_invertible")
+_U_42 = ("a_u_adj_is_as", "u_adj_invertible")
+# a a* what = (vhat a a*)*, so xi and xii check v's identity as w's
+_V_42 = ("vhat_bb_is_aa", "v_w_invertible")
+_H_42 = ("h_invertible", "a_h_is_as", "a_hh_as_is_aa")
 
 _T42 = (
     _criterion("i", "is_ep"),
@@ -761,11 +756,10 @@ _T42 = (
     _exists("viii", "rng_ok", _V_42, v="vhat"),
     _exists("ix", "rng_ok", _V_42, v1="vhat"),
     _solvable("x", v2=("bb", "aa", "left"), v3=("aa", "bb", "left")),
-    _exists("xi", "rng_ok", _W_42, w="what"),
-    _exists("xii", "rng_ok", _W_42, w1="what"),
+    _exists("xi", "rng_ok", _V_42, w="what"),
+    _exists("xii", "rng_ok", _V_42, w1="what"),
     _solvable("xiii", w2=("bb", "aa", "right"), w3=("aa", "bb", "right")),
-    _exists("xiv", "grams_two_sided", (("a_z1_as_is_aa", "4.2 a*a = a z1 a*"),
-                                       ("as_z2_a_is_bb", "4.2 aa* = a* z2 a")),
+    _exists("xiv", "grams_two_sided", ("a_z1_as_is_aa", "as_z2_a_is_bb"),
             z1="z1_adj", z2="z2_adj"),
     _exists("xv", "rng_ok", _H_42, h1="h"),
     _exists("xvi", "rng_ok", _H_42, h2="h"),
@@ -779,48 +773,36 @@ def thm42_battery(a: MatrixQ | EPInstance) -> list:
 
 # -- Block decomposition (5.x family) ---------------------------------------
 
+# 5.3's block identities, in order: j = [c* K] and t1 invertible (t1 exists
+# before any product reads it), t = j (t1 + 0) j^-1, q1 = j (e + 0) j^-1 a
+# self-adjoint idempotent equal to t t+ = p, and t+ = j (t1^-1 + 0) j^-1.
+# 5.5's rows read their witnesses off the same decomposition and check it
+_BLOCKS = ("j_invertible", "t1_invertible", "t_is_block", "q1_is_p", "td_is_block")
+
 
 def thm53_decompose(t: MatrixQ | EPInstance):
     """Exact block decomposition of an EP matrix; None when not EP.
 
     Returns (t1, j, j_inv, q1) with t = j (t1 ⊕ 0) j⁻¹, t1 invertible,
     j the column concatenation of a range basis and a kernel basis, and
-    q1 = j (e ⊕ 0) j⁻¹ a self-adjoint idempotent equal to t·t†.
+    q1 = j (e ⊕ 0) j⁻¹ a self-adjoint idempotent equal to t·t†, after each
+    identity of `_BLOCKS` is required under "5.3 <name>".
     """
     m = _instance(t)
     with m.memoised():
-        return m.decomposition
+        if not m.is_ep:
+            return None
+        for name in _BLOCKS:
+            _require(getattr(m, name), f"5.3 {name}")
+        return m.t1, m.j, m.j_inv, m.q1
 
-
-def _decompose(m: EPInstance) -> Optional[tuple]:
-    if not m.is_ep:
-        return None
-    _require(m.j.rows == m.a.rows and m.j.cols == m.a.rows and m.j_invertible,
-             "5.3 range and kernel bases concatenate to an invertible map")
-    _require(m.t1 is not None, "5.3 compression of t to its range exists")
-    _require(m.t_is_block, "5.3 t = j (t1 + 0) j^-1")
-    _require(m.t1_invertible, "5.3 compression invertible")
-    q1 = m.c_star @ m.j_inv1
-    _require(is_hermitian_idempotent_exact(q1, PNorm(2)),
-             "5.3 block projection is a self-adjoint idempotent")
-    _require(q1 == m.p, "5.3 block projection equals t t+")
-    _require(m.td_is_block, "5.3 t+ = j (t1^-1 + 0) j^-1")
-    return m.t1, m.j, m.j_inv, q1
-
-
-_DECOMPOSED_55 = (("decomposable", "5.5 kernel/range criterion implies decomposability"),
-                  ("t_is_block", "5.5 t = V (A + 0) S"))
 
 _T55 = (
-    _exists("ii", "rng_ok",
-            _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = W (B + 0) S"),
-                              ("injective_sides", "5.5 injectivity side conditions")),
+    _exists("ii", "rng_ok", _BLOCKS,
             note="both clauses verified with one decomposition",
             V1="j", A1="t1", S1="j_inv", W1="j", B1="t1_inv",
             V2="j", A2="t1", S2="j_inv", W2="j", B2="t1_inv"),
-    _exists("iii", "rng_ok",
-            _DECOMPOSED_55 + (("td_is_block", "5.5 t+ = V (B + 0) S'"),
-                              ("injective_sides", "5.5 surjectivity side conditions")),
+    _exists("iii", "rng_ok", _BLOCKS,
             note="first-clause block operator reported under its clause-local key A3",
             V3="j", A3="t1", S3="j_inv", S4="j_inv", B3="t1_inv",
             V4="j", A4="t1", S5="j_inv", S6="j_inv", B4="t1_inv"),
@@ -833,21 +815,19 @@ def thm55_battery(t: MatrixQ | EPInstance) -> list:
     return _evaluate("5.5", _instance(t), _T55)
 
 
-_FRAMED_56 = ("identity_framed", "5.6 identity-framed factorizations")
+_FRAMED_56 = ("identity_framed", "e_invertible")
 
 # the kernel, range, right-annihilator and row-space conditions on the middle
 # factors are the rows' criteria, read once: each is rng_ok
 _T56 = (
-    _exists("ii", "rng_ok", (_FRAMED_56, ("e_invertible", "5.6 outer factors injective")),
+    _exists("ii", "rng_ok", _FRAMED_56,
             b1="e_n", c1="a", g1="e_n", f1="e_n", d1="a_dagger"),
-    _exists("iii", "rng_ok", (_FRAMED_56, ("e_invertible", "5.6 outer factors surjective")),
+    _exists("iii", "rng_ok", _FRAMED_56,
             h1="e_n", k1="a", l1="e_n", m1="a_dagger", n1="e_n"),
-    _exists("iv", "rng_ok",
-            (_FRAMED_56, ("e_invertible", "5.6 outer factors right-injective")),
+    _exists("iv", "rng_ok", _FRAMED_56,
             note="kernel condition read clause-locally (c2 against d2)",
             b2="e_n", c2="a", g2="e_n", d2="a_dagger", g3="e_n"),
-    _exists("v", "rng_ok",
-            (_FRAMED_56, ("e_invertible", "5.6 outer factors left-surjective")),
+    _exists("v", "rng_ok", _FRAMED_56,
             h2="e_n", k2="a", l2="e_n", h3="e_n", m2="a_dagger"),
 )
 

@@ -262,10 +262,12 @@ def test_thm56_witness_keys():
 
 
 def test_square_batteries_reject_rectangles():
-    rect = MatrixQ.zeros(2, 3)
+    # a raw EPInstance is validated like a matrix, so a rectangular one raises too
+    rects = [MatrixQ.zeros(2, 3), MatrixQ.from_rows([[1, 0, 0], [0, 1, 0]])]
     for fn in (*EXACT_BATTERIES.values(), thm53_decompose):
-        with pytest.raises(ShapeError):
-            fn(rect)
+        for a in (*rects, *(EPInstance(a=rect) for rect in rects)):
+            with pytest.raises(ShapeError):
+                fn(a)
 
 
 # -- norm-relative battery ---------------------------------------------------------

@@ -129,8 +129,8 @@ def test_memo_isolation_instance_batteries(monkeypatch):
 
 
 def test_every_exact_battery_reads_a_matrix_or_its_instance_alike():
-    # a square matrix is validated through EPInstance.from_matrix and an
-    # instance is read as given, so both give the same results, 3.x included
+    # a square matrix and its validated instance are read alike, so both
+    # give the same results, 3.x included
     batteries = {**EXACT_BATTERIES, "5.3": thm53_decompose}
     inputs = [gen_matrix(cfg) for n in (0, 1, 2, 4) for cfg in battery_configs("3.7", 6, n, 7)]
     assert {a.rows for a in inputs} == {0, 1, 2, 4}
@@ -147,10 +147,10 @@ _TABLES = {"3.2": chz._T32, "3.4": chz._T34, "3.5": chz._T35, "3.7": chz._T37,
 def test_every_listed_check_is_required():
     # an existential row reports its witness only after each identity on its
     # check list holds; a memoised identity forced false must raise under the
-    # row's own message, even though the criterion is true
+    # statement id and the identity's name, even though the criterion is true
     for tid, rows in _TABLES.items():
         for row in rows:
-            for name, what in row.checks:
+            for name in row.checks:
                 # _decide reads the checks only once the criterion held, so
                 # a check that repeats it could never fail
                 assert name not in row.crit, (tid, row.stmt, name)
@@ -159,11 +159,31 @@ def test_every_listed_check_is_required():
                 else:
                     m = EPInstance(a=DIAG20)
                 m.__dict__[name] = False
-                # 5.5 first runs the 5.3 decomposition, which requires the
-                # same block identities under its own messages
-                pattern = re.escape(what) + ("|5\\.3 " if tid == "5.5" else "")
-                with pytest.raises(InternalConsistencyError, match=pattern):
+                with pytest.raises(InternalConsistencyError,
+                                   match=re.escape(f"{tid}.{row.stmt} {name}")):
                     chz._evaluate(tid, m, (row,))
+
+
+def test_every_block_identity_is_required():
+    # thm53_decompose returns its blocks only after each identity of
+    # _BLOCKS holds; one forced false on a validated EP instance raises
+    # under "5.3 <name>"
+    assert thm53_decompose(EPInstance.from_matrix(DIAG20)) is not None
+    for name in chz._BLOCKS:
+        m = EPInstance.from_matrix(DIAG20)
+        m.__dict__[name] = False
+        with pytest.raises(InternalConsistencyError, match=re.escape(f"5.3 {name}")):
+            thm53_decompose(m)
+
+
+def test_every_battery_validates_the_instance_it_is_handed():
+    # a raw EPInstance is validated like a matrix: one holding a wrong p
+    # raises the certificate error instead of giving a mixed battery
+    for fn in (*EXACT_BATTERIES.values(), thm53_decompose):
+        m = EPInstance(a=DIAG20)
+        m.__dict__["p"] = MatrixQ.from_rows([[1, 1], [0, 0]])
+        with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
+            fn(m)
 
 
 def _bare_rename(define) -> bool:
@@ -181,7 +201,8 @@ def test_every_table_name_is_a_quantity_and_none_a_bare_rename():
     known = set(chz._QUANTITIES) | {"a"}
     for tid, rows in _TABLES.items():
         for row in rows:
-            read = {*row.crit, *(name for name, _ in row.checks),
+            assert all(isinstance(name, str) for name in row.checks), (tid, row.stmt)
+            read = {*row.crit, *row.checks,
                     *(row.witness or {}).values(),
                     *(x for system in (row.solve or {}).values() for x in system[:2])}
             assert read <= known, (tid, row.stmt, read - known)
