@@ -204,7 +204,7 @@ def _rand_ep(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstance:
                 return None
             b = c_dagger @ k
             a = b @ c
-        return EPInstance.from_factorization(a, FullRankFactorization(b=b, c=c, rank=r),
+        return EPInstance.from_factorization(a, FullRankFactorization(b=b, c=c),
                                              (b_dagger, c_dagger), products=products)
     return _first(candidate, f"could not hit rank {r} for an ep draw of size {n}")
 
@@ -218,7 +218,7 @@ def _full_rank_instance(a: MatrixQ) -> EPInstance:
     once, as [a | e], or not at all when it is a unit monomial.
     """
     e = MatrixQ.identity(a.rows)
-    return EPInstance.from_factorization(a, FullRankFactorization(b=a, c=e, rank=a.rows),
+    return EPInstance.from_factorization(a, FullRankFactorization(b=a, c=e),
                                          (inverse(a), e))
 
 
@@ -242,7 +242,7 @@ def _rand_rank_r(rng, n: int, r: int, bound: int, use_complex: bool) -> EPInstan
         if len(pivots) < r:
             return None
         a = left @ right
-        f = FullRankFactorization(b=a.select_columns(pivots), c=reduced.take_rows(r), rank=r)
+        f = FullRankFactorization(b=a.select_columns(pivots), c=reduced.take_rows(r))
         try:
             return EPInstance.from_factorization(a, f)
         except SingularMatrixError:

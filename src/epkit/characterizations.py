@@ -77,9 +77,10 @@ matrix is formed for it: j (x ⊕ 0) j⁻¹ = j₁ x j⁻¹₁, with j₁ the le
 columns of j and j⁻¹₁ the leading k rows of j⁻¹, and j (0 ⊕ e) j⁻¹ = j₂ j⁻¹₂
 from the trailing ones.  In 5.3 and 5.5, j₁ is c*, on EP input the
 canonical basis of range a, j₂ the basis of ker c read off the RREF c, and
-j⁻¹₁ the memoised `j_inv1`.  The exact
-hermitian rule is `pnorms.is_hermitian_exact`, which 5.2 and the 5.3 block
-projection read through `is_hermitian_idempotent_exact`.
+j⁻¹₁ the memoised `j_inv1`.  c*'s rows at c's pivot columns P are e, so
+t1 = a[P, :] c* and t1⁻¹ = a+[P, :] c*, each one product and no solve.  The
+exact hermitian rule is `pnorms.is_hermitian_exact`, which 5.2 and the 5.3
+block projection read through `is_hermitian_idempotent_exact`.
 
 Rectangular reading: instances carry a square a = b·c with b of full column
 rank (n×r) and c of full row rank (r×n); each identity `e` is the identity
@@ -185,7 +186,7 @@ _QUANTITIES = {
     # 3.5, 3.7: the composites u = c b and z = b+ c+ and their identities
     "u": lambda m: m.c @ m.b,
     "z": lambda m: m.b_dagger @ m.c_dagger,
-    "u_inverts_z": lambda m: m.u @ m.z == m.e_r and m.z @ m.u == m.e_r,
+    "u_inverts_z": lambda m: m.u @ m.z == m.e_r,                 # r x r: z u = e too
     "c_is_u_bd": lambda m: m.c == m.u @ m.b_dagger,
     "b_is_cd_u": lambda m: m.b == m.c_dagger @ m.u,
     "bd_is_z_c": lambda m: m.b_dagger == m.z @ m.c,
@@ -261,17 +262,15 @@ _QUANTITIES = {
     # has the basis K read off the RREF c, with S' its free columns F.  There
     # j^-1 = [S p; S' (e - p)], and t1 = S a B has inverse S a+ B; S x is
     # the selection of x's rows, not a product
-    "a_rng": lambda m: m.a @ m.c_star,
     "ker_pivots": lambda m: [f for f in range(m.a.rows) if f not in m.c_pivots],   # F
     "ker_c": lambda m: _null_basis(m.c, m.c_pivots, m.ker_pivots),
     "j": lambda m: m.c_star.hstack(m.ker_c),
     "j_inv1": lambda m: m.p.select_rows(m.c_pivots),             # j^-1's top rank rows
     "j_inv": lambda m: m.j_inv1.vstack(m.p_perp.select_rows(m.ker_pivots)),
-    "j_invertible": lambda m: (m.j.rows == m.j.cols == m.a.rows
-                               and m.j @ m.j_inv == m.e_n),
-    "t1": lambda m: m.solve("c_star", "a_rng", "right"),
+    "j_invertible": lambda m: m.j.rows == m.j.cols == m.a.rows and m.j @ m.j_inv == m.e_n,
+    "t1": lambda m: m.a.select_rows(m.c_pivots) @ m.c_star,
     "t1_inv": lambda m: m.a_dagger.select_rows(m.c_pivots) @ m.c_star,
-    "t1_invertible": lambda m: m.t1 is not None and m.t1 @ m.t1_inv == m.e_r,
+    "t1_invertible": lambda m: m.t1 @ m.t1_inv == m.e_r,
     "t_is_block": lambda m: m.a == m.c_star @ m.t1 @ m.j_inv1,
     "td_is_block": lambda m: m.a_dagger == m.c_star @ m.t1_inv @ m.j_inv1,
     "q1": lambda m: m.c_star @ m.j_inv1,                          # j (e + 0) j^-1
@@ -773,10 +772,10 @@ def thm42_battery(a: MatrixQ | EPInstance) -> list:
 
 # -- Block decomposition (5.x family) ---------------------------------------
 
-# 5.3's block identities, in order: j = [c* K] and t1 invertible (t1 exists
-# before any product reads it), t = j (t1 + 0) j^-1, q1 = j (e + 0) j^-1 a
-# self-adjoint idempotent equal to t t+ = p, and t+ = j (t1^-1 + 0) j^-1.
-# 5.5's rows read their witnesses off the same decomposition and check it
+# 5.3's block identities, in order: j = [c* K] and t1 invertible,
+# t = j (t1 + 0) j^-1, q1 = j (e + 0) j^-1 a self-adjoint idempotent equal
+# to t t+ = p, and t+ = j (t1^-1 + 0) j^-1.  5.5's rows read their
+# witnesses off the same decomposition and check it
 _BLOCKS = ("j_invertible", "t1_invertible", "t_is_block", "q1_is_p", "td_is_block")
 
 

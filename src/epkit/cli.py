@@ -99,6 +99,9 @@ def cmd_pinv(args) -> int:
     x = pinv(a)
     cert = penrose_certificate(a, x)
     text = format_matrix(x)  # before any output, so an input error leaves none
+    if args.out:  # before stdout too, so a failed write leaves none
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     sys.stdout.write(text)
     checks = [
         ("axa = a", cert.cond1_residual.is_zero()),
@@ -108,9 +111,6 @@ def cmd_pinv(args) -> int:
     ]
     for label, ok in checks:
         sys.stdout.write(f"{label}: {'PASS' if ok else 'FAIL'}\n")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return EXIT_PASS if cert.valid else EXIT_PROPERTY_FALSE
 
 

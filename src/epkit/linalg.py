@@ -665,16 +665,17 @@ class FullRankFactorization:
 
     b: MatrixQ
     c: MatrixQ
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        """The rank of a, the row count of C."""
+        return self.c.rows
 
 
 def full_rank_factorize(a: MatrixQ) -> FullRankFactorization:
     """Full-rank factorization from the RREF: B = pivot columns of a, C = nonzero RREF rows."""
     r, pivots = rref(a)
-    k = len(pivots)
-    b = a.select_columns(pivots)
-    c = r.take_rows(k)
-    return FullRankFactorization(b=b, c=c, rank=k)
+    return FullRankFactorization(b=a.select_columns(pivots), c=r.take_rows(len(pivots)))
 
 
 def _pivot_solution(aug: MatrixQ, pivots: list, n: int) -> MatrixQ:

@@ -11,7 +11,8 @@ below is deliberately separate from the package's RREF.
 and Gauss-Jordan elimination that epkit.linalg used before its matrices
 moved to a common denominator over integer numerators; the `oracle_*`
 functions built on them check that core entry for entry.  They work on
-lists of rows of GaussianRational and never touch epkit.linalg.
+lists of rows of GaussianRational and never touch epkit.linalg;
+`oracle_is_ep` reads a MatrixQ's rows and decides EP by their ranks alone.
 
 The helpers at the end are reference constructions that only the tests
 read, so they live here rather than in the package: the Kronecker product
@@ -133,6 +134,19 @@ def oracle_inverse(a: list):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in r]
+
+
+def oracle_is_ep(a: MatrixQ) -> bool:
+    """EP as rank [a | a*] == rank a (Pearl 1959): range a* lies in range a,
+    and the two have the same dimension, so they are equal.  Both ranks are
+    the pivot counts of `oracle_rref` over a's GaussianRational rows, so the
+    verdict shares no kernel with the package: no numpy product, no product
+    memo and no epkit.linalg elimination."""
+    rows = a.to_rows()
+    star = [[x.conj() for x in col] for col in _transpose(rows, a.cols)]
+    _, pivots = oracle_rref(rows, a.cols)
+    _, aug_pivots = oracle_rref([r + s for r, s in zip(rows, star)], a.cols + a.rows)
+    return len(aug_pivots) == len(pivots)
 
 
 def _gauss_solve(aug, nvars):

@@ -30,6 +30,7 @@ from epkit.linalg import (
     full_rank_factorize,
     is_invertible,
     rank,
+    solve_exists,
 )
 from epkit.pnorms import PNorm
 from epkit.pseudoinverse import factor_daggers, is_ep
@@ -632,20 +633,21 @@ def test_thm53_forms_q1_with_one_product(monkeypatch):
 
 
 def test_thm53_reads_t1_through_the_range_basis_pivot_rows(monkeypatch):
-    # on EP input c* is the canonical range basis B, with identity pivot rows,
-    # so c* t1 = a c* is decided through the guarded {1}-inverse (c+)* of c*
-    # without an elimination; rank 0 gives B of n x 0
+    # on EP input c* is the canonical range basis B, with identity pivot rows
+    # P, and a c* = c* t1, so t1 = a[P, :] c* is read off those rows: no
+    # system is decided, and t1 is the one solution of c* x = a c* that the
+    # elimination reference gives; rank 0 gives B of n x 0
     draws = [MatrixQ.zeros(3, 3)] + _ep_draws("5.5")
     _, _, built = _recording(monkeypatch)
     decided = _inner_recording(monkeypatch)
     for a in draws:
-        decided.clear()
         t1 = thm53_decompose(a)[0]
         m = built[-1]
         c_star = m.c_star
         assert c_star.select_rows(m.c_pivots) == MatrixQ.identity(c_star.cols)
-        assert decided == [(c_star, a @ c_star, "right")]
         assert c_star @ t1 == a @ c_star
+        assert t1 == solve_exists(c_star, a @ c_star)
+    assert decided == []
 
 
 def test_run_battery_factorizes_each_draw_once(monkeypatch):
@@ -821,10 +823,11 @@ def test_work_per_instance_is_pinned(monkeypatch):
     # one subspace fact is the product b = c* b[P, :], which trades one
     # product per rank-deficient draw for up to three eliminations, 5.5
     # reads its kernel basis off the RREF c, it selects pivot rows rather
-    # than multiplying by them, and 4.2 reads v's and xiii's systems and w
-    # as the adjoints of iii's, x's and v-hat.  A change that brings back a
-    # check which follows from the others, or re-forms a product, raises a
-    # count past its bound
+    # than multiplying by them, so t1 = a[P, :] c* is one product and no
+    # solve, 3.5 and 3.7 check the r x r inverse z of u by u z = e alone,
+    # and 4.2 reads v's and xiii's systems and w as the adjoints of iii's,
+    # x's and v-hat.  A change that brings back a check which follows from
+    # the others, or re-forms a product, raises a count past its bound
     import epkit.linalg as linalg
 
     counts = {"product": 0, "rref": 0}
@@ -835,9 +838,9 @@ def test_work_per_instance_is_pinned(monkeypatch):
         return product(a, b)
     monkeypatch.setattr(linalg, "_product", counted)
     _record_calls(monkeypatch, linalg.rref, lambda a: counts.__setitem__("rref", counts["rref"] + 1))
-    bounds = {"3.2": (167, 56), "3.4": (204, 56), "3.5": (253, 56), "3.7": (431, 56),
+    bounds = {"3.2": (167, 56), "3.4": (204, 56), "3.5": (245, 56), "3.7": (423, 56),
               "3.9": (338, 56), "3.10": (329, 56), "4.1": (397, 56), "4.2": (802, 56),
-              "5.5": (255, 56), "5.6": (167, 56)}
+              "5.5": (247, 56), "5.6": (167, 56)}
     assert set(bounds) == set(EXACT_BATTERIES)
     for tid, (products, rrefs) in bounds.items():
         counts.update(product=0, rref=0)

@@ -37,6 +37,8 @@ from epkit.linalg import (
 from epkit.pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
 from epkit.pseudoinverse import is_ep, pinv
 
+from .oracles import oracle_is_ep
+
 NILPOTENT = MatrixQ.from_rows([[0, 1], [0, 0]])
 DIAG20 = MatrixQ.diagonal([2, 0])
 SHEAR = MatrixQ.from_rows([[1, 1], [0, 1]])
@@ -175,13 +177,49 @@ def test_solvable_statements_on_non_ep_have_criterion_route():
 # -- uniformity against the independent oracle -------------------------------------
 
 
-def test_uniform_truth_matches_is_ep_oracle():
+def test_uniform_truth_matches_is_ep_oracle(monkeypatch):
+    # every battery's truth is is_ep's verdict and oracle_is_ep's, rank
+    # [a | a*] == rank a over GaussianRational rows, which shares no kernel
+    # with the package.  The n = 6 draws at entry bound 40, real and
+    # complex, carry products past int64 into the object and packed paths
+    import numpy as np
+
+    import epkit.linalg as linalg
+
+    log, reached = [], {"int64": 0, "object": 0, "packed": 0}
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def array(self, x, dtype):
+            log.append(dtype)
+            return np.array(x, dtype)
+
+    product, packed = linalg._product, linalg._packed_product
+
+    def counted(a, b):
+        start = len(log)
+        out = product(a, b)
+        made = log[start:]
+        reached["packed" if "packed" in made else "object" if object in made else "int64"] += 1
+        return out
+    monkeypatch.setattr(linalg, "np", RecordingNumpy())
+    monkeypatch.setattr(linalg, "_product", counted)
+    monkeypatch.setattr(linalg, "_packed_product",
+                        lambda a, b, width: log.append("packed") or packed(a, b, width))
     kinds = ["ep", "non_ep", "arbitrary", "ep"]
-    for i in range(36):
-        n = 2 + i % 3
-        cfg = GeneratorConfig(seed=child_seed(500, i), n=n, kind=kinds[i % 4])
+    cfgs = [GeneratorConfig(seed=child_seed(500, i), n=2 + i % 3, kind=kinds[i % 4])
+            for i in range(36)]
+    cfgs += [GeneratorConfig(seed=child_seed(501, i), n=6, kind=kinds[i % 4], entry_bound=40)
+             for i in range(8)]
+    complex_ = set()
+    for i, cfg in enumerate(cfgs):
         a = gen_matrix(cfg)
         expected = is_ep(a)
+        assert oracle_is_ep(a) == expected, i
+        if cfg.n == 6:
+            complex_.add(any(a._im))
         for tid, results in all_batteries(a).items():
             truths = {r.truth for r in results}
             assert truths == {expected}, (tid, i)
@@ -190,6 +228,8 @@ def test_uniform_truth_matches_is_ep_oracle():
                     assert r.witness is not None
                 if r.truth is False:
                     assert r.witness is None
+    assert complex_ == {False, True}
+    assert reached["object"] and reached["packed"], reached
 
 
 def test_witness_route_discipline():

@@ -419,6 +419,16 @@ def test_results_too_large_to_write_are_input_errors(tmp_path, capsys):
         assert err.startswith("error:") and "too large to write" in err
 
 
+def test_pinv_out_that_cannot_be_written_leaves_no_output(tmp_path, capsys):
+    # the --out file is written before stdout, so a path in a missing
+    # directory is an input error with no pseudoinverse and no PASS lines
+    path = mfile(tmp_path, "a.json", matrix_obj([["1", "2"], ["3", "4"]]))
+    out_file = tmp_path / "missing" / "x.json"
+    code, out, err = run_main(capsys, ["pinv", "--out", str(out_file), path])
+    assert code == EXIT_INPUT_ERROR and out == "" and not out_file.exists()
+    assert err.startswith("error:")
+
+
 def test_bool_dimensions_are_rejected(tmp_path, capsys):
     obj = {"rows": True, "cols": True, "entries": [["1"]]}
     with pytest.raises(InputError):

@@ -177,7 +177,7 @@ def test_a_factor_c_that_is_no_rref_raises():
              (MatrixQ.identity(2), _m([[1, 0], [-1, 1]]), _m([[1, 0], [1, 1]]))]
     for a, b, c in cases:
         for battery in (chz.thm32_battery, chz.thm55_battery, chz.thm53_decompose):
-            m = EPInstance.from_factorization(a, FullRankFactorization(b, c, c.rows))
+            m = EPInstance.from_factorization(a, FullRankFactorization(b, c))
             assert m.is_ep
             with pytest.raises(InternalConsistencyError, match="RREF"):
                 battery(m)

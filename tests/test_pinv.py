@@ -100,7 +100,7 @@ def test_full_rank_inputs():
             assert x == brute_force_pinv(a)
             if rows >= cols:
                 g = rand_with_rank(rng, cols, cols, cols)
-                f = FullRankFactorization(b=a @ inverse(g), c=g, rank=cols)
+                f = FullRankFactorization(b=a @ inverse(g), c=g)
                 b_dagger, c_dagger = factor_daggers(f)
                 assert c_dagger @ b_dagger == x
 
@@ -141,7 +141,7 @@ def test_factor_daggers_eliminate_once_per_factor(monkeypatch):
                 facts.append(f)
                 if r:  # a c that is no RREF: b g^-1 and g c for an invertible g
                     g = rand_with_rank(rng, r, r, r, real=real)
-                    facts.append(FullRankFactorization(b=f.b @ inverse(g), c=g @ f.c, rank=r))
+                    facts.append(FullRankFactorization(b=f.b @ inverse(g), c=g @ f.c))
     # b* b = e: the pivot columns of a are unit vectors
     facts.append(full_rank_factorize(MatrixQ.from_rows([[1, 2, 0], [0, 0, 1], [0, 0, 0]])))
     assert any(f.c != full_rank_factorize(f.c).c for f in facts)  # c is no RREF
@@ -186,9 +186,9 @@ def test_factor_daggers_reject_factors_without_full_rank():
     # a rank-deficient b or c has a singular Gram, as when it was inverted
     e2 = MatrixQ.identity(2)
     short = MatrixQ.from_rows([[1, 2], [2, 4]])
-    for f in (FullRankFactorization(b=short, c=e2, rank=2),
-              FullRankFactorization(b=e2, c=MatrixQ.from_rows([[1, "1i", 0], [2, "2i", 0]]), rank=2),
-              FullRankFactorization(b=MatrixQ.zeros(3, 1), c=MatrixQ.from_rows([[1, 0]]), rank=1)):
+    for f in (FullRankFactorization(b=short, c=e2),
+              FullRankFactorization(b=e2, c=MatrixQ.from_rows([[1, "1i", 0], [2, "2i", 0]])),
+              FullRankFactorization(b=MatrixQ.zeros(3, 1), c=MatrixQ.from_rows([[1, 0]]))):
         with pytest.raises(SingularMatrixError):
             factor_daggers(f)
 

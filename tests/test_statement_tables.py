@@ -253,10 +253,10 @@ def test_4x_5x_batteries_certify_the_held_pseudoinverse(monkeypatch):
 
 
 def test_every_solved_coefficient_has_a_guarded_inner_inverse():
-    # every coefficient a solvable row names has a {1}-inverse in _INNER (3.9's
-    # c* also gives 5.3/5.5's t1), and no entry is unused; solve never
-    # eliminates, so an entry whose guard is forced false raises instead of
-    # falling back
+    # every coefficient a solvable row names has a {1}-inverse in _INNER, and
+    # no entry is unused (c* is 3.9's; 5.3/5.5's t1 is read off c*'s pivot
+    # rows, not solved for); solve never eliminates, so an entry whose guard
+    # is forced false raises instead of falling back
     tables = (chz._T35, chz._T37, chz._T39, chz._T41, chz._T42)
     solved = {x for rows in tables for row in rows if row.solve
               for x, _, _ in row.solve.values()}
