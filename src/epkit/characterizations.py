@@ -102,6 +102,7 @@ from .linalg import (
     conj_transpose,
     full_rank_factorize,
     inverse,
+    null_basis,
     product_memo,
 )
 from .pnorms import PNorm, is_hermitian_idempotent, is_hermitian_idempotent_exact
@@ -263,7 +264,7 @@ _QUANTITIES = {
     # j^-1 = [S p; S' (e - p)], and t1 = S a B has inverse S a+ B; S x is
     # the selection of x's rows, not a product
     "ker_pivots": lambda m: [f for f in range(m.a.rows) if f not in m.c_pivots],   # F
-    "ker_c": lambda m: _null_basis(m.c, m.c_pivots, m.ker_pivots),
+    "ker_c": lambda m: null_basis(m.c, m.c_pivots, m.ker_pivots),
     "j": lambda m: m.c_star.hstack(m.ker_c),
     "j_inv1": lambda m: m.p.select_rows(m.c_pivots),             # j^-1's top rank rows
     "j_inv": lambda m: m.j_inv1.vstack(m.p_perp.select_rows(m.ker_pivots)),
@@ -291,15 +292,6 @@ def _pivots(c: MatrixQ) -> list:
     if None in pivots or c.select_columns(pivots) != MatrixQ.identity(c.rows):
         raise InternalConsistencyError("c is not an RREF: c[:, P] != e at its pivot columns P")
     return pivots
-
-
-def _null_basis(c: MatrixQ, pivots: list, free: list) -> MatrixQ:
-    """K with c K = 0 and K[F, :] = e, read off the RREF c with pivot columns
-    P and free columns F: column t is e_f - sum_i c[i, f] e_{P_i}, f = F[t].
-    Its rows at P are -c[:, F] and at F are e, as c[:, P] = e gives c K = 0."""
-    order = pivots + free
-    stacked = (-c.select_columns(free)).vstack(MatrixQ.identity(len(free)))
-    return stacked.select_rows(sorted(range(len(order)), key=order.__getitem__))
 
 
 # coefficient -> (g, guard): g is a {1}-inverse (m g m = m) once the named

@@ -11,9 +11,6 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-_ZERO_FRAC = Fraction(0)
-_ONE_FRAC = Fraction(1)
-
 
 class ScalarParseError(ValueError):
     """Raised when a scalar string does not match the exact-scalar grammar."""
@@ -53,9 +50,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return not self.im.numerator
 
-    def is_one(self) -> bool:
-        return self.re == _ONE_FRAC and not self.im.numerator
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
@@ -89,15 +83,7 @@ class GaussianRational:
             return self
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
-
-    # -- conversions -----------------------------------------------------
-
-    def to_complex(self) -> complex:
-        """Nearest float complex.  Raises OverflowError past float range."""
-        return complex(float(self.re), float(self.im))
+    # -- equality / repr -------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):

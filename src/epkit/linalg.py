@@ -7,7 +7,9 @@ throughout.
 
 Subspaces are stored in a canonical column-reduced echelon basis so that
 subspace equality is plain structural equality.  `range_space` is the one
-canonicaliser of a span; `kernel` reads that form straight off one RREF.
+canonicaliser of a span; `kernel` reads that form straight off one RREF,
+through `null_basis`, the one builder of a kernel basis from an RREF, which
+also gives 5.5's basis of ker c.
 
 Representation: a MatrixQ holds one positive common denominator and two
 flat row-major lists of Python ints, the real and the imaginary numerators,
@@ -23,7 +25,7 @@ object (Python ints, through numpy's loop) otherwise.  Past that bound a
 complex operand's entries x + y i are packed one Python int each, x + y X
 with X = 2**(width + 1) and width the bound's own sum of bit lengths, so
 the product is one object matmul whose entries c0 + c1 X + c2 X**2 carry
-re = c0 - c2 and im = c1 (re = c0 and im = c1 against a real operand).
+re = c0 - c2 and im = c1, the one decode (c2 = 0 against a real operand).
 Every slot is a sum of at most 2k products of numerators, below
 2**width = X / 2 in absolute value by that same bound, so each reads back
 exactly as a signed digit.  An identity or zero
@@ -213,18 +215,6 @@ class MatrixQ:
         return _new(self.rows, self.cols, self._den,
                     [-x for x in self._re], [-x for x in self._im])
 
-    def scale(self, s) -> "MatrixQ":
-        s = as_scalar(s)
-        sd = lcm(s.re.denominator, s.im.denominator)
-        sr = s.re.numerator * (sd // s.re.denominator)
-        si = s.im.numerator * (sd // s.im.denominator)
-        re, im = self._re, self._im
-        return _canonical(
-            self.rows, self.cols, self._den * sd,
-            [sr * x - si * y for x, y in zip(re, im)],
-            [sr * y + si * x for x, y in zip(re, im)],
-        )
-
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.cols != other.rows:
             raise ShapeError(
@@ -402,33 +392,23 @@ def _product(a: MatrixQ, b: MatrixQ) -> MatrixQ:
 def _packed_product(a: MatrixQ, b: MatrixQ, width: int) -> MatrixQ:
     """a @ b for a complex operand past the int64 bound, as one object product.
 
-    Each complex entry x + y i is packed into the one Python int x + y X,
-    X = 2**K with K = width + 1, and a real operand is its real numerators,
-    so one matmul gives c0 + c1 X + c2 X**2 per entry: re = c0 - c2 and
-    im = c1 when both operands are complex, re = c0 and im = c1 when one
-    is.  Each slot is below 2**width = X / 2 in absolute value (the bound
-    of `_product`), so adding X / 2 to every slot makes each a K-bit digit
-    in (0, X), read off by shifts and masks.
+    Each entry x + y i is packed into the one Python int x + y X, X = 2**K
+    with K = width + 1, so one matmul gives c0 + c1 X + c2 X**2 per entry,
+    with re = c0 - c2 and im = c1 (c2 = 0 against a real operand).  Each
+    slot is below 2**width = X / 2 in absolute value (the bound of
+    `_product`), so adding X / 2 to every slot makes each a K-bit digit in
+    (0, X), read off by shifts and masks.
     """
     n, k, m = a.rows, a.cols, b.cols
     shift = width + 1
     mask, half = (1 << shift) - 1, 1 << width
-    a_complex, b_complex = a._kernel_facts()[0], b._kernel_facts()[0]
-    left = _packed(a, shift) if a_complex else a._re
-    right = _packed(b, shift) if b_complex else b._re
-    flat = (np.array(left, object).reshape(n, k)
-            @ np.array(right, object).reshape(k, m)).ravel().tolist()
-    three = a_complex and b_complex  # c0, c1 and c2, else c0 and c1
-    bias = (half << shift) + half
-    if three:
-        bias = (bias << shift) + half
+    flat = (np.array(_packed(a, shift), object).reshape(n, k)
+            @ np.array(_packed(b, shift), object).reshape(k, m)).ravel().tolist()
+    bias = (((half << shift) + half) << shift) + half
     biased = [v + bias for v in flat]
-    if three:  # the biases of c0 and c2 cancel in c0 - c2
-        re = [(u & mask) - (u >> 2 * shift) for u in biased]
-        im = [((u >> shift) & mask) - half for u in biased]
-    else:
-        re = [(u & mask) - half for u in biased]
-        im = [(u >> shift) - half for u in biased]
+    # the biases of c0 and c2 cancel in c0 - c2
+    re = [(u & mask) - (u >> 2 * shift) for u in biased]
+    im = [((u >> shift) & mask) - half for u in biased]
     return _canonical(n, m, a._den * b._den, re, im)
 
 
@@ -617,27 +597,31 @@ def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
     return s1.basis == s2.basis
 
 
+def null_basis(c: MatrixQ, pivots: list, free: list) -> MatrixQ:
+    """K with c K = 0 and K[F, :] = e, read off the RREF c, whose rows are
+    all nonzero, with pivot columns P and free columns F: column t is
+    e_f - sum_i c[i, f] e_{P_i}, f = F[t].  Its rows at P are -c[:, F] and
+    at F are e, as c[:, P] = e gives c K = 0."""
+    order = pivots + free
+    stacked = (-c.select_columns(free)).vstack(MatrixQ.identity(len(free)))
+    return stacked.select_rows(sorted(range(len(order)), key=order.__getitem__))
+
+
 def kernel(a: MatrixQ) -> Subspace:
     """Null space {x : a x = 0} as a canonical Subspace of C^cols.
 
-    One elimination, of `a` with its columns reversed (column k <- n-1-k):
-    free column f of that RREF R gives e_f - sum_i R[i, f] e_{pivots[i]},
-    where R[i, f] != 0 only for pivots[i] < f.  Mapped back by k -> n-1-k,
-    the vector has a leading 1 at n-1-f and every other one is 0 there, so
-    by decreasing f they are already the column-reduced echelon basis.
+    One elimination, of `a` with its columns reversed (column k <- n-1-k),
+    and `null_basis` of that RREF R with its free columns f by decreasing f:
+    the column of f is e_f - sum_i R[i, f] e_{pivots[i]}, where R[i, f] != 0
+    only for pivots[i] < f.  Mapped back by k -> n-1-k, it has a leading 1
+    at n-1-f and every other column is 0 there, so they are already the
+    column-reduced echelon basis.
     """
     n = a.cols
-    r, pivots = rref(a.select_columns(range(n - 1, -1, -1)))
-    free = [f for f in range(n - 1, -1, -1) if f not in pivots]
-    nf = len(free)
-    # basis column t, row n-1-k: coordinate k of the vector of free column free[t]
-    re, im = [0] * (n * nf), [0] * (n * nf)
-    for t, f in enumerate(free):
-        re[(n - 1 - f) * nf + t] = r._den
-        for i, p in enumerate(pivots):
-            re[(n - 1 - p) * nf + t] = -r._re[i * n + f]
-            im[(n - 1 - p) * nf + t] = -r._im[i * n + f]
-    return Subspace(n, _canonical(n, nf, r._den, re, im))
+    flip = range(n - 1, -1, -1)
+    r, pivots = rref(a.select_columns(flip))
+    free = [f for f in flip if f not in pivots]
+    return Subspace(n, null_basis(r.take_rows(len(pivots)), pivots, free).select_rows(flip))
 
 
 def range_space(a: MatrixQ) -> Subspace:

@@ -262,16 +262,21 @@ def _hermitian_exps(a: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
     V and lambda come from one `eigh`, so t enters only through the phases
     and the error stays at the rounding of V, whatever ||t a||; on a real
-    diagonal a, V has 0/1 columns and the stack is diagonal.  For an
-    eigenvalue where some t lambda overflows, the phase is taken as
-    (t mod 2 pi / lambda) lambda instead, which is below 2 pi in modulus, so
-    exp(i t a) stays unitary there too.
+    diagonal a, V has 0/1 columns and the stack is diagonal.  `eigh` runs on
+    a 2^-s, with s >= 0 the least power that brings every part of every
+    entry to at most 1, so an eigenvalue lambda = mu 2^s past float range
+    stays finite as mu; the scaling is exact, and the phase is formed as
+    (t mu) 2^s.  For an eigenvalue where some t lambda overflows, the phase
+    is taken as (t mod 2 pi / lambda) lambda instead, which is below 2 pi in
+    modulus, so exp(i t a) stays unitary there too.
     """
-    lam, v = np.linalg.eigh(a)
+    s = max(0, int(np.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]))
+    mu, v = np.linalg.eigh(a * np.ldexp(1.0, -s))
     with np.errstate(over="ignore"):
-        phase = ts[:, None] * lam
+        phase = np.ldexp(ts[:, None] * mu, s)
     big = ~np.isfinite(phase).all(axis=0)
-    phase[:, big] = np.fmod(ts[:, None], 2.0 * np.pi / lam[big]) * lam[big]
+    period = np.ldexp(2.0 * np.pi / mu[big], -s)
+    phase[:, big] = np.ldexp(np.fmod(ts[:, None], period) * mu[big], s)
     return (v * np.exp(1j * phase)[:, None, :]) @ v.conj().T
 
 

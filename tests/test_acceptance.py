@@ -37,7 +37,7 @@ from epkit.pseudoinverse import (
     pinv,
 )
 
-from .oracles import brute_force_pinv, kron_left_mult
+from .oracles import brute_force_pinv, kron_left_mult, oracle_is_ep
 
 GOLDEN_DEVIATION = (1.0 + math.sqrt(5.0)) / 2.0 - 1.0
 
@@ -109,12 +109,21 @@ def test_criterion_4_equivalence_batteries():
     mats = [gen_matrix(cfg) for cfg in cfgs]
     n_ep = sum(1 for a in mats if is_ep(a))
     assert n_ep >= 50 and (200 - n_ep) >= 50
+    # each battery runs over the instances oracle_is_ep calls EP and over the
+    # rest; with no violation, every statement counted true (false) on every
+    # instance of a group makes each instance's common truth the oracle's
+    oracle = [oracle_is_ep(a) for a in mats]
+    groups = {truth: [cfg for cfg, t in zip(cfgs, oracle) if t is truth] for truth in (True, False)}
     theorems = ("3.2", "3.4", "3.5", "3.7", "3.9", "3.10", "4.1", "4.2", "5.5", "5.6")
     for tid in theorems:
-        rep = run_battery(tid, cfgs, seed=9004)
-        assert rep.trials == 200
-        assert not rep.failed, (tid, rep.equivalence_violations)
-        assert rep.inconclusive_count == 0
+        for truth, group in groups.items():
+            rep = run_battery(tid, group, seed=9004)
+            assert rep.trials == len(group)
+            assert not rep.failed, (tid, rep.equivalence_violations)
+            assert rep.inconclusive_count == 0
+            side = "true" if truth else "false"
+            assert all(c[side] == len(group) for c in rep.per_statement_truth_counts.values()), \
+                (tid, truth)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     report(4, f"10 batteries x 200 instances ({n_ep} ep / {200 - n_ep} non-ep), "
@@ -182,7 +191,8 @@ def test_criterion_6_hermitian_checker():
             if i % 2 == 0:
                 a = a + conj_transpose(a)
             diag = MatrixQ.diagonal([Fraction(((i * 7 + j * 3) % 9) - 4) for j in range(n)])
-            for m, norms in ((a.scale(scale), (2,)), (diag.scale(scale), (1, 2, math.inf))):
+            s = MatrixQ.diagonal([scale] * n)
+            for m, norms in ((s @ a, (2,)), (s @ diag, (1, 2, math.inf))):
                 for p in norms:
                     rep = hermitian_check(m, PNorm(p))
                     assert rep.verdict != "inconclusive"

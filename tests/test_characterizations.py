@@ -180,8 +180,8 @@ def test_solvable_statements_on_non_ep_have_criterion_route():
 def test_uniform_truth_matches_is_ep_oracle(monkeypatch):
     # every battery's truth is is_ep's verdict and oracle_is_ep's, rank
     # [a | a*] == rank a over GaussianRational rows, which shares no kernel
-    # with the package.  The n = 6 draws at entry bound 40, real and
-    # complex, carry products past int64 into the object and packed paths
+    # with the package.  The n = 6, 7 and 8 draws at entry bound 40, real
+    # and complex, carry products past int64 into the object and packed paths
     import numpy as np
 
     import epkit.linalg as linalg
@@ -213,13 +213,15 @@ def test_uniform_truth_matches_is_ep_oracle(monkeypatch):
             for i in range(36)]
     cfgs += [GeneratorConfig(seed=child_seed(501, i), n=6, kind=kinds[i % 4], entry_bound=40)
              for i in range(8)]
-    complex_ = set()
+    cfgs += [GeneratorConfig(seed=child_seed(502, i), n=7 + i % 2, kind=kinds[i % 4],
+                             entry_bound=40) for i in range(16)]
+    complex_ = {6: set(), 7: set(), 8: set()}
     for i, cfg in enumerate(cfgs):
         a = gen_matrix(cfg)
         expected = is_ep(a)
         assert oracle_is_ep(a) == expected, i
-        if cfg.n == 6:
-            complex_.add(any(a._im))
+        if cfg.n >= 6:
+            complex_[cfg.n].add(any(a._im))
         for tid, results in all_batteries(a).items():
             truths = {r.truth for r in results}
             assert truths == {expected}, (tid, i)
@@ -228,7 +230,7 @@ def test_uniform_truth_matches_is_ep_oracle(monkeypatch):
                     assert r.witness is not None
                 if r.truth is False:
                     assert r.witness is None
-    assert complex_ == {False, True}
+    assert all(seen == {False, True} for seen in complex_.values()), complex_
     assert reached["object"] and reached["packed"], reached
 
 
@@ -490,7 +492,7 @@ def test_near_hermitian_idempotents_never_raise():
             n = 2 + trial % 3
             kk = MatrixQ.from_rows([[GaussianRational(rng.randint(-3, 3), rng.choice((0, 0, 1, -1)))
                                      for _ in range(n)] for _ in range(n)])
-            j = MatrixQ.identity(n) + kk.scale(eps)
+            j = MatrixQ.identity(n) + MatrixQ.diagonal([eps] * n) @ kk
             q = j @ MatrixQ.diagonal([rng.randint(0, 1) for _ in range(n)]) @ inverse(j)
             for p in (1, 2, math.inf):
                 truth, rep = is_hermitian_idempotent(q, PNorm(p))

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -286,6 +287,25 @@ def test_hermitian_large_norm_exact_inputs(tmp_path, capsys):
                 assert dev <= 1e-9
             else:
                 assert code == EXIT_PROPERTY_FALSE and out.startswith("verdict: not_hermitian\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hermitian_eigenvalues_past_float_range(tmp_path, capsys):
+    # self-adjoint files with entries 10^308 whose eigenvalues (2e308, and
+    # about 2.4e308) leave float range: eigh runs on a 2^-s, so the grid
+    # reads rounding error, for the exact matrix and its float image alike
+    big = str(10 ** 308)
+    cases = ([[big, big], [big, big]],
+             [[big, big, "0"], [big, big, big], ["0", big, big]])
+    for k, rows in enumerate(cases):
+        floats = np.array([[float(x) for x in row] for row in rows])
+        for a in (MatrixQ.from_rows(rows), floats):
+            rep = pnorms.hermitian_check(a, pnorms.PNorm(2))
+            assert rep.verdict == "hermitian" and rep.max_deviation <= 1e-15, rep
+        path = mfile(tmp_path, f"huge{k}.json", matrix_obj(rows))
+        code, out, err = run_main(capsys, ["hermitian", path, "--p", "2"])
+        assert (code, err) == (EXIT_PASS, "")
+        assert out.startswith("verdict: hermitian\nexact: hermitian\n")
 
 
 def test_hermitian_prints_the_exact_verdict_beside_the_grid(tmp_path, capsys):

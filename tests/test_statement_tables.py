@@ -215,13 +215,10 @@ def test_every_table_name_is_a_quantity_and_none_a_bare_rename():
     assert not _bare_rename(chz._QUANTITIES["b"]) and not _bare_rename(chz._QUANTITIES["rng_ok"])
 
 
-def test_penrose_certificate_reads_the_held_products(monkeypatch):
-    # _validate builds the four-condition certificate from the a a+ it holds;
-    # a wrong a_ad (matched by p, so the earlier a a+ = b b+ check passes)
-    # must still be caught under the certificate's message
-    zero = MatrixQ.zeros(2, 2)
-    monkeypatch.setitem(chz._QUANTITIES, "a_ad", lambda m: zero)
-    monkeypatch.setitem(chz._QUANTITIES, "p", lambda m: zero)
+def test_a_held_p_that_is_not_bb_dagger_fails_mp_generators(monkeypatch):
+    # _validate requires mp_generators, which reads the p the instance holds;
+    # a held p other than b b+ is caught under the certificate's message
+    monkeypatch.setitem(chz._QUANTITIES, "p", lambda m: MatrixQ.zeros(2, 2))
     with pytest.raises(InternalConsistencyError, match="four-condition certificate for a\\+"):
         EPInstance.from_matrix(DIAG20)
 
